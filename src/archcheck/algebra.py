@@ -238,7 +238,13 @@ class Algebra:
 # notion of equality everywhere (round-trips, caches, fixtures).
 
 
-class Term:
+class Node:
+    """Base of every semantic AST node: terms, assertions, trace assertions."""
+
+    __slots__ = ()
+
+
+class Term(Node):
     __slots__ = ()
 
 
@@ -280,7 +286,7 @@ def constant(symbol: str) -> Apply:
 # Assertions
 
 
-class Assertion:
+class Assertion(Node):
     __slots__ = ()
 
 
@@ -458,35 +464,15 @@ def typecheck_term(
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# One evaluator serves every assertion context.  ``Evaluator`` holds the
+# datatype fragment as two tables keyed by node type; the interface and
+# configuration contexts subclass it and add rules for their own nodes.  A
+# rule is called as ``rule(evaluator, asg, node)``.
 
 
-def eval_term(alg: Algebra, asg: Mapping[str, Value], term: Term) -> Value:
-    """Value of a well-sorted term under a variable assignment."""
-    if isinstance(term, Var):
-        try:
-            return asg[term.name]
-        except KeyError:
-            raise AssignmentError(f"unbound variable {term.name!r}") from None
-    if isinstance(term, Apply):
-        table = alg.functions.get(term.symbol)
-        if table is None:
-            raise SignatureError(f"no table for function symbol {term.symbol!r}")
-        args = tuple(eval_term(alg, asg, a) for a in term.args)
-        try:
-            return table[args]
-        except KeyError:
-            rendered = ", ".join(format_value(v) for v in args)
-            raise SignatureError(
-                f"function table {term.symbol!r} undefined at ({rendered})"
-            ) from None
-    if isinstance(term, PairTerm):
-        return (eval_term(alg, asg, term.first), eval_term(alg, asg, term.second))
-    if isinstance(term, SetTerm):
-        return frozenset(eval_term(alg, asg, e) for e in term.elements)
-    raise SortError(f"cannot evaluate {term!r} in the datatype fragment")
-
-
-def _bind_pattern(names: tuple[str, ...], value: Value) -> dict[str, Value]:
+def bind_pattern(names: tuple[str, ...], value: Value) -> dict[str, Value]:
+    """Bind a bounded quantifier's variable, or its pair pattern, to a value."""
     if len(names) == 1:
         return {names[0]: value}
     if not isinstance(value, tuple) or len(value) != len(names):
@@ -496,67 +482,144 @@ def _bind_pattern(names: tuple[str, ...], value: Value) -> dict[str, Value]:
     return dict(zip(names, value))
 
 
+def _var(ev, asg, term):
+    try:
+        return asg[term.name]
+    except KeyError:
+        raise AssignmentError(f"unbound variable {term.name!r}") from None
+
+
+def _apply(ev, asg, term):
+    table = ev.alg.functions.get(term.symbol)
+    if table is None:
+        raise SignatureError(f"no table for function symbol {term.symbol!r}")
+    args = tuple([ev.term(asg, a) for a in term.args])
+    try:
+        return table[args]
+    except KeyError:
+        rendered = ", ".join(format_value(v) for v in args)
+        raise SignatureError(
+            f"function table {term.symbol!r} undefined at ({rendered})"
+        ) from None
+
+
+def _pred(ev, asg, phi):
+    rows = ev.alg.predicates.get(phi.symbol)
+    if rows is None:
+        if phi.symbol not in ev.alg.signature.predicates:
+            raise SignatureError(f"unknown predicate symbol {phi.symbol!r}")
+        rows = frozenset()
+    return tuple([ev.term(asg, a) for a in phi.args]) in rows
+
+
+def _member(ev, asg, phi):
+    collection = ev.term(asg, phi.collection)
+    if not isinstance(collection, frozenset):
+        raise SortError("membership against a non-set value")
+    return ev.term(asg, phi.element) in collection
+
+
+def _quantifier(combine):
+    def rule(ev, asg, phi):
+        return combine(
+            ev.holds({**asg, phi.var: v}, phi.body) for v in ev.alg.carrier(phi.sort)
+        )
+
+    return rule
+
+
+def _bounded(combine):
+    def rule(ev, asg, phi):
+        source = sorted(ev.source(asg, phi.source), key=value_key)
+        return combine(
+            ev.holds({**asg, **bind_pattern(phi.vars, v)}, phi.body) for v in source
+        )
+
+    return rule
+
+
+class Evaluator:
+    """Terms and assertions of the datatype fragment over one algebra."""
+
+    FRAGMENT = "datatype assertions"
+    TERMS = {
+        Var: _var,
+        Apply: _apply,
+        PairTerm: lambda ev, asg, t: (ev.term(asg, t.first), ev.term(asg, t.second)),
+        SetTerm: lambda ev, asg, t: frozenset([ev.term(asg, e) for e in t.elements]),
+    }
+    ASSERTIONS = {
+        BoolLit: lambda ev, asg, phi: phi.value,
+        PredAtom: _pred,
+        Equals: lambda ev, asg, phi: ev.term(asg, phi.left) == ev.term(asg, phi.right),
+        Member: _member,
+        Not: lambda ev, asg, phi: not ev.holds(asg, phi.operand),
+        And: lambda ev, asg, phi: all(ev.holds(asg, item) for item in phi.items),
+        Or: lambda ev, asg, phi: any(ev.holds(asg, item) for item in phi.items),
+        Implies: lambda ev, asg, phi: (
+            not ev.holds(asg, phi.left) or ev.holds(asg, phi.right)
+        ),
+        Iff: lambda ev, asg, phi: ev.holds(asg, phi.left) == ev.holds(asg, phi.right),
+        ForallData: _quantifier(all),
+        ExistsData: _quantifier(any),
+        BoundedForall: _bounded(all),
+        BoundedExists: _bounded(any),
+        WellFounded: lambda ev, asg, phi: check_well_founded(ev.alg, phi.symbol),
+    }
+
+    def __init__(self, alg: Algebra):
+        self.alg = alg
+
+    def term(self, asg: Mapping[str, Value], term: Term) -> Value:
+        try:
+            rule = self.TERMS[type(term)]
+        except KeyError:
+            raise SortError(
+                f"cannot evaluate {type(term).__name__} in {self.FRAGMENT}"
+            ) from None
+        return rule(self, asg, term)
+
+    def holds(self, asg: Mapping[str, Value], phi: Assertion) -> bool:
+        try:
+            rule = self.ASSERTIONS[type(phi)]
+        except KeyError:
+            raise SortError(
+                f"{type(phi).__name__} is not part of {self.FRAGMENT}"
+            ) from None
+        return rule(self, asg, phi)
+
+    def source(self, asg: Mapping[str, Value], term: Term) -> frozenset:
+        """The set a bounded quantifier ranges over."""
+        value = self.term(asg, term)
+        if not isinstance(value, frozenset):
+            raise SortError("bounded quantifier over a non-set value")
+        return value
+
+
+def eval_term(alg: Algebra, asg: Mapping[str, Value], term: Term) -> Value:
+    """Value of a well-sorted term under a variable assignment."""
+    return Evaluator(alg).term(asg, term)
+
+
 def assertion_holds(alg: Algebra, asg: Mapping[str, Value], assertion: Assertion) -> bool:
     """Truth of a datatype assertion under one variable assignment."""
-    if isinstance(assertion, BoolLit):
-        return assertion.value
-    if isinstance(assertion, PredAtom):
-        rows = alg.predicates.get(assertion.symbol)
-        if assertion.symbol not in alg.signature.predicates:
-            raise SignatureError(f"unknown predicate symbol {assertion.symbol!r}")
-        args = tuple(eval_term(alg, asg, a) for a in assertion.args)
-        return args in (rows or frozenset())
-    if isinstance(assertion, Equals):
-        return eval_term(alg, asg, assertion.left) == eval_term(alg, asg, assertion.right)
-    if isinstance(assertion, Member):
-        element = eval_term(alg, asg, assertion.element)
-        collection = eval_term(alg, asg, assertion.collection)
-        if not isinstance(collection, frozenset):
-            raise SortError("membership against a non-set value")
-        return element in collection
-    if isinstance(assertion, Not):
-        return not assertion_holds(alg, asg, assertion.operand)
-    if isinstance(assertion, And):
-        return all(assertion_holds(alg, asg, item) for item in assertion.items)
-    if isinstance(assertion, Or):
-        return any(assertion_holds(alg, asg, item) for item in assertion.items)
-    if isinstance(assertion, Implies):
-        return (not assertion_holds(alg, asg, assertion.left)) or assertion_holds(
-            alg, asg, assertion.right
-        )
-    if isinstance(assertion, Iff):
-        return assertion_holds(alg, asg, assertion.left) == assertion_holds(
-            alg, asg, assertion.right
-        )
-    if isinstance(assertion, ForallData):
-        return all(
-            assertion_holds(alg, {**asg, assertion.var: v}, assertion.body)
-            for v in alg.carrier(assertion.sort)
-        )
-    if isinstance(assertion, ExistsData):
-        return any(
-            assertion_holds(alg, {**asg, assertion.var: v}, assertion.body)
-            for v in alg.carrier(assertion.sort)
-        )
-    if isinstance(assertion, BoundedForall):
-        source = eval_term(alg, asg, assertion.source)
-        if not isinstance(source, frozenset):
-            raise SortError("bounded quantifier over a non-set value")
-        return all(
-            assertion_holds(alg, {**asg, **_bind_pattern(assertion.vars, v)}, assertion.body)
-            for v in sorted(source, key=value_key)
-        )
-    if isinstance(assertion, BoundedExists):
-        source = eval_term(alg, asg, assertion.source)
-        if not isinstance(source, frozenset):
-            raise SortError("bounded quantifier over a non-set value")
-        return any(
-            assertion_holds(alg, {**asg, **_bind_pattern(assertion.vars, v)}, assertion.body)
-            for v in sorted(source, key=value_key)
-        )
-    if isinstance(assertion, WellFounded):
-        return check_well_founded(alg, assertion.symbol)
-    raise SortError(f"assertion {assertion!r} is not part of the datatype grammar")
+    return Evaluator(alg).holds(asg, assertion)
+
+
+def children(node: Node) -> list[Node]:
+    """Immediate sub-terms and sub-assertions of any AST node, in field order.
+
+    The one walker over the semantic AST: every node is a dataclass, and its
+    children are the fields holding a node or a tuple of nodes.
+    """
+    found = []
+    for name in node.__dataclass_fields__:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            found.append(value)
+        elif isinstance(value, tuple):
+            found.extend(v for v in value if isinstance(v, Node))
+    return found
 
 
 def free_data_vars(node) -> dict[str, Sort]:
@@ -581,33 +644,11 @@ def free_data_vars(node) -> dict[str, Sort]:
             walk(item.source, bound)
             walk(item.body, bound | set(item.vars))
             return
-        for child in _children(item):
+        for child in children(item):
             walk(child, bound)
 
     walk(node, frozenset())
     return free
-
-
-def _children(node):
-    if isinstance(node, Apply):
-        return node.args
-    if isinstance(node, PairTerm):
-        return (node.first, node.second)
-    if isinstance(node, SetTerm):
-        return node.elements
-    if isinstance(node, PredAtom):
-        return node.args
-    if isinstance(node, Equals):
-        return (node.left, node.right)
-    if isinstance(node, Member):
-        return (node.element, node.collection)
-    if isinstance(node, Not):
-        return (node.operand,)
-    if isinstance(node, (And, Or)):
-        return node.items
-    if isinstance(node, (Implies, Iff)):
-        return (node.left, node.right)
-    return ()
 
 
 def enumerate_assignments(
@@ -626,10 +667,11 @@ def enumerate_assignments(
 
 def models_spec(alg: Algebra, assertions: Iterable[Assertion]) -> bool:
     """True iff every assertion holds under every assignment of its free vars."""
+    evaluator = Evaluator(alg)
     for assertion in assertions:
         variables = free_data_vars(assertion)
         for asg in enumerate_assignments(alg, variables):
-            if not assertion_holds(alg, asg, assertion):
+            if not evaluator.holds(asg, assertion):
                 return False
     return True
 

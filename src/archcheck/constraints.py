@@ -25,30 +25,27 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .algebra import (
+from .algebra import (  # And, Implies, Not and Or are re-exported
     Algebra,
     And,
-    Apply,
     Assertion,
-    BoolLit,
     BoundedExists,
     BoundedForall,
     Equals,
+    Evaluator,
     ExistsData,
     ForallData,
-    Iff,
     Implies,
     Member,
+    Node,
     Not,
     Or,
-    PairTerm,
     PredAtom,
-    SetTerm,
     Sort,
     Term,
     Var,
-    WellFounded,
-    check_well_founded,
+    bind_pattern,
+    children,
     value_key,
 )
 from .errors import (
@@ -59,12 +56,11 @@ from .errors import (
     SortError,
     UsageError,
 )
-from .interfaces import PortSym, SpecInterpretation
+from .interfaces import SpecInterpretation
 from .model import (
     ArchConfiguration,
     ComponentUniverse,
     ConfigurationTrace,
-    format_value,
 )
 
 OPEN = "open"
@@ -158,7 +154,7 @@ class ExistsComp(Assertion):
 # Trace-assertion AST
 
 
-class TraceAssertion:
+class TraceAssertion(Node):
     __slots__ = ()
 
 
@@ -335,17 +331,90 @@ class _UndefinedRead(Exception):
 # ---------------------------------------------------------------------------
 # State-formula evaluation
 
+# Key of the component assignment inside the assignment the rules read; not a
+# string, so it never clashes with a data variable.
+_COMPS = object()
 
-class _StateEvaluator:
+
+def _comp(asg, var: str) -> str:
+    try:
+        return asg[_COMPS][var]
+    except KeyError:
+        raise AssignmentError(f"unbound component variable {var!r}") from None
+
+
+def _port_read(ev, asg, term: PortRead) -> frozenset:
+    cid = _comp(asg, term.var)
+    if cid not in ev.active:
+        raise _UndefinedRead(f"undefined read: {term.var}.{term.port} ({cid} inactive)")
+    return ev.interpretation(cid).port_value(term.port)
+
+
+def _defined(rule):
+    """An atom's rule under which an undefined read makes the atom false."""
+
+    def atom(ev, asg, phi):
+        try:
+            return rule(ev, asg, phi)
+        except _UndefinedRead as undef:
+            ev.notes[undef.description] = None
+            return False
+
+    return atom
+
+
+def _irconn(ev, asg, phi: IRConn) -> bool:
+    for ci in ev.interface_ids(phi.in_interface):
+        if ci not in ev.active:
+            continue
+        for co in ev.interface_ids(phi.out_interface):
+            if co in ev.active and not ev.connected(ci, phi.in_port, co, phi.out_port):
+                return False
+    return True
+
+
+def _comp_quantifier(combine):
+    def rule(ev, asg, phi):
+        comps = asg[_COMPS]
+        return combine(
+            ev.holds({**asg, _COMPS: {**comps, phi.var: cid}}, phi.body)
+            for cid in ev.interface_ids(phi.interface)
+        )
+
+    return rule
+
+
+class _StateEvaluator(Evaluator):
     """Evaluates configuration assertions against one interpretation set.
 
-    Caches per-configuration indexes; collects undefined-read notes.
+    ``enter`` makes a configuration ``k`` current, with ``active`` mapping
+    its active component ids to their snapshots, and starts a verdict;
+    ``notes`` then collects that verdict's undefined reads, in order.
     """
 
+    FRAGMENT = "configuration assertions"
+    TERMS = {**Evaluator.TERMS, PortRead: _port_read}
+    ASSERTIONS = {
+        **Evaluator.ASSERTIONS,
+        PredAtom: _defined(Evaluator.ASSERTIONS[PredAtom]),
+        Equals: _defined(Evaluator.ASSERTIONS[Equals]),
+        Member: _defined(Evaluator.ASSERTIONS[Member]),
+        CompEquals: lambda ev, asg, phi: _comp(asg, phi.left) == _comp(asg, phi.right),
+        Active: lambda ev, asg, phi: _comp(asg, phi.var) in ev.active,
+        Conn: lambda ev, asg, phi: ev.connected(
+            _comp(asg, phi.in_var), phi.in_port, _comp(asg, phi.out_var), phi.out_port
+        ),
+        IRConn: _irconn,
+        Min: lambda ev, asg, phi: ev.count(phi.interface) >= phi.count,
+        Max: lambda ev, asg, phi: ev.count(phi.interface) <= phi.count,
+        MinMax: lambda ev, asg, phi: phi.low <= ev.count(phi.interface) <= phi.high,
+        ForallComp: _comp_quantifier(all),
+        ExistsComp: _comp_quantifier(any),
+    }
+
     def __init__(self, alg: Algebra, J: SpecInterpretation):
-        self.alg = alg
-        self.J = J
-        self.notes: list[str] = []
+        super().__init__(alg)
+        self.notes: dict[str, None] = {}
         self._ids_by_interface = {
             name: tuple(sorted({i.snapshot.id for i in interps}))
             for name, interps in J.by_interface.items()
@@ -364,237 +433,57 @@ class _StateEvaluator:
         except KeyError:
             raise InterpretationError(f"undeclared interface {interface!r}") from None
 
-    def _index(self, k: ArchConfiguration):
+    def enter(self, k: ArchConfiguration, data_asg, comp_asg) -> dict:
+        """Make ``k`` current, clear the notes, and return the assignment the
+        rules read: the data variables plus the component assignment."""
         cached = self._step_cache.get(id(k))
-        if cached is not None and cached[0] is k:
-            return cached[1], cached[2]
-        by_id = {snap.id: snap for snap in k.active}
-        active_ids = frozenset(by_id)
-        self._step_cache[id(k)] = (k, by_id, active_ids)
-        return by_id, active_ids
+        if cached is None or cached[0] is not k:
+            active = {snap.id: snap for snap in k.active}
+            cached = self._step_cache[id(k)] = (k, active, {})
+        self.k, self.active, self._active_interps = cached
+        self.notes = {}
+        return {**data_asg, _COMPS: comp_asg}
 
-    def _note(self, message: str):
-        if message not in self.notes:
-            self.notes.append(message)
+    def state_holds(self, data_asg, comp_asg, k: ArchConfiguration, phi: Assertion) -> bool:
+        return self.holds(self.enter(k, data_asg, comp_asg), phi)
 
-    def read_port(self, comp_asg, k: ArchConfiguration, node: PortRead) -> frozenset:
+    def source(self, asg, term: Term) -> frozenset:
+        """Undefined reads give the empty set (matching the guarded expansion
+        of the sugar)."""
         try:
-            cid = comp_asg[node.var]
-        except KeyError:
-            raise AssignmentError(
-                f"unbound component variable {node.var!r}"
-            ) from None
-        by_id, _ = self._index(k)
-        snap = by_id.get(cid)
-        if snap is None:
-            raise _UndefinedRead(f"undefined read: {node.var}.{node.port} ({cid} inactive)")
-        interp = self._interps.get(cid, {}).get(snap)
+            return super().source(asg, term)
+        except _UndefinedRead as undef:
+            self.notes[undef.description] = None
+            return frozenset()
+
+    def source_set(self, data_asg, comp_asg, k: ArchConfiguration, term: Term) -> frozenset:
+        return self.source(self.enter(k, data_asg, comp_asg), term)
+
+    def interpretation(self, cid: str):
+        """The interpretation of an active component, found once per step."""
+        interp = self._active_interps.get(cid)
+        if interp is None:
+            interp = self._interps.get(cid, {}).get(self.active[cid])
+            self._active_interps[cid] = interp
         if interp is None:
             raise InterpretationError(
                 f"active component {cid!r} has no interface interpretation"
             )
-        return interp.port_value(node.port)
+        return interp
 
-    def term(self, data_asg, comp_asg, k, term: Term):
-        if isinstance(term, PortRead):
-            return self.read_port(comp_asg, k, term)
-        if isinstance(term, Var):
-            try:
-                return data_asg[term.name]
-            except KeyError:
-                raise AssignmentError(f"unbound variable {term.name!r}") from None
-        if isinstance(term, Apply):
-            args = tuple(self.term(data_asg, comp_asg, k, a) for a in term.args)
-            return self.alg.functions[term.symbol][args]
-        if isinstance(term, PairTerm):
-            return (
-                self.term(data_asg, comp_asg, k, term.first),
-                self.term(data_asg, comp_asg, k, term.second),
-            )
-        if isinstance(term, SetTerm):
-            return frozenset(self.term(data_asg, comp_asg, k, e) for e in term.elements)
-        if isinstance(term, PortSym):
-            raise SortError(
-                "bare port symbols are interface terms; configuration assertions"
-                " read ports through component variables"
-            )
-        raise SortError(f"cannot evaluate term {term!r}")
+    def count(self, interface: str) -> int:
+        return sum(1 for cid in self.interface_ids(interface) if cid in self.active)
 
-    def source_set(self, data_asg, comp_asg, k, term: Term) -> frozenset:
-        """A set-valued term for a bounded quantifier; undefined reads give
-        the empty set (matching the guarded expansion of the sugar)."""
-        try:
-            value = self.term(data_asg, comp_asg, k, term)
-        except _UndefinedRead as undef:
-            self._note(undef.description)
-            return frozenset()
-        if not isinstance(value, frozenset):
-            raise SortError("bounded quantifier over a non-set value")
-        return value
-
-    def _atom(self, fn) -> bool:
-        try:
-            return fn()
-        except _UndefinedRead as undef:
-            self._note(undef.description)
-            return False
-
-    def holds(self, data_asg, comp_asg, k: ArchConfiguration, phi: Assertion) -> bool:
-        if isinstance(phi, BoolLit):
-            return phi.value
-        if isinstance(phi, PredAtom):
-            rows = self.alg.predicates.get(phi.symbol, frozenset())
-            return self._atom(
-                lambda: tuple(self.term(data_asg, comp_asg, k, a) for a in phi.args)
-                in rows
-            )
-        if isinstance(phi, Equals):
-            return self._atom(
-                lambda: self.term(data_asg, comp_asg, k, phi.left)
-                == self.term(data_asg, comp_asg, k, phi.right)
-            )
-        if isinstance(phi, Member):
-            def member():
-                collection = self.term(data_asg, comp_asg, k, phi.collection)
-                if not isinstance(collection, frozenset):
-                    raise SortError("membership against a non-set value")
-                return self.term(data_asg, comp_asg, k, phi.element) in collection
-
-            return self._atom(member)
-        if isinstance(phi, CompEquals):
-            try:
-                return comp_asg[phi.left] == comp_asg[phi.right]
-            except KeyError as missing:
-                raise AssignmentError(
-                    f"unbound component variable {missing.args[0]!r}"
-                ) from None
-        if isinstance(phi, Active):
-            try:
-                cid = comp_asg[phi.var]
-            except KeyError:
-                raise AssignmentError(
-                    f"unbound component variable {phi.var!r}"
-                ) from None
-            _, active_ids = self._index(k)
-            return cid in active_ids
-        if isinstance(phi, Conn):
-            return self._conn(
-                comp_asg[phi.in_var],
-                phi.in_port,
-                comp_asg[phi.out_var],
-                phi.out_port,
-                k,
-            )
-        if isinstance(phi, IRConn):
-            _, active_ids = self._index(k)
-            for ci in self.interface_ids(phi.in_interface):
-                if ci not in active_ids:
-                    continue
-                for co in self.interface_ids(phi.out_interface):
-                    if co not in active_ids:
-                        continue
-                    if not self._conn(ci, phi.in_port, co, phi.out_port, k):
-                        return False
-            return True
-        if isinstance(phi, Min):
-            _, active_ids = self._index(k)
-            count = sum(
-                1 for cid in self.interface_ids(phi.interface) if cid in active_ids
-            )
-            return count >= phi.count
-        if isinstance(phi, Max):
-            _, active_ids = self._index(k)
-            count = sum(
-                1 for cid in self.interface_ids(phi.interface) if cid in active_ids
-            )
-            return count <= phi.count
-        if isinstance(phi, MinMax):
-            _, active_ids = self._index(k)
-            count = sum(
-                1 for cid in self.interface_ids(phi.interface) if cid in active_ids
-            )
-            return phi.low <= count <= phi.high
-        if isinstance(phi, Not):
-            return not self.holds(data_asg, comp_asg, k, phi.operand)
-        if isinstance(phi, And):
-            return all(self.holds(data_asg, comp_asg, k, item) for item in phi.items)
-        if isinstance(phi, Or):
-            return any(self.holds(data_asg, comp_asg, k, item) for item in phi.items)
-        if isinstance(phi, Implies):
-            return (not self.holds(data_asg, comp_asg, k, phi.left)) or self.holds(
-                data_asg, comp_asg, k, phi.right
-            )
-        if isinstance(phi, Iff):
-            return self.holds(data_asg, comp_asg, k, phi.left) == self.holds(
-                data_asg, comp_asg, k, phi.right
-            )
-        if isinstance(phi, ForallData):
-            return all(
-                self.holds({**data_asg, phi.var: v}, comp_asg, k, phi.body)
-                for v in self.alg.carrier(phi.sort)
-            )
-        if isinstance(phi, ExistsData):
-            return any(
-                self.holds({**data_asg, phi.var: v}, comp_asg, k, phi.body)
-                for v in self.alg.carrier(phi.sort)
-            )
-        if isinstance(phi, BoundedForall):
-            source = self.source_set(data_asg, comp_asg, k, phi.source)
-            return all(
-                self.holds(
-                    {**data_asg, **_bind_pattern(phi.vars, v)}, comp_asg, k, phi.body
-                )
-                for v in sorted(source, key=value_key)
-            )
-        if isinstance(phi, BoundedExists):
-            source = self.source_set(data_asg, comp_asg, k, phi.source)
-            return any(
-                self.holds(
-                    {**data_asg, **_bind_pattern(phi.vars, v)}, comp_asg, k, phi.body
-                )
-                for v in sorted(source, key=value_key)
-            )
-        if isinstance(phi, ForallComp):
-            return all(
-                self.holds(data_asg, {**comp_asg, phi.var: cid}, k, phi.body)
-                for cid in self.interface_ids(phi.interface)
-            )
-        if isinstance(phi, ExistsComp):
-            return any(
-                self.holds(data_asg, {**comp_asg, phi.var: cid}, k, phi.body)
-                for cid in self.interface_ids(phi.interface)
-            )
-        if isinstance(phi, WellFounded):
-            return check_well_founded(self.alg, phi.symbol)
-        raise SortError(f"{type(phi).__name__} is not a configuration assertion")
-
-    def _conn(self, in_id, in_port, out_id, out_port, k: ArchConfiguration) -> bool:
-        by_id, active_ids = self._index(k)
-        if in_id not in active_ids or out_id not in active_ids:
-            self._note(
+    def connected(self, in_id, in_port, out_id, out_port) -> bool:
+        if in_id not in self.active or out_id not in self.active:
+            self.notes[
                 f"undefined read: conn over inactive component"
-                f" ({in_id if in_id not in active_ids else out_id})"
-            )
+                f" ({in_id if in_id not in self.active else out_id})"
+            ] = None
             return False
-        in_interp = self._interps.get(in_id, {}).get(by_id[in_id])
-        out_interp = self._interps.get(out_id, {}).get(by_id[out_id])
-        if in_interp is None or out_interp is None:
-            raise InterpretationError(
-                "active component without an interface interpretation"
-            )
-        src = (in_id, in_interp.concrete_port(in_port))
-        tgt = (out_id, out_interp.concrete_port(out_port))
-        return tgt in k.connection.get(src, frozenset())
-
-
-def _bind_pattern(names, value):
-    if len(names) == 1:
-        return {names[0]: value}
-    if not isinstance(value, tuple) or len(value) != len(names):
-        raise SortError(
-            f"pattern ({', '.join(names)}) does not match value {format_value(value)}"
-        )
-    return dict(zip(names, value))
+        src = (in_id, self.interpretation(in_id).concrete_port(in_port))
+        tgt = (out_id, self.interpretation(out_id).concrete_port(out_port))
+        return tgt in self.k.connection.get(src, frozenset())
 
 
 def eval_config_term(
@@ -605,12 +494,12 @@ def eval_config_term(
     k: ArchConfiguration,
     term: Term,
 ):
-    """Value of a configuration term; raises InactiveComponentError-shaped
-    undefined reads as an _UndefinedRead signal only internally - callers of
-    this public entry get the false-atom behaviour via config_holds."""
+    """Value of a configuration term.  An undefined read raises
+    InactiveComponentError here; config_holds instead makes the enclosing
+    atom false."""
     evaluator = _StateEvaluator(alg, J)
     try:
-        return evaluator.term(data_asg, comp_asg, k, term)
+        return evaluator.term(evaluator.enter(k, data_asg, comp_asg), term)
     except _UndefinedRead as undef:
         raise InactiveComponentError(undef.description) from None
 
@@ -626,7 +515,7 @@ def config_holds(
 ) -> bool:
     """Truth of a configuration assertion at one configuration."""
     evaluator = _StateEvaluator(alg, J)
-    result = evaluator.holds(data_asg, comp_asg, k, phi)
+    result = evaluator.state_holds(data_asg, comp_asg, k, phi)
     if notes is not None:
         notes.extend(evaluator.notes)
     return result
@@ -646,10 +535,8 @@ class _TraceEvaluator:
         self.state = _StateEvaluator(alg, J)
 
     def state_verdict(self, data_asg, comp_asg, n: int, phi: Assertion) -> Verdict:
-        before = len(self.state.notes)
-        ok = self.state.holds(data_asg, comp_asg, self.trace.steps[n], phi)
-        new_notes = self.state.notes[before:]
-        explanation = "; ".join(new_notes) if new_notes else None
+        ok = self.state.state_holds(data_asg, comp_asg, self.trace.steps[n], phi)
+        explanation = "; ".join(self.state.notes) or None
         return Verdict(Truth.SATISFIED if ok else Truth.VIOLATED, None, explanation)
 
     def eval(self, data_asg, comp_asg, n: int, gamma: TraceAssertion) -> Verdict:
@@ -755,7 +642,7 @@ class _TraceEvaluator:
             )
             return self._conjoin(
                 self._eval(
-                    {**data_asg, **_bind_pattern(gamma.vars, v)}, comp_asg, n, gamma.body
+                    {**data_asg, **bind_pattern(gamma.vars, v)}, comp_asg, n, gamma.body
                 )
                 for v in sorted(source, key=value_key)
             )
@@ -766,7 +653,7 @@ class _TraceEvaluator:
             return self._conjoin(
                 (
                     self._eval(
-                        {**data_asg, **_bind_pattern(gamma.vars, v)},
+                        {**data_asg, **bind_pattern(gamma.vars, v)},
                         comp_asg,
                         n,
                         gamma.body,
@@ -908,76 +795,23 @@ def free_vars(gamma) -> tuple[dict[str, Sort], dict[str, Optional[str]]]:
             see_comp(node.in_var, node.in_interface, bound_comp)
             see_comp(node.out_var, node.out_interface, bound_comp)
             return
-        if isinstance(node, (ForallData, ExistsData)):
+        if isinstance(node, (ForallData, ExistsData, RigidForallData, RigidExistsData)):
             walk(node.body, bound_data | {node.var}, bound_comp)
             return
-        if isinstance(node, (RigidForallData, RigidExistsData)):
-            walk(node.body, bound_data | {node.var}, bound_comp)
-            return
-        if isinstance(node, (BoundedForall, BoundedExists)):
+        if isinstance(
+            node, (BoundedForall, BoundedExists, BoundedRigidForall, BoundedRigidExists)
+        ):
             walk(node.source, bound_data, bound_comp)
             walk(node.body, bound_data | set(node.vars), bound_comp)
             return
-        if isinstance(node, (BoundedRigidForall, BoundedRigidExists)):
-            walk(node.source, bound_data, bound_comp)
-            walk(node.body, bound_data | set(node.vars), bound_comp)
-            return
-        if isinstance(node, (ForallComp, ExistsComp)):
+        if isinstance(node, (ForallComp, ExistsComp, RigidForallComp, RigidExistsComp)):
             walk(node.body, bound_data, bound_comp | {node.var})
             return
-        if isinstance(node, (RigidForallComp, RigidExistsComp)):
-            walk(node.body, bound_data, bound_comp | {node.var})
-            return
-        for child in iter_children(node):
+        for child in children(node):
             walk(child, bound_data, bound_comp)
 
     walk(gamma, frozenset(), frozenset())
     return data, comps
-
-
-def iter_children(node):
-    """Immediate sub-nodes of any AST node in this module or algebra."""
-    if isinstance(node, (Apply, PredAtom)):
-        return node.args
-    if isinstance(node, PairTerm):
-        return (node.first, node.second)
-    if isinstance(node, SetTerm):
-        return node.elements
-    if isinstance(node, Equals):
-        return (node.left, node.right)
-    if isinstance(node, Member):
-        return (node.element, node.collection)
-    if isinstance(node, Not):
-        return (node.operand,)
-    if isinstance(node, (And, Or)):
-        return node.items
-    if isinstance(node, (Implies, Iff)):
-        return (node.left, node.right)
-    if isinstance(node, (ForallData, ExistsData)):
-        return (node.body,)
-    if isinstance(node, (BoundedForall, BoundedExists)):
-        return (node.source, node.body)
-    if isinstance(node, (ForallComp, ExistsComp)):
-        return (node.body,)
-    if isinstance(node, State):
-        return (node.formula,)
-    if isinstance(node, TraceNot):
-        return (node.operand,)
-    if isinstance(node, (TraceAnd, TraceOr)):
-        return node.items
-    if isinstance(node, (TraceImplies, TraceIff)):
-        return (node.left, node.right)
-    if isinstance(node, (Next, Eventually, Globally)):
-        return (node.body,)
-    if isinstance(node, (Until, WeakUntil)):
-        return (node.left, node.right)
-    if isinstance(node, (RigidForallData, RigidExistsData)):
-        return (node.body,)
-    if isinstance(node, (RigidForallComp, RigidExistsComp)):
-        return (node.body,)
-    if isinstance(node, (BoundedRigidForall, BoundedRigidExists)):
-        return (node.source, node.body)
-    return ()
 
 
 def contains_rigid_quantifier(gamma) -> bool:
@@ -996,7 +830,7 @@ def contains_rigid_quantifier(gamma) -> bool:
             ),
         ):
             return True
-        stack.extend(iter_children(node))
+        stack.extend(children(node))
     return False
 
 

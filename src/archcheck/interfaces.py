@@ -17,38 +17,16 @@ from typing import Mapping, Optional
 
 from .algebra import (
     Algebra,
-    And,
-    Apply,
     Assertion,
-    BoolLit,
-    BoundedExists,
-    BoundedForall,
-    Equals,
-    ExistsData,
-    ForallData,
-    Iff,
-    Implies,
-    Member,
-    Not,
-    Or,
-    PairSort,
-    PairTerm,
-    PredAtom,
-    SetSort,
-    SetTerm,
+    Evaluator,
     Sort,
     Term,
-    Var,
-    WellFounded,
-    check_well_founded,
+    children,
     enumerate_assignments,
-    eval_term,
     free_data_vars,
-    typecheck_term,
     value_key,
 )
 from .errors import (
-    AssignmentError,
     InterpretationError,
     SortError,
     StructuralError,
@@ -318,58 +296,19 @@ def check_port_typing(
     return ValidationReport(tuple(violations))
 
 
-def typecheck_interface_term(
-    sig, pspec: PortSpec, vars: Mapping[str, Sort], term: Term,
-    path: tuple[str, ...] = (),
-) -> Sort:
-    """Sort of an interface term; a port symbol has value sort set(declared)."""
-    if isinstance(term, PortSym):
-        declared = pspec.sort_of(term.port)
-        if declared != term.sort:
-            raise SortError(
-                f"port {term.port!r} declared {declared} but annotated {term.sort}",
-                path,
-            )
-        return SetSort(declared)
-    if isinstance(term, Apply):
-        typing = sig.functions.get(term.symbol)
-        if typing is None:
-            raise SortError(f"unknown function symbol {term.symbol!r}", path)
-        arg_sorts, result = typing
-        if len(arg_sorts) != len(term.args):
-            raise SortError(
-                f"{term.symbol!r} expects {len(arg_sorts)} arguments,"
-                f" got {len(term.args)}",
-                path,
-            )
-        for i, (arg, expected) in enumerate(zip(term.args, arg_sorts)):
-            actual = typecheck_interface_term(
-                sig, pspec, vars, arg, path + (f"{term.symbol}/arg{i}",)
-            )
-            if actual != expected:
-                raise SortError(
-                    f"argument {i} of {term.symbol!r} has sort {actual},"
-                    f" expected {expected}",
-                    path,
-                )
-        return result
-    if isinstance(term, PairTerm):
-        first = typecheck_interface_term(
-            sig, pspec, vars, term.first, path + ("pair/first",)
-        )
-        second = typecheck_interface_term(
-            sig, pspec, vars, term.second, path + ("pair/second",)
-        )
-        return PairSort(first, second)
-    if isinstance(term, SetTerm) and term.elements:
-        sorts = {
-            typecheck_interface_term(sig, pspec, vars, e, path + (f"set/{i}",))
-            for i, e in enumerate(term.elements)
-        }
-        if len(sorts) != 1:
-            raise SortError("set literal mixes element sorts", path)
-        return SetSort(sorts.pop())
-    return typecheck_term(sig, vars, term, path)
+class _InterfaceEvaluator(Evaluator):
+    """Interface assertions: port symbols read the snapshot valuation through
+    the role bijections (local ports via the extension clause)."""
+
+    FRAGMENT = "interface assertions"
+    TERMS = {
+        **Evaluator.TERMS,
+        PortSym: lambda ev, asg, term: ev.interp.port_value(term.port),
+    }
+
+    def __init__(self, alg: Algebra, interp: InterfaceInterpretation):
+        super().__init__(alg)
+        self.interp = interp
 
 
 def eval_interface_term(
@@ -378,27 +317,8 @@ def eval_interface_term(
     interp: InterfaceInterpretation,
     term: Term,
 ):
-    """Value of an interface term: port symbols read the snapshot valuation
-    through the role bijections (local ports via the extension clause)."""
-    if isinstance(term, PortSym):
-        return interp.port_value(term.port)
-    if isinstance(term, Var):
-        try:
-            return asg[term.name]
-        except KeyError:
-            raise AssignmentError(f"unbound variable {term.name!r}") from None
-    if isinstance(term, Apply):
-        args = tuple(eval_interface_term(alg, asg, interp, a) for a in term.args)
-        table = alg.functions[term.symbol]
-        return table[args]
-    if isinstance(term, PairTerm):
-        return (
-            eval_interface_term(alg, asg, interp, term.first),
-            eval_interface_term(alg, asg, interp, term.second),
-        )
-    if isinstance(term, SetTerm):
-        return frozenset(eval_interface_term(alg, asg, interp, e) for e in term.elements)
-    return eval_term(alg, asg, term)
+    """Value of an interface term under one data assignment."""
+    return _InterfaceEvaluator(alg, interp).term(asg, term)
 
 
 def interface_assertion_holds(
@@ -408,83 +328,7 @@ def interface_assertion_holds(
     assertion: Assertion,
 ) -> bool:
     """Truth of an interface assertion under one data assignment."""
-
-    def ev(term):
-        return eval_interface_term(alg, asg, interp, term)
-
-    if isinstance(assertion, BoolLit):
-        return assertion.value
-    if isinstance(assertion, PredAtom):
-        rows = alg.predicates.get(assertion.symbol, frozenset())
-        return tuple(ev(a) for a in assertion.args) in rows
-    if isinstance(assertion, Equals):
-        return ev(assertion.left) == ev(assertion.right)
-    if isinstance(assertion, Member):
-        collection = ev(assertion.collection)
-        if not isinstance(collection, frozenset):
-            raise SortError("membership against a non-set value")
-        return ev(assertion.element) in collection
-    if isinstance(assertion, Not):
-        return not interface_assertion_holds(alg, asg, interp, assertion.operand)
-    if isinstance(assertion, And):
-        return all(
-            interface_assertion_holds(alg, asg, interp, item)
-            for item in assertion.items
-        )
-    if isinstance(assertion, Or):
-        return any(
-            interface_assertion_holds(alg, asg, interp, item)
-            for item in assertion.items
-        )
-    if isinstance(assertion, Implies):
-        return (
-            not interface_assertion_holds(alg, asg, interp, assertion.left)
-        ) or interface_assertion_holds(alg, asg, interp, assertion.right)
-    if isinstance(assertion, Iff):
-        return interface_assertion_holds(
-            alg, asg, interp, assertion.left
-        ) == interface_assertion_holds(alg, asg, interp, assertion.right)
-    if isinstance(assertion, ForallData):
-        return all(
-            interface_assertion_holds(
-                alg, {**asg, assertion.var: v}, interp, assertion.body
-            )
-            for v in alg.carrier(assertion.sort)
-        )
-    if isinstance(assertion, ExistsData):
-        return any(
-            interface_assertion_holds(
-                alg, {**asg, assertion.var: v}, interp, assertion.body
-            )
-            for v in alg.carrier(assertion.sort)
-        )
-    if isinstance(assertion, (BoundedForall, BoundedExists)):
-        source = ev(assertion.source)
-        if not isinstance(source, frozenset):
-            raise SortError("bounded quantifier over a non-set value")
-        results = (
-            interface_assertion_holds(
-                alg,
-                {**asg, **_bind(assertion.vars, v)},
-                interp,
-                assertion.body,
-            )
-            for v in sorted(source, key=value_key)
-        )
-        if isinstance(assertion, BoundedForall):
-            return all(results)
-        return any(results)
-    if isinstance(assertion, WellFounded):
-        return check_well_founded(alg, assertion.symbol)
-    raise SortError(f"assertion {assertion!r} is not an interface assertion")
-
-
-def _bind(names, value):
-    if len(names) == 1:
-        return {names[0]: value}
-    if not isinstance(value, tuple) or len(value) != len(names):
-        raise SortError(f"pattern ({', '.join(names)}) does not match {format_value(value)}")
-    return dict(zip(names, value))
+    return _InterfaceEvaluator(alg, interp).holds(asg, assertion)
 
 
 def uses_local_port(assertion: Assertion, interface: Interface) -> bool:
@@ -495,32 +339,8 @@ def uses_local_port(assertion: Assertion, interface: Interface) -> bool:
         node = stack.pop()
         if isinstance(node, PortSym) and node.port in interface.local:
             return True
-        stack.extend(_subnodes(node))
+        stack.extend(children(node))
     return False
-
-
-def _subnodes(node):
-    if isinstance(node, (PredAtom, Apply)):
-        return node.args
-    if isinstance(node, Equals):
-        return (node.left, node.right)
-    if isinstance(node, Member):
-        return (node.element, node.collection)
-    if isinstance(node, Not):
-        return (node.operand,)
-    if isinstance(node, (And, Or)):
-        return node.items
-    if isinstance(node, (Implies, Iff)):
-        return (node.left, node.right)
-    if isinstance(node, (ForallData, ExistsData)):
-        return (node.body,)
-    if isinstance(node, (BoundedForall, BoundedExists)):
-        return (node.source, node.body)
-    if isinstance(node, PairTerm):
-        return (node.first, node.second)
-    if isinstance(node, SetTerm):
-        return node.elements
-    return ()
 
 
 def check_spec_interpretation(
@@ -577,6 +397,7 @@ def check_spec_interpretation(
                 continue
             typing = check_port_typing(interp, pspec, alg)
             violations.extend(typing.violations)
+            evaluator = _InterfaceEvaluator(alg, interp)
             for idx, assertion in enumerate(assertions):
                 if not flagged_local and uses_local_port(assertion, interface):
                     notes.append(
@@ -585,7 +406,7 @@ def check_spec_interpretation(
                     flagged_local = True
                 variables = free_data_vars(assertion)
                 ok = all(
-                    interface_assertion_holds(alg, asg, interp, assertion)
+                    evaluator.holds(asg, assertion)
                     for asg in enumerate_assignments(alg, variables)
                 )
                 if not ok:

@@ -56,6 +56,12 @@ from .syntax import (
     VarDecl,
 )
 
+# Deepest nesting of a formula or sort expression on one line.  Every
+# parenthesis, set literal, argument list, prefix operator, quantifier and
+# binary operator opens one more level; past the limit the line gets a parse
+# diagnostic, which keeps every later recursive pass within Python's stack.
+MAX_NESTING = 64
+
 FORMULA_KEYWORDS = {
     "forall", "exists", "in", "not", "and", "or", "true", "false",
     "X", "F", "G", "U", "W",
@@ -77,6 +83,7 @@ class Cursor:
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
+        self.depth = 0
 
     def peek(self, offset=0) -> Optional[Token]:
         index = self.pos + offset
@@ -127,6 +134,16 @@ class Cursor:
         if token is not None:
             raise LineError(f"unexpected trailing {token.text!r}", token.span)
 
+    def nest(self):
+        """Open one more nesting level; the caller closes it with depth -= 1."""
+        if self.depth == MAX_NESTING:
+            token = self.peek()
+            raise LineError(
+                f"nested deeper than {MAX_NESTING} levels",
+                token.span if token else self.end_span(),
+            )
+        self.depth += 1
+
     def end_span(self) -> Span:
         if self.tokens:
             last = self.tokens[-1].span
@@ -143,11 +160,14 @@ def parse_formula(cur: Cursor):
 
 
 def _parse_iff(cur: Cursor):
+    depth = cur.depth
     left = _parse_implies(cur)
     while cur.at("<->"):
         span = cur.take().span
+        cur.nest()
         right = _parse_implies(cur)
         left = EBinary("<->", left, right, span=span)
+    cur.depth = depth
     return left
 
 
@@ -155,24 +175,32 @@ def _parse_implies(cur: Cursor):
     left = _parse_or(cur)
     if cur.at("->"):
         span = cur.take().span
+        cur.nest()
         right = _parse_implies(cur)
+        cur.depth -= 1
         return EBinary("->", left, right, span=span)
     return left
 
 
 def _parse_or(cur: Cursor):
+    depth = cur.depth
     left = _parse_and(cur)
     while cur.at("or"):
         span = cur.take().span
+        cur.nest()
         left = EBinary("or", left, _parse_and(cur), span=span)
+    cur.depth = depth
     return left
 
 
 def _parse_and(cur: Cursor):
+    depth = cur.depth
     left = _parse_until(cur)
     while cur.at("and"):
         span = cur.take().span
+        cur.nest()
         left = EBinary("and", left, _parse_until(cur), span=span)
+    cur.depth = depth
     return left
 
 
@@ -180,19 +208,25 @@ def _parse_until(cur: Cursor):
     left = _parse_unary(cur)
     if cur.at("U") or cur.at("W"):
         op = cur.take()
+        cur.nest()
         right = _parse_until(cur)
+        cur.depth -= 1
         return EBinary(op.text, left, right, span=op.span)
     return left
 
 
 def _parse_unary(cur: Cursor):
+    cur.nest()
     token = cur.peek()
     if token is not None and token.text in ("not", "X", "F", "G"):
         cur.take()
-        return EUnary(token.text, _parse_unary(cur), span=token.span)
-    if token is not None and token.text in ("forall", "exists"):
-        return _parse_quantifier(cur)
-    return _parse_compare(cur)
+        node = EUnary(token.text, _parse_unary(cur), span=token.span)
+    elif token is not None and token.text in ("forall", "exists"):
+        node = _parse_quantifier(cur)
+    else:
+        node = _parse_compare(cur)
+    cur.depth -= 1
+    return node
 
 
 def _parse_quantifier(cur: Cursor):
@@ -354,19 +388,19 @@ def _parse_primary(cur: Cursor):
 
 def parse_sortref(cur: Cursor) -> SortRef:
     token = cur.expect_ident("sort")
+    if token.text not in ("set", "pair"):
+        return RName(token.text, span=token.span)
+    cur.expect("(")
+    cur.nest()
     if token.text == "set":
-        cur.expect("(")
-        element = parse_sortref(cur)
-        cur.expect(")")
-        return RSet(element, span=token.span)
-    if token.text == "pair":
-        cur.expect("(")
+        sort = RSet(parse_sortref(cur), span=token.span)
+    else:
         first = parse_sortref(cur)
         cur.expect(",")
-        second = parse_sortref(cur)
-        cur.expect(")")
-        return RPair(first, second, span=token.span)
-    return RName(token.text, span=token.span)
+        sort = RPair(first, parse_sortref(cur), span=token.span)
+    cur.depth -= 1
+    cur.expect(")")
+    return sort
 
 
 def _parse_ident_list(cur: Cursor) -> list[str]:

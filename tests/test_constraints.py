@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from archcheck.algebra import And, Apply, BoolLit, Member, PairTerm, Var
+from archcheck.algebra import And, Apply, BoolLit, Member, PairTerm, PredAtom, Var
 from archcheck.constraints import (
     CLOSED,
     OPEN,
@@ -24,7 +24,9 @@ from archcheck.constraints import (
     PortRead,
     RigidForallComp,
     State,
+    TraceAnd,
     TraceImplies,
+    TraceNot,
     Truth,
     WeakUntil,
     check_trace_assertion,
@@ -36,6 +38,7 @@ from archcheck.constraints import (
 from archcheck.errors import (
     CapacityError,
     InactiveComponentError,
+    SignatureError,
     UsageError,
 )
 from archcheck.interfaces import (
@@ -150,6 +153,17 @@ class TestConfigSemantics:
         assert config_holds(
             self.alg, {"x": "9"}, self.J, {"v": "c4"}, self.k0, Not(atom)
         )
+
+    def test_repeated_undefined_read_keeps_its_explanation(self):
+        # each verdict carries its own undefined reads, also when an earlier
+        # verdict of the same run already met the same read
+        atom = State(Member(Var("m", self.msg), PortRead("v", "Worker", "o0", self.msg)))
+        expected = "Violated @0 (undefined read: v.o0 (c4 inactive))"
+        for gamma in (Globally(atom), TraceAnd((Globally(TraceNot(atom)), Globally(atom)))):
+            verdict = trace_holds(
+                self.alg, self.J, {"m": "A"}, {"v": "c4"}, self.trace, 0, gamma, CLOSED
+            )
+            assert str(verdict) == expected
 
     def test_irconn_matches_guarded_expansion(self):
         irconn = IRConn("Worker", "i1", "Producer", "o1")
@@ -268,6 +282,21 @@ class TestTraceSemantics:
         )
         assert verdict.truth is Truth.VIOLATED
         assert verdict.witness == 1
+
+    def test_bad_symbols_raise_signature_error(self):
+        # the same errors as the datatype fragment: an undeclared predicate,
+        # a function symbol with no table, a table undefined at its arguments
+        k = self.trace.steps[0]
+        read = PortRead("b", "BB", "bbop", PROB)
+        with pytest.raises(SignatureError, match="unknown predicate"):
+            config_holds(self.alg, {}, self.J, {"b": "bb"}, k, PredAtom("nosuch", (read,)))
+        with pytest.raises(SignatureError, match="no table"):
+            eval_config_term(self.alg, {}, self.J, {}, k, Apply("nosuch", ()))
+        with pytest.raises(SignatureError, match="undefined at"):
+            config_holds(
+                self.alg, {"p": "pZ"}, self.J, {"b": "bb"}, k,
+                Member(Apply("solve", (Var("p", PROB),)), read),
+            )
 
     def test_next_at_last_index(self):
         gamma = Next(State(BoolLit(True)))
@@ -450,6 +479,42 @@ class TestOracleAgreement:
                     )
                     checked += 1
         assert checked == 720
+
+    def test_mutated_blackboard_traces_both_modes(self):
+        # every bundle assertion, including the desugared diagram, on traces
+        # of the two deliberately defective simulations
+        from archcheck.blackboard import random_scenario, simulate_blackboard
+        from archcheck.checker import blackboard_bundle, diagram_assertions
+
+        bundle = blackboard_bundle()
+        assertions = [
+            (c.name, c.gamma, c.rigid_comp, c.rigid_data) for c in bundle.constraints
+        ]
+        assertions += [(name, g, comp, {}) for name, g, comp in diagram_assertions(bundle)]
+        rng = random.Random(915003)
+        truths = []
+        for mutation in ("drop-forwarding", "drop-activation"):
+            for _ in range(3):
+                scenario = random_scenario(
+                    rng, max_problems=2, max_depth=2, max_sources=2, horizon=20
+                )
+                run = simulate_blackboard(scenario, mutation=mutation)
+                oworld = oracle.World(run.algebra, run.interpretation)
+                for name, gamma, rigid_comp, rigid_data in assertions:
+                    for mode in (OPEN, CLOSED):
+                        verdict = check_trace_assertion(
+                            run.algebra, run.interpretation, run.trace, gamma, mode,
+                            rigid_comp_decls=rigid_comp, rigid_data_decls=rigid_data,
+                        )
+                        expected = oracle.check_assertion(
+                            oworld, run.trace, gamma, mode, rigid_comp=rigid_comp
+                        )
+                        assert oracle.truth_letter(verdict) == expected, (
+                            f"{mutation}, seed {scenario.seed}, {name}, {mode}: {verdict}"
+                        )
+                        truths.append(expected)
+        assert len(truths) == 2 * 3 * len(assertions) * 2
+        assert truths.count(oracle.F) > 0  # the mutations must show in the verdicts
 
     def test_monotonicity_under_extension(self):
         rng = random.Random(424242)

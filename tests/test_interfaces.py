@@ -6,10 +6,15 @@ from archcheck.algebra import (
     Implies,
     Member,
     PairTerm,
+    PredAtom,
     SetTerm,
     Var,
 )
-from archcheck.errors import InterpretationError, UnknownComponentError
+from archcheck.errors import (
+    InterpretationError,
+    SignatureError,
+    UnknownComponentError,
+)
 from archcheck.interfaces import (
     InterfaceInterpretation,
     PortSym,
@@ -164,6 +169,24 @@ class TestAssertionSemantics:
                 assert interface_assertion_holds(
                     alg, asg, interp, formula
                 ) == assertion_holds(alg, asg, formula)
+
+
+    def test_bad_symbols_raise_signature_error(self):
+        # the same errors as the datatype fragment: an undeclared predicate,
+        # a function symbol with no table, a table undefined at its arguments
+        alg = probsol_algebra()
+        interp = identity_interpretation(ks_snapshot("ks1", prob={"pA"}))
+        with pytest.raises(SignatureError, match="unknown predicate"):
+            interface_assertion_holds(
+                alg, {}, interp, PredAtom("nosuch", (PortSym("prob", PROB),))
+            )
+        with pytest.raises(SignatureError, match="no table"):
+            eval_interface_term(alg, {}, interp, Apply("nosuch", ()))
+        with pytest.raises(SignatureError, match="undefined at"):
+            interface_assertion_holds(
+                alg, {"p": "pZ"}, interp,
+                Member(Apply("solve", (Var("p", PROB),)), PortSym("prob", PROB)),
+            )
 
 
 class TestSpecInterpretation:

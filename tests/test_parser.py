@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from archcheck.algebra import models_spec
+from archcheck.cli import main
 from archcheck.constraints import (
     BoundedRigidForall,
     Globally,
@@ -10,6 +12,7 @@ from archcheck.constraints import (
     TraceImplies,
 )
 from archcheck.parser import parse_unit, print_unit, resolve
+from archcheck.parser.grammar import MAX_NESTING
 from archcheck.parser.lowering import lower_formula
 from archcheck.parser.printer import print_expr
 from archcheck.parser.syntax import UNIT_KINDS
@@ -75,6 +78,52 @@ class TestParseBasics:
         )
         assert unit is None
         assert any("not both" in d.message for d in diagnostics)
+
+
+def _nested_axioms(levels):
+    """Datatype axioms whose formulas nest exactly ``levels`` deep."""
+    atom = "x == x"
+    return {
+        "parentheses": "(" * (levels - 1) + atom + ")" * (levels - 1),
+        "prefix": "not " * (levels - 1) + atom,
+        "conjunction": " and ".join([atom] * levels),
+    }
+
+
+def _datatype(axiom):
+    return f"datatype D\nsorts\n  S\nvars\n  x : S\naxioms\n  {axiom}\n"
+
+
+class TestNestingLimit:
+    def test_formula_at_the_limit_parses_resolves_and_evaluates(self):
+        model, diagnostics = parse_unit("algebra M\nimports D\ncarriers\n  S = { a, b }\n")
+        assert model is not None, diagnostics
+        for shape, axiom in _nested_axioms(MAX_NESTING).items():
+            unit, diagnostics = parse_unit(_datatype(axiom))
+            assert unit is not None and not diagnostics, shape
+            bundle, diagnostics = resolve([unit, model])
+            assert bundle is not None, (shape, diagnostics)
+            holds = models_spec(bundle.algebras["M"], [bundle.datatype_axioms[0].assertion])
+            expected = shape != "prefix" or (MAX_NESTING - 1) % 2 == 0
+            assert holds == expected, shape
+
+    def test_one_level_deeper_is_a_parse_diagnostic(self, tmp_path):
+        for shape, axiom in _nested_axioms(MAX_NESTING + 1).items():
+            unit, diagnostics = parse_unit(_datatype(axiom))
+            assert unit is None, shape
+            assert [d.code for d in diagnostics] == ["parse"], shape
+            assert f"deeper than {MAX_NESTING}" in diagnostics[0].message
+            path = tmp_path / f"{shape}.arch"
+            path.write_text(_datatype(axiom), encoding="utf-8")
+            assert main(["parse", str(path)]) == 3
+
+    def test_far_too_deep_input_does_not_crash(self, tmp_path):
+        path = tmp_path / "deep.arch"
+        path.write_text(_datatype("(" * 400 + "x == x" + ")" * 400), encoding="utf-8")
+        assert main(["parse", str(path)]) == 3
+        deep_sort = "set(" * 400 + "S" + ")" * 400
+        unit, diagnostics = parse_unit(f"datatype D\nsorts\n  S\nvars\n  x : {deep_sort}\n")
+        assert unit is None and diagnostics
 
 
 class TestRoundTrip:
