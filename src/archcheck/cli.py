@@ -2,12 +2,16 @@
 
 Subcommands: ``check``, ``desugar``, ``simulate-blackboard``,
 ``verify-theorem``, and ``parse``.  Exit codes for ``check``: 0 satisfied,
-1 violated, 2 inconclusive, 3 usage or parse errors.
+1 violated, 2 inconclusive, 3 usage or parse errors.  Every subcommand
+exits 4 on an internal error, a fault of archcheck itself: it prints one
+``internal error:`` line and no traceback.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import traceback
 from pathlib import Path
 
 from .blackboard import (
@@ -35,6 +39,7 @@ EXIT_SATISFIED = 0
 EXIT_VIOLATED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
+EXIT_INTERNAL = 4
 
 
 def _load_units(paths, out_diags):
@@ -49,7 +54,8 @@ def _load_units(paths, out_diags):
             continue
         unit, diagnostics = parse_unit(text)
         for diag in diagnostics:
-            out_diags.append(f"{path}: {diag.render()}")
+            # parse diagnostics carry no unit name: the file stands in for it
+            out_diags.append(dataclasses.replace(diag, unit=str(path)).render())
         if unit is None:
             ok = False
         else:
@@ -270,12 +276,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except ArchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # noqa: BLE001 - the boundary of the process
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc}"
+            f" (at {Path(where.filename).name}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

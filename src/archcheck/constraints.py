@@ -14,6 +14,29 @@ Finite traces are evaluated in one of two modes:
   three-valued, missing witnesses yield Inconclusive, and boolean connectives
   combine by strong Kleene.
 
+One core evaluates trace assertions, by formula progression (Bacchus and
+Kabanza, 2000).  ``progress`` reads one step once and turns a residual, what
+is left of an assertion under its rigid assignment, into a final verdict or
+the next residual; ``close`` ends a residual at the end of the trace: X, F
+and U are Violated and G and W Satisfied in closed mode, and all are
+Inconclusive in open mode.  ``check_trace_assertion`` and ``trace_holds``
+progress over the trace until the verdict is decided and close it by mode.
+``Monitor`` keeps only the current residual, not the prefix: each step is one
+``progress`` and one open ``close``, and reads only the new configuration
+and the residual.  Equal pending residuals are merged into the earliest, so
+``G(a -> F b)`` keeps one pending ``F b`` however long the stream.
+Witnesses:
+
+* G is Violated at its first violating step, with that step's explanation;
+* F is Satisfied at its first satisfying step, with its explanation;
+* U is Satisfied at its first discharging step, and Violated, "until never
+  discharged", at the step where its left side fails or else at the last
+  index; W likewise, and it holds in closed mode when the left side never
+  fails;
+* X past the end is Violated at the last index, "next step beyond the end";
+* And and Or return their first dominant item in item order; a pending item
+  before it holds the verdict back until that item is decided or closed.
+
 A port read on an inactive component is an undefined read: the smallest
 enclosing atomic assertion evaluates to false and the fact is recorded in the
 verdict explanation.
@@ -23,7 +46,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (  # And, Implies, Not and Or are re-exported
     Algebra,
@@ -387,9 +410,10 @@ def _comp_quantifier(combine):
 class _StateEvaluator(Evaluator):
     """Evaluates configuration assertions against one interpretation set.
 
-    ``enter`` makes a configuration ``k`` current, with ``active`` mapping
-    its active component ids to their snapshots, and starts a verdict;
-    ``notes`` then collects that verdict's undefined reads, in order.
+    ``at`` makes a configuration ``k`` current, with ``active`` mapping its
+    active component ids to their snapshots; ``notes`` collects the
+    undefined reads of the verdict under way, in order.  With
+    ``remember_steps`` each configuration's index is kept for later visits.
     """
 
     FRAGMENT = "configuration assertions"
@@ -412,7 +436,7 @@ class _StateEvaluator(Evaluator):
         ExistsComp: _comp_quantifier(any),
     }
 
-    def __init__(self, alg: Algebra, J: SpecInterpretation):
+    def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
         super().__init__(alg)
         self.notes: dict[str, None] = {}
         self._ids_by_interface = {
@@ -425,7 +449,7 @@ class _StateEvaluator(Evaluator):
                 self._interps.setdefault(interp.snapshot.id, {})[
                     interp.snapshot
                 ] = interp
-        self._step_cache: dict[int, tuple] = {}
+        self._step_cache: Optional[dict[int, tuple]] = {} if remember_steps else None
 
     def interface_ids(self, interface: str) -> tuple[str, ...]:
         try:
@@ -433,19 +457,15 @@ class _StateEvaluator(Evaluator):
         except KeyError:
             raise InterpretationError(f"undeclared interface {interface!r}") from None
 
-    def enter(self, k: ArchConfiguration, data_asg, comp_asg) -> dict:
-        """Make ``k`` current, clear the notes, and return the assignment the
-        rules read: the data variables plus the component assignment."""
-        cached = self._step_cache.get(id(k))
+    def at(self, k: ArchConfiguration) -> None:
+        """Make ``k`` the current configuration."""
+        cache = self._step_cache
+        cached = None if cache is None else cache.get(id(k))
         if cached is None or cached[0] is not k:
-            active = {snap.id: snap for snap in k.active}
-            cached = self._step_cache[id(k)] = (k, active, {})
+            cached = (k, {snap.id: snap for snap in k.active}, {})
+            if cache is not None:
+                cache[id(k)] = cached
         self.k, self.active, self._active_interps = cached
-        self.notes = {}
-        return {**data_asg, _COMPS: comp_asg}
-
-    def state_holds(self, data_asg, comp_asg, k: ArchConfiguration, phi: Assertion) -> bool:
-        return self.holds(self.enter(k, data_asg, comp_asg), phi)
 
     def source(self, asg, term: Term) -> frozenset:
         """Undefined reads give the empty set (matching the guarded expansion
@@ -455,9 +475,6 @@ class _StateEvaluator(Evaluator):
         except _UndefinedRead as undef:
             self.notes[undef.description] = None
             return frozenset()
-
-    def source_set(self, data_asg, comp_asg, k: ArchConfiguration, term: Term) -> frozenset:
-        return self.source(self.enter(k, data_asg, comp_asg), term)
 
     def interpretation(self, cid: str):
         """The interpretation of an active component, found once per step."""
@@ -498,8 +515,9 @@ def eval_config_term(
     InactiveComponentError here; config_holds instead makes the enclosing
     atom false."""
     evaluator = _StateEvaluator(alg, J)
+    evaluator.at(k)
     try:
-        return evaluator.term(evaluator.enter(k, data_asg, comp_asg), term)
+        return evaluator.term({**data_asg, _COMPS: comp_asg}, term)
     except _UndefinedRead as undef:
         raise InactiveComponentError(undef.description) from None
 
@@ -515,217 +533,418 @@ def config_holds(
 ) -> bool:
     """Truth of a configuration assertion at one configuration."""
     evaluator = _StateEvaluator(alg, J)
-    result = evaluator.state_holds(data_asg, comp_asg, k, phi)
+    evaluator.at(k)
+    result = evaluator.holds({**data_asg, _COMPS: comp_asg}, phi)
     if notes is not None:
         notes.extend(evaluator.notes)
     return result
 
 
 # ---------------------------------------------------------------------------
-# Trace evaluation
+# Trace evaluation: formula progression
+#
+# A residual is what is left of a trace assertion after the steps read so
+# far, with its rigid assignment.  Every residual has ``progress(ev)``, which
+# reads the evaluator's current step once and returns a final Verdict or the
+# next residual, and ``close(ev, mode)``, which ends it at the last step
+# read.  Progress never returns Inconclusive; only an open ``close`` does.
+
+
+class _Residual:
+    """Base of residuals.  Two residuals are equal when their keys are; a
+    key names formulas and assignments by identity, so equal residuals end
+    alike and a pending one equal to an earlier one can be dropped."""
+
+    __slots__ = ("key", "_hash")
+
+    def _keyed(self, *key) -> None:
+        self.key = key
+        self._hash = hash(key)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.key == self.key
+
+    def __hash__(self):
+        return self._hash
+
+
+def _advance(result, ev):
+    return result if type(result) is Verdict else result.progress(ev)
+
+
+def _finish(result, ev, mode: str) -> Verdict:
+    return result if type(result) is Verdict else result.close(ev, mode)
+
+
+class _Deferred(_Residual):
+    """``formula`` under the assignment ``asg``, started at the next step:
+    the residual of ``X formula``, and of an assertion before its first
+    step."""
+
+    __slots__ = ("formula", "asg")
+
+    def __init__(self, formula: TraceAssertion, asg: dict):
+        self.formula, self.asg = formula, asg
+        self._keyed(id(formula), id(asg))
+
+    def progress(self, ev):
+        return ev.start(self.formula, self.asg)
+
+    def close(self, ev, mode):
+        if mode == CLOSED:
+            return Verdict(Truth.VIOLATED, ev.m, "next step beyond the end")
+        return INCONCLUSIVE
+
+
+class _Not(_Residual):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: _Residual):
+        self.operand = operand
+        self._keyed(operand)
+
+    def progress(self, ev):
+        return _negate(self.operand.progress(ev))
+
+    def close(self, ev, mode):
+        return self.operand.close(ev, mode).negate()
+
+
+def _negate(result):
+    return result.negate() if type(result) is Verdict else _Not(result)
+
+
+class _Items(_Residual):
+    """A pending conjunction (``dominant`` Violated) or disjunction
+    (``dominant`` Satisfied), also of a rigid quantifier's instances: the
+    pending items in item order, then the first dominant verdict met after
+    them, if any."""
+
+    __slots__ = ("dominant", "pending", "found")
+
+    def __init__(self, dominant: Truth, pending: tuple, found: Optional[Verdict]):
+        self.dominant, self.pending, self.found = dominant, pending, found
+        self._keyed(dominant, pending, found)
+
+    def progress(self, ev):
+        return _items(
+            self.dominant, (item.progress(ev) for item in self.pending), self.found
+        )
+
+    def close(self, ev, mode):
+        saw_inconclusive = False
+        for item in self.pending:
+            verdict = item.close(ev, mode)
+            if verdict.truth is self.dominant:
+                return verdict
+            saw_inconclusive |= verdict.truth is Truth.INCONCLUSIVE
+        if self.found is not None:
+            return self.found
+        if saw_inconclusive:
+            return INCONCLUSIVE
+        return SATISFIED if self.dominant is Truth.VIOLATED else VIOLATED
+
+
+def _items(dominant: Truth, results: Iterable, found: Optional[Verdict] = None):
+    """Combine item results, verdicts or residuals, in item order.  The first
+    dominant verdict ends the scan, other verdicts drop out, and a residual
+    equal to an earlier pending one is merged into it."""
+    pending: dict = {}
+    for result in results:
+        if type(result) is Verdict:
+            if result.truth is dominant:
+                found = result
+                break
+        else:
+            pending.setdefault(result)
+    if pending:
+        return _Items(dominant, tuple(pending), found)
+    if found is not None:
+        return found
+    return SATISFIED if dominant is Truth.VIOLATED else VIOLATED
+
+
+class _Binary(_Residual):
+    """A pending implication (``combine`` is ``_implies``) or equivalence
+    (``_iff``); each side is a verdict or a residual."""
+
+    __slots__ = ("combine", "left", "right")
+
+    def __init__(self, combine: Callable, left, right):
+        self.combine, self.left, self.right = combine, left, right
+        self._keyed(combine, left, right)
+
+    def progress(self, ev):
+        return self.combine(_advance(self.left, ev), _advance(self.right, ev))
+
+    def close(self, ev, mode):
+        return self.combine(_finish(self.left, ev, mode), _finish(self.right, ev, mode))
+
+
+def _implies(left, right):
+    if type(left) is Verdict and left.truth is Truth.VIOLATED:
+        return SATISFIED
+    if type(right) is Verdict and right.truth is Truth.SATISFIED:
+        return SATISFIED
+    if type(left) is not Verdict or type(right) is not Verdict:
+        return _Binary(_implies, left, right)
+    if left.truth is Truth.INCONCLUSIVE:
+        return INCONCLUSIVE
+    return right  # left Satisfied: right is Violated or Inconclusive
+
+
+def _iff(left, right):
+    if type(left) is not Verdict or type(right) is not Verdict:
+        return _Binary(_iff, left, right)
+    if Truth.INCONCLUSIVE in (left.truth, right.truth):
+        return INCONCLUSIVE
+    if left.truth is right.truth:
+        return SATISFIED
+    return Verdict(Truth.VIOLATED, right.witness, right.explanation)
+
+
+_UNTIL_NEVER = "until never discharged"
+
+
+class _Chain(_Residual):
+    """A pending G, F, U or W.
+
+    Each step m opens a position that stands for ``right@m or (left@m and
+    <the later positions>)``; G has no right side (false), F no left side
+    (true).  ``opening`` holds the two sides of a new position, as
+    ``_Deferred`` residuals or None.  ``entries`` holds the positions still
+    pending, as ``(m, right, left)`` in step order, with None for a side
+    that no longer matters; ``found`` is the verdict reached after them.
+    Once ``found`` is set, no new position opens.  A pending side equal to
+    the same side of an earlier position is dropped: every later position
+    lies inside the earlier one's ``left and ...`` and beside its
+    ``right or ...``, so in strong Kleene logic the copy changes neither
+    the truth nor which position decides it.
+    """
+
+    __slots__ = ("op", "opening", "entries", "found")
+
+    def __init__(self, op, opening: tuple, entries: tuple = (), found=None):
+        self.op, self.opening, self.entries, self.found = op, opening, entries, found
+        self._keyed(id(op), opening, entries, found)
+
+    def progress(self, ev):
+        positions = self.entries
+        if self.found is None:
+            positions += ((ev.m,) + self.opening,)
+        rights, lefts = set(), set()  # the pending sides kept so far
+        found = self.found
+        entries = []
+        for origin, right, left in positions:
+            if right is not None:
+                right = right.progress(ev)
+                if type(right) is Verdict:
+                    if right.truth is Truth.SATISFIED:
+                        found = Verdict(Truth.SATISFIED, origin, right.explanation)
+                        break
+                    right = None
+            if left is not None:
+                left = left.progress(ev)
+                if type(left) is Verdict:
+                    if left.truth is Truth.VIOLATED:
+                        found = self._broken(origin, left)
+                        if right is not None:
+                            entries.append((origin, right, None))
+                        break
+                    left = None
+            if right in rights:
+                right = None
+            if left in lefts:
+                left = None
+            if right is None and left is None:
+                continue
+            rights.add(right)
+            lefts.add(left)
+            entries.append((origin, right, left))
+        if not entries and found is not None:
+            return found
+        entries = tuple(entries)
+        if found is self.found and entries == self.entries:
+            return self
+        return _Chain(self.op, self.opening, entries, found)
+
+    def close(self, ev, mode):
+        verdict = self.found if self.found is not None else self._end(ev.m, mode)
+        for origin, right, left in reversed(self.entries):
+            if left is not None:
+                lv = left.close(ev, mode)
+                if lv.truth is Truth.VIOLATED:
+                    verdict = self._broken(origin, lv)
+                elif lv.truth is Truth.INCONCLUSIVE and verdict.truth is not Truth.VIOLATED:
+                    verdict = INCONCLUSIVE
+            if right is not None:
+                rv = right.close(ev, mode)
+                if rv.truth is Truth.SATISFIED:
+                    verdict = Verdict(Truth.SATISFIED, origin, rv.explanation)
+                elif rv.truth is Truth.INCONCLUSIVE and verdict.truth is not Truth.SATISFIED:
+                    verdict = INCONCLUSIVE
+        return verdict
+
+    def _broken(self, origin: int, left: Verdict) -> Verdict:
+        """The verdict of a position whose left side is violated."""
+        if type(self.op) is Globally:
+            return Verdict(Truth.VIOLATED, origin, left.explanation)
+        return Verdict(Truth.VIOLATED, origin, _UNTIL_NEVER)
+
+    def _end(self, last: int, mode: str) -> Verdict:
+        """The verdict of the positions the trace ends before."""
+        if mode == OPEN:
+            return INCONCLUSIVE
+        if type(self.op) in (Globally, WeakUntil):
+            return SATISFIED
+        if type(self.op) is Eventually:
+            return Verdict(Truth.VIOLATED, last, "no witness before the end")
+        return Verdict(Truth.VIOLATED, last, _UNTIL_NEVER)
+
+
+def _start_chain(ev, gamma, asg, right, left):
+    opening = (
+        None if right is None else _Deferred(right, asg),
+        None if left is None else _Deferred(left, asg),
+    )
+    return _Chain(gamma, opening).progress(ev)
+
+
+def _start_implies(ev, gamma, asg):
+    left = ev.start(gamma.left, asg)
+    if type(left) is Verdict and left.truth is Truth.VIOLATED:
+        return SATISFIED
+    return _implies(left, ev.start(gamma.right, asg))
+
+
+def _rigid_data(dominant):
+    def rule(ev, gamma, asg):
+        return _items(dominant, (
+            ev.start(gamma.body, ev.bind(asg, gamma, v, {gamma.var: v}))
+            for v in ev.state.alg.carrier(gamma.sort)
+        ))
+
+    return rule
+
+
+def _rigid_comp(dominant):
+    def rule(ev, gamma, asg):
+        comps = asg[_COMPS]
+        return _items(dominant, (
+            ev.start(gamma.body, ev.bind(asg, gamma, cid, {_COMPS: {**comps, gamma.var: cid}}))
+            for cid in ev.state.interface_ids(gamma.interface)
+        ))
+
+    return rule
+
+
+def _bounded_rigid(dominant):
+    def rule(ev, gamma, asg):
+        source = sorted(ev.state.source(asg, gamma.source), key=value_key)
+        return _items(dominant, (
+            ev.start(gamma.body, ev.bind(asg, gamma, v, bind_pattern(gamma.vars, v)))
+            for v in source
+        ))
+
+    return rule
+
+
+_START = {
+    State: lambda ev, gamma, asg: ev.state_verdict(asg, gamma.formula),
+    TraceNot: lambda ev, gamma, asg: _negate(ev.start(gamma.operand, asg)),
+    TraceAnd: lambda ev, gamma, asg: _items(
+        Truth.VIOLATED, (ev.start(item, asg) for item in gamma.items)
+    ),
+    TraceOr: lambda ev, gamma, asg: _items(
+        Truth.SATISFIED, (ev.start(item, asg) for item in gamma.items)
+    ),
+    TraceImplies: _start_implies,
+    TraceIff: lambda ev, gamma, asg: _iff(
+        ev.start(gamma.left, asg), ev.start(gamma.right, asg)
+    ),
+    Next: lambda ev, gamma, asg: _Deferred(gamma.body, asg),
+    Globally: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, None, gamma.body),
+    Eventually: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.body, None),
+    Until: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.right, gamma.left),
+    WeakUntil: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.right, gamma.left),
+    RigidForallData: _rigid_data(Truth.VIOLATED),
+    RigidExistsData: _rigid_data(Truth.SATISFIED),
+    RigidForallComp: _rigid_comp(Truth.VIOLATED),
+    RigidExistsComp: _rigid_comp(Truth.SATISFIED),
+    BoundedRigidForall: _bounded_rigid(Truth.VIOLATED),
+    BoundedRigidExists: _bounded_rigid(Truth.SATISFIED),
+}
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in (OPEN, CLOSED):
+        raise UsageError(f"mode must be {OPEN!r} or {CLOSED!r}, got {mode!r}")
 
 
 class _TraceEvaluator:
-    def __init__(self, alg, J, trace: ConfigurationTrace, mode: str):
-        if mode not in (OPEN, CLOSED):
-            raise UsageError(f"mode must be {OPEN!r} or {CLOSED!r}, got {mode!r}")
-        self.trace = trace
-        self.mode = mode
-        self.length = len(trace.steps)
-        self.state = _StateEvaluator(alg, J)
+    """The progression core, shared by the checks and the monitor.
 
-    def state_verdict(self, data_asg, comp_asg, n: int, phi: Assertion) -> Verdict:
-        ok = self.state.state_holds(data_asg, comp_asg, self.trace.steps[n], phi)
-        explanation = "; ".join(self.state.notes) or None
-        return Verdict(Truth.SATISFIED if ok else Truth.VIOLATED, None, explanation)
+    ``progress(residual, m, k)`` makes configuration ``k`` the current step
+    ``m`` and advances ``residual`` over it; ``close(residual, mode)`` ends a
+    residual at the last step read.  An assertion under an assignment
+    starts as ``_Deferred(gamma, asg)``.  ``remember_steps`` keeps each
+    configuration's index of active components for later visits.
+    """
 
-    def eval(self, data_asg, comp_asg, n: int, gamma: TraceAssertion) -> Verdict:
-        if n >= self.length or n < 0:
-            raise UsageError(f"time index {n} outside the trace (length {self.length})")
-        return self._eval(data_asg, comp_asg, n, gamma)
+    def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
+        self.state = _StateEvaluator(alg, J, remember_steps)
+        self.m: Optional[int] = None
+        self._bound: dict = {}
 
-    def _eval(self, data_asg, comp_asg, n: int, gamma) -> Verdict:
-        if isinstance(gamma, State):
-            return self.state_verdict(data_asg, comp_asg, n, gamma.formula)
-        if isinstance(gamma, TraceNot):
-            return self._eval(data_asg, comp_asg, n, gamma.operand).negate()
-        if isinstance(gamma, TraceAnd):
-            return self._conjoin(
-                self._eval(data_asg, comp_asg, n, item) for item in gamma.items
-            )
-        if isinstance(gamma, TraceOr):
-            return self._conjoin(
-                (self._eval(data_asg, comp_asg, n, item) for item in gamma.items),
-                disjunction=True,
-            )
-        if isinstance(gamma, TraceImplies):
-            left = self._eval(data_asg, comp_asg, n, gamma.left)
-            if left.truth is Truth.VIOLATED:
-                return SATISFIED
-            right = self._eval(data_asg, comp_asg, n, gamma.right)
-            if right.truth is Truth.SATISFIED:
-                return SATISFIED
-            if left.truth is Truth.INCONCLUSIVE:
-                return INCONCLUSIVE
-            return right  # left Satisfied: Violated or Inconclusive as computed
-        if isinstance(gamma, TraceIff):
-            left = self._eval(data_asg, comp_asg, n, gamma.left)
-            right = self._eval(data_asg, comp_asg, n, gamma.right)
-            if Truth.INCONCLUSIVE in (left.truth, right.truth):
-                return INCONCLUSIVE
-            if left.truth == right.truth:
-                return SATISFIED
-            return Verdict(Truth.VIOLATED, right.witness, right.explanation)
-        if isinstance(gamma, Next):
-            if n + 1 < self.length:
-                return self._eval(data_asg, comp_asg, n + 1, gamma.body)
-            if self.mode == CLOSED:
-                return Verdict(Truth.VIOLATED, n, "next step beyond the end")
-            return INCONCLUSIVE
-        if isinstance(gamma, Eventually):
-            for m in range(n, self.length):
-                v = self._eval(data_asg, comp_asg, m, gamma.body)
-                if v.truth is Truth.SATISFIED:
-                    return Verdict(Truth.SATISFIED, m, v.explanation)
-            if self.mode == OPEN:
-                return INCONCLUSIVE
-            return Verdict(Truth.VIOLATED, self.length - 1, "no witness before the end")
-        if isinstance(gamma, Globally):
-            for m in range(n, self.length):
-                v = self._eval(data_asg, comp_asg, m, gamma.body)
-                if v.truth is Truth.VIOLATED:
-                    return Verdict(Truth.VIOLATED, m, v.explanation)
-            if self.mode == OPEN:
-                return INCONCLUSIVE
-            return SATISFIED
-        if isinstance(gamma, Until):
-            return self._until(data_asg, comp_asg, n, gamma.left, gamma.right)
-        if isinstance(gamma, WeakUntil):
-            until = self._until(data_asg, comp_asg, n, gamma.left, gamma.right)
-            if until.truth is Truth.SATISFIED:
-                return until
-            globally = self._eval(data_asg, comp_asg, n, Globally(gamma.left))
-            if globally.truth is Truth.SATISFIED:
-                return globally
-            if Truth.INCONCLUSIVE in (until.truth, globally.truth):
-                return INCONCLUSIVE
-            return until
-        if isinstance(gamma, RigidForallData):
-            return self._conjoin(
-                self._eval({**data_asg, gamma.var: v}, comp_asg, n, gamma.body)
-                for v in self.state.alg.carrier(gamma.sort)
-            )
-        if isinstance(gamma, RigidExistsData):
-            return self._conjoin(
-                (
-                    self._eval({**data_asg, gamma.var: v}, comp_asg, n, gamma.body)
-                    for v in self.state.alg.carrier(gamma.sort)
-                ),
-                disjunction=True,
-            )
-        if isinstance(gamma, RigidForallComp):
-            return self._conjoin(
-                self._eval(data_asg, {**comp_asg, gamma.var: cid}, n, gamma.body)
-                for cid in self.state.interface_ids(gamma.interface)
-            )
-        if isinstance(gamma, RigidExistsComp):
-            return self._conjoin(
-                (
-                    self._eval(data_asg, {**comp_asg, gamma.var: cid}, n, gamma.body)
-                    for cid in self.state.interface_ids(gamma.interface)
-                ),
-                disjunction=True,
-            )
-        if isinstance(gamma, BoundedRigidForall):
-            source = self.state.source_set(
-                data_asg, comp_asg, self.trace.steps[n], gamma.source
-            )
-            return self._conjoin(
-                self._eval(
-                    {**data_asg, **bind_pattern(gamma.vars, v)}, comp_asg, n, gamma.body
+    def progress(self, residual, m: int, k: ArchConfiguration):
+        self.m = m
+        self.state.at(k)
+        return residual.progress(self)
+
+    def close(self, residual, mode: str) -> Verdict:
+        return residual.close(self, mode)
+
+    def run(self, gamma: TraceAssertion, asg: dict, steps, n: int, mode: str) -> Verdict:
+        """Verdict of ``gamma`` at step ``n``: progress until decided, then
+        close at the end of the trace."""
+        residual = _Deferred(gamma, asg)
+        for m in range(n, len(steps)):
+            residual = self.progress(residual, m, steps[m])
+            if type(residual) is Verdict:
+                return residual
+        return self.close(residual, mode)
+
+    def start(self, gamma, asg: dict):
+        """Progress of ``gamma`` from the current step on."""
+        rule = _START.get(type(gamma))
+        if rule is None:
+            if isinstance(gamma, Assertion):
+                raise SortError(
+                    f"{type(gamma).__name__} is a configuration assertion;"
+                    " wrap it in State(...) to use it as a trace assertion"
                 )
-                for v in sorted(source, key=value_key)
-            )
-        if isinstance(gamma, BoundedRigidExists):
-            source = self.state.source_set(
-                data_asg, comp_asg, self.trace.steps[n], gamma.source
-            )
-            return self._conjoin(
-                (
-                    self._eval(
-                        {**data_asg, **bind_pattern(gamma.vars, v)},
-                        comp_asg,
-                        n,
-                        gamma.body,
-                    )
-                    for v in sorted(source, key=value_key)
-                ),
-                disjunction=True,
-            )
-        if isinstance(gamma, Assertion):
-            raise SortError(
-                f"{type(gamma).__name__} is a configuration assertion;"
-                " wrap it in State(...) to use it as a trace assertion"
-            )
-        raise SortError(f"{type(gamma).__name__} is not a trace assertion")
+            raise SortError(f"{type(gamma).__name__} is not a trace assertion")
+        return rule(self, gamma, asg)
 
-    def _until(self, data_asg, comp_asg, n, left, right) -> Verdict:
-        acc = Truth.VIOLATED
-        acc_detail: tuple = (None, None)
-        prefix = Truth.SATISFIED
-        break_step = None
-        for m in range(n, self.length):
-            rv = self._eval(data_asg, comp_asg, m, right)
-            cand = _and3(prefix, rv.truth)
-            if cand is Truth.SATISFIED:
-                return Verdict(Truth.SATISFIED, m, rv.explanation)
-            if cand is Truth.INCONCLUSIVE and acc is Truth.VIOLATED:
-                acc = Truth.INCONCLUSIVE
-                acc_detail = (m, rv.explanation)
-            lv = self._eval(data_asg, comp_asg, m, left)
-            prefix = _and3(prefix, lv.truth)
-            if prefix is Truth.VIOLATED:
-                break_step = m
-                break
-        if self.mode == CLOSED:
-            tail = Truth.VIOLATED
-        else:
-            tail = _and3(prefix, Truth.INCONCLUSIVE)
-        result = _or3(acc, tail)
-        if result is Truth.SATISFIED:  # pragma: no cover - witnesses return above
-            return SATISFIED
-        if result is Truth.INCONCLUSIVE:
-            return INCONCLUSIVE
-        witness = break_step if break_step is not None else self.length - 1
-        return Verdict(Truth.VIOLATED, witness, "until never discharged")
+    def bind(self, asg: dict, binder: TraceAssertion, value, bindings: dict) -> dict:
+        """``asg`` extended by ``bindings``, the rigid quantifier ``binder``
+        bound to ``value``.  The same three give the same dict object, so
+        that residuals under equal bindings compare equal."""
+        key = (id(asg), id(binder), value)
+        entry = self._bound.get(key)
+        if entry is None:
+            # the entry holds asg and binder, so their ids are not reused
+            entry = self._bound[key] = (asg, binder, {**asg, **bindings})
+        return entry[2]
 
-    def _conjoin(self, verdicts: Iterable[Verdict], disjunction: bool = False) -> Verdict:
-        dominant = Truth.SATISFIED if disjunction else Truth.VIOLATED
-        saw_inconclusive = False
-        for v in verdicts:
-            if v.truth is dominant:
-                return v
-            if v.truth is Truth.INCONCLUSIVE:
-                saw_inconclusive = True
-        if saw_inconclusive:
-            return INCONCLUSIVE
-        return VIOLATED if disjunction else SATISFIED
-
-
-def _and3(a: Truth, b: Truth) -> Truth:
-    if Truth.VIOLATED in (a, b):
-        return Truth.VIOLATED
-    if Truth.INCONCLUSIVE in (a, b):
-        return Truth.INCONCLUSIVE
-    return Truth.SATISFIED
-
-
-def _or3(a: Truth, b: Truth) -> Truth:
-    if Truth.SATISFIED in (a, b):
-        return Truth.SATISFIED
-    if Truth.INCONCLUSIVE in (a, b):
-        return Truth.INCONCLUSIVE
-    return Truth.VIOLATED
+    def state_verdict(self, asg: dict, phi: Assertion) -> Verdict:
+        state = self.state
+        state.notes = {}
+        ok = state.holds(asg, phi)
+        if not state.notes:
+            return SATISFIED if ok else VIOLATED
+        explanation = "; ".join(state.notes)
+        return Verdict(Truth.SATISFIED if ok else Truth.VIOLATED, None, explanation)
 
 
 def trace_holds(
@@ -740,8 +959,12 @@ def trace_holds(
 ) -> Verdict:
     """Verdict of a trace assertion at index ``n`` under fixed rigid
     assignments."""
-    evaluator = _TraceEvaluator(alg, J, trace, mode)
-    return evaluator.eval(dict(rigid_data), dict(rigid_comp), n, gamma)
+    _check_mode(mode)
+    length = len(trace.steps)
+    if n >= length or n < 0:
+        raise UsageError(f"time index {n} outside the trace (length {length})")
+    asg = {**rigid_data, _COMPS: dict(rigid_comp)}
+    return _TraceEvaluator(alg, J).run(gamma, asg, trace.steps, n, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -888,14 +1111,15 @@ def check_trace_assertion(
             bound=max_assignments,
         )
 
-    evaluator = _TraceEvaluator(alg, J, trace, mode)
+    _check_mode(mode)
+    evaluator = _TraceEvaluator(alg, J)
     saw_inconclusive = False
     inconclusive_detail = None
     for data_combo in itertools.product(*data_domains):
         data_asg = dict(zip(data_names, data_combo))
         for comp_combo in itertools.product(*comp_domains):
-            comp_asg = dict(zip(comp_names, comp_combo))
-            verdict = evaluator.eval(data_asg, comp_asg, 0, gamma)
+            asg = {**data_asg, _COMPS: dict(zip(comp_names, comp_combo))}
+            verdict = evaluator.run(gamma, asg, trace.steps, 0, mode)
             if verdict.truth is Truth.VIOLATED:
                 return verdict
             if verdict.truth is Truth.INCONCLUSIVE:
@@ -910,7 +1134,9 @@ class Monitor:
     """Incremental open-mode evaluation of a rigid-closed trace assertion.
 
     Feed configurations one at a time; Satisfied and Violated verdicts are
-    final and later steps return them unchanged.
+    final and later steps return them unchanged.  The monitor keeps only the
+    residual of the assertion, not the steps fed so far.  ``universe`` is
+    accepted for compatibility and not used.
     """
 
     def __init__(
@@ -928,25 +1154,28 @@ class Monitor:
             )
         if contains_rigid_quantifier(gamma):
             raise UsageError("monitored assertions must not use rigid quantifiers")
-        self._alg = alg
-        self._J = J
-        self._gamma = gamma
-        self._universe = universe or J.universe()
-        self._steps: list[ArchConfiguration] = []
+        self._evaluator = _TraceEvaluator(alg, J, remember_steps=False)
+        self._residual = _Deferred(gamma, {_COMPS: {}})
+        self._steps = 0
+        self._last: Optional[Verdict] = None
         self._final: Optional[Verdict] = None
 
     @property
     def verdict(self) -> Verdict:
-        if not self._steps:
+        if self._last is None:
             raise UsageError("the monitor needs at least one step before a verdict")
         return self._last
 
     def step(self, k: ArchConfiguration) -> Verdict:
         if self._final is not None:
             return self._final
-        self._steps.append(k)
-        trace = ConfigurationTrace(self._universe, tuple(self._steps))
-        verdict = trace_holds(self._alg, self._J, {}, {}, trace, 0, self._gamma, OPEN)
+        residual = self._evaluator.progress(self._residual, self._steps, k)
+        self._steps += 1
+        if type(residual) is Verdict:
+            verdict = residual
+        else:
+            verdict = self._evaluator.close(residual, OPEN)
+        self._residual = residual
         self._last = verdict
         if verdict.final:
             self._final = verdict

@@ -148,6 +148,9 @@ class InterfaceInterpretation:
     local_map: Mapping[str, str] = field(default_factory=dict)
     input_map: Mapping[str, str] = field(default_factory=dict)
     output_map: Mapping[str, str] = field(default_factory=dict)
+    # interface port id -> concrete port; of the local, input and output maps,
+    # the first to hold an id wins, as in a scan of the three in that order
+    _concrete: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -165,6 +168,10 @@ class InterfaceInterpretation:
             "output_map",
             _bijection(self.output_map, self.snapshot.output_ports, "output"),
         )
+        concrete: dict[str, str] = {}
+        for mapping in (self.output_map, self.input_map, self.local_map):  # last wins
+            concrete.update(zip(mapping.values(), mapping.keys()))
+        object.__setattr__(self, "_concrete", concrete)
 
     def __hash__(self):
         return hash(
@@ -185,13 +192,13 @@ class InterfaceInterpretation:
 
     def concrete_port(self, port_id: str) -> str:
         """Inverse of the role maps: interface port id -> concrete port."""
-        for mapping in (self.local_map, self.input_map, self.output_map):
-            for concrete, pid in mapping.items():
-                if pid == port_id:
-                    return concrete
-        raise InterpretationError(
-            f"port id {port_id!r} is not interpreted by component {self.snapshot.id!r}"
-        )
+        try:
+            return self._concrete[port_id]
+        except KeyError:
+            raise InterpretationError(
+                f"port id {port_id!r} is not interpreted by component"
+                f" {self.snapshot.id!r}"
+            ) from None
 
     def port_value(self, port_id: str) -> frozenset:
         return self.snapshot.valuation[self.concrete_port(port_id)]

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -310,3 +311,29 @@ class TestCliMisc:
         err = capsys.readouterr().err
         assert code == 3
         assert "trials" in err
+
+
+_DEEP = "datatype D\nsorts\n  S\nvars\n  x : S\naxioms\n  {axiom}\n"
+
+
+class TestCliExitContract:
+    def test_parse_diagnostic_names_file_line_and_column(self, capsys, tmp_path):
+        bad = tmp_path / "deep.arch"
+        axiom = "(" * 80 + "x == x" + ")" * 80  # nested past the grammar's limit
+        bad.write_text(_DEEP.format(axiom=axiom), encoding="utf-8")
+        assert main(["parse", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert ": :" not in err
+        assert re.match(rf"{re.escape(str(bad))}:\d+:\d+: error\[parse\]: ", err), err
+
+    def test_internal_error_exits_four_without_traceback(self, monkeypatch, capsys):
+        import archcheck.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_parse", broken)
+        assert main(["parse", "any.arch"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: boom")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -262,3 +262,27 @@ class TestSpecInterpretation:
     def test_empty_interface_has_no_components(self):
         J = SpecInterpretation({"BB": frozenset(), "KS": frozenset()})
         assert components_of(J, "BB") == frozenset()
+
+
+def test_concrete_port_inverts_the_role_maps():
+    renamed = make_snapshot(
+        "ks1",
+        local={"knowledge": {"pA"}},
+        inputs={"in1": (), "in2": ()},
+        outputs={"out1": (), "out2": ()},
+    )
+    maps = dict(
+        local_map={"knowledge": "prob"},
+        input_map={"in1": "ksip", "in2": "ksis"},
+        output_map={"out1": "ksop", "out2": "ksos"},
+    )
+    interp = InterfaceInterpretation(snapshot=renamed, **maps)
+    for mapping in maps.values():
+        for concrete, port_id in mapping.items():
+            assert interp.concrete_port(port_id) == concrete
+    with pytest.raises(InterpretationError, match="not interpreted"):
+        interp.concrete_port("bbop")
+    # the inverse map is derived, so equality and hashing ignore it
+    twin = InterfaceInterpretation(snapshot=renamed, **maps)
+    assert twin == interp and hash(twin) == hash(interp)
+    assert "_concrete" not in repr(interp)
