@@ -40,6 +40,20 @@ Witnesses:
 A port read on an inactive component is an undefined read: the smallest
 enclosing atomic assertion evaluates to false and the fact is recorded in the
 verdict explanation.
+
+``check_trace_assertion`` runs the assignments of the free rigid variables
+in product order, but not those a trigger-shaped assertion never triggers,
+after the relational evaluation of MonPoly (Basin, Klaedtke, Müller and
+Zălinescu, JACM 2015).  The shape is ``G(guard -> beta)`` whose guard is, or
+is an ``And`` that begins with, ``pattern in collection``, where the pattern
+is a free rigid data variable or a pair of two distinct ones and the
+collection reads no free data variable.  The collection is read over the
+whole trace once per component assignment, an undefined read giving the
+empty set.  A data assignment whose pattern value never occurs there has its
+guard false at every step, so its verdict is that of ``G(true)``: Satisfied
+in closed mode and Inconclusive in open mode, and it is not run.  The first
+Violated assignment, its witness and its explanation stay those of the full
+product, and ``max_assignments`` still bounds the full product's size.
 """
 from __future__ import annotations
 
@@ -63,6 +77,7 @@ from .algebra import (  # And, Implies, Not and Or are re-exported
     Node,
     Not,
     Or,
+    PairTerm,
     PredAtom,
     Sort,
     Term,
@@ -72,6 +87,7 @@ from .algebra import (  # And, Implies, Not and Or are re-exported
     value_key,
 )
 from .errors import (
+    ArchError,
     AssignmentError,
     CapacityError,
     InactiveComponentError,
@@ -1057,6 +1073,58 @@ def contains_rigid_quantifier(gamma) -> bool:
     return False
 
 
+def _trigger_guard(gamma, free_data: Mapping[str, Sort]) -> Optional[Member]:
+    """The ``pattern in collection`` atom that guards a trigger-shaped
+    assertion (see the module docstring), or None for any other shape."""
+    if type(gamma) is not Globally or type(gamma.body) is not TraceImplies:
+        return None
+    left = gamma.body.left
+    if type(left) is not State:
+        return None
+    atom = left.formula
+    if type(atom) is And and atom.items:
+        atom = atom.items[0]
+    if type(atom) is not Member:
+        return None
+    pattern = atom.element
+    parts = (pattern.first, pattern.second) if type(pattern) is PairTerm else (pattern,)
+    names = {part.name for part in parts if type(part) is Var}
+    if len(names) < len(parts) or not names <= free_data.keys():
+        return None
+    return None if free_vars(atom.collection)[0] else atom
+
+
+class _Trigger:
+    """A trigger guard whose collection is read over the whole trace, once
+    per component combination.  ``idle(comp_combo, asg)`` is true when the
+    pattern's value under ``asg`` never occurs there, so that the guard is
+    false at every step."""
+
+    def __init__(self, guard: Member, state: _StateEvaluator, steps):
+        self.guard, self.state, self.steps = guard, state, steps
+        self._occurring: dict = {}
+
+    def idle(self, comp_combo: tuple, asg: dict) -> bool:
+        if comp_combo not in self._occurring:
+            self._occurring[comp_combo] = self._read(asg)
+        values = self._occurring[comp_combo]
+        if values is None:
+            return False
+        return self.state.term(asg, self.guard.element) not in values
+
+    def _read(self, asg: dict) -> Optional[set]:
+        state = self.state
+        values: set = set()
+        try:
+            for k in self.steps:
+                state.at(k)
+                values |= state.source(asg, self.guard.collection)
+        except ArchError:
+            # the plain runs meet this error only if no verdict comes first
+            return None
+        return values
+
+
 def check_trace_assertion(
     alg: Algebra,
     J: SpecInterpretation,
@@ -1113,21 +1181,21 @@ def check_trace_assertion(
 
     _check_mode(mode)
     evaluator = _TraceEvaluator(alg, J)
+    guard = _trigger_guard(gamma, free_data)
+    trigger = None if guard is None else _Trigger(guard, evaluator.state, trace.steps)
     saw_inconclusive = False
-    inconclusive_detail = None
     for data_combo in itertools.product(*data_domains):
         data_asg = dict(zip(data_names, data_combo))
         for comp_combo in itertools.product(*comp_domains):
             asg = {**data_asg, _COMPS: dict(zip(comp_names, comp_combo))}
+            if trigger is not None and trigger.idle(comp_combo, asg):
+                saw_inconclusive |= mode == OPEN  # the verdict of G(true)
+                continue
             verdict = evaluator.run(gamma, asg, trace.steps, 0, mode)
             if verdict.truth is Truth.VIOLATED:
                 return verdict
-            if verdict.truth is Truth.INCONCLUSIVE:
-                saw_inconclusive = True
-                inconclusive_detail = verdict
-    if saw_inconclusive:
-        return inconclusive_detail or INCONCLUSIVE
-    return SATISFIED
+            saw_inconclusive |= verdict.truth is Truth.INCONCLUSIVE
+    return INCONCLUSIVE if saw_inconclusive else SATISFIED
 
 
 class Monitor:

@@ -148,7 +148,7 @@ def random_world(rng: random.Random, max_components=4, max_len=5,
     locals_of = {
         cid: {
             p: random_port_set(port_sorts[p], 1)
-            for p in interfaces[iface_of[cid]].local
+            for p in sorted(interfaces[iface_of[cid]].local)
         }
         for cid in ids
     }
@@ -157,20 +157,20 @@ def random_world(rng: random.Random, max_components=4, max_len=5,
         active_ids = [cid for cid in ids if rng.random() < 0.7]
         iface = {cid: interfaces[iface_of[cid]] for cid in active_ids}
         outputs = {
-            cid: {p: random_port_set(port_sorts[p]) for p in iface[cid].outputs}
+            cid: {p: random_port_set(port_sorts[p]) for p in sorted(iface[cid].outputs)}
             for cid in active_ids
         }
         connection = {}
         inputs = {
-            cid: {p: random_port_set(port_sorts[p]) for p in iface[cid].inputs}
+            cid: {p: random_port_set(port_sorts[p]) for p in sorted(iface[cid].inputs)}
             for cid in active_ids
         }
         for cid in active_ids:
-            for p in iface[cid].inputs:
+            for p in sorted(iface[cid].inputs):
                 candidates = [
                     (oid, q)
                     for oid in active_ids
-                    for q in iface[oid].outputs
+                    for q in sorted(iface[oid].outputs)
                     if port_sorts[q] == port_sorts[p]
                 ]
                 chosen = [t for t in candidates if rng.random() < 0.3]

@@ -4,6 +4,7 @@ its runtime (run with ``pytest -s tests/test_acceptance.py`` to see them).
 import itertools
 import random
 import time
+import zlib
 
 import oracle
 from archcheck.algebra import Algebra, BaseSort, Signature, check_well_founded
@@ -221,7 +222,7 @@ def test_criterion_6_theorem_at_desk_scale():
 def test_criterion_7_parser_round_trip_and_bundle():
     started = time.time()
     for kind in UNIT_KINDS:
-        rng = random.Random(930107 + hash(kind) % 1000)
+        rng = random.Random(930107 + zlib.crc32(kind.encode()) % 1000)
         gen = RawGen(rng)
         for i in range(300):
             unit = gen.unit(kind)
