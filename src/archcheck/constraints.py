@@ -54,6 +54,26 @@ guard false at every step, so its verdict is that of ``G(true)``: Satisfied
 in closed mode and Inconclusive in open mode, and it is not run.  The first
 Violated assignment, its witness and its explanation stay those of the full
 product, and ``max_assignments`` still bounds the full product's size.
+
+The checks evaluate each state formula once per distinct configuration and
+skip the steps that cannot change a residual.  ``ConfigurationTrace``
+interns its steps, so equal steps are the same object.  Within one
+``check_trace_assertion`` or ``trace_holds`` call, a state formula's
+verdict, explanation included, is memoised under the formula, the step and
+the values of the formula's own free variables; so a formula that does not
+read a rigid variable is evaluated once across that variable's assignments.
+When a residual is a fixed point of a configuration, ``progress(r, k) ==
+r``, the run skips every later step that is ``k`` for as long as the
+residual stays ``r``.  On a run of equal steps this is stutter invariance
+(Lamport, "What Good Is Temporal Logic?", IFIP 1983; Peled and Wilke, IPL
+1997).  It is exact for every formula, X included: ``progress`` reads the
+step index only as the origin of the chain positions it opens, so what it
+drops at one step it drops at any later one, and a pending X or chain
+position never equals its successor, since ``_Deferred`` turns into its
+body and chain positions carry their origin step.  The last index is the
+current one at the end, so the witnesses that name it stay exact.
+``Monitor`` keeps neither the memo nor the skip: it reads each step it is
+fed.
 """
 from __future__ import annotations
 
@@ -904,13 +924,19 @@ class _TraceEvaluator:
     ``m`` and advances ``residual`` over it; ``close(residual, mode)`` ends a
     residual at the last step read.  An assertion under an assignment
     starts as ``_Deferred(gamma, asg)``.  ``remember_steps`` keeps each
-    configuration's index of active components for later visits.
+    configuration's index of active components, and the state verdicts
+    reached at it, for later visits.
     """
 
     def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
         self.state = _StateEvaluator(alg, J, remember_steps)
         self.m: Optional[int] = None
         self._bound: dict = {}
+        # state verdicts by (formula, step, values of its free variables)
+        self._verdicts: Optional[dict] = {} if remember_steps else None
+        # id(formula) -> (formula, names of its free data and component
+        # variables); the entry holds the formula, so its id is not reused
+        self._reads: dict = {}
 
     def progress(self, residual, m: int, k: ArchConfiguration):
         self.m = m
@@ -922,12 +948,23 @@ class _TraceEvaluator:
 
     def run(self, gamma: TraceAssertion, asg: dict, steps, n: int, mode: str) -> Verdict:
         """Verdict of ``gamma`` at step ``n``: progress until decided, then
-        close at the end of the trace."""
+        close at the end of the trace.  A step whose configuration is known
+        to leave the residual unchanged is skipped."""
         residual = _Deferred(gamma, asg)
+        unchanged_by: set = set()  # ids of configurations, for this residual
         for m in range(n, len(steps)):
-            residual = self.progress(residual, m, steps[m])
-            if type(residual) is Verdict:
-                return residual
+            k = steps[m]
+            if id(k) in unchanged_by:
+                continue
+            after = self.progress(residual, m, k)
+            if type(after) is Verdict:
+                return after
+            if after == residual:
+                unchanged_by.add(id(k))
+            else:
+                unchanged_by = set()
+            residual = after
+        self.m = len(steps) - 1
         return self.close(residual, mode)
 
     def start(self, gamma, asg: dict):
@@ -954,6 +991,32 @@ class _TraceEvaluator:
         return entry[2]
 
     def state_verdict(self, asg: dict, phi: Assertion) -> Verdict:
+        memo = self._verdicts
+        if memo is None:
+            return self._state_verdict(asg, phi)
+        reads = self._reads.get(id(phi))
+        if reads is None:
+            try:
+                data, comps = free_vars(phi)
+                reads = (phi, tuple(data), tuple(comps))
+            except SortError:  # a name used at two sorts: not memoised
+                reads = (phi, None, None)
+            self._reads[id(phi)] = reads
+        _, data, comps = reads
+        if data is None:
+            return self._state_verdict(asg, phi)
+        key = (
+            id(phi),
+            id(self.state.k),
+            tuple(map(asg.get, data)),
+            tuple(map(asg[_COMPS].get, comps)),
+        )
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = self._state_verdict(asg, phi)
+        return verdict
+
+    def _state_verdict(self, asg: dict, phi: Assertion) -> Verdict:
         state = self.state
         state.notes = {}
         ok = state.holds(asg, phi)
@@ -1116,7 +1179,7 @@ class _Trigger:
         state = self.state
         values: set = set()
         try:
-            for k in self.steps:
+            for k in {id(k): k for k in self.steps}.values():
                 state.at(k)
                 values |= state.source(asg, self.guard.collection)
         except ArchError:

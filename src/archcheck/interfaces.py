@@ -39,6 +39,7 @@ from .model import (
     Violation,
     check_healthy,
     format_value,
+    snapshot_key,
 )
 
 
@@ -183,6 +184,15 @@ class InterfaceInterpretation:
             )
         )
 
+    def sort_key(self):
+        """Total order on interpretations, the same in every process."""
+        return (
+            snapshot_key(self.snapshot),
+            tuple(sorted(self.local_map.items())),
+            tuple(sorted(self.input_map.items())),
+            tuple(sorted(self.output_map.items())),
+        )
+
     def port_ids(self) -> frozenset[str]:
         return (
             frozenset(self.local_map.values())
@@ -248,7 +258,7 @@ class SpecInterpretation:
             for interp in interps
             if interp.snapshot.id == cid
         ]
-        found.sort(key=lambda it: hash(it))
+        found.sort(key=InterfaceInterpretation.sort_key)
         return tuple(found)
 
     def ids_of(self, interface_id: str) -> tuple[str, ...]:
@@ -390,9 +400,7 @@ def check_spec_interpretation(
             continue
         assertions = spec.assertions.get(name, ())
         flagged_local = False
-        for interp in sorted(
-            J.by_interface[name], key=lambda it: (it.snapshot.id, hash(it))
-        ):
+        for interp in sorted(J.by_interface[name], key=InterfaceInterpretation.sort_key):
             if not interp.matches(interface):
                 violations.append(
                     Violation(

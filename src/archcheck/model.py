@@ -59,6 +59,27 @@ def format_value(value: Value) -> str:
     return "{" + ", ".join(format_value(v) for v in items) + "}"
 
 
+def snapshot_key(snap: "ComponentSnapshot"):
+    """Total order on snapshots, the same in every process (unlike their
+    hashes, which follow string hashing)."""
+    return (
+        snap.id,
+        tuple(sorted(snap.local_ports)),
+        tuple(sorted(snap.input_ports)),
+        tuple(sorted(snap.output_ports)),
+        tuple((port, value_key(v)) for port, v in snap.valuation.items()),
+    )
+
+
+def sorted_snapshots(snapshots: Iterable["ComponentSnapshot"]) -> list:
+    """``snapshots`` in the order of ``snapshot_key``.  The whole key is
+    built only when an id repeats."""
+    ordered = sorted(snapshots, key=lambda c: c.id)
+    if len({c.id for c in ordered}) < len(ordered):
+        ordered.sort(key=snapshot_key)
+    return ordered
+
+
 class PortValuation(Mapping):
     """Immutable map from port name to a finite set of message values."""
 
@@ -165,9 +186,7 @@ class ComponentUniverse:
         return frozenset(c.id for c in self.snapshots)
 
     def snapshots_of(self, cid: str) -> tuple[ComponentSnapshot, ...]:
-        found = [c for c in self.snapshots if c.id == cid]
-        found.sort(key=lambda c: hash(c))
-        return tuple(found)
+        return tuple(sorted_snapshots(c for c in self.snapshots if c.id == cid))
 
 
 @dataclass(frozen=True)
@@ -217,7 +236,7 @@ def check_healthy(universe: ComponentUniverse) -> ValidationReport:
     """Identifier determines the interface and the local-port values."""
     violations = []
     by_id: dict[str, ComponentSnapshot] = {}
-    for snap in sorted(universe.snapshots, key=lambda c: (c.id, hash(c))):
+    for snap in sorted_snapshots(universe.snapshots):
         seen = by_id.get(snap.id)
         if seen is None:
             by_id[snap.id] = snap
@@ -372,13 +391,14 @@ def check_configuration(
     Open inputs are environment inputs and stay unconstrained.
     """
     violations = []
-    for snap in sorted(k.active, key=lambda c: (c.id, hash(c))):
+    active = sorted_snapshots(k.active)
+    for snap in active:
         if snap not in universe.snapshots:
             violations.append(
                 Violation("not-in-universe", snap.id, "active snapshot not declared")
             )
     by_id: dict[str, ComponentSnapshot] = {}
-    for snap in sorted(k.active, key=lambda c: (c.id, hash(c))):
+    for snap in active:
         seen = by_id.get(snap.id)
         if seen is None:
             by_id[snap.id] = snap
@@ -434,13 +454,20 @@ def check_configuration(
 
 @dataclass(frozen=True)
 class ConfigurationTrace:
-    """Nonempty finite sequence of configurations over one universe."""
+    """Nonempty finite sequence of configurations over one universe.
+
+    Equal steps are interned: each is replaced by the first equal one, so
+    that equal steps are the same object.
+    """
 
     universe: ComponentUniverse
     steps: tuple[ArchConfiguration, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+        interned: dict = {}
+        object.__setattr__(
+            self, "steps", tuple(interned.setdefault(k, k) for k in self.steps)
+        )
         if not self.steps:
             raise StructuralError("a configuration trace must have at least one step")
 

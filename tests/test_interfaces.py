@@ -286,3 +286,46 @@ def test_concrete_port_inverts_the_role_maps():
     twin = InterfaceInterpretation(snapshot=renamed, **maps)
     assert twin == interp and hash(twin) == hash(interp)
     assert "_concrete" not in repr(interp)
+
+
+_MISTYPED_SNAPSHOTS = """
+from archcheck.interfaces import check_spec_interpretation
+from fixtures import (
+    bb_snapshot, blackboard_interfaces, blackboard_interpretation,
+    blackboard_port_spec, ks_snapshot, probsol_algebra,
+)
+J = blackboard_interpretation({
+    "BB": [bb_snapshot()],
+    "KS": [ks_snapshot("ks1", prob={"pA"}, ksop={s}) for s in ("sA", "sB", "sC")],
+})
+report = check_spec_interpretation(
+    J, blackboard_interfaces(), blackboard_port_spec(), probsol_algebra()
+)
+print(report.render())
+"""
+
+
+def test_violation_order_is_the_same_in_every_process():
+    # three snapshots of ks1 break port typing; the order in which they are
+    # reported must not follow string hashing
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import archcheck
+
+    paths = [str(Path(archcheck.__file__).parent.parent), str(Path(__file__).parent)]
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(paths)}
+        done = subprocess.run(
+            [sys.executable, "-c", _MISTYPED_SNAPSHOTS],
+            env=env, capture_output=True, timeout=60, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    rendered = outputs.pop().decode().splitlines()
+    assert [line.split("message ")[1] for line in rendered] == [
+        f"s{c} is not of sort pair(PROB, set(PROB))" for c in "ABC"
+    ]

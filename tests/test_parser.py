@@ -153,15 +153,10 @@ class TestRoundTrip:
 
 
 class TestResolve:
-    def test_blackboard_bundle_resolves_with_one_warning(self):
+    def test_blackboard_bundle_resolves_without_diagnostics(self):
         bundle, diagnostics = resolve(list(bundle_units().values()))
         assert bundle is not None
-        errors = [d for d in diagnostics if d.severity == "error"]
-        warnings = [d for d in diagnostics if d.severity == "warning"]
-        assert errors == []
-        assert len(warnings) == 1
-        assert warnings[0].code == "undeclared-component-var"
-        assert "'ks'" in warnings[0].message
+        assert diagnostics == []
 
     def test_behavior_unit_resolves_to_three_assertions(self):
         bundle, _ = resolve(list(bundle_units().values()))
@@ -177,8 +172,21 @@ class TestResolve:
         assert isinstance(second.gamma.body.right, BoundedRigidForall)
 
     def test_undeclared_ks_repair_wraps_rigid_quantifier(self):
-        bundle, _ = resolve(list(bundle_units().values()))
-        repaired = bundle.constraint_by_name("BlackboardActivation.ax2")
+        # ks is not declared, but its port read names its interface
+        text = (
+            "constraints C\n"
+            "imports BB, KS\n"
+            "rigid vars\n"
+            "  p : PROB\n"
+            "axioms\n"
+            "  G(p in ks.prob -> F(p in ks.ksip))\n"
+        )
+        unit, _ = parse_unit(text)
+        bundle, diagnostics = resolve(list(bundle_units().values()) + [unit])
+        assert [d.code for d in diagnostics] == ["undeclared-component-var"]
+        assert diagnostics[0].severity == "warning"
+        assert "'ks'" in diagnostics[0].message
+        repaired = bundle.constraint_by_name("C.ax1")
         assert isinstance(repaired.gamma, RigidForallComp)
         assert repaired.gamma.var == "ks"
         assert repaired.gamma.interface == "KS"
