@@ -476,10 +476,19 @@ class ConfigurationTrace:
 
 
 def check_trace(trace: ConfigurationTrace) -> ValidationReport:
-    """Universe healthiness plus per-step configuration validity."""
+    """Universe healthiness plus per-step configuration validity.
+
+    Equal steps are one object (the trace interns them), so each distinct
+    configuration is checked once and its report is tagged at every index.
+    """
     report = check_healthy(trace.universe)
+    checked: dict[int, ValidationReport] = {}
     for index, step in enumerate(trace.steps):
-        step_report = check_configuration(trace.universe, step)
+        step_report = checked.get(id(step))
+        if step_report is None:
+            step_report = checked[id(step)] = check_configuration(
+                trace.universe, step
+            )
         if not step_report.ok:
             report = report.merge(step_report.at_index(index))
     return report

@@ -3,6 +3,16 @@
 One unit per file.  Recovery is per line: a malformed line yields one error
 diagnostic and parsing resumes on the next line; any error makes the whole
 unit a failure (no partially parsed units escape).
+
+Lines are lexed only when the parser reaches them.  In a trace unit, a
+step-section line (`step`, `active`, `connect` or a port valuation with a
+ground value) whose raw text was parsed before in the same unit is replayed
+from a table and neither lexed nor parsed again; its step, `ActiveDecl` or
+`ConnectDecl` still gets a span at its own line.  The ground valuation nodes
+are shared between equal lines, so their inner spans point at the first
+equal line.  No diagnostic reads those spans: the resolver reports only
+values that are not ground, and those are never replayed.  A line that drew
+a diagnostic is never stored either.
 """
 from __future__ import annotations
 
@@ -487,28 +497,42 @@ def _parse_minmax_suffix(cur: Cursor):
 class _UnitParser:
     def __init__(self, text: str):
         self.diagnostics: list[Diagnostic] = []
-        self.lines: list[tuple[int, str, list[Token]]] = []
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            tokens, diag = lex_line(raw, line_no)
-            if diag is not None:
-                self.diagnostics.append(diag)
-                continue
-            if tokens:
-                self.lines.append((line_no, raw.strip(), tokens))
-        self.index = 0
+        self.raw_lines = text.splitlines()
+        self.index = 0  # next raw line to read
+        self.peeked = None  # (line, index after it), set by peek_line
 
     def error(self, message, span=None):
         self.diagnostics.append(Diagnostic("error", "parse", message, span))
 
     def next_line(self):
-        if self.index >= len(self.lines):
-            return None
-        line = self.lines[self.index]
-        self.index += 1
-        return line
+        """Lex and return the next line with tokens, or None at the end.
+
+        Lines are lexed only when the parser reaches them; a line that fails
+        to lex gets its diagnostic here and is skipped.
+        """
+        if self.peeked is not None:
+            line, self.index = self.peeked
+            self.peeked = None
+            return line
+        while self.index < len(self.raw_lines):
+            raw = self.raw_lines[self.index]
+            self.index += 1
+            if not raw or raw.isspace():
+                continue
+            tokens, diag = lex_line(raw, self.index)
+            if diag is not None:
+                self.diagnostics.append(diag)
+            elif tokens:
+                return self.index, raw.strip(), tokens
+        return None
 
     def peek_line(self):
-        return self.lines[self.index] if self.index < len(self.lines) else None
+        if self.peeked is None:
+            start = self.index
+            line = self.next_line()
+            self.peeked = (line, self.index)
+            self.index = start
+        return self.peeked[0]
 
     def parse(self):
         header = self.next_line()
@@ -527,6 +551,8 @@ class _UnitParser:
             cur.expect_end()
         except LineError as err:
             self.error(err.message, err.span)
+            while self.next_line() is not None:  # lex diagnostics still count
+                pass
             return None
         kind = kind_tok.text
         imports = self._parse_imports()
@@ -551,18 +577,34 @@ class _UnitParser:
                 self.error(err.message, err.span)
         return imports
 
-    def _each_line(self, handler):
-        """Feed every remaining line to handler with per-line recovery."""
+    def _each_line(self, handler, replay=None):
+        """Feed every remaining line to handler with per-line recovery.
+
+        A handler may return an entry for the line it parsed; the entry is
+        stored under the line's raw text.  A later line with the same text
+        is then neither lexed nor parsed: ``replay(entry, line_no)`` applies
+        the entry, and when it returns False the line takes the normal path
+        after all.
+        """
+        table: dict = {}
         while True:
+            if table and self.peeked is None and self.index < len(self.raw_lines):
+                entry = table.get(self.raw_lines[self.index])
+                if entry is not None and replay(entry, self.index + 1):
+                    self.index += 1
+                    continue
             line = self.next_line()
             if line is None:
                 return
             line_no, text, tokens = line
             cur = Cursor(tokens, line_no)
             try:
-                handler(cur, text)
+                entry = handler(cur, text)
             except LineError as err:
                 self.error(err.message, err.span)
+                continue
+            if entry is not None:
+                table[self.raw_lines[line_no - 1]] = entry
 
     # -- datatype ----------------------------------------------------------
 
@@ -878,15 +920,18 @@ class _UnitParser:
                 raise LineError("`step` section required first", None)
             return steps[-1]
 
+        # Each step-section line yields an entry (kind, payload, column,
+        # end_column) that holds no line number, so _each_line can replay it
+        # for every later line with the same text.
         def handler(cur: Cursor, text: str):
             head = cur.peek()
             if head.text == "components" and cur.peek(1) is None:
                 section[0] = "components"
-                return
+                return None
             if head.text == "step" and cur.peek(1) is None:
-                section[0] = "step"
-                steps.append({"actives": [], "connects": [], "span": head.span})
-                return
+                entry = ("step", None, head.span.column, head.span.end_column)
+                replay(entry, head.span.line)
+                return entry
             if section[0] == "components":
                 cid = cur.expect_ident("component id").text
                 cur.expect(":")
@@ -907,32 +952,66 @@ class _UnitParser:
                 components.append(
                     ComponentDecl(cid, iface, tuple(locals_), span=head.span)
                 )
-                return
+                return None
             if section[0] == "step":
                 step = current_step()
                 if head.text == "active":
                     cur.take()
                     cid = cur.expect_ident("component id").text
                     cur.expect_end()
-                    step["actives"].append({"id": cid, "vals": [], "span": head.span})
-                    return
-                if head.text == "connect":
-                    step["connects"].append(_parse_connect(cur))
-                    return
-                # port valuation line inside the latest `active` block
-                if not step["actives"]:
-                    raise LineError(
-                        "port valuations must follow an `active` line", head.span
+                    entry = ("active", cid, head.span.column, head.span.end_column)
+                elif head.text == "connect":
+                    conn = _parse_connect(cur)
+                    entry = (
+                        "connect",
+                        (conn.in_owner, conn.in_port, conn.out_owner, conn.out_port),
+                        head.span.column,
+                        head.span.end_column,
                     )
-                port = cur.expect_ident("port").text
-                cur.expect("=")
-                value = _parse_primary(cur)
-                cur.expect_end()
-                step["actives"][-1]["vals"].append((port, value))
-                return
+                else:
+                    # port valuation line inside the latest `active` block
+                    if not step["actives"]:
+                        raise LineError(
+                            "port valuations must follow an `active` line",
+                            head.span,
+                        )
+                    port = cur.expect_ident("port").text
+                    cur.expect("=")
+                    value = _parse_primary(cur)
+                    cur.expect_end()
+                    step["actives"][-1]["vals"].append((port, value))
+                    # A value that is not ground draws a resolver diagnostic
+                    # at its own span, so only ground values are replayed.
+                    if not _is_ground(value):
+                        return None
+                    return ("value", (port, value), 0, 0)
+                replay(entry, head.span.line)
+                return entry
             raise LineError("expected components or step section", head.span)
 
-        self._each_line(handler)
+        def replay(entry, line_no):
+            kind, payload, column, end_column = entry
+            if kind == "step":
+                section[0] = "step"
+                span = Span(line_no, column, end_column)
+                steps.append({"actives": [], "connects": [], "span": span})
+                return True
+            if section[0] != "step":
+                return False
+            step = steps[-1]
+            if kind == "active":
+                span = Span(line_no, column, end_column)
+                step["actives"].append({"id": payload, "vals": [], "span": span})
+            elif kind == "connect":
+                span = Span(line_no, column, end_column)
+                step["connects"].append(ConnectDecl(*payload, span=span))
+            elif step["actives"]:
+                step["actives"][-1]["vals"].append(payload)
+            else:
+                return False
+            return True
+
+        self._each_line(handler, replay)
         built_steps = tuple(
             StepDecl(
                 actives=tuple(
@@ -945,6 +1024,17 @@ class _UnitParser:
             for step in steps
         )
         return TraceBody(tuple(components), built_steps)
+
+
+def _is_ground(expr) -> bool:
+    """Whether a value is built from names, pairs and sets only."""
+    if isinstance(expr, EName):
+        return True
+    if isinstance(expr, EPair):
+        return _is_ground(expr.first) and _is_ground(expr.second)
+    if isinstance(expr, ESet):
+        return all(_is_ground(item) for item in expr.items)
+    return False
 
 
 def _close_interface(builder: dict) -> InterfaceDecl:

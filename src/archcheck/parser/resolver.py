@@ -38,11 +38,13 @@ from ..interfaces import (
 )
 from ..model import (
     ArchConfiguration,
+    ComponentSnapshot,
     ComponentUniverse,
     ConfigurationTrace,
     make_snapshot,
 )
 from .syntax import (
+    ActiveDecl,
     AxiomDecl,
     Diagnostic,
     EActive,
@@ -68,6 +70,7 @@ from .syntax import (
     SortRef,
     SourceUnit,
     Span,
+    StepDecl,
     TraceBody,
 )
 
@@ -1483,50 +1486,26 @@ class Resolver:
         steps = []
         all_snapshots = set()
         ever_active = set()
-        for step_index, step in enumerate(body.steps):
+        # Equal steps and equal `active` blocks (their equality ignores
+        # spans) resolve once, to one configuration or snapshot.  One that
+        # drew a diagnostic is not stored, so each of its occurrences
+        # reports at its own span.
+        resolved: dict[StepDecl, ArchConfiguration] = {}
+        built: dict[ActiveDecl, ComponentSnapshot] = {}
+        for step in body.steps:
+            config = resolved.get(step)
+            if config is not None:
+                steps.append(config)
+                continue
+            reported = len(self.diagnostics)
             snapshots = {}
             for active in step.actives:
-                comp = components.get(active.id)
-                if comp is None:
-                    self.err(
-                        name,
-                        f"undeclared component {active.id!r}",
-                        active.span,
-                    )
-                    continue
-                iface_name, interface, locals_ = comp
-                io_values = {p: frozenset() for p in interface.inputs}
-                io_values.update({p: frozenset() for p in interface.outputs})
-                ok = True
-                for port, value_expr in active.valuations:
-                    if port in interface.local:
-                        self.err(
-                            name,
-                            f"local port {port!r} is fixed by the component"
-                            " declaration",
-                            active.span,
-                        )
-                        ok = False
+                snapshot = built.get(active)
+                if snapshot is None:
+                    snapshot = self._resolve_active(name, components, active)
+                    if snapshot is None:
                         continue
-                    if port not in interface.inputs | interface.outputs:
-                        self.err(
-                            name,
-                            f"{port!r} is not a port of interface {iface_name!r}",
-                            active.span,
-                        )
-                        ok = False
-                        continue
-                    try:
-                        value = self._ground_value(name, value_expr)
-                    except ResolveError as errr:
-                        self.err(name, errr.message, errr.span or active.span)
-                        ok = False
-                        continue
-                    if not isinstance(value, frozenset):
-                        value = frozenset({value})
-                    io_values[port] = value
-                if not ok:
-                    continue
+                    built[active] = snapshot
                 if active.id in snapshots:
                     self.err(
                         name,
@@ -1534,12 +1513,7 @@ class Resolver:
                         active.span,
                     )
                     continue
-                snapshots[active.id] = make_snapshot(
-                    active.id,
-                    local=locals_,
-                    inputs={p: io_values[p] for p in interface.inputs},
-                    outputs={p: io_values[p] for p in interface.outputs},
-                )
+                snapshots[active.id] = snapshot
                 ever_active.add(active.id)
             connection: dict = {}
             for conn in step.connects:
@@ -1571,9 +1545,10 @@ class Resolver:
                 connection.setdefault((conn.in_owner, conn.in_port), set()).add(
                     (conn.out_owner, conn.out_port)
                 )
-            steps.append(
-                ArchConfiguration(frozenset(snapshots.values()), connection)
-            )
+            config = ArchConfiguration(frozenset(snapshots.values()), connection)
+            if len(self.diagnostics) == reported:
+                resolved[step] = config
+            steps.append(config)
             all_snapshots.update(snapshots.values())
         if self._failed():
             return None
@@ -1595,6 +1570,52 @@ class Resolver:
         J = SpecInterpretation({k: frozenset(v) for k, v in by_iface.items()})
         trace = ConfigurationTrace(universe, tuple(steps))
         return TraceData(name=name, trace=trace, interpretation=J)
+
+    def _resolve_active(self, name, components, active: ActiveDecl):
+        """The snapshot of one `active` block, or None after a diagnostic."""
+        comp = components.get(active.id)
+        if comp is None:
+            self.err(name, f"undeclared component {active.id!r}", active.span)
+            return None
+        iface_name, interface, locals_ = comp
+        io_values = {p: frozenset() for p in interface.inputs}
+        io_values.update({p: frozenset() for p in interface.outputs})
+        ok = True
+        for port, value_expr in active.valuations:
+            if port in interface.local:
+                self.err(
+                    name,
+                    f"local port {port!r} is fixed by the component"
+                    " declaration",
+                    active.span,
+                )
+                ok = False
+                continue
+            if port not in interface.inputs | interface.outputs:
+                self.err(
+                    name,
+                    f"{port!r} is not a port of interface {iface_name!r}",
+                    active.span,
+                )
+                ok = False
+                continue
+            try:
+                value = self._ground_value(name, value_expr)
+            except ResolveError as errr:
+                self.err(name, errr.message, errr.span or active.span)
+                ok = False
+                continue
+            if not isinstance(value, frozenset):
+                value = frozenset({value})
+            io_values[port] = value
+        if not ok:
+            return None
+        return make_snapshot(
+            active.id,
+            local=locals_,
+            inputs={p: io_values[p] for p in interface.inputs},
+            outputs={p: io_values[p] for p in interface.outputs},
+        )
 
 
 def resolve(units):

@@ -224,7 +224,9 @@ class TestTraces:
         with pytest.raises(StructuralError):
             ConfigurationTrace(example_universe(), ())
 
-    def test_corrupted_step_reports_index(self):
+    @staticmethod
+    def _corrupted_steps():
+        """The example's steps with step 1's c2 mistyped, and its universe."""
         base = example_trace()
         bad_c2 = make_snapshot(
             "c2",
@@ -238,7 +240,44 @@ class TestTraces:
             connection=k1.connection,
         )
         universe = ComponentUniverse(base.universe.snapshots | {bad_c2})
-        trace = ConfigurationTrace(universe, (base.steps[0], corrupted, base.steps[2]))
+        return universe, (base.steps[0], corrupted, base.steps[2])
+
+    def test_corrupted_step_reports_index(self):
+        trace = ConfigurationTrace(*self._corrupted_steps())
         report = check_trace(trace)
         assert not report.ok
         assert {v.index for v in report.violations} == {1}
+
+    def _repeating_trace(self):
+        universe, (k0, corrupted, k2) = self._corrupted_steps()
+        # A fresh equal copy: the trace interns it to the first one.
+        again = ArchConfiguration(corrupted.active, dict(corrupted.connection))
+        return ConfigurationTrace(universe, (k0, corrupted, k2, again, k0, corrupted))
+
+    def test_repeated_invalid_step_reports_every_index(self):
+        trace = self._repeating_trace()
+        one = check_configuration(trace.universe, trace.steps[1]).violations
+        assert one
+        expected = [
+            (v.code, v.subject, v.message, index)
+            for index in (1, 3, 5)
+            for v in one
+        ]
+        report = check_trace(trace)
+        assert [(v.code, v.subject, v.message, v.index)
+                for v in report.violations] == expected
+
+    def test_each_distinct_configuration_is_checked_once(self, monkeypatch):
+        import archcheck.model as model
+
+        calls = []
+        real = model.check_configuration
+
+        def counting(universe, k):
+            calls.append(k)
+            return real(universe, k)
+
+        monkeypatch.setattr(model, "check_configuration", counting)
+        trace = self._repeating_trace()
+        model.check_trace(trace)
+        assert len(calls) == len(set(trace.steps)) == 3

@@ -1,0 +1,235 @@
+"""The trace front end: per-unit line and step tables, and their contract.
+
+A trace file's cost follows its distinct lines and distinct steps: a line
+whose text was parsed before is replayed from the unit's table, and an equal
+step reuses its resolved configuration.  Diagnostics do not change: a line
+or step that drew one is never stored, so every occurrence reports at its
+own line.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import archcheck
+import archcheck.parser.grammar as grammar
+import archcheck.parser.resolver as resolver
+from archcheck.blackboard import (
+    MUTATION_DROP_FORWARDING,
+    algebra_unit,
+    load_blackboard_sources,
+    simulate_blackboard,
+    trace_unit,
+)
+from archcheck.cli import main
+from archcheck.parser import parse_unit, print_unit, resolve
+
+from blackboard_sources import bundle_units
+from test_blackboard import paper_scenario
+
+BAD_STEP = """\
+step
+  active bb
+    bbop = { f(x) }
+  active ghost
+  connect ks1.nope <- bb.bbop
+"""
+
+REPEATED_FAULTS = (
+    """\
+trace Run
+imports BB, KS, ProbSolModel
+components
+  bb : BB
+  ks1 : KS with prob = { pA }
+"""
+    + BAD_STEP
+    + """\
+step
+  active bb
+    bbop = { pA }
+  active ks1
+    ksip = { pA }
+  connect ks1.ksip <- bb.bbop
+"""
+    + BAD_STEP
+    + BAD_STEP
+)
+
+# archcheck check's standard error on REPEATED_FAULTS, as rendered before the
+# tables existed: one diagnostic per occurrence, each at its own line.
+REPEATED_FAULTS_STDERR = """\
+error: Run:8:14: error[resolve]: expected a ground value (name, pair, or set literal)
+Run:9:3: error[resolve]: undeclared component 'ghost'
+Run:10:3: error[resolve]: 'nope' is not an input port of 'ks1'
+Run:19:14: error[resolve]: expected a ground value (name, pair, or set literal)
+Run:20:3: error[resolve]: undeclared component 'ghost'
+Run:21:3: error[resolve]: 'nope' is not an input port of 'ks1'
+Run:24:14: error[resolve]: expected a ground value (name, pair, or set literal)
+Run:25:3: error[resolve]: undeclared component 'ghost'
+Run:26:3: error[resolve]: 'nope' is not an input port of 'ks1'
+"""
+
+
+def unique_lines(text: str) -> str:
+    """The same unit with a distinct comment on every line: no table hits."""
+    return "".join(
+        f"{line} # {n}\n" for n, line in enumerate(text.splitlines())
+    )
+
+
+def step_spans(unit):
+    return [
+        (step.span,
+         [a.span for a in step.actives],
+         [c.span for c in step.connects])
+        for step in unit.body.steps
+    ]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The blackboard pack, an algebra and a faulty trace on disk."""
+    root = tmp_path_factory.mktemp("front")
+    specs = []
+    for name, text in load_blackboard_sources().items():
+        (root / name).write_text(text, encoding="utf-8")
+        specs.append(str(root / name))
+    result = simulate_blackboard(paper_scenario(horizon=5))
+    (root / "model.arch").write_text(
+        print_unit(algebra_unit(result.scenario)), encoding="utf-8"
+    )
+    (root / "bad.arch").write_text(REPEATED_FAULTS, encoding="utf-8")
+    return root, sorted(specs)
+
+
+class TestDiagnosticContract:
+    def test_each_repeated_fault_reports_at_its_own_line(self, files, capsys):
+        root, specs = files
+        code = main(["check", *specs, "--algebra", str(root / "model.arch"),
+                     "--trace", str(root / "bad.arch")])
+        assert code == 3
+        assert capsys.readouterr().err == REPEATED_FAULTS_STDERR
+
+    def test_repeated_parse_error_reports_every_line(self):
+        text = (
+            "trace Run\ncomponents\n  bb : BB\n"
+            + "step\n  active bb\n  connect bb.p bb.q\n  bbop = { pA\n" * 3
+        )
+        unit, diagnostics = parse_unit(text)
+        assert unit is None
+        assert [d.render() for d in diagnostics] == [
+            ":6:16: error[parse]: expected '<-', got 'bb'",
+            ":7:14: error[parse]: expected '}', got 'end of line'",
+            ":10:16: error[parse]: expected '<-', got 'bb'",
+            ":11:14: error[parse]: expected '}', got 'end of line'",
+            ":14:16: error[parse]: expected '<-', got 'bb'",
+            ":15:14: error[parse]: expected '}', got 'end of line'",
+        ]
+
+    def test_unique_lines_give_the_same_diagnostics(self):
+        scenario = simulate_blackboard(paper_scenario(horizon=5)).scenario
+        units = [*bundle_units().values(), algebra_unit(scenario)]
+        expected = REPEATED_FAULTS_STDERR[len("error: "):].splitlines()
+        for text in (REPEATED_FAULTS, unique_lines(REPEATED_FAULTS)):
+            unit, diagnostics = parse_unit(text)
+            assert diagnostics == []
+            bundle, diagnostics = resolve([*units, unit])
+            assert bundle is None
+            assert [d.render() for d in diagnostics] == expected
+
+
+@pytest.fixture(scope="module")
+def stuttering():
+    """A 2,000-step simulated trace file: long, with few distinct lines."""
+    result = simulate_blackboard(paper_scenario(horizon=2000))
+    return (
+        result,
+        print_unit(trace_unit(result, name="Run")),
+        algebra_unit(result.scenario),
+    )
+
+
+class TestDistinctLineCost:
+    def test_each_distinct_line_is_lexed_once(self, stuttering, monkeypatch):
+        _, text, _ = stuttering
+        calls = []
+        real = grammar.lex_line
+
+        def counting(line, line_no):
+            calls.append(line_no)
+            return real(line, line_no)
+
+        monkeypatch.setattr(grammar, "lex_line", counting)
+        unit, diagnostics = parse_unit(text)
+        assert unit is not None and diagnostics == []
+        assert len(unit.body.steps) == 2000
+        distinct = {line for line in text.splitlines() if line.strip()}
+        assert len(calls) <= len(distinct) + 1
+        assert len(calls) < len(text.splitlines()) / 100
+
+    def test_replayed_lines_parse_like_unique_ones(self, stuttering):
+        _, text, _ = stuttering
+        unit, _ = parse_unit(text)
+        reference, _ = parse_unit(unique_lines(text))
+        assert unit == reference
+        assert step_spans(unit) == step_spans(reference)
+
+    def test_each_distinct_snapshot_is_built_once(self, stuttering, monkeypatch):
+        result, text, algebra = stuttering
+        calls = []
+        real = resolver.make_snapshot
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(resolver, "make_snapshot", counting)
+        unit, _ = parse_unit(text)
+        bundle, diagnostics = resolve([*bundle_units().values(), algebra, unit])
+        assert bundle is not None, diagnostics
+        trace = bundle.traces["Run"].trace
+        assert trace == result.trace
+        distinct = {snap for step in trace.steps for snap in step.active}
+        assert len(calls) <= len(distinct)
+
+
+_CHECK = """
+import sys
+from archcheck.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_check_json_is_the_same_in_every_process(tmp_path):
+    # The line and step tables are dicts keyed by strings and by StepDecl;
+    # their order must never reach the output.
+    specs = []
+    for name, text in load_blackboard_sources().items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        specs.append(str(tmp_path / name))
+    result = simulate_blackboard(
+        paper_scenario(horizon=40), mutation=MUTATION_DROP_FORWARDING
+    )
+    (tmp_path / "model.arch").write_text(
+        print_unit(algebra_unit(result.scenario)), encoding="utf-8"
+    )
+    (tmp_path / "run.arch").write_text(
+        print_unit(trace_unit(result, name="Run")), encoding="utf-8"
+    )
+    argv = ["check", *sorted(specs), "--algebra", str(tmp_path / "model.arch"),
+            "--trace", str(tmp_path / "run.arch"), "--mode", "closed", "--json"]
+    src = str(Path(archcheck.__file__).parent.parent)
+    outcomes = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _CHECK, *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        outcomes.add((done.returncode, done.stdout))
+    assert len(outcomes) == 1
+    code, stdout = outcomes.pop()
+    assert code == 1 and b'"overall": "Violated"' in stdout
