@@ -6,6 +6,24 @@ with tuple-valued carriers and ``set(S)`` with frozenset-valued carriers
 (enumerating a set carrier requires the element carrier to hold at most
 eight values).  Equality of terms is definitional: both sides are evaluated
 and the carrier elements compared.
+
+Quantifiers over carriers follow the one-point rule for guarded
+quantification, as in the relational evaluation of MonPoly (Basin, Klaedtke,
+Müller and Zălinescu, JACM 2015).  A guard is ``pattern in t``, ``t ==
+{pattern}`` or ``{pattern} == t``, alone or as the first item of an ``And``,
+where ``t`` reads none of the quantified variables and ``pattern`` is a
+quantified variable or a pair whose quantified parts are distinct variables.
+It can hold only under the assignments that match an element of ``t``'s value
+(its one element, for the equations), so ``enumerate_assignments`` reads
+``t`` once and yields only those, in the product order of the full
+enumeration.  Every other assignment makes the guard false without reading
+anything that could fail: the antecedent of ``forall ... (guard -> body)``
+is then false and the first item of ``exists ... (guard and ...)`` too, so
+skipping it changes neither the truth, nor which assignment decides, nor
+what the evaluation raises.  The carriers are still enumerated first, so a
+carrier over the set cap raises as before and an empty one evaluates
+nothing; a guard whose reads fail, or a membership against a non-set, falls
+back to the full enumeration, which meets the same failure.
 """
 from __future__ import annotations
 
@@ -151,6 +169,7 @@ class Algebra:
             )
         object.__setattr__(self, "predicates", predicates)
         object.__setattr__(self, "_carrier_cache", {})
+        object.__setattr__(self, "_position_cache", {})
         self._validate_tables()
 
     def _validate_tables(self):
@@ -212,6 +231,13 @@ class Algebra:
             raise SortError(f"unknown sort expression: {sort!r}")
         cache[sort] = result
         return result
+
+    def positions(self, sort: Sort) -> dict[Value, int]:
+        """The index of each element in the ordered carrier of ``sort``."""
+        cache = self._position_cache
+        if sort not in cache:
+            cache[sort] = {v: i for i, v in enumerate(self.carrier(sort))}
+        return cache[sort]
 
     def contains(self, value: Value, sort: Sort) -> bool:
         """Membership in a carrier, without enumerating set carriers."""
@@ -519,11 +545,16 @@ def _member(ev, asg, phi):
     return ev.term(asg, phi.element) in collection
 
 
-def _quantifier(combine):
+def antecedent(phi: Assertion) -> Optional[Assertion]:
+    """What guards ``phi`` under a universal quantifier: its left side, when
+    ``phi`` is an implication."""
+    return phi.left if type(phi) is Implies else None
+
+
+def _quantifier(combine, guard):
     def rule(ev, asg, phi):
-        return combine(
-            ev.holds({**asg, phi.var: v}, phi.body) for v in ev.alg.carrier(phi.sort)
-        )
+        bindings = enumerate_assignments(ev, {phi.var: phi.sort}, asg, guard(phi.body))
+        return combine(ev.holds({**asg, **b}, phi.body) for b in bindings)
 
     return rule
 
@@ -560,8 +591,8 @@ class Evaluator:
             not ev.holds(asg, phi.left) or ev.holds(asg, phi.right)
         ),
         Iff: lambda ev, asg, phi: ev.holds(asg, phi.left) == ev.holds(asg, phi.right),
-        ForallData: _quantifier(all),
-        ExistsData: _quantifier(any),
+        ForallData: _quantifier(all, antecedent),
+        ExistsData: _quantifier(any, lambda body: body),
         BoundedForall: _bounded(all),
         BoundedExists: _bounded(any),
         WellFounded: lambda ev, asg, phi: check_well_founded(ev.alg, phi.symbol),
@@ -651,18 +682,133 @@ def free_data_vars(node) -> dict[str, Sort]:
     return free
 
 
+@dataclass(frozen=True)
+class Guard:
+    """A guard of quantified variables (see the module docstring): ``pattern
+    in source``, or ``source == {pattern}`` when ``single``.  ``names``
+    holds, for each part of the pattern (the pattern itself, or the two
+    sides of a pair), the quantified variable it is, or None for a part that
+    reads none."""
+
+    pattern: Term
+    source: Term
+    single: bool
+    names: tuple[Optional[str], ...]
+
+
+def _parts(pattern: Term) -> tuple[Term, ...]:
+    return (pattern.first, pattern.second) if type(pattern) is PairTerm else (pattern,)
+
+
+def _var_names(node: Node) -> set[str]:
+    found, stack = set(), [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is Var:
+            found.add(item.name)
+        else:
+            stack.extend(children(item))
+    return found
+
+
+def find_guard(phi: Assertion, quantified: Mapping[str, Sort]) -> Optional[Guard]:
+    """The guard that ``phi`` is or begins with, over the variables
+    ``quantified``; None when ``phi`` has no such guard."""
+    if type(phi) is And and phi.items:
+        phi = phi.items[0]
+    if type(phi) is Member:
+        shapes = [(phi.element, phi.collection, False)]
+    elif type(phi) is Equals:
+        shapes = [
+            (one.elements[0], source, True)
+            for one, source in ((phi.right, phi.left), (phi.left, phi.right))
+            if type(one) is SetTerm and len(one.elements) == 1
+        ]
+    else:
+        return None
+    for pattern, source, single in shapes:
+        parts = _parts(pattern)
+        names = tuple(
+            p.name if type(p) is Var and p.name in quantified else None for p in parts
+        )
+        bound = [n for n in names if n is not None]
+        reads = _var_names(source)
+        for part, name in zip(parts, names):
+            if name is None:
+                reads |= _var_names(part)
+        if bound and len(set(bound)) == len(bound) and not reads & quantified.keys():
+            return Guard(pattern, source, single, names)
+    return None
+
+
+def _guard_matches(ev, asg, guard: Guard, variables, names, domains):
+    """The value tuples, in ``names`` order and product order, of the
+    assignments under which ``guard`` can hold; None when reading its source
+    or its fixed parts fails or the source is not a set."""
+    parts = _parts(guard.pattern)
+    try:
+        source = ev.term(asg, guard.source)
+        fixed = [ev.term(asg, p) if n is None else None for p, n in zip(parts, guard.names)]
+    except Exception:  # noqa: BLE001 - the full enumeration meets it again
+        return None
+    if not isinstance(source, frozenset):
+        return None
+    if guard.single and len(source) != 1:
+        source = ()
+    positions = {n: ev.alg.positions(variables[n]) for n in guard.names if n is not None}
+    hits = set()
+    for element in source:
+        if len(parts) == 1:
+            values = (element,)
+        elif type(element) is tuple and len(element) == 2:
+            values = element
+        else:
+            continue
+        hit = []
+        for name, want, value in zip(guard.names, fixed, values):
+            if name is None:
+                if value != want:
+                    break
+            else:
+                index = positions[name].get(value)
+                if index is None:  # outside the carrier: binds nothing
+                    break
+                hit.append((name, index))
+        else:
+            hits.add(tuple(hit))
+    keys = []
+    for hit in hits:
+        at = dict(hit)
+        keys.extend(itertools.product(*(
+            (at[n],) if n in at else range(len(d)) for n, d in zip(names, domains)
+        )))
+    keys.sort()
+    return [tuple(d[i] for d, i in zip(domains, key)) for key in keys]
+
+
 def enumerate_assignments(
-    alg: Algebra,
+    ev: Evaluator,
     variables: Mapping[str, Sort],
-    base: Optional[Mapping[str, Value]] = None,
+    asg: Optional[Mapping[str, Value]] = None,
+    guard: Optional[Assertion] = None,
 ):
-    """All assignments of the given variables over their finite carriers."""
+    """The bindings of ``variables`` over their carriers, in product order:
+    names sorted, each carrier in its order.  ``guard`` is a formula that
+    must hold for a binding to matter, read under ``asg`` extended by it;
+    when it is or begins with a guard, only the bindings under which that
+    guard can hold are yielded (the one-point rule, see the module
+    docstring)."""
     names = sorted(variables)
-    domains = [alg.carrier(variables[n]) for n in names]
-    for combo in itertools.product(*domains):
-        asg = dict(base or {})
-        asg.update(zip(names, combo))
-        yield asg
+    domains = [ev.alg.carrier(variables[n]) for n in names]
+    combos = None
+    if guard is not None and all(domains):
+        found = find_guard(guard, variables)
+        if found is not None:
+            combos = _guard_matches(ev, asg or {}, found, variables, names, domains)
+    if combos is None:
+        combos = itertools.product(*domains)
+    for combo in combos:
+        yield dict(zip(names, combo))
 
 
 def models_spec(alg: Algebra, assertions: Iterable[Assertion]) -> bool:
@@ -670,9 +816,9 @@ def models_spec(alg: Algebra, assertions: Iterable[Assertion]) -> bool:
     evaluator = Evaluator(alg)
     for assertion in assertions:
         variables = free_data_vars(assertion)
-        for asg in enumerate_assignments(alg, variables):
-            if not evaluator.holds(asg, assertion):
-                return False
+        bindings = enumerate_assignments(evaluator, variables, guard=antecedent(assertion))
+        if not all(evaluator.holds(asg, assertion) for asg in bindings):
+            return False
     return True
 
 

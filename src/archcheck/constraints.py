@@ -41,19 +41,16 @@ A port read on an inactive component is an undefined read: the smallest
 enclosing atomic assertion evaluates to false and the fact is recorded in the
 verdict explanation.
 
-``check_trace_assertion`` runs the assignments of the free rigid variables
-in product order, but not those a trigger-shaped assertion never triggers,
-after the relational evaluation of MonPoly (Basin, Klaedtke, Müller and
-Zălinescu, JACM 2015).  The shape is ``G(guard -> beta)`` whose guard is, or
-is an ``And`` that begins with, ``pattern in collection``, where the pattern
-is a free rigid data variable or a pair of two distinct ones and the
-collection reads no free data variable.  The collection is read over the
-whole trace once per component assignment, an undefined read giving the
-empty set.  A data assignment whose pattern value never occurs there has its
-guard false at every step, so its verdict is that of ``G(true)``: Satisfied
-in closed mode and Inconclusive in open mode, and it is not run.  The first
-Violated assignment, its witness and its explanation stay those of the full
-product, and ``max_assignments`` still bounds the full product's size.
+Guarded quantification follows the one-point rule of ``algebra`` (see its
+module docstring), whose ``find_guard`` recognises guards here too.  A rigid
+data quantifier starts only the instances its guard can make matter at the
+current step: ``exists x . State(guard ...)`` and ``forall x .
+(State(guard ...) -> ...)``.  ``check_trace_assertion`` does not run an
+assignment of ``G(guard -> beta)``, with a pattern of free rigid data
+variables, whose pattern value never occurs in the guard's source on the
+trace (an undefined read giving the empty set): its verdict is that of
+``G(true)``.  Verdicts, witnesses, explanations and the ``max_assignments``
+bound stay those of the full product.
 
 The checks evaluate each state formula once per distinct configuration and
 skip the steps that cannot change a residual.  ``ConfigurationTrace``
@@ -92,18 +89,21 @@ from .algebra import (  # And, Implies, Not and Or are re-exported
     Evaluator,
     ExistsData,
     ForallData,
+    Guard,
     Implies,
     Member,
     Node,
     Not,
     Or,
-    PairTerm,
     PredAtom,
     Sort,
     Term,
     Var,
+    antecedent,
     bind_pattern,
     children,
+    enumerate_assignments,
+    find_guard,
     value_key,
 )
 from .errors import (
@@ -853,11 +853,24 @@ def _start_implies(ev, gamma, asg):
     return _implies(left, ev.start(gamma.right, asg))
 
 
+def _instance_guard(body, dominant: Truth) -> Optional[Assertion]:
+    """The state formula that must hold at the current step for an instance
+    of a rigid data quantifier to matter: for ``forall``, the antecedent of
+    ``State(...) -> ...`` or of ``State(... -> ...)``; for ``exists``, the
+    formula of a ``State`` body."""
+    if dominant is Truth.SATISFIED:
+        return body.formula if type(body) is State else None
+    if type(body) is TraceImplies and type(body.left) is State:
+        return body.left.formula
+    return antecedent(body.formula) if type(body) is State else None
+
+
 def _rigid_data(dominant):
     def rule(ev, gamma, asg):
+        guard = _instance_guard(gamma.body, dominant)
+        bindings = enumerate_assignments(ev.state, {gamma.var: gamma.sort}, asg, guard)
         return _items(dominant, (
-            ev.start(gamma.body, ev.bind(asg, gamma, v, {gamma.var: v}))
-            for v in ev.state.alg.carrier(gamma.sort)
+            ev.start(gamma.body, ev.bind(asg, gamma, b[gamma.var], b)) for b in bindings
         ))
 
     return rule
@@ -1136,34 +1149,25 @@ def contains_rigid_quantifier(gamma) -> bool:
     return False
 
 
-def _trigger_guard(gamma, free_data: Mapping[str, Sort]) -> Optional[Member]:
-    """The ``pattern in collection`` atom that guards a trigger-shaped
-    assertion (see the module docstring), or None for any other shape."""
+def _trigger_guard(gamma, free_data: Mapping[str, Sort]) -> Optional[Guard]:
+    """The guard of a trigger-shaped assertion (see the module docstring),
+    or None for any other shape."""
     if type(gamma) is not Globally or type(gamma.body) is not TraceImplies:
         return None
     left = gamma.body.left
     if type(left) is not State:
         return None
-    atom = left.formula
-    if type(atom) is And and atom.items:
-        atom = atom.items[0]
-    if type(atom) is not Member:
-        return None
-    pattern = atom.element
-    parts = (pattern.first, pattern.second) if type(pattern) is PairTerm else (pattern,)
-    names = {part.name for part in parts if type(part) is Var}
-    if len(names) < len(parts) or not names <= free_data.keys():
-        return None
-    return None if free_vars(atom.collection)[0] else atom
+    guard = find_guard(left.formula, free_data)
+    return None if guard is None or None in guard.names else guard
 
 
 class _Trigger:
-    """A trigger guard whose collection is read over the whole trace, once
-    per component combination.  ``idle(comp_combo, asg)`` is true when the
+    """A trigger guard whose source is read over the whole trace, once per
+    component combination.  ``idle(comp_combo, asg)`` is true when the
     pattern's value under ``asg`` never occurs there, so that the guard is
     false at every step."""
 
-    def __init__(self, guard: Member, state: _StateEvaluator, steps):
+    def __init__(self, guard: Guard, state: _StateEvaluator, steps):
         self.guard, self.state, self.steps = guard, state, steps
         self._occurring: dict = {}
 
@@ -1173,7 +1177,7 @@ class _Trigger:
         values = self._occurring[comp_combo]
         if values is None:
             return False
-        return self.state.term(asg, self.guard.element) not in values
+        return self.state.term(asg, self.guard.pattern) not in values
 
     def _read(self, asg: dict) -> Optional[set]:
         state = self.state
@@ -1181,7 +1185,7 @@ class _Trigger:
         try:
             for k in {id(k): k for k in self.steps}.values():
                 state.at(k)
-                values |= state.source(asg, self.guard.collection)
+                values |= state.source(asg, self.guard.source)
         except ArchError:
             # the plain runs meet this error only if no verdict comes first
             return None

@@ -21,6 +21,7 @@ from .algebra import (
     Evaluator,
     Sort,
     Term,
+    antecedent,
     children,
     enumerate_assignments,
     free_data_vars,
@@ -369,7 +370,11 @@ def check_spec_interpretation(
     """Id-disjointness, union healthiness, typing, and the assertion sets.
 
     Each interpretation must model its interface's assertions under every
-    data assignment (enumerated over the finite carriers).
+    data assignment (enumerated over the finite carriers, or over the
+    candidates of an antecedent's guard).  Interpretations are checked in
+    id order; only when that finds a violation are their results put in the
+    order of ``sort_key`` (and only on an error are they checked again in
+    it), so the full keys are built only for a report they order.
     """
     violations = []
     notes = []
@@ -399,37 +404,61 @@ def check_spec_interpretation(
         if interface is None:
             continue
         assertions = spec.assertions.get(name, ())
-        flagged_local = False
-        for interp in sorted(J.by_interface[name], key=InterfaceInterpretation.sort_key):
-            if not interp.matches(interface):
+        interps = sorted(J.by_interface[name], key=lambda it: it.snapshot.id)
+        try:
+            checked, note = _check_interpretations(
+                name, interface, assertions, interps, pspec, alg
+            )
+        except Exception:  # noqa: BLE001 - raised again in the canonical order
+            interps.sort(key=InterfaceInterpretation.sort_key)
+            checked, note = _check_interpretations(
+                name, interface, assertions, interps, pspec, alg
+            )
+        if any(found for _, found in checked):
+            checked.sort(key=lambda item: item[0].sort_key())
+        for _, found in checked:
+            violations.extend(found)
+        notes.extend(note)
+    return ValidationReport(tuple(violations), tuple(notes))
+
+
+def _check_interpretations(name, interface, assertions, interps, pspec, alg):
+    """Each of one interface's interpretations with its violations, in the
+    order given, and the local-port note.  The note names only the
+    interface and the first assertion that reads a local port, so it does
+    not depend on the order."""
+    checked = []
+    notes = []
+    for interp in interps:
+        violations = []
+        checked.append((interp, violations))
+        if not interp.matches(interface):
+            violations.append(
+                Violation(
+                    "interface-shape",
+                    interp.snapshot.id,
+                    f"port maps do not target the ports of interface {name!r}",
+                )
+            )
+            continue
+        typing = check_port_typing(interp, pspec, alg)
+        violations.extend(typing.violations)
+        evaluator = _InterfaceEvaluator(alg, interp)
+        for idx, assertion in enumerate(assertions):
+            if not notes and uses_local_port(assertion, interface):
+                notes.append(
+                    f"extension: local-port term (interface {name}, assertion {idx + 1})"
+                )
+            variables = free_data_vars(assertion)
+            bindings = enumerate_assignments(
+                evaluator, variables, guard=antecedent(assertion)
+            )
+            if not all(evaluator.holds(asg, assertion) for asg in bindings):
                 violations.append(
                     Violation(
-                        "interface-shape",
+                        "interface-assertion",
                         interp.snapshot.id,
-                        f"port maps do not target the ports of interface {name!r}",
+                        f"violates assertion {idx + 1} of interface {name!r}",
                     )
                 )
-                continue
-            typing = check_port_typing(interp, pspec, alg)
-            violations.extend(typing.violations)
-            evaluator = _InterfaceEvaluator(alg, interp)
-            for idx, assertion in enumerate(assertions):
-                if not flagged_local and uses_local_port(assertion, interface):
-                    notes.append(
-                        f"extension: local-port term (interface {name}, assertion {idx + 1})"
-                    )
-                    flagged_local = True
-                variables = free_data_vars(assertion)
-                ok = all(
-                    evaluator.holds(asg, assertion)
-                    for asg in enumerate_assignments(alg, variables)
-                )
-                if not ok:
-                    violations.append(
-                        Violation(
-                            "interface-assertion",
-                            interp.snapshot.id,
-                            f"violates assertion {idx + 1} of interface {name!r}",
-                        )
-                    )
-    return ValidationReport(tuple(violations), tuple(notes))
+    return checked, notes

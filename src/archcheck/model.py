@@ -233,10 +233,22 @@ class ValidationReport:
 
 
 def check_healthy(universe: ComponentUniverse) -> ValidationReport:
-    """Identifier determines the interface and the local-port values."""
+    """Identifier determines the interface and the local-port values.
+
+    The snapshots are checked in id order, and checked again in the order of
+    ``snapshot_key`` only when that finds a violation: without one, every
+    snapshot of an id agrees with every other, whatever the order."""
+    snapshots = sorted(universe.snapshots, key=lambda c: c.id)
+    violations = _health_violations(snapshots)
+    if violations:
+        violations = _health_violations(sorted(snapshots, key=snapshot_key))
+    return ValidationReport(tuple(violations))
+
+
+def _health_violations(snapshots: list) -> list:
     violations = []
     by_id: dict[str, ComponentSnapshot] = {}
-    for snap in sorted_snapshots(universe.snapshots):
+    for snap in snapshots:
         seen = by_id.get(snap.id)
         if seen is None:
             by_id[snap.id] = snap
@@ -266,7 +278,7 @@ def check_healthy(universe: ComponentUniverse) -> ValidationReport:
                         f"{format_value(snap.valuation[port])}",
                     )
                 )
-    return ValidationReport(tuple(violations))
+    return violations
 
 
 @dataclass(frozen=True)

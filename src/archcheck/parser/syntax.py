@@ -47,11 +47,7 @@ class Diagnostic:
     unit: Optional[str] = None
 
     def render(self) -> str:
-        where = ""
-        if self.unit:
-            where += self.unit
-        if self.span:
-            where += f":{self.span}"
+        where = ":".join(str(part) for part in (self.unit, self.span) if part)
         if where:
             where += ": "
         return f"{where}{self.severity}[{self.code}]: {self.message}"

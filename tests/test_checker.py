@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import archcheck
 
 from archcheck.blackboard import algebra_unit, simulate_blackboard, trace_unit
 from archcheck.checker import blackboard_bundle, run_check
@@ -311,6 +316,27 @@ class TestCliMisc:
         err = capsys.readouterr().err
         assert code == 3
         assert "trials" in err
+
+    @pytest.mark.parametrize("mutation", [[], ["--mutate", "drop-forwarding"]])
+    def test_verify_theorem_json_is_the_same_in_every_process(self, mutation):
+        # neither the order of guard candidates nor that of any report may
+        # follow string hashing
+        argv = ["verify-theorem", "--trials", "3", "--json", *mutation]
+        src = str(Path(archcheck.__file__).parent.parent)
+        outcomes = set()
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-m", "archcheck.cli", *argv],
+                env=env, capture_output=True, timeout=120,
+            )
+            outcomes.add((done.returncode, done.stdout))
+        assert len(outcomes) == 1
+        code, stdout = outcomes.pop()
+        payload = json.loads(stdout)
+        assert len(payload["trials"]) == 3
+        assert code == (0 if payload["ok"] else 1)
+        assert payload["ok"] is not bool(mutation)
 
 
 _DEEP = "datatype D\nsorts\n  S\nvars\n  x : S\naxioms\n  {axiom}\n"

@@ -8,6 +8,7 @@ from archcheck.algebra import (
     And,
     Apply,
     BoolLit,
+    Equals,
     Member,
     PairTerm,
     SetTerm,
@@ -109,9 +110,10 @@ def test_bundle_verdicts_equal_the_full_product_fold():
 
 def _trigger_case(rng, world):
     """``G(guard -> beta)`` over a free component variable ``b`` and free
-    data variables ``x`` (and ``y``), in one of four guard shapes: the
-    membership alone, first in an And, second in an And, or against a
-    collection that reads the free data variable ``z``."""
+    data variables ``x`` (and ``y``), in one of five guard shapes: the
+    membership alone, first in an And, second in an And, against a
+    collection that reads the free data variable ``z``, or the equation
+    ``b.port == {pattern}``."""
     iface = rng.choice(world.interfaces)
     ports = sorted(world.spec.interfaces[iface].ports)
     if not ports:
@@ -127,8 +129,10 @@ def _trigger_case(rng, world):
         pattern = Var("x", D)
     gen = FormulaGenerator(rng, world)
     member = Member(pattern, PortRead("b", iface, port, sort))
-    shape = rng.choice(("alone", "first", "second", "free collection"))
-    if shape == "first":
+    shape = rng.choice(("alone", "first", "second", "free collection", "equation"))
+    if shape == "equation":
+        guard = Equals(member.collection, SetTerm((pattern,)))
+    elif shape == "first":
         guard = And((member, gen.state_atom(dscope, cscope)))
     elif shape == "second":
         guard = And((gen.state_atom(dscope, cscope), member))
@@ -173,7 +177,7 @@ def test_trigger_shapes_agree_with_the_oracle(monkeypatch):
                 letter = oracle.check_assertion(oworld, trace, gamma, mode, rigid_comp=decls)
                 assert oracle.truth_letter(verdict) == letter, (shape, mode, gamma)
                 letters.append(letter)
-    assert len(shapes) == 4
+    assert len(shapes) == 5
     assert {oracle.T, oracle.F, oracle.U} <= set(letters)
     assert pruned < plain
 

@@ -121,12 +121,12 @@ class TestDiagnosticContract:
         unit, diagnostics = parse_unit(text)
         assert unit is None
         assert [d.render() for d in diagnostics] == [
-            ":6:16: error[parse]: expected '<-', got 'bb'",
-            ":7:14: error[parse]: expected '}', got 'end of line'",
-            ":10:16: error[parse]: expected '<-', got 'bb'",
-            ":11:14: error[parse]: expected '}', got 'end of line'",
-            ":14:16: error[parse]: expected '<-', got 'bb'",
-            ":15:14: error[parse]: expected '}', got 'end of line'",
+            "6:16: error[parse]: expected '<-', got 'bb'",
+            "7:14: error[parse]: expected '}', got 'end of line'",
+            "10:16: error[parse]: expected '<-', got 'bb'",
+            "11:14: error[parse]: expected '}', got 'end of line'",
+            "14:16: error[parse]: expected '<-', got 'bb'",
+            "15:14: error[parse]: expected '}', got 'end of line'",
         ]
 
     def test_unique_lines_give_the_same_diagnostics(self):
