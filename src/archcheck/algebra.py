@@ -551,9 +551,16 @@ def antecedent(phi: Assertion) -> Optional[Assertion]:
     return phi.left if type(phi) is Implies else None
 
 
-def _quantifier(combine, guard):
+def quantifier_guard(phi) -> Optional[Guard]:
+    """The guard of a ``ForallData`` or ``ExistsData``: of its body's
+    antecedent for ``forall``, of its body for ``exists``."""
+    body = antecedent(phi.body) if type(phi) is ForallData else phi.body
+    return find_guard(body, {phi.var: phi.sort})
+
+
+def _quantifier(combine):
     def rule(ev, asg, phi):
-        bindings = enumerate_assignments(ev, {phi.var: phi.sort}, asg, guard(phi.body))
+        bindings = enumerate_assignments(ev, {phi.var: phi.sort}, asg, ev.guard(phi))
         return combine(ev.holds({**asg, **b}, phi.body) for b in bindings)
 
     return rule
@@ -591,15 +598,28 @@ class Evaluator:
             not ev.holds(asg, phi.left) or ev.holds(asg, phi.right)
         ),
         Iff: lambda ev, asg, phi: ev.holds(asg, phi.left) == ev.holds(asg, phi.right),
-        ForallData: _quantifier(all, antecedent),
-        ExistsData: _quantifier(any, lambda body: body),
+        ForallData: _quantifier(all),
+        ExistsData: _quantifier(any),
         BoundedForall: _bounded(all),
         BoundedExists: _bounded(any),
         WellFounded: lambda ev, asg, phi: check_well_founded(ev.alg, phi.symbol),
     }
+    # quantifier type -> the rule that finds its guard
+    GUARDS = {ForallData: quantifier_guard, ExistsData: quantifier_guard}
 
-    def __init__(self, alg: Algebra):
+    def __init__(self, alg: Algebra, guards: Optional[dict] = None):
         self.alg = alg
+        # id(quantifier) -> (quantifier, its guard); the entry holds the
+        # quantifier, so its id is not reused
+        self.guards = {} if guards is None else guards
+
+    def guard(self, phi) -> Optional[Guard]:
+        """The guard of the quantifier ``phi`` by the rule ``GUARDS`` holds
+        for its type, found once per node and guard table."""
+        entry = self.guards.get(id(phi))
+        if entry is None:
+            entry = self.guards[id(phi)] = (phi, self.GUARDS[type(phi)](phi))
+        return entry[1]
 
     def term(self, asg: Mapping[str, Value], term: Term) -> Value:
         try:
@@ -711,9 +731,11 @@ def _var_names(node: Node) -> set[str]:
     return found
 
 
-def find_guard(phi: Assertion, quantified: Mapping[str, Sort]) -> Optional[Guard]:
+def find_guard(
+    phi: Optional[Assertion], quantified: Mapping[str, Sort]
+) -> Optional[Guard]:
     """The guard that ``phi`` is or begins with, over the variables
-    ``quantified``; None when ``phi`` has no such guard."""
+    ``quantified``; None when ``phi`` is None or has no such guard."""
     if type(phi) is And and phi.items:
         phi = phi.items[0]
     if type(phi) is Member:
@@ -790,21 +812,19 @@ def enumerate_assignments(
     ev: Evaluator,
     variables: Mapping[str, Sort],
     asg: Optional[Mapping[str, Value]] = None,
-    guard: Optional[Assertion] = None,
+    guard: Optional[Guard] = None,
 ):
     """The bindings of ``variables`` over their carriers, in product order:
-    names sorted, each carrier in its order.  ``guard`` is a formula that
-    must hold for a binding to matter, read under ``asg`` extended by it;
-    when it is or begins with a guard, only the bindings under which that
-    guard can hold are yielded (the one-point rule, see the module
+    names sorted, each carrier in its order.  ``guard``, found by
+    ``find_guard`` over ``variables``, must hold for a binding to matter,
+    read under ``asg`` extended by it; with it, only the bindings under
+    which it can hold are yielded (the one-point rule, see the module
     docstring)."""
     names = sorted(variables)
     domains = [ev.alg.carrier(variables[n]) for n in names]
     combos = None
     if guard is not None and all(domains):
-        found = find_guard(guard, variables)
-        if found is not None:
-            combos = _guard_matches(ev, asg or {}, found, variables, names, domains)
+        combos = _guard_matches(ev, asg or {}, guard, variables, names, domains)
     if combos is None:
         combos = itertools.product(*domains)
     for combo in combos:
@@ -816,7 +836,8 @@ def models_spec(alg: Algebra, assertions: Iterable[Assertion]) -> bool:
     evaluator = Evaluator(alg)
     for assertion in assertions:
         variables = free_data_vars(assertion)
-        bindings = enumerate_assignments(evaluator, variables, guard=antecedent(assertion))
+        guard = find_guard(antecedent(assertion), variables)
+        bindings = enumerate_assignments(evaluator, variables, guard=guard)
         if not all(evaluator.holds(asg, assertion) for asg in bindings):
             return False
     return True

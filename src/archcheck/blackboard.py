@@ -25,6 +25,7 @@ from .errors import StructuralError, UsageError
 from .interfaces import SpecInterpretation, identity_interpretation
 from .model import (
     ArchConfiguration,
+    ComponentSnapshot,
     ComponentUniverse,
     ConfigurationTrace,
     make_snapshot,
@@ -181,7 +182,11 @@ def simulate_blackboard(
     scenario: BlackboardScenario, mutation: Optional[str] = None
 ) -> SimulationResult:
     """Run the scenario and return the generated trace, deterministically in
-    the seed.  ``mutation`` selects one of the deliberate defects."""
+    the seed.  ``mutation`` selects one of the deliberate defects.
+
+    Each distinct snapshot and configuration is built once, from tables that
+    live for this call, so equal ones in the trace and its universe are one
+    object."""
     if mutation is not None and mutation not in MUTATIONS:
         raise UsageError(f"unknown mutation {mutation!r}; pick from {MUTATIONS}")
     rng = random.Random(scenario.seed)
@@ -197,8 +202,22 @@ def simulate_blackboard(
     dark: set[str] = set()  # sources silenced by the activation mutation
 
     steps: list[ArchConfiguration] = []
-    snapshots: set = set()
     steps_to_solution: Optional[int] = None
+    # Each distinct snapshot is built once, under its component id and port
+    # values in a fixed port order; the id fixes the ports and local values.
+    # Each distinct configuration is built once, under the ids of its
+    # snapshots, which the snapshot table keeps alive.
+    snapshots: dict[tuple, ComponentSnapshot] = {}
+    configurations: dict[tuple, ArchConfiguration] = {}
+
+    def snapshot(cid: str, local: dict, inputs: dict, outputs: dict):
+        key = (cid, *inputs.values(), *outputs.values())
+        snap = snapshots.get(key)
+        if snap is None:
+            snap = snapshots[key] = make_snapshot(
+                cid, local=local, inputs=inputs, outputs=outputs
+            )
+        return snap
 
     def capable(p: str):
         return [ks for ks in roster if p in scenario.sources[ks] and ks not in dark]
@@ -241,28 +260,37 @@ def simulate_blackboard(
         bbip = frozenset().union(*requests.values()) if requests else frozenset()
         bbis = frozenset().union(*answers.values()) if answers else frozenset()
 
-        bb_snapshot = make_snapshot(
-            BB_ID,
-            inputs={"bbip": bbip, "bbis": bbis},
-            outputs={"bbop": bbop, "bbos": bbos},
-        )
-        step_snapshots = {bb_snapshot}
-        connection: dict = {}
+        step_snapshots = [
+            snapshot(
+                BB_ID,
+                local={},
+                inputs={"bbip": bbip, "bbis": bbis},
+                outputs={"bbop": bbop, "bbos": bbos},
+            )
+        ]
         for ks in sorted(active):
-            step_snapshots.add(
-                make_snapshot(
+            step_snapshots.append(
+                snapshot(
                     ks,
                     local={"prob": scenario.sources[ks]},
                     inputs={"ksip": bbop, "ksis": bbos},
                     outputs={"ksop": requests[ks], "ksos": answers[ks]},
                 )
             )
-            connection[(ks, "ksip")] = {(BB_ID, "bbop")}
-            connection[(ks, "ksis")] = {(BB_ID, "bbos")}
-            connection.setdefault((BB_ID, "bbip"), set()).add((ks, "ksop"))
-            connection.setdefault((BB_ID, "bbis"), set()).add((ks, "ksos"))
-        steps.append(ArchConfiguration(frozenset(step_snapshots), connection))
-        snapshots.update(step_snapshots)
+        # the snapshots fix the active sources, and so the connections
+        key = tuple(map(id, step_snapshots))
+        config = configurations.get(key)
+        if config is None:
+            connection: dict = {}
+            for ks in sorted(active):
+                connection[(ks, "ksip")] = {(BB_ID, "bbop")}
+                connection[(ks, "ksis")] = {(BB_ID, "bbos")}
+                connection.setdefault((BB_ID, "bbip"), set()).add((ks, "ksop"))
+                connection.setdefault((BB_ID, "bbis"), set()).add((ks, "ksos"))
+            config = configurations[key] = ArchConfiguration(
+                frozenset(step_snapshots), connection
+            )
+        steps.append(config)
 
         # state transition: solutions arrive, solved problems retire, and
         # requested subproblems get (re-)posted
@@ -274,10 +302,10 @@ def simulate_blackboard(
         open_problems -= {p for (p, s) in arriving if s == solve[p]}
         for p, required in bbip:
             open_problems.update(required)
+        fresh_problems = {q for q, _ in fresh}
         for ks in roster:
-            if any(
-                q in {qq for p in emitted[ks] for qq in subs[p]}
-                for (q, _) in fresh
+            if not fresh_problems.isdisjoint(
+                q for p in emitted[ks] for q in subs[p]
             ):
                 needs_wake[ks] = True
         if (
@@ -286,18 +314,17 @@ def simulate_blackboard(
         ):
             steps_to_solution = step_no + 1
 
+    ever_active = {key[0] for key in snapshots}
     for ks in roster:
-        if not any(snap.id == ks for snap in snapshots):
-            snapshots.add(
-                make_snapshot(
-                    ks,
-                    local={"prob": scenario.sources[ks]},
-                    inputs={"ksip": (), "ksis": ()},
-                    outputs={"ksop": (), "ksos": ()},
-                )
+        if ks not in ever_active:
+            snapshot(
+                ks,
+                local={"prob": scenario.sources[ks]},
+                inputs={"ksip": (), "ksis": ()},
+                outputs={"ksop": (), "ksos": ()},
             )
 
-    universe = ComponentUniverse(frozenset(snapshots))
+    universe = ComponentUniverse(frozenset(snapshots.values()))
     by_iface = {"BB": set(), "KS": set()}
     for snap in universe.snapshots:
         by_iface["BB" if snap.id == BB_ID else "KS"].add(

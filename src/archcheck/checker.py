@@ -25,6 +25,7 @@ from .constraints import (
     CLOSED,
     DEFAULT_ASSIGNMENT_BOUND,
     OPEN,
+    AssertionPlan,
     Truth,
     Verdict,
     check_trace_assertion,
@@ -133,8 +134,15 @@ class CheckReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def diagram_assertions(bundle: ResolvedBundle):
-    """Desugared diagram annotations with their rigid variable declarations."""
+def diagram_assertions(bundle: ResolvedBundle) -> tuple:
+    """Desugared diagram annotations with their rigid variable declarations,
+    as ``(name, gamma, rigid_comp)``; made once per bundle and kept on it."""
+    if bundle.diagram_assertions is None:
+        bundle.diagram_assertions = tuple(_desugar_diagrams(bundle))
+    return bundle.diagram_assertions
+
+
+def _desugar_diagrams(bundle: ResolvedBundle):
     out = []
     for unit_name, diagram in bundle.diagrams:
         _, assertions = desugar_diagram(diagram)
@@ -168,7 +176,13 @@ def run_check(
     max_assignments: int = DEFAULT_ASSIGNMENT_BOUND,
     skip_units: tuple[str, ...] = (),
 ) -> CheckReport:
-    """Run all three phases; ``skip_units`` excludes whole constraint units."""
+    """Run all three phases; ``skip_units`` excludes whole constraint units.
+
+    What does not depend on the trace (the desugared diagram assertions and
+    an ``AssertionPlan`` per assertion) is made on the first check of
+    ``bundle`` and kept on it, so checks that reuse one bundle, as
+    ``verify_theorem(bundle=...)`` does, make it once.
+    """
     algebra = _pick(bundle.algebras, algebra, "algebra")
     trace = _pick(bundle.traces, trace, "trace")
     failures = []
@@ -180,23 +194,12 @@ def run_check(
     )
     validity = check_trace(trace.trace)
     results = []
-    for item in bundle.constraints:
-        if item.unit in skip_units:
+    for name, unit, gamma, rigid_comp, rigid_data, text in _assertions(bundle):
+        if unit in skip_units:
             continue
-        verdict = check_trace_assertion(
-            algebra,
-            trace.interpretation,
-            trace.trace,
-            item.gamma,
-            mode,
-            rigid_comp_decls=item.rigid_comp,
-            rigid_data_decls=item.rigid_data,
-            max_assignments=max_assignments,
-        )
-        results.append(AssertionResult(item.name, verdict, item.text))
-    for name, gamma, rigid_comp in diagram_assertions(bundle):
-        if name.split(".")[0] in skip_units:
-            continue
+        plan = bundle.plans.get(name)
+        if plan is None or plan.gamma is not gamma:
+            plan = bundle.plans[name] = AssertionPlan(gamma, rigid_comp, rigid_data)
         verdict = check_trace_assertion(
             algebra,
             trace.interpretation,
@@ -204,9 +207,11 @@ def run_check(
             gamma,
             mode,
             rigid_comp_decls=rigid_comp,
+            rigid_data_decls=rigid_data,
             max_assignments=max_assignments,
+            plan=plan,
         )
-        results.append(AssertionResult(name, verdict))
+        results.append(AssertionResult(name, verdict, text))
     results.sort(key=lambda r: r.name)
     return CheckReport(
         datatype_failures=tuple(failures),
@@ -215,6 +220,17 @@ def run_check(
         assertions=tuple(results),
         mode=mode,
     )
+
+
+def _assertions(bundle: ResolvedBundle):
+    """Name, unit, assertion, rigid declarations and text of every trace
+    assertion of ``bundle``: its constraints, then its diagram annotations."""
+    for item in bundle.constraints:
+        yield (
+            item.name, item.unit, item.gamma, item.rigid_comp, item.rigid_data, item.text
+        )
+    for name, gamma, rigid_comp in diagram_assertions(bundle):
+        yield name, name.split(".")[0], gamma, rigid_comp, {}, ""
 
 
 def _pick(table, chosen, what):

@@ -71,6 +71,13 @@ body and chain positions carry their origin step.  The last index is the
 current one at the end, so the witnesses that name it stay exact.
 ``Monitor`` keeps neither the memo nor the skip: it reads each step it is
 fed.
+
+What does not depend on the trace is found once per assertion: an
+``AssertionPlan`` holds the free rigid variables with their sorts and
+interfaces, the trigger guard, the free variables of each ``State``
+formula and the guard of each quantifier.  ``check_trace_assertion`` makes
+one per call unless it is given one; ``checker.run_check`` keeps one per
+assertion on the bundle it checks.
 """
 from __future__ import annotations
 
@@ -104,6 +111,7 @@ from .algebra import (  # And, Implies, Not and Or are re-exported
     children,
     enumerate_assignments,
     find_guard,
+    quantifier_guard,
     value_key,
 )
 from .errors import (
@@ -443,6 +451,21 @@ def _comp_quantifier(combine):
     return rule
 
 
+def _instance_guard(gamma) -> Optional[Guard]:
+    """The guard of a rigid data quantifier: of the state formula that must
+    hold at the current step for an instance to matter.  That is, for
+    ``forall``, the antecedent of ``State(...) -> ...`` or of ``State(...
+    -> ...)``; for ``exists``, the formula of a ``State`` body."""
+    body = gamma.body
+    if type(gamma) is RigidExistsData:
+        formula = body.formula if type(body) is State else None
+    elif type(body) is TraceImplies and type(body.left) is State:
+        formula = body.left.formula
+    else:
+        formula = antecedent(body.formula) if type(body) is State else None
+    return find_guard(formula, {gamma.var: gamma.sort})
+
+
 class _StateEvaluator(Evaluator):
     """Evaluates configuration assertions against one interpretation set.
 
@@ -471,9 +494,20 @@ class _StateEvaluator(Evaluator):
         ForallComp: _comp_quantifier(all),
         ExistsComp: _comp_quantifier(any),
     }
+    GUARDS = {
+        **Evaluator.GUARDS,
+        RigidForallData: _instance_guard,
+        RigidExistsData: _instance_guard,
+    }
 
-    def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
-        super().__init__(alg)
+    def __init__(
+        self,
+        alg: Algebra,
+        J: SpecInterpretation,
+        remember_steps: bool = True,
+        guards: Optional[dict] = None,
+    ):
+        super().__init__(alg, guards)
         self.notes: dict[str, None] = {}
         self._ids_by_interface = {
             name: tuple(sorted({i.snapshot.id for i in interps}))
@@ -853,21 +887,9 @@ def _start_implies(ev, gamma, asg):
     return _implies(left, ev.start(gamma.right, asg))
 
 
-def _instance_guard(body, dominant: Truth) -> Optional[Assertion]:
-    """The state formula that must hold at the current step for an instance
-    of a rigid data quantifier to matter: for ``forall``, the antecedent of
-    ``State(...) -> ...`` or of ``State(... -> ...)``; for ``exists``, the
-    formula of a ``State`` body."""
-    if dominant is Truth.SATISFIED:
-        return body.formula if type(body) is State else None
-    if type(body) is TraceImplies and type(body.left) is State:
-        return body.left.formula
-    return antecedent(body.formula) if type(body) is State else None
-
-
 def _rigid_data(dominant):
     def rule(ev, gamma, asg):
-        guard = _instance_guard(gamma.body, dominant)
+        guard = ev.state.guard(gamma)
         bindings = enumerate_assignments(ev.state, {gamma.var: gamma.sort}, asg, guard)
         return _items(dominant, (
             ev.start(gamma.body, ev.bind(asg, gamma, b[gamma.var], b)) for b in bindings
@@ -930,6 +952,37 @@ def _check_mode(mode: str) -> None:
         raise UsageError(f"mode must be {OPEN!r} or {CLOSED!r}, got {mode!r}")
 
 
+def _reads(phi: Assertion) -> tuple:
+    """``phi`` and the names of its free data and component variables; None
+    and None when a name is used at two sorts, so that its verdicts are not
+    memoised."""
+    try:
+        data, comps = free_vars(phi)
+    except SortError:
+        return phi, None, None
+    return phi, tuple(data), tuple(comps)
+
+
+def _node_tables(gamma) -> tuple[dict, dict]:
+    """What evaluating ``gamma`` looks up about its nodes, all found at once:
+    the ``_reads`` of each ``State`` formula and the guard of each data
+    quantifier, rigid or not, by the node's id (see ``_TraceEvaluator``)."""
+    reads: dict = {}
+    guards: dict = {}
+    stack = [gamma]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Term):  # terms bind nothing
+            continue
+        if type(node) is State:
+            reads[id(node.formula)] = _reads(node.formula)
+        rule = _StateEvaluator.GUARDS.get(type(node))
+        if rule is not None:
+            guards[id(node)] = (node, rule(node))
+        stack.extend(children(node))
+    return reads, guards
+
+
 class _TraceEvaluator:
     """The progression core, shared by the checks and the monitor.
 
@@ -939,17 +992,27 @@ class _TraceEvaluator:
     starts as ``_Deferred(gamma, asg)``.  ``remember_steps`` keeps each
     configuration's index of active components, and the state verdicts
     reached at it, for later visits.
+
+    ``tables`` holds what the evaluation looks up about the nodes it meets:
+    by the id of a ``State`` formula, its ``_reads``, and by the id of a
+    data quantifier, rigid or not, the quantifier and its guard.  Entries
+    hold their node, so its id is not reused.  The tables fill as nodes are
+    met; ``_node_tables`` fills them in advance for one assertion.
     """
 
-    def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
-        self.state = _StateEvaluator(alg, J, remember_steps)
+    def __init__(
+        self,
+        alg: Algebra,
+        J: SpecInterpretation,
+        remember_steps: bool = True,
+        tables: Optional[tuple[dict, dict]] = None,
+    ):
+        self._reads, guards = ({}, {}) if tables is None else tables
+        self.state = _StateEvaluator(alg, J, remember_steps, guards)
         self.m: Optional[int] = None
         self._bound: dict = {}
         # state verdicts by (formula, step, values of its free variables)
         self._verdicts: Optional[dict] = {} if remember_steps else None
-        # id(formula) -> (formula, names of its free data and component
-        # variables); the entry holds the formula, so its id is not reused
-        self._reads: dict = {}
 
     def progress(self, residual, m: int, k: ArchConfiguration):
         self.m = m
@@ -1009,12 +1072,7 @@ class _TraceEvaluator:
             return self._state_verdict(asg, phi)
         reads = self._reads.get(id(phi))
         if reads is None:
-            try:
-                data, comps = free_vars(phi)
-                reads = (phi, tuple(data), tuple(comps))
-            except SortError:  # a name used at two sorts: not memoised
-                reads = (phi, None, None)
-            self._reads[id(phi)] = reads
+            reads = self._reads[id(phi)] = _reads(phi)
         _, data, comps = reads
         if data is None:
             return self._state_verdict(asg, phi)
@@ -1192,6 +1250,53 @@ class _Trigger:
         return values
 
 
+class AssertionPlan:
+    """What checking a trace assertion needs before it reads a trace: its
+    free rigid variables with their sorts and interfaces, in product order,
+    the guard of a trigger-shaped assertion (see the module docstring), and
+    the ``_node_tables`` of its nodes.
+
+    Make one per assertion and its declarations and pass it to every
+    ``check_trace_assertion`` of that assertion, as ``run_check`` does for
+    the assertions of a bundle.  Raises SortError when a free variable is
+    used at two sorts or interfaces, disagrees with its declaration, or is
+    a component variable with no interface.
+    """
+
+    def __init__(
+        self,
+        gamma: TraceAssertion,
+        rigid_comp_decls: Optional[Mapping[str, str]] = None,
+        rigid_data_decls: Optional[Mapping[str, Sort]] = None,
+    ):
+        free_data, free_comps = free_vars(gamma)
+        comp_decls = dict(rigid_comp_decls or {})
+        for name, interface in free_comps.items():
+            declared = comp_decls.get(name, interface)
+            if declared is None:
+                raise SortError(
+                    f"free component variable {name!r} has no declared interface"
+                )
+            if interface is not None and declared != interface:
+                raise SortError(
+                    f"component variable {name!r} declared {declared!r}"
+                    f" but used at {interface!r}"
+                )
+            comp_decls[name] = declared
+        data_decls = dict(rigid_data_decls or {})
+        for name, sort in free_data.items():
+            declared = data_decls.get(name, sort)
+            if declared != sort:
+                raise SortError(
+                    f"data variable {name!r} declared {declared} but used at {sort}"
+                )
+        self.gamma = gamma
+        self.data = tuple((name, free_data[name]) for name in sorted(free_data))
+        self.comps = tuple((name, comp_decls[name]) for name in sorted(free_comps))
+        self.trigger = _trigger_guard(gamma, free_data)
+        self.tables = _node_tables(gamma)
+
+
 def check_trace_assertion(
     alg: Algebra,
     J: SpecInterpretation,
@@ -1201,40 +1306,26 @@ def check_trace_assertion(
     rigid_comp_decls: Optional[Mapping[str, str]] = None,
     rigid_data_decls: Optional[Mapping[str, Sort]] = None,
     max_assignments: int = DEFAULT_ASSIGNMENT_BOUND,
+    plan: Optional[AssertionPlan] = None,
 ) -> Verdict:
     """Three-valued conjunction of trace_holds at index 0 over all rigid
     assignments of the assertion's free variables.
 
-    Violated dominates, then Inconclusive, then Satisfied.  The rigid
-    assignment space is bounded by ``max_assignments``.
+    Violated dominates, then Inconclusive, then Satisfied.  An assertion
+    with no free variables has one assignment, and its verdict is that of
+    ``trace_holds``, witness and explanation included.  The rigid
+    assignment space is bounded by ``max_assignments``.  ``plan`` is the
+    ``AssertionPlan`` of ``gamma`` and the two declarations, made once and
+    reused; without it, one is made for this call.
     """
-    free_data, free_comps = free_vars(gamma)
-    comp_decls = dict(rigid_comp_decls or {})
-    for name, interface in free_comps.items():
-        declared = comp_decls.get(name, interface)
-        if declared is None:
-            raise SortError(
-                f"free component variable {name!r} has no declared interface"
-            )
-        if interface is not None and declared != interface:
-            raise SortError(
-                f"component variable {name!r} declared {declared!r}"
-                f" but used at {interface!r}"
-            )
-        comp_decls[name] = declared
-    data_decls = dict(rigid_data_decls or {})
-    for name, sort in free_data.items():
-        declared = data_decls.get(name, sort)
-        if declared != sort:
-            raise SortError(
-                f"data variable {name!r} declared {declared} but used at {sort}"
-            )
-        data_decls[name] = sort
-
-    data_names = sorted(free_data)
-    comp_names = sorted(free_comps)
-    data_domains = [alg.carrier(data_decls[n]) for n in data_names]
-    comp_domains = [tuple(J.ids_of(comp_decls[n])) for n in comp_names]
+    if plan is None:
+        plan = AssertionPlan(gamma, rigid_comp_decls, rigid_data_decls)
+    elif plan.gamma is not gamma:
+        raise UsageError("the plan was made for another assertion")
+    data_names = [name for name, _ in plan.data]
+    comp_names = [name for name, _ in plan.comps]
+    data_domains = [alg.carrier(sort) for _, sort in plan.data]
+    comp_domains = [tuple(J.ids_of(interface)) for _, interface in plan.comps]
 
     total = 1
     for domain in itertools.chain(data_domains, comp_domains):
@@ -1247,9 +1338,12 @@ def check_trace_assertion(
         )
 
     _check_mode(mode)
-    evaluator = _TraceEvaluator(alg, J)
-    guard = _trigger_guard(gamma, free_data)
-    trigger = None if guard is None else _Trigger(guard, evaluator.state, trace.steps)
+    evaluator = _TraceEvaluator(alg, J, tables=plan.tables)
+    if not data_names and not comp_names:
+        return evaluator.run(gamma, {_COMPS: {}}, trace.steps, 0, mode)
+    trigger = plan.trigger
+    if trigger is not None:
+        trigger = _Trigger(trigger, evaluator.state, trace.steps)
     saw_inconclusive = False
     for data_combo in itertools.product(*data_domains):
         data_asg = dict(zip(data_names, data_combo))

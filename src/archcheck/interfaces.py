@@ -24,6 +24,7 @@ from .algebra import (
     antecedent,
     children,
     enumerate_assignments,
+    find_guard,
     free_data_vars,
     value_key,
 )
@@ -450,9 +451,8 @@ def _check_interpretations(name, interface, assertions, interps, pspec, alg):
                     f"extension: local-port term (interface {name}, assertion {idx + 1})"
                 )
             variables = free_data_vars(assertion)
-            bindings = enumerate_assignments(
-                evaluator, variables, guard=antecedent(assertion)
-            )
+            guard = find_guard(antecedent(assertion), variables)
+            bindings = enumerate_assignments(evaluator, variables, guard=guard)
             if not all(evaluator.holds(asg, assertion) for asg in bindings):
                 violations.append(
                     Violation(

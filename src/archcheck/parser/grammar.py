@@ -1012,6 +1012,8 @@ class _UnitParser:
             return True
 
         self._each_line(handler, replay)
+        # a step's lines run from its `step` line to the next one's
+        starts = [step["span"].line - 1 for step in steps] + [len(self.raw_lines)]
         built_steps = tuple(
             StepDecl(
                 actives=tuple(
@@ -1020,8 +1022,9 @@ class _UnitParser:
                 ),
                 connects=tuple(step["connects"]),
                 span=step["span"],
+                lines=tuple(self.raw_lines[start:end]),
             )
-            for step in steps
+            for step, start, end in zip(steps, starts, starts[1:])
         )
         return TraceBody(tuple(components), built_steps)
 

@@ -70,7 +70,6 @@ from .syntax import (
     SortRef,
     SourceUnit,
     Span,
-    StepDecl,
     TraceBody,
 )
 
@@ -127,6 +126,13 @@ class ResolvedBundle:
     algebras: dict
     traces: dict
     warnings: tuple
+    # What checks of the bundle's assertions reuse, made by the checker on
+    # first use: the desugared diagram assertions, and a
+    # ``constraints.AssertionPlan`` by assertion name.
+    diagram_assertions: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def constraint_by_name(self, name: str) -> ResolvedAssertion:
         for item in self.constraints:
@@ -1487,13 +1493,15 @@ class Resolver:
         all_snapshots = set()
         ever_active = set()
         # Equal steps and equal `active` blocks (their equality ignores
-        # spans) resolve once, to one configuration or snapshot.  One that
-        # drew a diagnostic is not stored, so each of its occurrences
-        # reports at its own span.
-        resolved: dict[StepDecl, ArchConfiguration] = {}
+        # spans) resolve once, to one configuration or snapshot.  A parsed
+        # step is known by its source lines, one built in memory by itself.
+        # One that drew a diagnostic is not stored, so each of its
+        # occurrences reports at its own span.
+        resolved: dict = {}
         built: dict[ActiveDecl, ComponentSnapshot] = {}
         for step in body.steps:
-            config = resolved.get(step)
+            key = step if step.lines is None else step.lines
+            config = resolved.get(key)
             if config is not None:
                 steps.append(config)
                 continue
@@ -1547,7 +1555,7 @@ class Resolver:
                 )
             config = ArchConfiguration(frozenset(snapshots.values()), connection)
             if len(self.diagnostics) == reported:
-                resolved[step] = config
+                resolved[key] = config
             steps.append(config)
             all_snapshots.update(snapshots.values())
         if self._failed():

@@ -335,9 +335,15 @@ class ActiveDecl:
 
 @dataclass(frozen=True)
 class StepDecl:
+    """One step of a trace.  ``lines`` are the source lines of a parsed
+    step, from its `step` line to the next: steps with equal lines are
+    equal, so the resolver keys its table of resolved steps by them rather
+    than by the step's hash, which walks every node."""
+
     actives: tuple[ActiveDecl, ...] = ()
     connects: tuple[ConnectDecl, ...] = ()
     span: Optional[Span] = SPAN
+    lines: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "actives", tuple(self.actives))

@@ -51,7 +51,8 @@ from test_rigid_enumeration import _bundle_assertions
 
 def _plain(alg, J, trace, gamma, mode, rigid_comp=None):
     """check_trace_assertion with neither the memo nor the skip: one plain
-    progression per assignment of the full product, in product order."""
+    progression per assignment of the full product, in product order.  A
+    rigid-closed assertion has one, whose verdict is returned as it is."""
     free_data, free_comps = free_vars(gamma)
     data_names, comp_names = sorted(free_data), sorted(free_comps)
     rigid_comp = rigid_comp or {}
@@ -70,6 +71,8 @@ def _plain(alg, J, trace, gamma, mode, rigid_comp=None):
                     break
             else:
                 residual = evaluator.close(residual, mode)
+            if not data_names and not comp_names:
+                return residual
             if residual.truth is Truth.VIOLATED:
                 return residual
             saw_inconclusive |= residual.truth is Truth.INCONCLUSIVE
