@@ -25,6 +25,24 @@ progress over the trace until the verdict is decided and close it by mode.
 ``progress`` and one open ``close``, and reads only the new configuration
 and the residual.  Equal pending residuals are merged into the earliest, so
 ``G(a -> F b)`` keeps one pending ``F b`` however long the stream.
+
+An assertion with free rigid variables holds when it holds under every
+rigid assignment: it means its universal closure, and the checks and the
+monitor evaluate that closure as one assertion.  The closure quantifies
+the free data variables outermost, then the free component variables,
+each in name order, so its instances are the assignments in product order
+(the parametric slices of Chen and Roşu, "Parametric Trace Slicing and
+Monitoring", TACAS 2009).  A trigger-shaped assertion ``G(State(guard
+...) -> beta)``, whose guard's pattern is exactly its free data variables,
+closes instead as ``G(forall pattern in source . State(guard ...) ->
+beta)`` inside the component quantifiers: each step starts an instance
+only for a pattern value that occurs in the guard's source then, as
+MonPoly spawns one when its parameter value first occurs (Basin, Klaedtke,
+Müller and Zălinescu, JACM 2015).  Every other value makes the guard false
+at that step.  A membership guard holds for every value bound, so it is
+dropped from the instance, and ``State(rest)`` is dropped with it when
+nothing follows it.  A source value outside the pattern's carrier binds
+nothing, and an undefined read gives the empty set.
 Witnesses:
 
 * G is Violated at its first violating step, with that step's explanation;
@@ -36,6 +54,12 @@ Witnesses:
 * X past the end is Violated at the last index, "next step beyond the end";
 * And and Or return their first dominant item in item order; a pending item
   before it holds the verdict back until that item is decided or closed.
+  Rigid quantifiers do the same over their instances: in carrier or
+  component order, and a bounded one in value order;
+* so a Violated closure is that of its first violated assignment in product
+  order, and a trigger-shaped one that of its first violated component
+  assignment at the earliest step where an instance is violated, the first
+  of those in source value order.
 
 A port read on an inactive component is an undefined read: the smallest
 enclosing atomic assertion evaluates to false and the fact is recorded in the
@@ -45,12 +69,8 @@ Guarded quantification follows the one-point rule of ``algebra`` (see its
 module docstring), whose ``find_guard`` recognises guards here too.  A rigid
 data quantifier starts only the instances its guard can make matter at the
 current step: ``exists x . State(guard ...)`` and ``forall x .
-(State(guard ...) -> ...)``.  ``check_trace_assertion`` does not run an
-assignment of ``G(guard -> beta)``, with a pattern of free rigid data
-variables, whose pattern value never occurs in the guard's source on the
-trace (an undefined read giving the empty set): its verdict is that of
-``G(true)``.  Verdicts, witnesses, explanations and the ``max_assignments``
-bound stay those of the full product.
+(State(guard ...) -> ...)``.  ``max_assignments`` bounds the product of the
+free rigid variables' carriers and component sets, whichever instances run.
 
 The checks evaluate each state formula once per distinct configuration and
 skip the steps that cannot change a residual.  ``ConfigurationTrace``
@@ -74,15 +94,14 @@ fed.
 
 What does not depend on the trace is found once per assertion: an
 ``AssertionPlan`` holds the free rigid variables with their sorts and
-interfaces, the trigger guard, the free variables of each ``State``
-formula and the guard of each quantifier.  ``check_trace_assertion`` makes
-one per call unless it is given one; ``checker.run_check`` keeps one per
+interfaces, the closure, the free variables of each ``State`` formula and
+the guard of each quantifier.  ``check_trace_assertion`` and ``Monitor``
+make one unless they are given one; ``checker.run_check`` keeps one per
 assertion on the bundle it checks.
 """
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -102,6 +121,7 @@ from .algebra import (  # And, Implies, Not and Or are re-exported
     Node,
     Not,
     Or,
+    PairSort,
     PredAtom,
     Sort,
     Term,
@@ -115,7 +135,6 @@ from .algebra import (  # And, Implies, Not and Or are re-exported
     value_key,
 )
 from .errors import (
-    ArchError,
     AssignmentError,
     CapacityError,
     InactiveComponentError,
@@ -124,11 +143,7 @@ from .errors import (
     UsageError,
 )
 from .interfaces import SpecInterpretation
-from .model import (
-    ArchConfiguration,
-    ComponentUniverse,
-    ConfigurationTrace,
-)
+from .model import ArchConfiguration, ConfigurationTrace
 
 OPEN = "open"
 CLOSED = "closed"
@@ -341,6 +356,15 @@ class BoundedRigidExists(TraceAssertion):
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
+
+
+@dataclass(frozen=True)
+class _Slices(BoundedRigidForall):
+    """``BoundedRigidForall`` over the values of ``source`` in the carrier of
+    ``sort``, the sort of the pattern ``vars``: the instances that a
+    trigger-shaped assertion starts at one step (see the module docstring)."""
+
+    sort: Optional[Sort] = None
 
 
 # ---------------------------------------------------------------------------
@@ -911,10 +935,12 @@ def _rigid_comp(dominant):
 
 def _bounded_rigid(dominant):
     def rule(ev, gamma, asg):
-        source = sorted(ev.state.source(asg, gamma.source), key=value_key)
+        source = ev.state.source(asg, gamma.source)
+        if type(gamma) is _Slices:  # a value outside the carrier binds nothing
+            source = [v for v in source if ev.state.alg.contains(v, gamma.sort)]
         return _items(dominant, (
             ev.start(gamma.body, ev.bind(asg, gamma, v, bind_pattern(gamma.vars, v)))
-            for v in source
+            for v in sorted(source, key=value_key)
         ))
 
     return rule
@@ -944,6 +970,7 @@ _START = {
     RigidExistsComp: _rigid_comp(Truth.SATISFIED),
     BoundedRigidForall: _bounded_rigid(Truth.VIOLATED),
     BoundedRigidExists: _bounded_rigid(Truth.SATISFIED),
+    _Slices: _bounded_rigid(Truth.VIOLATED),
 }
 
 
@@ -1187,80 +1214,40 @@ def free_vars(gamma) -> tuple[dict[str, Sort], dict[str, Optional[str]]]:
     return data, comps
 
 
-def contains_rigid_quantifier(gamma) -> bool:
-    stack = [gamma]
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node,
-            (
-                RigidForallData,
-                RigidExistsData,
-                RigidForallComp,
-                RigidExistsComp,
-                BoundedRigidForall,
-                BoundedRigidExists,
-            ),
-        ):
-            return True
-        stack.extend(children(node))
-    return False
-
-
-def _trigger_guard(gamma, free_data: Mapping[str, Sort]) -> Optional[Guard]:
-    """The guard of a trigger-shaped assertion (see the module docstring),
-    or None for any other shape."""
+def _sliced(gamma, free_data: Mapping[str, Sort]) -> Optional[TraceAssertion]:
+    """``G(_Slices(pattern, source, State(left) -> beta))`` for a
+    trigger-shaped ``G(State(left) -> beta)``, one whose ``left`` begins
+    with a guard whose pattern is its free data variables (see the module
+    docstring), or None for any other shape.  A membership guard is
+    dropped from ``left``."""
     if type(gamma) is not Globally or type(gamma.body) is not TraceImplies:
         return None
     left = gamma.body.left
     if type(left) is not State:
         return None
     guard = find_guard(left.formula, free_data)
-    return None if guard is None or None in guard.names else guard
-
-
-class _Trigger:
-    """A trigger guard whose source is read over the whole trace, once per
-    component combination.  ``idle(comp_combo, asg)`` is true when the
-    pattern's value under ``asg`` never occurs there, so that the guard is
-    false at every step."""
-
-    def __init__(self, guard: Guard, state: _StateEvaluator, steps):
-        self.guard, self.state, self.steps = guard, state, steps
-        self._occurring: dict = {}
-
-    def idle(self, comp_combo: tuple, asg: dict) -> bool:
-        if comp_combo not in self._occurring:
-            self._occurring[comp_combo] = self._read(asg)
-        values = self._occurring[comp_combo]
-        if values is None:
-            return False
-        return self.state.term(asg, self.guard.pattern) not in values
-
-    def _read(self, asg: dict) -> Optional[set]:
-        state = self.state
-        values: set = set()
-        try:
-            for k in {id(k): k for k in self.steps}.values():
-                state.at(k)
-                values |= state.source(asg, self.guard.source)
-        except ArchError:
-            # the plain runs meet this error only if no verdict comes first
-            return None
-        return values
+    if guard is None or set(guard.names) != free_data.keys():
+        return None
+    sorts = [free_data[name] for name in guard.names]
+    sort = sorts[0] if len(sorts) == 1 else PairSort(*sorts)
+    body = gamma.body
+    if not guard.single:
+        rest = left.formula.items[1:] if type(left.formula) is And else ()
+        body = TraceImplies(State(And(rest)), body.right) if rest else body.right
+    return Globally(_Slices(guard.names, guard.source, body, sort))
 
 
 class AssertionPlan:
     """What checking a trace assertion needs before it reads a trace: its
-    free rigid variables with their sorts and interfaces, in product order,
-    the guard of a trigger-shaped assertion (see the module docstring), and
-    the ``_node_tables`` of its nodes.
+    free rigid variables with their sorts and interfaces, in product order;
+    ``closed``, its universal closure over them (see the module docstring);
+    and the ``_node_tables`` of ``closed``.
 
     Make one per assertion and its declarations and pass it to every
-    ``check_trace_assertion`` of that assertion, as ``run_check`` does for
-    the assertions of a bundle.  Raises SortError when a free variable is
-    used at two sorts or interfaces, disagrees with its declaration, or is
-    a component variable with no interface.
+    ``check_trace_assertion`` or ``Monitor`` of that assertion, as
+    ``run_check`` does for the assertions of a bundle.  Raises SortError
+    when a free variable is used at two sorts or interfaces, disagrees with
+    its declaration, or is a component variable with no interface.
     """
 
     def __init__(
@@ -1293,8 +1280,38 @@ class AssertionPlan:
         self.gamma = gamma
         self.data = tuple((name, free_data[name]) for name in sorted(free_data))
         self.comps = tuple((name, comp_decls[name]) for name in sorted(free_comps))
-        self.trigger = _trigger_guard(gamma, free_data)
-        self.tables = _node_tables(gamma)
+        sliced = _sliced(gamma, free_data)
+        closed = gamma if sliced is None else sliced
+        for name, interface in reversed(self.comps):
+            closed = RigidForallComp(name, interface, closed)
+        for name, sort in reversed(self.data if sliced is None else ()):
+            closed = RigidForallData(name, sort, closed)
+        self.closed = closed
+        self.tables = _node_tables(closed)
+
+    @classmethod
+    def of(cls, gamma, plan, rigid_comp_decls=None, rigid_data_decls=None):
+        """``plan``, checked to be made for ``gamma``, or a new plan."""
+        if plan is None:
+            return cls(gamma, rigid_comp_decls, rigid_data_decls)
+        if plan.gamma is not gamma:
+            raise UsageError("the plan was made for another assertion")
+        return plan
+
+    def check_bound(self, alg: Algebra, J: SpecInterpretation, bound: int) -> None:
+        """Raise CapacityError when the rigid assignments number more than
+        ``bound``."""
+        total = 1
+        for _, sort in self.data:
+            total *= len(alg.carrier(sort))
+        for _, interface in self.comps:
+            total *= len(J.ids_of(interface))
+        if total > bound:
+            raise CapacityError(
+                f"rigid assignment space has {total} combinations, exceeding the"
+                f" bound of {bound}",
+                bound=bound,
+            )
 
 
 def check_trace_assertion(
@@ -1309,63 +1326,40 @@ def check_trace_assertion(
     plan: Optional[AssertionPlan] = None,
 ) -> Verdict:
     """Three-valued conjunction of trace_holds at index 0 over all rigid
-    assignments of the assertion's free variables.
+    assignments of the assertion's free variables: one run of its
+    universal closure (see the module docstring).
 
     Violated dominates, then Inconclusive, then Satisfied.  An assertion
-    with no free variables has one assignment, and its verdict is that of
-    ``trace_holds``, witness and explanation included.  The rigid
-    assignment space is bounded by ``max_assignments``.  ``plan`` is the
+    with no free variables is its own closure, and its verdict is that of
+    ``trace_holds``, witness and explanation included.  A Violated closure
+    is witnessed by the first violated assignment in product order, with
+    that assignment's witness and explanation; a trigger-shaped closure
+    instead by its first violated component assignment, at the earliest
+    step at which a data assignment is violated, and among those by the
+    first in source value order.  All instances read each step together,
+    so a read error is raised at the first step where any instance meets
+    it, unless the verdict is decided before that step.
+    ``max_assignments`` bounds the product of the rigid variables'
+    carriers and component sets before anything runs.  ``plan`` is the
     ``AssertionPlan`` of ``gamma`` and the two declarations, made once and
     reused; without it, one is made for this call.
     """
-    if plan is None:
-        plan = AssertionPlan(gamma, rigid_comp_decls, rigid_data_decls)
-    elif plan.gamma is not gamma:
-        raise UsageError("the plan was made for another assertion")
-    data_names = [name for name, _ in plan.data]
-    comp_names = [name for name, _ in plan.comps]
-    data_domains = [alg.carrier(sort) for _, sort in plan.data]
-    comp_domains = [tuple(J.ids_of(interface)) for _, interface in plan.comps]
-
-    total = 1
-    for domain in itertools.chain(data_domains, comp_domains):
-        total *= len(domain)
-    if total > max_assignments:
-        raise CapacityError(
-            f"rigid assignment space has {total} combinations, exceeding the"
-            f" bound of {max_assignments}",
-            bound=max_assignments,
-        )
-
+    plan = AssertionPlan.of(gamma, plan, rigid_comp_decls, rigid_data_decls)
+    plan.check_bound(alg, J, max_assignments)
     _check_mode(mode)
     evaluator = _TraceEvaluator(alg, J, tables=plan.tables)
-    if not data_names and not comp_names:
-        return evaluator.run(gamma, {_COMPS: {}}, trace.steps, 0, mode)
-    trigger = plan.trigger
-    if trigger is not None:
-        trigger = _Trigger(trigger, evaluator.state, trace.steps)
-    saw_inconclusive = False
-    for data_combo in itertools.product(*data_domains):
-        data_asg = dict(zip(data_names, data_combo))
-        for comp_combo in itertools.product(*comp_domains):
-            asg = {**data_asg, _COMPS: dict(zip(comp_names, comp_combo))}
-            if trigger is not None and trigger.idle(comp_combo, asg):
-                saw_inconclusive |= mode == OPEN  # the verdict of G(true)
-                continue
-            verdict = evaluator.run(gamma, asg, trace.steps, 0, mode)
-            if verdict.truth is Truth.VIOLATED:
-                return verdict
-            saw_inconclusive |= verdict.truth is Truth.INCONCLUSIVE
-    return INCONCLUSIVE if saw_inconclusive else SATISFIED
+    return evaluator.run(plan.closed, {_COMPS: {}}, trace.steps, 0, mode)
 
 
 class Monitor:
-    """Incremental open-mode evaluation of a rigid-closed trace assertion.
+    """Incremental open-mode evaluation of a trace assertion: of its
+    universal closure, as ``check_trace_assertion`` evaluates it.
 
     Feed configurations one at a time; Satisfied and Violated verdicts are
     final and later steps return them unchanged.  The monitor keeps only the
-    residual of the assertion, not the steps fed so far.  ``universe`` is
-    accepted for compatibility and not used.
+    residual of the assertion, not the steps fed so far.  ``plan`` is as
+    for ``check_trace_assertion``, and the rigid assignments are bounded by
+    ``DEFAULT_ASSIGNMENT_BOUND``.
     """
 
     def __init__(
@@ -1373,18 +1367,14 @@ class Monitor:
         alg: Algebra,
         J: SpecInterpretation,
         gamma: TraceAssertion,
-        universe: Optional[ComponentUniverse] = None,
+        plan: Optional[AssertionPlan] = None,
     ):
-        free_data, free_comps = free_vars(gamma)
-        if free_data or free_comps:
-            raise UsageError(
-                "monitored assertions must be rigid-closed; free variables: "
-                + ", ".join(sorted(free_data) + sorted(free_comps))
-            )
-        if contains_rigid_quantifier(gamma):
-            raise UsageError("monitored assertions must not use rigid quantifiers")
-        self._evaluator = _TraceEvaluator(alg, J, remember_steps=False)
-        self._residual = _Deferred(gamma, {_COMPS: {}})
+        plan = AssertionPlan.of(gamma, plan)
+        plan.check_bound(alg, J, DEFAULT_ASSIGNMENT_BOUND)
+        self._evaluator = _TraceEvaluator(
+            alg, J, remember_steps=False, tables=plan.tables
+        )
+        self._residual = _Deferred(plan.closed, {_COMPS: {}})
         self._steps = 0
         self._last: Optional[Verdict] = None
         self._final: Optional[Verdict] = None

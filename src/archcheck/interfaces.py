@@ -430,6 +430,7 @@ def _check_interpretations(name, interface, assertions, interps, pspec, alg):
     not depend on the order."""
     checked = []
     notes = []
+    guarded = None  # each assertion with its free variables and their guard
     for interp in interps:
         violations = []
         checked.append((interp, violations))
@@ -445,13 +446,14 @@ def _check_interpretations(name, interface, assertions, interps, pspec, alg):
         typing = check_port_typing(interp, pspec, alg)
         violations.extend(typing.violations)
         evaluator = _InterfaceEvaluator(alg, interp)
-        for idx, assertion in enumerate(assertions):
+        if guarded is None:  # found once, and only if an interpretation reads them
+            guarded = [(a, free_data_vars(a)) for a in assertions]
+            guarded = [(a, v, find_guard(antecedent(a), v)) for a, v in guarded]
+        for idx, (assertion, variables, guard) in enumerate(guarded):
             if not notes and uses_local_port(assertion, interface):
                 notes.append(
                     f"extension: local-port term (interface {name}, assertion {idx + 1})"
                 )
-            variables = free_data_vars(assertion)
-            guard = find_guard(antecedent(assertion), variables)
             bindings = enumerate_assignments(evaluator, variables, guard=guard)
             if not all(evaluator.holds(asg, assertion) for asg in bindings):
                 violations.append(

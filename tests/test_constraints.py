@@ -7,6 +7,7 @@ from archcheck.constraints import (
     CLOSED,
     OPEN,
     Active,
+    AssertionPlan,
     BoundedRigidForall,
     CompEquals,
     Conn,
@@ -28,6 +29,7 @@ from archcheck.constraints import (
     TraceImplies,
     TraceNot,
     Truth,
+    Verdict,
     WeakUntil,
     check_trace_assertion,
     config_holds,
@@ -39,6 +41,7 @@ from archcheck.errors import (
     CapacityError,
     InactiveComponentError,
     SignatureError,
+    SortError,
     UsageError,
 )
 from archcheck.interfaces import (
@@ -448,12 +451,31 @@ class TestMonitor:
             monitor.verdict
 
     def test_rejects_free_variables(self):
-        with pytest.raises(UsageError):
-            Monitor(self.alg, self.J, Globally(State(Active("b"))))
+        # what AssertionPlan refuses: here a component variable with no
+        # interface; with one declared, the closure is monitored
+        gamma = Globally(State(Active("b")))
+        with pytest.raises(SortError, match="no declared interface"):
+            Monitor(self.alg, self.J, gamma)
+        plan = AssertionPlan(gamma, {"b": "BB"})
+        monitor = Monitor(self.alg, self.J, gamma, plan)
+        assert monitor.step(self._steps(self.bb_idle)[0]).truth is Truth.INCONCLUSIVE
+        empty = ArchConfiguration(frozenset())
+        assert monitor.step(empty) == Verdict(Truth.VIOLATED, 1)
 
-    def test_rejects_rigid_quantifiers(self):
+    def test_monitors_rigid_quantifiers(self):
         gamma = RigidForallComp("b", "BB", Globally(State(Active("b"))))
-        with pytest.raises(UsageError):
+        monitor = Monitor(self.alg, self.J, gamma)
+        assert monitor.step(self._steps(self.bb_hot)[0]).truth is Truth.INCONCLUSIVE
+        empty = ArchConfiguration(frozenset())
+        assert monitor.step(empty) == Verdict(Truth.VIOLATED, 1)
+        assert monitor.step(self._steps(self.bb_hot)[0]) == Verdict(Truth.VIOLATED, 1)
+
+    def test_applies_the_default_assignment_bound(self, monkeypatch):
+        import archcheck.constraints as constraints
+
+        gamma = Globally(State(Member(Var("p", PROB), PortRead("b", "BB", "bbop", PROB))))
+        monkeypatch.setattr(constraints, "DEFAULT_ASSIGNMENT_BOUND", 2)
+        with pytest.raises(CapacityError, match="3 combinations, exceeding the bound of 2"):
             Monitor(self.alg, self.J, gamma)
 
 

@@ -1,5 +1,6 @@
 """The progression core: the monitor against the oracle on every prefix, its
 work per step, and long or deep inputs."""
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from archcheck.algebra import BoolLit
 from archcheck.constraints import (
     CLOSED,
     OPEN,
+    AssertionPlan,
     Eventually,
     Globally,
     Min,
@@ -23,7 +25,6 @@ from archcheck.constraints import (
     Verdict,
     _StateEvaluator,
     check_trace_assertion,
-    contains_rigid_quantifier,
     trace_holds,
 )
 from archcheck.model import ArchConfiguration, ComponentUniverse, ConfigurationTrace
@@ -52,8 +53,6 @@ def test_monitor_agrees_with_the_oracle_on_every_prefix():
     while monitored < 150:
         world = random_world(rng)
         gamma = random_closed_assertion(rng, world, depth=4)
-        if contains_rigid_quantifier(gamma):
-            continue
         oworld = oracle.World(world.alg, world.J)
         monitor = Monitor(world.alg, world.J, gamma)
         final = None
@@ -104,6 +103,49 @@ def test_monitor_matches_trace_holds_on_mutated_blackboard_traces():
                     else:
                         assert verdict == final
     assert compared > 100
+
+
+def test_monitor_equals_the_check_on_every_bundle_assertion():
+    # each of the 15 bundle assertions, monitored through its bundle plan:
+    # on every prefix the verdict of the open check of that prefix, witness
+    # and explanation included, until the first final verdict; its truth
+    # after it.  Each simulated trace is also fed with an empty
+    # configuration in its middle, which violates safety assertions.
+    from archcheck.blackboard import random_scenario, simulate_blackboard
+    from test_rigid_enumeration import _bundle_assertions
+
+    assertions = [
+        (name, gamma, AssertionPlan(gamma, rigid_comp, rigid_data))
+        for name, gamma, rigid_comp, rigid_data in _bundle_assertions()
+    ]
+    rng = random.Random(404003)
+    truths = set()
+    for mutation in (None, "drop-forwarding", "drop-activation"):
+        for _ in range(2):
+            scenario = random_scenario(rng, max_problems=3, max_sources=2, horizon=20)
+            run = simulate_blackboard(scenario, mutation=mutation)
+            steps = list(run.trace.steps)
+            steps[len(steps) // 2] = ArchConfiguration(frozenset())
+            gap = ConfigurationTrace(run.trace.universe, steps)
+            for (name, gamma, plan), trace in itertools.product(
+                assertions, (run.trace, gap)
+            ):
+                monitor = Monitor(run.algebra, run.interpretation, gamma, plan)
+                final = None
+                for t, k in enumerate(trace.steps, start=1):
+                    verdict = monitor.step(k)
+                    expected = check_trace_assertion(
+                        run.algebra, run.interpretation, _prefix(trace, t),
+                        gamma, OPEN, plan=plan,
+                    )
+                    where = (mutation, scenario.seed, name, trace is gap, t)
+                    if final is None:
+                        assert verdict == expected, where
+                        final = verdict if verdict.final else None
+                    else:
+                        assert verdict == final and verdict.truth is expected.truth, where
+                    truths.add(verdict.truth)
+    assert {Truth.VIOLATED, Truth.INCONCLUSIVE} <= truths
 
 
 class TestWorkPerStep:

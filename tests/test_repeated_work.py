@@ -1,7 +1,8 @@
 """Work that a theorem trial used to redo: the simulator builds each distinct
 snapshot once per simulation, a bundle keeps the analysis of its assertions
-across checks, and a rigid-closed assertion reports the verdict of its one
-run, witness and explanation included."""
+across checks, an interface check analyses each axiom once, and a
+rigid-closed assertion reports the verdict of its one run, witness and
+explanation included."""
 import gc
 import hashlib
 import random
@@ -166,6 +167,34 @@ def test_the_second_check_of_a_bundle_analyses_none_of_its_assertions(monkeypatc
     assert len(bundle.plans) == len(gammas)
     # a fresh bundle, analysed on its first check, gives the same report
     assert _verdicts(report) == _verdicts(check_simulation(blackboard_bundle(), second))
+
+
+def test_interface_axioms_are_analysed_once_per_check(monkeypatch):
+    # find_guard runs once per interface axiom of each check, however many
+    # interpretations the axioms are checked against
+    from archcheck import interfaces
+
+    bundle = blackboard_bundle()
+    axioms = sum(len(items) for items in bundle.interface_spec.assertions.values())
+    assert axioms > 0
+    calls = []
+    real = interfaces.find_guard
+    monkeypatch.setattr(
+        interfaces, "find_guard", lambda *args: calls.append(args) or real(*args)
+    )
+    rng = random.Random(13)
+    sizes = set()
+    for sources in (1, 2, 3):
+        result = simulate_blackboard(random_scenario(rng, max_sources=sources))
+        J = result.interpretation
+        sizes.add(sum(len(items) for items in J.by_interface.values()))
+        calls.clear()
+        report = interfaces.check_spec_interpretation(
+            J, bundle.interface_spec, bundle.port_spec, result.algebra
+        )
+        assert report.ok
+        assert len(calls) == axioms
+    assert len(sizes) > 1
 
 
 def _module_tables():
