@@ -30,14 +30,12 @@ from .constraints import (
     Verdict,
     check_trace_assertion,
 )
-from .diagrams import desugar_diagram
+from .diagrams import annotation_labels, desugar_diagram, rigid_declarations
 from .errors import UsageError
 from .interfaces import check_spec_interpretation
 from .model import ValidationReport, check_trace
 from .parser import parse_unit, resolve
 from .parser.resolver import ResolvedBundle, TraceData
-
-ANNOTATION_LABELS = ("minmax", "rigid", "connections")
 
 
 @dataclass(frozen=True)
@@ -146,26 +144,10 @@ def _desugar_diagrams(bundle: ResolvedBundle):
     out = []
     for unit_name, diagram in bundle.diagrams:
         _, assertions = desugar_diagram(diagram)
-        labels = iter_labels(diagram)
-        rigid_comp = {}
-        if diagram.rigid is not None:
-            for iface, names in diagram.rigid.vars.items():
-                for var in names:
-                    rigid_comp[var] = iface
-        for label, gamma in zip(labels, assertions):
+        rigid_comp = dict(rigid_declarations(diagram))
+        for label, gamma in zip(annotation_labels(diagram), assertions):
             out.append((f"{unit_name}.{label}", gamma, rigid_comp))
     return out
-
-
-def iter_labels(diagram):
-    labels = []
-    if diagram.minmax is not None and not diagram.minmax.empty:
-        labels.append("minmax")
-    if diagram.rigid is not None and diagram.rigid.vars:
-        labels.append("rigid")
-    if diagram.required_conn is not None:
-        labels.append("connections")
-    return labels
 
 
 def run_check(
@@ -174,9 +156,8 @@ def run_check(
     trace: Optional[TraceData] = None,
     mode: str = OPEN,
     max_assignments: int = DEFAULT_ASSIGNMENT_BOUND,
-    skip_units: tuple[str, ...] = (),
 ) -> CheckReport:
-    """Run all three phases; ``skip_units`` excludes whole constraint units.
+    """Run all three phases.
 
     What does not depend on the trace (the desugared diagram assertions and
     an ``AssertionPlan`` per assertion) is made on the first check of
@@ -194,9 +175,7 @@ def run_check(
     )
     validity = check_trace(trace.trace)
     results = []
-    for name, unit, gamma, rigid_comp, rigid_data, text in _assertions(bundle):
-        if unit in skip_units:
-            continue
+    for name, gamma, rigid_comp, rigid_data, text in _assertions(bundle):
         plan = bundle.plans.get(name)
         if plan is None or plan.gamma is not gamma:
             plan = bundle.plans[name] = AssertionPlan(gamma, rigid_comp, rigid_data)
@@ -223,14 +202,12 @@ def run_check(
 
 
 def _assertions(bundle: ResolvedBundle):
-    """Name, unit, assertion, rigid declarations and text of every trace
-    assertion of ``bundle``: its constraints, then its diagram annotations."""
+    """Name, assertion, rigid declarations and text of every trace assertion
+    of ``bundle``: its constraints, then its diagram annotations."""
     for item in bundle.constraints:
-        yield (
-            item.name, item.unit, item.gamma, item.rigid_comp, item.rigid_data, item.text
-        )
+        yield item.name, item.gamma, item.rigid_comp, item.rigid_data, item.text
     for name, gamma, rigid_comp in diagram_assertions(bundle):
-        yield name, name.split(".")[0], gamma, rigid_comp, {}, ""
+        yield name, gamma, rigid_comp, {}, ""
 
 
 def _pick(table, chosen, what):

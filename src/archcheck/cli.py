@@ -23,7 +23,7 @@ from .blackboard import (
 )
 from .checker import run_check, verify_theorem
 from .constraints import DEFAULT_ASSIGNMENT_BOUND, OPEN
-from .diagrams import desugar_diagram
+from .diagrams import desugar_diagram, rigid_declarations
 from .errors import ArchError, UsageError
 from .parser import parse_unit, print_unit, resolve
 from .parser.lowering import lower_formula
@@ -118,18 +118,16 @@ def cmd_desugar(args) -> int:
     lines = []
     for unit_name, diagram in bundle.diagrams:
         _, assertions = desugar_diagram(diagram)
-        rigid_decls = []
-        if diagram.rigid is not None:
-            for iface in sorted(diagram.rigid.vars):
-                for var in diagram.rigid.vars[iface]:
-                    rigid_decls.append(VarDecl((var,), RName(iface)))
         unit = SourceUnit(
             kind="constraints",
             name=f"{unit_name}Constraints",
             imports=tuple(sorted(diagram.spec.interfaces)),
             body=ConstraintsBody(
                 vars=(),
-                rigid_vars=tuple(rigid_decls),
+                rigid_vars=tuple(
+                    VarDecl((var,), RName(iface))
+                    for var, iface in rigid_declarations(diagram)
+                ),
                 axioms=tuple(
                     AxiomDecl(lower_formula(gamma)) for gamma in assertions
                 ),

@@ -204,19 +204,42 @@ def desugar_required_conn(
     return _g_state(And(tuple(conjuncts)))
 
 
+def annotation_labels(diagram: ConfigurationDiagram) -> tuple[str, ...]:
+    """Labels of the diagram's annotations that desugar to an assertion, in
+    desugaring order: ``minmax``, ``rigid``, ``connections``."""
+    present = (
+        ("minmax", diagram.minmax is not None and not diagram.minmax.empty),
+        ("rigid", diagram.rigid is not None and bool(diagram.rigid.vars)),
+        ("connections", diagram.required_conn is not None),
+    )
+    return tuple(label for label, here in present if here)
+
+
+def rigid_declarations(diagram: ConfigurationDiagram) -> list[tuple[str, str]]:
+    """(variable, interface) of each variable of the rigid annotation, by
+    interface name, the variables of one interface in annotation order."""
+    if diagram.rigid is None:
+        return []
+    return [
+        (var, name)
+        for name in sorted(diagram.rigid.vars)
+        for var in diagram.rigid.vars[name]
+    ]
+
+
 def desugar_diagram(
     diagram: ConfigurationDiagram,
 ) -> tuple[InterfaceSpec, tuple[TraceAssertion, ...]]:
     """The diagram's interface-spec fragment plus the desugared assertions of
-    all present annotations, in the order min-max, rigid, required-conn."""
-    assertions = []
-    if diagram.minmax is not None and not diagram.minmax.empty:
-        assertions.append(desugar_minmax(diagram.minmax))
-    if diagram.rigid is not None and diagram.rigid.vars:
-        assertions.append(desugar_rigid(diagram.rigid))
-    if diagram.required_conn is not None:
-        assertions.append(desugar_required_conn(diagram.required_conn, diagram.spec))
-    return diagram.spec, tuple(assertions)
+    all present annotations, in the order of ``annotation_labels``."""
+    desugar = {
+        "minmax": lambda: desugar_minmax(diagram.minmax),
+        "rigid": lambda: desugar_rigid(diagram.rigid),
+        "connections": lambda: desugar_required_conn(
+            diagram.required_conn, diagram.spec
+        ),
+    }
+    return diagram.spec, tuple(desugar[label]() for label in annotation_labels(diagram))
 
 
 def check_full_homomorphism(

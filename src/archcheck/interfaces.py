@@ -195,13 +195,6 @@ class InterfaceInterpretation:
             tuple(sorted(self.output_map.items())),
         )
 
-    def port_ids(self) -> frozenset[str]:
-        return (
-            frozenset(self.local_map.values())
-            | frozenset(self.input_map.values())
-            | frozenset(self.output_map.values())
-        )
-
     def concrete_port(self, port_id: str) -> str:
         """Inverse of the role maps: interface port id -> concrete port."""
         try:

@@ -185,9 +185,6 @@ class ComponentUniverse:
     def ids(self) -> frozenset[str]:
         return frozenset(c.id for c in self.snapshots)
 
-    def snapshots_of(self, cid: str) -> tuple[ComponentSnapshot, ...]:
-        return tuple(sorted_snapshots(c for c in self.snapshots if c.id == cid))
-
 
 @dataclass(frozen=True)
 class Violation:

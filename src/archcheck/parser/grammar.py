@@ -89,10 +89,11 @@ class LineError(Exception):
 class Cursor:
     """Token cursor over a single line."""
 
-    def __init__(self, tokens: list[Token], line_no: int):
+    def __init__(self, tokens: list[Token], line_no: int, text: str = ""):
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
+        self.text = text  # the line, stripped
         self.depth = 0
 
     def peek(self, offset=0) -> Optional[Token]:
@@ -315,12 +316,7 @@ def _parse_primary(cur: Cursor):
         return first
     if token.text == "{":
         cur.take()
-        items = []
-        if not cur.at("}"):
-            items.append(_parse_iff(cur))
-            while cur.at(","):
-                cur.take()
-                items.append(_parse_iff(cur))
+        items = _parse_list(cur, _parse_iff, "}")
         cur.expect("}")
         return ESet(tuple(items), span=token.span)
     if token.text == "true":
@@ -347,16 +343,10 @@ def _parse_primary(cur: Cursor):
     if token.text in ("conn", "irconn"):
         cur.take()
         cur.expect("(")
-        left_owner = cur.expect_ident().text
-        cur.expect(".")
-        left_port = cur.expect_ident().text
-        cur.expect("<-")
-        right_owner = cur.expect_ident().text
-        cur.expect(".")
-        right_port = cur.expect_ident().text
+        link = _parse_link(cur)
         cur.expect(")")
         cls = EConn if token.text == "conn" else EIRConn
-        return cls(left_owner, left_port, right_owner, right_port, span=token.span)
+        return cls(*link, span=token.span)
     if token.text in ("min", "max"):
         cur.take()
         cur.expect("(")
@@ -380,12 +370,7 @@ def _parse_primary(cur: Cursor):
         cur.take()
         if cur.at("("):
             cur.take()
-            args = []
-            if not cur.at(")"):
-                args.append(_parse_iff(cur))
-                while cur.at(","):
-                    cur.take()
-                    args.append(_parse_iff(cur))
+            args = _parse_list(cur, _parse_iff, ")")
             cur.expect(")")
             return EApply(token.text, tuple(args), span=token.span)
         if cur.at(".") and cur.at_ident(1):
@@ -413,30 +398,54 @@ def parse_sortref(cur: Cursor) -> SortRef:
     return sort
 
 
-def _parse_ident_list(cur: Cursor) -> list[str]:
-    names = [cur.expect_ident().text]
+def _header(cur: Cursor) -> Optional[str]:
+    """The line's words when it may be a section header (at most two)."""
+    if len(cur.tokens) > 2:
+        return None
+    return " ".join([token.text for token in cur.tokens])
+
+
+def _parse_list(cur: Cursor, item, close=None) -> list:
+    """Items separated by commas; none when the next token is ``close``."""
+    if close is not None and cur.at(close):
+        return []
+    items = [item(cur)]
     while cur.at(","):
         cur.take()
-        names.append(cur.expect_ident().text)
+        items.append(item(cur))
+    return items
+
+
+def _ident(cur: Cursor) -> str:
+    return cur.expect_ident().text
+
+
+def _parse_names(cur: Cursor) -> list[str]:
+    """A line that is a list of names."""
+    names = _parse_list(cur, _ident)
+    cur.expect_end()
     return names
 
 
-def _parse_var_decl(cur: Cursor) -> VarDecl:
-    span = cur.peek().span if cur.peek() else None
-    names = _parse_ident_list(cur)
+def _parse_var_decl(cur: Cursor, cls=VarDecl):
+    """``names : sort``, as a ``VarDecl`` or, given ``PortDecl``, as that."""
+    span = cur.peek().span
+    names = _parse_list(cur, _ident)
     cur.expect(":")
     sort = parse_sortref(cur)
     cur.expect_end()
-    return VarDecl(tuple(names), sort, span=span)
+    return cls(tuple(names), sort, span=span)
 
 
 def _parse_port_decl(cur: Cursor) -> PortDecl:
-    span = cur.peek().span if cur.peek() else None
-    names = _parse_ident_list(cur)
-    cur.expect(":")
-    sort = parse_sortref(cur)
+    return _parse_var_decl(cur, PortDecl)
+
+
+def _parse_axiom(cur: Cursor) -> AxiomDecl:
+    span = cur.peek().span
+    expr = parse_formula(cur)
     cur.expect_end()
-    return PortDecl(tuple(names), sort, span=span)
+    return AxiomDecl(expr, text=cur.text, span=span)
 
 
 def _parse_symbol_decl(cur: Cursor) -> SymbolDecl:
@@ -459,17 +468,64 @@ def _parse_symbol_decl(cur: Cursor) -> SymbolDecl:
     return SymbolDecl(name.text, tuple(args), result, span=name.span)
 
 
+def _parse_carrier(cur: Cursor) -> CarrierDecl:
+    span = cur.peek().span
+    sort = cur.expect_ident("sort").text
+    cur.expect("=")
+    cur.expect("{")
+    elements = _parse_list(cur, _ident, "}")
+    cur.expect("}")
+    cur.expect_end()
+    return CarrierDecl(sort, tuple(elements), span=span)
+
+
+def _parse_function_entry(cur: Cursor) -> TableEntry:
+    span = cur.peek().span
+    name = cur.expect_ident("function symbol").text
+    args: list = []
+    if cur.at("("):
+        cur.take()
+        args = _parse_list(cur, _parse_primary, ")")
+        cur.expect(")")
+    cur.expect("=")
+    value = _parse_primary(cur)
+    cur.expect_end()
+    return TableEntry(name, tuple(args), value, span=span)
+
+
+def _parse_predicate_entry(cur: Cursor) -> TableEntry:
+    span = cur.peek().span
+    name = cur.expect_ident("predicate symbol").text
+    cur.expect("(")
+    args = _parse_list(cur, _parse_primary, ")")
+    cur.expect(")")
+    cur.expect_end()
+    return TableEntry(name, tuple(args), None, span=span)
+
+
+def _parse_valuation(cur: Cursor) -> tuple:
+    """``port = value``."""
+    port = cur.expect_ident("port").text
+    cur.expect("=")
+    return port, _parse_primary(cur)
+
+
+def _parse_link(cur: Cursor) -> tuple[str, str, str, str]:
+    """``owner.port <- owner.port``."""
+    in_owner = _ident(cur)
+    cur.expect(".")
+    in_port = _ident(cur)
+    cur.expect("<-")
+    out_owner = _ident(cur)
+    cur.expect(".")
+    return in_owner, in_port, out_owner, _ident(cur)
+
+
 def _parse_connect(cur: Cursor) -> ConnectDecl:
     span = cur.expect("connect").span
-    in_owner = cur.expect_ident().text
-    cur.expect(".")
-    in_port = cur.expect_ident().text
-    cur.expect("<-")
-    out_owner = cur.expect_ident().text
-    cur.expect(".")
-    out_port = cur.expect_ident().text
+    link = _parse_link(cur)
     cur.expect_end()
-    return ConnectDecl(in_owner, in_port, out_owner, out_port, span=span)
+    return ConnectDecl(*link, span=span)
 
 
 def _parse_minmax_suffix(cur: Cursor):
@@ -571,11 +627,9 @@ class _UnitParser:
             cur = Cursor(line[2], line[0])
             cur.take()
             try:
-                imports.extend(_parse_ident_list(cur))
-                cur.expect_end()
+                imports.extend(_parse_names(cur))
             except LineError as err:
                 self.error(err.message, err.span)
-        return imports
 
     def _each_line(self, handler, replay=None):
         """Feed every remaining line to handler with per-line recovery.
@@ -597,316 +651,167 @@ class _UnitParser:
             if line is None:
                 return
             line_no, text, tokens = line
-            cur = Cursor(tokens, line_no)
             try:
-                entry = handler(cur, text)
+                entry = handler(Cursor(tokens, line_no, text))
             except LineError as err:
                 self.error(err.message, err.span)
                 continue
             if entry is not None:
                 table[self.raw_lines[line_no - 1]] = entry
 
-    # -- datatype ----------------------------------------------------------
+    def _parse_sections(self, sections, expected, roles=()):
+        """Parse a body of sections, each opened by a header line.
+
+        ``sections`` maps each header to the parser of a line under it.  A
+        line that starts with one of ``roles`` lists names and may stand
+        anywhere.  Returns the parsed lines by header and the names by role.
+        """
+        found = {key: [] for key in (*sections, *roles)}
+        section = None
+
+        def handler(cur: Cursor):
+            nonlocal section
+            head = cur.peek()
+            header = _header(cur)
+            if header in sections:
+                section = header
+            elif head.text in roles:
+                cur.take()
+                found[head.text].extend(_parse_names(cur))
+            elif section is None:
+                raise LineError(expected, head.span)
+            else:
+                found[section].append(sections[section](cur))
+
+        self._each_line(handler)
+        return found
 
     def _parse_datatype(self):
-        sorts: list[str] = []
-        symbols: list[SymbolDecl] = []
-        vars_: list[VarDecl] = []
-        axioms: list[AxiomDecl] = []
-        section = [None]
-
-        def handler(cur: Cursor, text: str):
-            head = cur.peek()
-            if head.text in ("sorts", "symbols", "vars", "axioms") and (
-                cur.peek(1) is None
-            ):
-                section[0] = head.text
-                return
-            if section[0] == "sorts":
-                sorts.extend(_parse_ident_list(cur))
-                cur.expect_end()
-            elif section[0] == "symbols":
-                symbols.append(_parse_symbol_decl(cur))
-            elif section[0] == "vars":
-                vars_.append(_parse_var_decl(cur))
-            elif section[0] == "axioms":
-                span = head.span
-                expr = parse_formula(cur)
-                cur.expect_end()
-                axioms.append(AxiomDecl(expr, text=text, span=span))
-            else:
-                raise LineError(
-                    "expected a section header (sorts, symbols, vars, axioms)",
-                    head.span,
-                )
-
-        self._each_line(handler)
-        return DatatypeBody(tuple(sorts), tuple(symbols), tuple(vars_), tuple(axioms))
-
-    # -- portspec -----------------------------------------------------------
+        found = self._parse_sections(
+            {
+                "sorts": _parse_names,
+                "symbols": _parse_symbol_decl,
+                "vars": _parse_var_decl,
+                "axioms": _parse_axiom,
+            },
+            "expected a section header (sorts, symbols, vars, axioms)",
+        )
+        sorts = [sort for line in found["sorts"] for sort in line]
+        return DatatypeBody(sorts, found["symbols"], found["vars"], found["axioms"])
 
     def _parse_portspec(self):
-        ports: list[PortDecl] = []
-        section = [None]
-
-        def handler(cur: Cursor, text: str):
-            head = cur.peek()
-            if head.text == "ports" and cur.peek(1) is None:
-                section[0] = "ports"
-                return
-            if section[0] == "ports":
-                ports.append(_parse_port_decl(cur))
-            else:
-                raise LineError("expected the `ports` section header", head.span)
-
-        self._each_line(handler)
-        return PortSpecBody(tuple(ports))
-
-    # -- interface ----------------------------------------------------------
+        found = self._parse_sections(
+            {"ports": _parse_port_decl}, "expected the `ports` section header"
+        )
+        return PortSpecBody(found["ports"])
 
     def _parse_interface(self):
-        ports: list[PortDecl] = []
-        local: list[str] = []
-        inputs: list[str] = []
-        outputs: list[str] = []
-        vars_: list[VarDecl] = []
-        axioms: list[AxiomDecl] = []
-        section = [None]
-        roles = {"local": local, "inputs": inputs, "outputs": outputs}
-
-        def handler(cur: Cursor, text: str):
-            head = cur.peek()
-            if head.text in ("ports", "vars", "axioms") and cur.peek(1) is None:
-                section[0] = head.text
-                return
-            if head.text in roles:
-                cur.take()
-                roles[head.text].extend(_parse_ident_list(cur))
-                cur.expect_end()
-                return
-            if section[0] == "ports":
-                ports.append(_parse_port_decl(cur))
-            elif section[0] == "vars":
-                vars_.append(_parse_var_decl(cur))
-            elif section[0] == "axioms":
-                span = head.span
-                expr = parse_formula(cur)
-                cur.expect_end()
-                axioms.append(AxiomDecl(expr, text=text, span=span))
-            else:
-                raise LineError(
-                    "expected ports/vars/axioms section or local/inputs/outputs",
-                    head.span,
-                )
-
-        self._each_line(handler)
-        return InterfaceBody(
-            tuple(ports), tuple(local), tuple(inputs), tuple(outputs),
-            tuple(vars_), tuple(axioms),
+        found = self._parse_sections(
+            {
+                "ports": _parse_port_decl,
+                "vars": _parse_var_decl,
+                "axioms": _parse_axiom,
+            },
+            "expected ports/vars/axioms section or local/inputs/outputs",
+            roles=("local", "inputs", "outputs"),
         )
-
-    # -- constraints ----------------------------------------------------------
+        return InterfaceBody(**found)
 
     def _parse_constraints(self):
-        vars_: list[VarDecl] = []
-        rigid_vars: list[VarDecl] = []
-        axioms: list[AxiomDecl] = []
-        section = [None]
+        found = self._parse_sections(
+            {
+                "vars": _parse_var_decl,
+                "rigid vars": _parse_var_decl,
+                "axioms": _parse_axiom,
+            },
+            "expected vars, rigid vars, or axioms section",
+        )
+        return ConstraintsBody(found["vars"], found["rigid vars"], found["axioms"])
 
-        def handler(cur: Cursor, text: str):
-            head = cur.peek()
-            if head.text == "vars" and cur.peek(1) is None:
-                section[0] = "vars"
-                return
-            if head.text == "rigid" and cur.at("vars", 1) and cur.peek(2) is None:
-                section[0] = "rigid vars"
-                return
-            if head.text == "axioms" and cur.peek(1) is None:
-                section[0] = "axioms"
-                return
-            if section[0] == "vars":
-                vars_.append(_parse_var_decl(cur))
-            elif section[0] == "rigid vars":
-                rigid_vars.append(_parse_var_decl(cur))
-            elif section[0] == "axioms":
-                span = head.span
-                expr = parse_formula(cur)
-                cur.expect_end()
-                axioms.append(AxiomDecl(expr, text=text, span=span))
-            else:
-                raise LineError(
-                    "expected vars, rigid vars, or axioms section", head.span
-                )
-
-        self._each_line(handler)
-        return ConstraintsBody(tuple(vars_), tuple(rigid_vars), tuple(axioms))
+    def _parse_algebra(self):
+        found = self._parse_sections(
+            {
+                "carriers": _parse_carrier,
+                "functions": _parse_function_entry,
+                "predicates": _parse_predicate_entry,
+            },
+            "expected carriers, functions, or predicates section",
+        )
+        return AlgebraBody(**found)
 
     # -- diagram ----------------------------------------------------------
 
     def _parse_diagram(self):
-        ports: list[PortDecl] = []
-        vars_: list[VarDecl] = []
-        rigid_vars: list[VarDecl] = []
-        interfaces: list[InterfaceDecl] = []
-        rigid_ann: list[RigidAnnDecl] = []
-        connects: list[ConnectDecl] = []
-        axioms: list[tuple[str, list[AxiomDecl]]] = []
-        # context: (mode, payload) with mode in {None, section, iface, axioms}
-        state = {"section": None, "iface": None, "axioms": None}
+        sections = {
+            "ports": _parse_port_decl,
+            "vars": _parse_var_decl,
+            "rigid vars": _parse_var_decl,
+        }
+        found = {header: [] for header in sections}
+        interfaces, rigid_ann, connects, axioms = [], [], [], []
+        # What the next lines add to: a section, the roles of an interface
+        # block, or the axioms of an interface.
+        section = iface = block = None
 
-        def reset():
-            if state["iface"] is not None:
-                interfaces.append(_close_interface(state["iface"]))
-                state["iface"] = None
-            state["section"] = None
-            state["axioms"] = None
-
-        def handler(cur: Cursor, text: str):
+        def handler(cur: Cursor):
+            nonlocal section, iface, block
             head = cur.peek()
-            if head.text in ("ports", "vars") and cur.peek(1) is None:
-                reset()
-                state["section"] = head.text
-                return
-            if head.text == "rigid" and cur.at("vars", 1) and cur.peek(2) is None:
-                reset()
-                state["section"] = "rigid vars"
-                return
-            if head.text == "rigid":
-                reset()
-                cur.take()
-                iface = cur.expect_ident("interface").text
-                cur.expect(":")
-                names = _parse_ident_list(cur)
-                cur.expect_end()
-                rigid_ann.append(RigidAnnDecl(iface, tuple(names), span=head.span))
-                return
-            if head.text == "interface":
-                reset()
-                cur.take()
-                name = cur.expect_ident("interface name").text
-                minmax = None
-                if cur.at("["):
-                    minmax = _parse_minmax_suffix(cur)
-                cur.expect_end()
-                state["iface"] = {
-                    "name": name, "minmax": minmax, "span": head.span,
-                    "local": [], "inputs": [], "outputs": [],
-                }
-                return
+            header = _header(cur)
             if head.text in ("local", "inputs", "outputs"):
-                if state["iface"] is None:
+                if iface is None:
                     raise LineError(
                         f"{head.text!r} outside an interface block", head.span
                     )
                 cur.take()
-                state["iface"][head.text].extend(_parse_ident_list(cur))
-                cur.expect_end()
+                iface[head.text].extend(_parse_names(cur))
                 return
-            if head.text == "connect":
-                reset()
-                connects.append(_parse_connect(cur))
-                return
-            if head.text == "axioms":
-                reset()
-                cur.take()
-                iface = cur.expect_ident("interface").text
-                cur.expect_end()
-                block: list[AxiomDecl] = []
-                axioms.append((iface, block))
-                state["axioms"] = block
-                return
-            if state["axioms"] is not None:
-                span = head.span
-                expr = parse_formula(cur)
-                cur.expect_end()
-                state["axioms"].append(AxiomDecl(expr, text=text, span=span))
-                return
-            if state["section"] == "ports":
-                ports.append(_parse_port_decl(cur))
-                return
-            if state["section"] == "vars":
-                vars_.append(_parse_var_decl(cur))
-                return
-            if state["section"] == "rigid vars":
-                rigid_vars.append(_parse_var_decl(cur))
-                return
-            raise LineError("unexpected line in diagram unit", head.span)
-
-        self._each_line(handler)
-        if state["iface"] is not None:
-            interfaces.append(_close_interface(state["iface"]))
-        return DiagramBody(
-            ports=tuple(ports),
-            vars=tuple(vars_),
-            rigid_vars=tuple(rigid_vars),
-            interfaces=tuple(interfaces),
-            rigid_annotations=tuple(rigid_ann),
-            connects=tuple(connects),
-            axioms=tuple((iface, tuple(block)) for iface, block in axioms),
-        )
-
-    # -- algebra ----------------------------------------------------------
-
-    def _parse_algebra(self):
-        carriers: list[CarrierDecl] = []
-        functions: list[TableEntry] = []
-        predicates: list[TableEntry] = []
-        section = [None]
-
-        def handler(cur: Cursor, text: str):
-            head = cur.peek()
-            if head.text in ("carriers", "functions", "predicates") and (
-                cur.peek(1) is None
+            if header in sections or head.text in (
+                "rigid", "interface", "connect", "axioms"
             ):
-                section[0] = head.text
-                return
-            if section[0] == "carriers":
-                sort = cur.expect_ident("sort").text
-                cur.expect("=")
-                cur.expect("{")
-                elements = []
-                if not cur.at("}"):
-                    elements = _parse_ident_list(cur)
-                cur.expect("}")
+                section = iface = block = None
+            if header in sections:
+                section = header
+            elif head.text == "rigid":
+                cur.take()
+                name = cur.expect_ident("interface").text
+                cur.expect(":")
+                names = _parse_names(cur)
+                rigid_ann.append(RigidAnnDecl(name, tuple(names), span=head.span))
+            elif head.text == "interface":
+                cur.take()
+                name = cur.expect_ident("interface name").text
+                minmax = _parse_minmax_suffix(cur) if cur.at("[") else None
                 cur.expect_end()
-                carriers.append(CarrierDecl(sort, tuple(elements), span=head.span))
-            elif section[0] == "functions":
-                name = cur.expect_ident("function symbol").text
-                args: list = []
-                if cur.at("("):
-                    cur.take()
-                    if not cur.at(")"):
-                        args.append(_parse_primary(cur))
-                        while cur.at(","):
-                            cur.take()
-                            args.append(_parse_primary(cur))
-                    cur.expect(")")
-                cur.expect("=")
-                value = _parse_primary(cur)
+                iface = {
+                    "name": name, "minmax": minmax, "span": head.span,
+                    "local": [], "inputs": [], "outputs": [],
+                }
+                interfaces.append(iface)
+            elif head.text == "connect":
+                connects.append(_parse_connect(cur))
+            elif head.text == "axioms":
+                cur.take()
+                name = cur.expect_ident("interface").text
                 cur.expect_end()
-                functions.append(
-                    TableEntry(name, tuple(args), value, span=head.span)
-                )
-            elif section[0] == "predicates":
-                name = cur.expect_ident("predicate symbol").text
-                cur.expect("(")
-                args = []
-                if not cur.at(")"):
-                    args.append(_parse_primary(cur))
-                    while cur.at(","):
-                        cur.take()
-                        args.append(_parse_primary(cur))
-                cur.expect(")")
-                cur.expect_end()
-                predicates.append(TableEntry(name, tuple(args), None, span=head.span))
+                block = []
+                axioms.append((name, block))
+            elif block is not None:
+                block.append(_parse_axiom(cur))
+            elif section is not None:
+                found[section].append(sections[section](cur))
             else:
-                raise LineError(
-                    "expected carriers, functions, or predicates section",
-                    head.span,
-                )
+                raise LineError("unexpected line in diagram unit", head.span)
 
         self._each_line(handler)
-        return AlgebraBody(tuple(carriers), tuple(functions), tuple(predicates))
+        return DiagramBody(
+            ports=found["ports"],
+            vars=found["vars"],
+            rigid_vars=found["rigid vars"],
+            interfaces=[InterfaceDecl(**builder) for builder in interfaces],
+            rigid_annotations=rigid_ann,
+            connects=connects,
+            axioms=axioms,
+        )
 
     # -- trace ----------------------------------------------------------
 
@@ -923,7 +828,7 @@ class _UnitParser:
         # Each step-section line yields an entry (kind, payload, column,
         # end_column) that holds no line number, so _each_line can replay it
         # for every later line with the same text.
-        def handler(cur: Cursor, text: str):
+        def handler(cur: Cursor):
             head = cur.peek()
             if head.text == "components" and cur.peek(1) is None:
                 section[0] = "components"
@@ -939,15 +844,7 @@ class _UnitParser:
                 locals_: list = []
                 if cur.at("with"):
                     cur.take()
-                    while True:
-                        port = cur.expect_ident("port").text
-                        cur.expect("=")
-                        value = _parse_primary(cur)
-                        locals_.append((port, value))
-                        if cur.at(","):
-                            cur.take()
-                            continue
-                        break
+                    locals_ = _parse_list(cur, _parse_valuation)
                 cur.expect_end()
                 components.append(
                     ComponentDecl(cid, iface, tuple(locals_), span=head.span)
@@ -975,9 +872,7 @@ class _UnitParser:
                             "port valuations must follow an `active` line",
                             head.span,
                         )
-                    port = cur.expect_ident("port").text
-                    cur.expect("=")
-                    value = _parse_primary(cur)
+                    port, value = _parse_valuation(cur)
                     cur.expect_end()
                     step["actives"][-1]["vals"].append((port, value))
                     # A value that is not ground draws a resolver diagnostic
@@ -1038,17 +933,6 @@ def _is_ground(expr) -> bool:
     if isinstance(expr, ESet):
         return all(_is_ground(item) for item in expr.items)
     return False
-
-
-def _close_interface(builder: dict) -> InterfaceDecl:
-    return InterfaceDecl(
-        name=builder["name"],
-        local=tuple(builder["local"]),
-        inputs=tuple(builder["inputs"]),
-        outputs=tuple(builder["outputs"]),
-        minmax=builder["minmax"],
-        span=builder["span"],
-    )
 
 
 def parse_unit(text: str):

@@ -61,15 +61,57 @@ def lower_term(term):
     raise TypeError(f"not a term: {term!r}")
 
 
-def _fold(op, items):
-    out = lower_formula(items[0])
-    for item in items[1:]:
-        out = EBinary(op, out, lower_formula(item))
-    return out
+# Connectives by class: a state connective prints like its trace counterpart.
+_CONNECTIVES = {
+    ALG.Not: "not", CON.TraceNot: "not",
+    CON.Next: "X", CON.Eventually: "F", CON.Globally: "G",
+    ALG.And: "and", CON.TraceAnd: "and", ALG.Or: "or", CON.TraceOr: "or",
+    ALG.Implies: "->", CON.TraceImplies: "->", ALG.Iff: "<->", CON.TraceIff: "<->",
+    CON.Until: "U", CON.WeakUntil: "W",
+}
+_PREFIX = {"not", "X", "F", "G"}
+
+# Quantifiers print in three shapes: over a set-valued term, over an
+# interface, or over a sort.
+_FORALL = (
+    ALG.ForallData, ALG.BoundedForall, CON.ForallComp,
+    CON.RigidForallData, CON.RigidForallComp, CON.BoundedRigidForall,
+)
+_EXISTS = (
+    ALG.ExistsData, ALG.BoundedExists, CON.ExistsComp,
+    CON.RigidExistsData, CON.RigidExistsComp, CON.BoundedRigidExists,
+)
+_BOUNDED = (
+    ALG.BoundedForall, ALG.BoundedExists,
+    CON.BoundedRigidForall, CON.BoundedRigidExists,
+)
+_OVER_INTERFACE = (
+    CON.ForallComp, CON.ExistsComp, CON.RigidForallComp, CON.RigidExistsComp,
+)
 
 
 def lower_formula(node):
-    # configuration-assertion level
+    op = _CONNECTIVES.get(type(node))
+    if op is not None:
+        parts = [lower_formula(part) for part in ALG.children(node)]
+        if op in _PREFIX:
+            return EUnary(op, parts[0])
+        out = parts[0]
+        for part in parts[1:]:
+            out = EBinary(op, out, part)
+        return out
+    if isinstance(node, _FORALL + _EXISTS):
+        kind = "forall" if isinstance(node, _FORALL) else "exists"
+        if isinstance(node, _BOUNDED):
+            source = lower_term(node.source)
+            return EQuant(kind, node.vars, None, source, lower_formula(node.body))
+        if isinstance(node, _OVER_INTERFACE):
+            annotation = RName(node.interface)
+        else:
+            annotation = lower_sort(node.sort)
+        return EQuant(kind, (node.var,), annotation, None, lower_formula(node.body))
+    if isinstance(node, CON.State):
+        return lower_formula(node.formula)
     if isinstance(node, ALG.BoolLit):
         return EBool(node.value)
     if isinstance(node, ALG.PredAtom):
@@ -78,31 +120,6 @@ def lower_formula(node):
         return EBinary("==", lower_term(node.left), lower_term(node.right))
     if isinstance(node, ALG.Member):
         return EBinary("in", lower_term(node.element), lower_term(node.collection))
-    if isinstance(node, ALG.Not):
-        return EUnary("not", lower_formula(node.operand))
-    if isinstance(node, ALG.And):
-        return _fold("and", node.items)
-    if isinstance(node, ALG.Or):
-        return _fold("or", node.items)
-    if isinstance(node, ALG.Implies):
-        return EBinary("->", lower_formula(node.left), lower_formula(node.right))
-    if isinstance(node, ALG.Iff):
-        return EBinary("<->", lower_formula(node.left), lower_formula(node.right))
-    if isinstance(node, ALG.ForallData):
-        return EQuant(
-            "forall", (node.var,), lower_sort(node.sort), None,
-            lower_formula(node.body),
-        )
-    if isinstance(node, ALG.ExistsData):
-        return EQuant(
-            "exists", (node.var,), lower_sort(node.sort), None,
-            lower_formula(node.body),
-        )
-    if isinstance(node, (ALG.BoundedForall, ALG.BoundedExists)):
-        kind = "forall" if isinstance(node, ALG.BoundedForall) else "exists"
-        return EQuant(
-            kind, node.vars, None, lower_term(node.source), lower_formula(node.body)
-        )
     if isinstance(node, ALG.WellFounded):
         return EWellFounded(node.symbol)
     if isinstance(node, CON.CompEquals):
@@ -121,62 +138,4 @@ def lower_formula(node):
         return EMax(node.interface, node.count)
     if isinstance(node, CON.MinMax):
         return EMinMax(node.interface, node.low, node.high)
-    if isinstance(node, CON.ForallComp):
-        return EQuant(
-            "forall", (node.var,), RName(node.interface), None,
-            lower_formula(node.body),
-        )
-    if isinstance(node, CON.ExistsComp):
-        return EQuant(
-            "exists", (node.var,), RName(node.interface), None,
-            lower_formula(node.body),
-        )
-    # trace-assertion level
-    if isinstance(node, CON.State):
-        return lower_formula(node.formula)
-    if isinstance(node, CON.TraceNot):
-        return EUnary("not", lower_formula(node.operand))
-    if isinstance(node, CON.TraceAnd):
-        return _fold("and", node.items)
-    if isinstance(node, CON.TraceOr):
-        return _fold("or", node.items)
-    if isinstance(node, CON.TraceImplies):
-        return EBinary("->", lower_formula(node.left), lower_formula(node.right))
-    if isinstance(node, CON.TraceIff):
-        return EBinary("<->", lower_formula(node.left), lower_formula(node.right))
-    if isinstance(node, CON.Next):
-        return EUnary("X", lower_formula(node.body))
-    if isinstance(node, CON.Eventually):
-        return EUnary("F", lower_formula(node.body))
-    if isinstance(node, CON.Globally):
-        return EUnary("G", lower_formula(node.body))
-    if isinstance(node, CON.Until):
-        return EBinary("U", lower_formula(node.left), lower_formula(node.right))
-    if isinstance(node, CON.WeakUntil):
-        return EBinary("W", lower_formula(node.left), lower_formula(node.right))
-    if isinstance(node, CON.RigidForallData):
-        return EQuant(
-            "forall", (node.var,), lower_sort(node.sort), None,
-            lower_formula(node.body),
-        )
-    if isinstance(node, CON.RigidExistsData):
-        return EQuant(
-            "exists", (node.var,), lower_sort(node.sort), None,
-            lower_formula(node.body),
-        )
-    if isinstance(node, CON.RigidForallComp):
-        return EQuant(
-            "forall", (node.var,), RName(node.interface), None,
-            lower_formula(node.body),
-        )
-    if isinstance(node, CON.RigidExistsComp):
-        return EQuant(
-            "exists", (node.var,), RName(node.interface), None,
-            lower_formula(node.body),
-        )
-    if isinstance(node, (CON.BoundedRigidForall, CON.BoundedRigidExists)):
-        kind = "forall" if isinstance(node, CON.BoundedRigidForall) else "exists"
-        return EQuant(
-            kind, node.vars, None, lower_term(node.source), lower_formula(node.body)
-        )
     raise TypeError(f"not a formula: {node!r}")

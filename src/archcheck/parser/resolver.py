@@ -157,8 +157,9 @@ class Env:
     pending: set = field(default_factory=set)  # names bound by an open binder
     closures: list = field(default_factory=list)  # implicit closure warnings
 
-    def child(self, **updates) -> "Env":
-        clone = Env(
+    def child(self) -> "Env":
+        """A copy whose variables and pending names can change apart."""
+        return Env(
             sig=self.sig,
             pspec=self.pspec,
             interfaces=self.interfaces,
@@ -169,9 +170,6 @@ class Env:
             pending=set(self.pending),
             closures=self.closures,
         )
-        for key, value in updates.items():
-            setattr(clone, key, value)
-        return clone
 
 
 def resolve_sortref(ref: SortRef, sorts: frozenset, span=None) -> ALG.Sort:
@@ -191,11 +189,6 @@ def resolve_sortref(ref: SortRef, sorts: frozenset, span=None) -> ALG.Sort:
 
 # ---------------------------------------------------------------------------
 # Term and formula resolution
-
-
-def _value_sort_of_port(env: Env, declared: ALG.Sort) -> ALG.Sort:
-    # a port term denotes the whole message set of the port
-    return ALG.SetSort(declared)
 
 
 def resolve_term(env: Env, expr, expected: Optional[ALG.Sort] = None):
@@ -218,8 +211,9 @@ def resolve_term(env: Env, expr, expected: Optional[ALG.Sort] = None):
             _check_expected(expected, sort, expr.span)
             return ALG.Apply(name, ()), sort
         if in_ports:
+            # a port term denotes the whole message set of the port
             declared = env.port_symbols[name]
-            value_sort = _value_sort_of_port(env, declared)
+            value_sort = ALG.SetSort(declared)
             _check_expected(expected, value_sort, expr.span)
             return PortSym(name, declared), value_sort
         if name in env.comp_vars:
@@ -246,7 +240,7 @@ def resolve_term(env: Env, expr, expected: Optional[ALG.Sort] = None):
                 f"interface {iface_name!r} has no port {expr.attr!r}", expr.span
             )
         declared = env.pspec.sort_of(expr.attr)
-        value_sort = _value_sort_of_port(env, declared)
+        value_sort = ALG.SetSort(declared)
         _check_expected(expected, value_sort, expr.span)
         return CON.PortRead(expr.base, iface_name, expr.attr, declared), value_sort
     if isinstance(expr, EApply):
@@ -366,16 +360,11 @@ def resolve_formula(env: Env, expr):
         _require_components(env, expr.span)
         in_iface = _require_interface(env, expr.in_interface, expr.span)
         out_iface = _require_interface(env, expr.out_interface, expr.span)
-        if expr.in_port not in in_iface.inputs:
-            raise ResolveError(
-                f"{expr.in_port!r} is not an input port of {expr.in_interface!r}",
-                expr.span,
-            )
-        if expr.out_port not in out_iface.outputs:
-            raise ResolveError(
-                f"{expr.out_port!r} is not an output port of {expr.out_interface!r}",
-                expr.span,
-            )
+        _check_roles(
+            (expr.in_interface, in_iface, expr.in_port),
+            (expr.out_interface, out_iface, expr.out_port),
+            expr.span,
+        )
         return "state", CON.IRConn(
             expr.in_interface, expr.in_port, expr.out_interface, expr.out_port
         )
@@ -402,14 +391,9 @@ def resolve_formula(env: Env, expr):
             if kind == "state":
                 return "state", ALG.Not(operand)
             return "trace", CON.TraceNot(operand)
-        if env.level != "trace":
-            raise ResolveError(
-                "temporal operators are only allowed in constraint axioms",
-                expr.span,
-            )
+        _require_temporal(env, expr.span)
         body = _lift(env, resolve_formula(env, expr.operand), expr.span)
-        cls = {"X": CON.Next, "F": CON.Eventually, "G": CON.Globally}[expr.op]
-        return "trace", cls(body)
+        return "trace", _TEMPORAL[expr.op](body)
     if isinstance(expr, EBinary):
         return _resolve_binary(env, expr)
     if isinstance(expr, EQuant):
@@ -435,6 +419,17 @@ def _require_interface(env: Env, name: str, span) -> Interface:
     return interface
 
 
+def _check_roles(inbound, outbound, span):
+    """Raise unless ``inbound`` names an input port and ``outbound`` an
+    output port of its owner; each is (owner name, ``Interface``, port)."""
+    owner, interface, port = inbound
+    if port not in interface.inputs:
+        raise ResolveError(f"{port!r} is not an input port of {owner!r}", span)
+    owner, interface, port = outbound
+    if port not in interface.outputs:
+        raise ResolveError(f"{port!r} is not an output port of {owner!r}", span)
+
+
 def _resolve_conn(env: Env, expr: EConn) -> CON.Conn:
     bindings = []
     for var in (expr.in_var, expr.out_var):
@@ -443,55 +438,57 @@ def _resolve_conn(env: Env, expr: EConn) -> CON.Conn:
             raise ResolveError(f"undeclared component variable {var!r}", expr.span)
         bindings.append(binding[0])
     in_iface_name, out_iface_name = bindings
-    in_iface = env.interfaces[in_iface_name]
-    out_iface = env.interfaces[out_iface_name]
-    if expr.in_port not in in_iface.inputs:
-        raise ResolveError(
-            f"{expr.in_port!r} is not an input port of {in_iface_name!r}", expr.span
-        )
-    if expr.out_port not in out_iface.outputs:
-        raise ResolveError(
-            f"{expr.out_port!r} is not an output port of {out_iface_name!r}",
-            expr.span,
-        )
+    _check_roles(
+        (in_iface_name, env.interfaces[in_iface_name], expr.in_port),
+        (out_iface_name, env.interfaces[out_iface_name], expr.out_port),
+        expr.span,
+    )
     return CON.Conn(
         expr.in_var, in_iface_name, expr.in_port,
         expr.out_var, out_iface_name, expr.out_port,
     )
 
 
+def _require_temporal(env: Env, span):
+    if env.level != "trace":
+        raise ResolveError(
+            "temporal operators are only allowed in constraint axioms", span
+        )
+
+
+_TEMPORAL = {
+    "X": CON.Next, "F": CON.Eventually, "G": CON.Globally,
+    "U": CON.Until, "W": CON.WeakUntil,
+}
+# A connective's classes: of two configuration assertions, and otherwise.
+_CONNECTIVES = {
+    "and": (ALG.And, CON.TraceAnd),
+    "or": (ALG.Or, CON.TraceOr),
+    "->": (ALG.Implies, CON.TraceImplies),
+    "<->": (ALG.Iff, CON.TraceIff),
+}
+
+
 def _resolve_binary(env: Env, expr: EBinary):
     op = expr.op
     if op in ("U", "W"):
-        if env.level != "trace":
-            raise ResolveError(
-                "temporal operators are only allowed in constraint axioms",
-                expr.span,
-            )
+        _require_temporal(env, expr.span)
         left = _lift(env, resolve_formula(env, expr.left), expr.span)
         right = _lift(env, resolve_formula(env, expr.right), expr.span)
-        cls = CON.Until if op == "U" else CON.WeakUntil
-        return "trace", cls(left, right)
-    if op in ("and", "or", "->", "<->"):
+        return "trace", _TEMPORAL[op](left, right)
+    if op in _CONNECTIVES:
         left_kind, left = resolve_formula(env, expr.left)
         right_kind, right = resolve_formula(env, expr.right)
-        if left_kind == right_kind == "state":
-            if op == "and":
-                return "state", _flat(ALG.And, left, right)
-            if op == "or":
-                return "state", _flat(ALG.Or, left, right)
-            if op == "->":
-                return "state", ALG.Implies(left, right)
-            return "state", ALG.Iff(left, right)
-        tleft = _lift(env, (left_kind, left), expr.span)
-        tright = _lift(env, (right_kind, right), expr.span)
-        if op == "and":
-            return "trace", _flat(CON.TraceAnd, tleft, tright)
-        if op == "or":
-            return "trace", _flat(CON.TraceOr, tleft, tright)
-        if op == "->":
-            return "trace", CON.TraceImplies(tleft, tright)
-        return "trace", CON.TraceIff(tleft, tright)
+        kind = "state" if left_kind == right_kind == "state" else "trace"
+        state_cls, trace_cls = _CONNECTIVES[op]
+        cls = state_cls
+        if kind == "trace":
+            cls = trace_cls
+            left = _lift(env, (left_kind, left), expr.span)
+            right = _lift(env, (right_kind, right), expr.span)
+        if op in ("and", "or"):
+            return kind, _flat(cls, left, right)
+        return kind, cls(left, right)
     if op == "==":
         both_comp = (
             isinstance(expr.left, EName)
@@ -572,6 +569,16 @@ def _lift(env: Env, tagged, span) -> CON.TraceAssertion:
     return CON.State(closed)
 
 
+# The (forall, exists) classes of a quantifier over a sort and over an
+# interface: its configuration-assertion form, then its rigid form.
+_DATA_QUANTIFIERS = (
+    (ALG.ForallData, ALG.ExistsData), (CON.RigidForallData, CON.RigidExistsData)
+)
+_COMP_QUANTIFIERS = (
+    (CON.ForallComp, CON.ExistsComp), (CON.RigidForallComp, CON.RigidExistsComp)
+)
+
+
 def _resolve_quantifier(env: Env, expr: EQuant):
     rng_names = expr.names
     if expr.bound is None:
@@ -579,44 +586,51 @@ def _resolve_quantifier(env: Env, expr: EQuant):
         declared_data = env.data_vars.get(name)
         declared_comp = env.comp_vars.get(name)
         annotation = expr.annotation
-        if declared_data is None and declared_comp is None and annotation is None:
-            raise ResolveError(
-                f"quantified variable {name!r} is neither declared nor annotated",
-                expr.span,
-            )
-        if annotation is not None:
-            # interface annotation or sort annotation
-            if isinstance(annotation, RName) and annotation.name in env.interfaces:
-                if declared_data is not None:
-                    raise ResolveError(
-                        f"{name!r} is a data variable, not a component variable",
-                        expr.span,
-                    )
-                iface = annotation.name
-                if declared_comp is not None and declared_comp[0] != iface:
-                    raise ResolveError(
-                        f"{name!r} declared at interface {declared_comp[0]!r},"
-                        f" annotated {iface!r}",
-                        expr.span,
-                    )
-                return _finish_comp_quant(env, expr, name, iface, declared_comp)
-            sort = resolve_sortref(annotation, env.sig.sorts, expr.span)
+        if annotation is None:
+            if declared_data is None and declared_comp is None:
+                raise ResolveError(
+                    f"quantified variable {name!r} is neither declared nor"
+                    " annotated",
+                    expr.span,
+                )
+            over_components = declared_comp is not None
+            domain = (declared_comp or declared_data)[0]
+        elif isinstance(annotation, RName) and annotation.name in env.interfaces:
+            if declared_data is not None:
+                raise ResolveError(
+                    f"{name!r} is a data variable, not a component variable",
+                    expr.span,
+                )
+            over_components = True
+            domain = annotation.name
+            if declared_comp is not None and declared_comp[0] != domain:
+                raise ResolveError(
+                    f"{name!r} declared at interface {declared_comp[0]!r},"
+                    f" annotated {domain!r}",
+                    expr.span,
+                )
+        else:
+            over_components = False
+            domain = resolve_sortref(annotation, env.sig.sorts, expr.span)
             if declared_comp is not None:
                 raise ResolveError(
                     f"{name!r} is a component variable, not a data variable",
                     expr.span,
                 )
-            if declared_data is not None and declared_data[0] != sort:
+            if declared_data is not None and declared_data[0] != domain:
                 raise ResolveError(
-                    f"{name!r} declared {declared_data[0]}, annotated {sort}",
+                    f"{name!r} declared {declared_data[0]}, annotated {domain}",
                     expr.span,
                 )
-            return _finish_data_quant(env, expr, name, sort, declared_data)
-        if declared_comp is not None:
-            return _finish_comp_quant(
-                env, expr, name, declared_comp[0], declared_comp
+        if over_components:
+            _require_components(env, expr.span)
+            return _finish_quant(
+                env, expr, name, domain, "comp_vars", declared_comp,
+                _COMP_QUANTIFIERS,
             )
-        return _finish_data_quant(env, expr, name, declared_data[0], declared_data)
+        return _finish_quant(
+            env, expr, name, domain, "data_vars", declared_data, _DATA_QUANTIFIERS
+        )
     # bounded form
     source, source_sort = resolve_term(env, expr.bound)
     if not isinstance(source_sort, ALG.SetSort):
@@ -680,64 +694,39 @@ def _resolve_quantifier(env: Env, expr: EQuant):
     return "state", cls(tuple(rng_names), source, body)
 
 
-def _finish_data_quant(env: Env, expr: EQuant, name, sort, declared):
+def _finish_quant(env: Env, expr: EQuant, name, domain, table, declared, classes):
+    """``expr`` binding ``name`` over ``domain``, a sort or an interface.
+
+    ``table`` names the ``Env`` table the variable goes in, ``declared`` is
+    its declaration there or None, and ``classes`` are the quantifier's
+    (forall, exists) classes, state form first.
+    """
     rigid = declared[1] if declared is not None else None
     inner = env.child()
-    inner.data_vars[name] = (sort, bool(rigid))
+    getattr(inner, table)[name] = (domain, bool(rigid))
     if rigid is None:
         inner.pending.add(name)
     kind, body = resolve_formula(inner, expr.body)
-    if kind == "trace" and declared is not None and not declared[1]:
+    if kind == "trace" and rigid is False:
         raise ResolveError(
             f"flexible variable {name!r} cannot scope over temporal operators;"
             " declare it rigid",
             expr.span,
         )
-    is_rigid = (kind == "trace") if rigid is None else rigid
-    if is_rigid:
+    state_classes, rigid_classes = classes
+    if kind == "trace" or rigid:
         if env.level != "trace":
             raise ResolveError(
                 "rigid quantification is only allowed in constraint axioms",
                 expr.span,
             )
-        gamma = _lift(inner, (kind, body), expr.span)
-        cls = CON.RigidForallData if expr.kind == "forall" else CON.RigidExistsData
-        return "trace", cls(name, sort, gamma)
-    if kind == "trace":
-        raise ResolveError(
-            f"flexible variable {name!r} cannot scope over temporal operators",
-            expr.span,
-        )
-    cls = ALG.ForallData if expr.kind == "forall" else ALG.ExistsData
-    return "state", cls(name, sort, body)
-
-
-def _finish_comp_quant(env: Env, expr: EQuant, name, iface, declared):
-    _require_components(env, expr.span)
-    rigid = declared[1] if declared is not None else None
-    inner = env.child()
-    inner.comp_vars[name] = (iface, bool(rigid))
-    if rigid is None:
-        inner.pending.add(name)
-    kind, body = resolve_formula(inner, expr.body)
-    if kind == "trace" and declared is not None and not declared[1]:
-        raise ResolveError(
-            f"flexible variable {name!r} cannot scope over temporal operators;"
-            " declare it rigid",
-            expr.span,
-        )
-    is_rigid = (kind == "trace") if rigid is None else rigid
-    if is_rigid:
-        gamma = _lift(inner, (kind, body), expr.span)
-        cls = CON.RigidForallComp if expr.kind == "forall" else CON.RigidExistsComp
-        return "trace", cls(name, iface, gamma)
-    if kind == "trace":
-        raise ResolveError(
-            f"flexible variable {name!r} cannot scope over temporal operators",
-            expr.span,
-        )
-    cls = CON.ForallComp if expr.kind == "forall" else CON.ExistsComp
-    return "state", cls(name, iface, body)
+        forall, exists = rigid_classes
+        body = _lift(inner, (kind, body), expr.span)
+        kind = "trace"
+    else:
+        forall, exists = state_classes
+    cls = forall if expr.kind == "forall" else exists
+    return kind, cls(name, domain, body)
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +781,26 @@ def _expr_children(node):
     return ()
 
 
+def _ground_value(expr):
+    if isinstance(expr, EName):
+        return expr.name
+    if isinstance(expr, EPair):
+        return (_ground_value(expr.first), _ground_value(expr.second))
+    if isinstance(expr, ESet):
+        return frozenset(_ground_value(item) for item in expr.items)
+    raise ResolveError(
+        "expected a ground value (name, pair, or set literal)",
+        getattr(expr, "span", None),
+    )
+
+
+def _message_set(expr) -> frozenset:
+    """A port's ground value as its set of messages; a single value stands
+    for the singleton set."""
+    value = _ground_value(expr)
+    return value if isinstance(value, frozenset) else frozenset({value})
+
+
 # ---------------------------------------------------------------------------
 # The resolver
 
@@ -827,7 +836,7 @@ class Resolver:
         datatype_axioms = self._resolve_datatype_axioms()
         self._resolve_interface_assertions()
         constraints = self._resolve_constraint_units()
-        diagrams = self._resolve_diagrams(constraints)
+        diagrams = self._resolve_diagrams()
         algebras = self._resolve_algebras()
         traces = self._resolve_traces()
         if self._failed():
@@ -853,6 +862,13 @@ class Resolver:
 
     def _failed(self):
         return any(d.severity == "error" for d in self.diagnostics)
+
+    def _units(self, *kinds):
+        """(name, unit) of each unit of one of ``kinds``, in name order."""
+        for name in sorted(self.unit_by_name):
+            unit = self.unit_by_name[name]
+            if unit.kind in kinds:
+                yield name, unit
 
     # -- units and imports ---------------------------------------------------
 
@@ -893,18 +909,12 @@ class Resolver:
     # -- signature ---------------------------------------------------------
 
     def _collect_signature(self):
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind != "datatype":
-                continue
+        for name, unit in self._units("datatype"):
             for sort in unit.body.sorts:
                 if sort in self.sorts:
                     self.err(name, f"duplicate sort {sort!r}")
                 self.sorts.add(sort)
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind != "datatype":
-                continue
+        for name, unit in self._units("datatype"):
             for decl in unit.body.symbols:
                 if decl.name in self.functions or decl.name in self.predicates:
                     self.err(name, f"duplicate symbol {decl.name!r}", decl.span)
@@ -958,7 +968,17 @@ class Resolver:
             return
         self.ports[port] = sort
 
-    def _declare_interface(self, unit_name, iface_name, interface, span):
+    def _declare_interface(self, unit_name, iface_name, roles, span):
+        """Declare the interface whose ports ``roles`` lists by role."""
+        try:
+            interface = Interface(
+                local=frozenset(roles.local),
+                inputs=frozenset(roles.inputs),
+                outputs=frozenset(roles.outputs),
+            )
+        except StructuralError as exc:
+            self.err(unit_name, str(exc), span)
+            return
         for port in sorted(interface.ports):
             if port not in self.ports:
                 self.err(
@@ -987,44 +1007,18 @@ class Resolver:
         self.interface_assertions.setdefault(iface_name, [])
 
     def _collect_ports_and_interfaces(self):
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind == "portspec":
-                for decl in unit.body.ports:
-                    for port in decl.names:
-                        self._declare_port(name, port, decl.sort, decl.span)
-            elif unit.kind in ("interface", "diagram"):
-                for decl in unit.body.ports:
-                    for port in decl.names:
-                        self._declare_port(name, port, decl.sort, decl.span)
+        for name, unit in self._units("portspec", "interface", "diagram"):
+            for decl in unit.body.ports:
+                for port in decl.names:
+                    self._declare_port(name, port, decl.sort, decl.span)
         if self._failed():
             return
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
+        for name, unit in self._units("interface", "diagram"):
             if unit.kind == "interface":
-                body = unit.body
-                try:
-                    interface = Interface(
-                        local=frozenset(body.local),
-                        inputs=frozenset(body.inputs),
-                        outputs=frozenset(body.outputs),
-                    )
-                except StructuralError as exc:
-                    self.err(name, str(exc))
-                    continue
-                self._declare_interface(name, name, interface, None)
-            elif unit.kind == "diagram":
-                for decl in unit.body.interfaces:
-                    try:
-                        interface = Interface(
-                            local=frozenset(decl.local),
-                            inputs=frozenset(decl.inputs),
-                            outputs=frozenset(decl.outputs),
-                        )
-                    except StructuralError as exc:
-                        self.err(name, str(exc), decl.span)
-                        continue
-                    self._declare_interface(name, decl.name, interface, decl.span)
+                self._declare_interface(name, name, unit.body, None)
+                continue
+            for decl in unit.body.interfaces:
+                self._declare_interface(name, decl.name, decl, decl.span)
         self.pspec = PortSpec(self.ports)
 
     # -- variable declarations ----------------------------------------------
@@ -1060,25 +1054,38 @@ class Resolver:
                     continue
                 env.data_vars[name] = (sort, rigid)
 
-    # -- datatype axioms ----------------------------------------------------
+    def _trace_env(self, unit_name, body) -> Env:
+        """The environment of a constraints or diagram unit's axioms."""
+        env = Env(self.sig, self.pspec, self.interfaces, level="trace")
+        self._declare_vars(unit_name, body.vars, rigid=False, env=env)
+        self._declare_vars(unit_name, body.rigid_vars, rigid=True, env=env)
+        return env
+
+    # -- datatype and interface axioms ------------------------------------------
+
+    def _state_axioms(self, unit_name, env: Env, var_decls, axioms, what):
+        """(index, axiom, assertion) of each of ``axioms`` that resolves to a
+        configuration assertion in ``env`` once ``var_decls`` are declared;
+        the others get a diagnostic, ``what`` naming them."""
+        self._declare_vars(unit_name, var_decls, rigid=False, env=env)
+        for index, axiom in enumerate(axioms, start=1):
+            try:
+                kind, node = resolve_formula(env, axiom.expr)
+            except ResolveError as errr:
+                self.err(unit_name, errr.message, errr.span or axiom.span)
+                continue
+            if kind != "state":
+                self.err(unit_name, f"{what} cannot be temporal", axiom.span)
+                continue
+            yield index, axiom, node
 
     def _resolve_datatype_axioms(self):
         axioms = []
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind != "datatype":
-                continue
+        for name, unit in self._units("datatype"):
             env = Env(self.sig, self.pspec, self.interfaces, level="datatype")
-            self._declare_vars(name, unit.body.vars, rigid=False, env=env)
-            for index, axiom in enumerate(unit.body.axioms, start=1):
-                try:
-                    kind, node = resolve_formula(env, axiom.expr)
-                except ResolveError as errr:
-                    self.err(name, errr.message, errr.span or axiom.span)
-                    continue
-                if kind != "state":
-                    self.err(name, "datatype axioms cannot be temporal", axiom.span)
-                    continue
+            for index, axiom, node in self._state_axioms(
+                name, env, unit.body.vars, unit.body.axioms, "datatype axioms"
+            ):
                 axioms.append(
                     LabeledAssertion(
                         name=f"{name}.ax{index}",
@@ -1090,41 +1097,26 @@ class Resolver:
                 )
         return axioms
 
-    # -- interface assertions --------------------------------------------------
-
     def _resolve_interface_axioms_for(
         self, unit_name, iface_name, var_decls, axioms
     ):
-        interface = self.interfaces.get(iface_name)
-        if interface is None:
-            self.err(unit_name, f"unknown interface {iface_name!r}")
-            return
-        port_symbols = {p: self.ports[p] for p in interface.ports}
         env = Env(
             self.sig,
             self.pspec,
             self.interfaces,
-            port_symbols=port_symbols,
+            port_symbols={p: self.ports[p] for p in self.interfaces[iface_name].ports},
             level="interface",
         )
-        self._declare_vars(unit_name, var_decls, rigid=False, env=env)
-        for index, axiom in enumerate(axioms, start=1):
-            try:
-                kind, node = resolve_formula(env, axiom.expr)
-            except ResolveError as errr:
-                self.err(unit_name, errr.message, errr.span or axiom.span)
-                continue
-            if kind != "state":
-                self.err(
-                    unit_name, "interface assertions cannot be temporal", axiom.span
-                )
-                continue
-            self.interface_assertions[iface_name].append(node)
+        self.interface_assertions[iface_name].extend(
+            node
+            for _, _, node in self._state_axioms(
+                unit_name, env, var_decls, axioms, "interface assertions"
+            )
+        )
 
     def _resolve_interface_assertions(self):
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind == "interface" and unit.body.axioms:
+        for name, unit in self._units("interface"):
+            if unit.body.axioms:
                 self._resolve_interface_axioms_for(
                     name, name, unit.body.vars, unit.body.axioms
                 )
@@ -1133,13 +1125,8 @@ class Resolver:
 
     def _resolve_constraint_units(self):
         constraints = []
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind != "constraints":
-                continue
-            env = Env(self.sig, self.pspec, self.interfaces, level="trace")
-            self._declare_vars(name, unit.body.vars, rigid=False, env=env)
-            self._declare_vars(name, unit.body.rigid_vars, rigid=True, env=env)
+        for name, unit in self._units("constraints"):
+            env = self._trace_env(name, unit.body)
             for index, axiom in enumerate(unit.body.axioms, start=1):
                 resolved = self._resolve_constraint_axiom(name, env, axiom)
                 if resolved is None:
@@ -1226,20 +1213,14 @@ class Resolver:
 
     # -- diagrams ----------------------------------------------------------
 
-    def _resolve_diagrams(self, constraints_sink):
+    def _resolve_diagrams(self):
         diagrams = []
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind != "diagram":
-                continue
+        for name, unit in self._units("diagram"):
             body = unit.body
-            env = Env(self.sig, self.pspec, self.interfaces, level="trace")
-            self._declare_vars(name, body.vars, rigid=False, env=env)
-            self._declare_vars(name, body.rigid_vars, rigid=True, env=env)
+            env = self._trace_env(name, body)
+            own = [decl.name for decl in body.interfaces]
             mins, maxs = {}, {}
-            own_interfaces = {}
             for decl in body.interfaces:
-                own_interfaces[decl.name] = self.interfaces.get(decl.name)
                 if decl.minmax is not None:
                     low, high = decl.minmax
                     if low is not None:
@@ -1248,7 +1229,7 @@ class Resolver:
                         maxs[decl.name] = high
             rigid_vars = {}
             for ann in body.rigid_annotations:
-                if ann.interface not in own_interfaces:
+                if ann.interface not in own:
                     self.err(
                         name,
                         f"rigid annotation for undeclared interface"
@@ -1281,43 +1262,30 @@ class Resolver:
                     rigid_vars[ann.interface].extend(names)
             pairs = set()
             for conn in body.connects:
-                in_iface = self.interfaces.get(conn.in_owner)
-                out_iface = self.interfaces.get(conn.out_owner)
-                if in_iface is None or conn.in_owner not in own_interfaces:
-                    self.err(
-                        name, f"unknown interface {conn.in_owner!r}", conn.span
-                    )
-                    continue
-                if out_iface is None or conn.out_owner not in own_interfaces:
-                    self.err(
-                        name, f"unknown interface {conn.out_owner!r}", conn.span
-                    )
-                    continue
-                if conn.in_port not in in_iface.inputs:
-                    self.err(
-                        name,
-                        f"{conn.in_port!r} is not an input port of"
-                        f" {conn.in_owner!r}",
+                try:
+                    for owner in (conn.in_owner, conn.out_owner):
+                        if owner not in own:
+                            raise ResolveError(
+                                f"unknown interface {owner!r}", conn.span
+                            )
+                    _check_roles(
+                        (conn.in_owner, self.interfaces[conn.in_owner], conn.in_port),
+                        (conn.out_owner, self.interfaces[conn.out_owner],
+                         conn.out_port),
                         conn.span,
                     )
-                    continue
-                if conn.out_port not in out_iface.outputs:
-                    self.err(
-                        name,
-                        f"{conn.out_port!r} is not an output port of"
-                        f" {conn.out_owner!r}",
-                        conn.span,
-                    )
+                except ResolveError as errr:
+                    self.err(name, errr.message, errr.span)
                     continue
                 pairs.add(
                     ((conn.in_owner, conn.in_port), (conn.out_owner, conn.out_port))
                 )
             assertion_map = {}
             for iface_name, axioms in body.axioms:
-                if iface_name not in own_interfaces:
+                if iface_name not in own:
                     self.err(name, f"axioms for undeclared interface {iface_name!r}")
                     continue
-                before = len(self.interface_assertions.get(iface_name, []))
+                before = len(self.interface_assertions[iface_name])
                 self._resolve_interface_axioms_for(
                     name, iface_name, body.vars, axioms
                 )
@@ -1330,7 +1298,7 @@ class Resolver:
             if self._failed():
                 continue
             spec_fragment = InterfaceSpec(
-                {n: self.interfaces[n] for n in own_interfaces},
+                {n: self.interfaces[n] for n in own},
                 {k: v for k, v in assertion_map.items() if v},
             )
             try:
@@ -1355,29 +1323,9 @@ class Resolver:
 
     # -- algebras ----------------------------------------------------------
 
-    def _ground_value(self, unit_name, expr):
-        if isinstance(expr, EName):
-            return expr.name
-        if isinstance(expr, EPair):
-            return (
-                self._ground_value(unit_name, expr.first),
-                self._ground_value(unit_name, expr.second),
-            )
-        if isinstance(expr, ESet):
-            return frozenset(
-                self._ground_value(unit_name, item) for item in expr.items
-            )
-        raise ResolveError(
-            "expected a ground value (name, pair, or set literal)",
-            getattr(expr, "span", None),
-        )
-
     def _resolve_algebras(self):
         algebras = {}
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind != "algebra":
-                continue
+        for name, unit in self._units("algebra"):
             carriers = {}
             for decl in unit.body.carriers:
                 if decl.sort not in self.sorts:
@@ -1395,10 +1343,8 @@ class Resolver:
                     )
                     continue
                 try:
-                    args = tuple(
-                        self._ground_value(name, a) for a in entry.args
-                    )
-                    value = self._ground_value(name, entry.value)
+                    args = tuple(_ground_value(a) for a in entry.args)
+                    value = _ground_value(entry.value)
                 except ResolveError as errr:
                     self.err(name, errr.message, errr.span or entry.span)
                     continue
@@ -1419,7 +1365,7 @@ class Resolver:
                     )
                     continue
                 try:
-                    args = tuple(self._ground_value(name, a) for a in entry.args)
+                    args = tuple(_ground_value(a) for a in entry.args)
                 except ResolveError as errr:
                     self.err(name, errr.message, errr.span or entry.span)
                     continue
@@ -1441,10 +1387,7 @@ class Resolver:
 
     def _resolve_traces(self):
         traces = {}
-        for name in sorted(self.unit_by_name):
-            unit = self.unit_by_name[name]
-            if unit.kind != "trace":
-                continue
+        for name, unit in self._units("trace"):
             data = self._resolve_trace_unit(name, unit.body)
             if data is not None:
                 traces[name] = data
@@ -1474,14 +1417,10 @@ class Resolver:
                     ok = False
                     continue
                 try:
-                    value = self._ground_value(name, value_expr)
+                    locals_[port] = _message_set(value_expr)
                 except ResolveError as errr:
                     self.err(name, errr.message, errr.span or decl.span)
                     ok = False
-                    continue
-                if not isinstance(value, frozenset):
-                    value = frozenset({value})
-                locals_[port] = value
             if ok:
                 components[decl.id] = (decl.interface, interface, locals_)
         if self._failed():
@@ -1534,21 +1473,14 @@ class Resolver:
                         conn.span,
                     )
                     continue
-                if conn.in_port not in src[1].inputs:
-                    self.err(
-                        name,
-                        f"{conn.in_port!r} is not an input port of"
-                        f" {conn.in_owner!r}",
+                try:
+                    _check_roles(
+                        (conn.in_owner, src[1], conn.in_port),
+                        (conn.out_owner, tgt[1], conn.out_port),
                         conn.span,
                     )
-                    continue
-                if conn.out_port not in tgt[1].outputs:
-                    self.err(
-                        name,
-                        f"{conn.out_port!r} is not an output port of"
-                        f" {conn.out_owner!r}",
-                        conn.span,
-                    )
+                except ResolveError as errr:
+                    self.err(name, errr.message, errr.span)
                     continue
                 connection.setdefault((conn.in_owner, conn.in_port), set()).add(
                     (conn.out_owner, conn.out_port)
@@ -1608,14 +1540,10 @@ class Resolver:
                 ok = False
                 continue
             try:
-                value = self._ground_value(name, value_expr)
+                io_values[port] = _message_set(value_expr)
             except ResolveError as errr:
                 self.err(name, errr.message, errr.span or active.span)
                 ok = False
-                continue
-            if not isinstance(value, frozenset):
-                value = frozenset({value})
-            io_values[port] = value
         if not ok:
             return None
         return make_snapshot(

@@ -31,10 +31,6 @@ class Span:
         return f"{self.line}:{self.column}"
 
 
-def _nospan():
-    return None
-
-
 SPAN = field(default=None, compare=False, repr=False)
 
 

@@ -186,7 +186,44 @@ class TestCliCheck:
         assert report.exit_code == mapping[report.overall]
 
 
+_RULED_OUT = [
+    f"(forall v : {j} . forall w : {k} . active(v) and active(w)"
+    f" -> not conn(v.{p} <- w.{q}))"
+    for j, p, k, q in [
+        ("BB", "bbip", "BB", "bbop"), ("BB", "bbip", "BB", "bbos"),
+        ("BB", "bbip", "KS", "ksos"), ("BB", "bbis", "BB", "bbop"),
+        ("BB", "bbis", "BB", "bbos"), ("BB", "bbis", "KS", "ksop"),
+        ("KS", "ksip", "BB", "bbos"), ("KS", "ksip", "KS", "ksop"),
+        ("KS", "ksip", "KS", "ksos"), ("KS", "ksis", "BB", "bbop"),
+        ("KS", "ksis", "KS", "ksop"), ("KS", "ksis", "KS", "ksos"),
+    ]
+]
+PACK_DESUGARED = (
+    "constraints BlackboardDiagramConstraints\n"
+    "imports BB, KS\n"
+    "rigid vars\n"
+    "  bb : BB\n"
+    "axioms\n"
+    "  G minmax(BB, 1, 1)\n"
+    "  G (forall v : BB . v == bb)\n"
+    "  G ("
+    + " and ".join([
+        "irconn(BB.bbip <- KS.ksop)", "irconn(BB.bbis <- KS.ksos)",
+        "irconn(KS.ksip <- BB.bbop)", "irconn(KS.ksis <- BB.bbos)",
+        *_RULED_OUT,
+    ])
+    + ")\n"
+)
+
+
 class TestCliDesugar:
+    def test_the_shipped_pack_desugars_byte_for_byte(self, capsys):
+        pack = Path(archcheck.__file__).parent / "blackboardpack"
+        code = main(["desugar", *sorted(str(p) for p in pack.glob("*.arch"))])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out == PACK_DESUGARED
+
     def test_blackboard_diagram_desugars_and_reparses(self, workdir, capsys):
         code = main(
             [

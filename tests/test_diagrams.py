@@ -18,6 +18,7 @@ from archcheck.diagrams import (
     MinMaxAnnotation,
     RequiredConnAnnotation,
     RigidAnnotation,
+    annotation_labels,
     check_full_homomorphism,
     desugar_diagram,
     desugar_minmax,
@@ -139,8 +140,15 @@ class TestDesugarShapes:
 
     def test_diagram_without_annotations(self):
         spec = blackboard_interfaces()
-        _, assertions = desugar_diagram(ConfigurationDiagram("Plain", spec))
-        assert assertions == ()
+        for diagram in (
+            ConfigurationDiagram("Plain", spec),
+            ConfigurationDiagram(
+                "Empty", spec, minmax=MinMaxAnnotation(), rigid=RigidAnnotation({})
+            ),
+        ):
+            _, assertions = desugar_diagram(diagram)
+            assert assertions == ()
+            assert annotation_labels(diagram) == ()
 
     def test_diagram_validates_references(self):
         with pytest.raises(StructuralError):

@@ -1,6 +1,6 @@
 """Fuzzing the front end: every input ends in a unit or diagnostics.
 
-Inputs are printed `tests/rawgen.py` trace and algebra units and a small
+Inputs are printed `tests/rawgen.py` units of every kind and a small
 simulated trace, then mutated: characters replaced, inserted and deleted,
 lines duplicated, the text truncated, and values nested past the grammar's
 limit.  Each run is derandomized, so the suite sees the same examples in
@@ -74,7 +74,10 @@ def mutate(text, edits):
     return text
 
 
-sources = st.sampled_from(("trace", "algebra", "simulated"))
+KINDS = (
+    "datatype", "portspec", "interface", "constraints", "diagram", "algebra", "trace"
+)
+sources = st.sampled_from((*KINDS, "simulated"))
 edits = st.lists(
     st.tuples(st.sampled_from(EDITS), st.integers(0, 10**6),
               st.sampled_from(ALPHABET)),
@@ -118,6 +121,19 @@ def test_line_table_changes_no_unit_span_or_diagnostic(source, seed, edits):
     assert resolved == ref_resolved
     if unit is not None and unit.kind == "trace":
         assert step_spans(unit) == step_spans(reference)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(source=st.sampled_from(KINDS), seed=st.integers(0, 2**16), edits=edits)
+def test_parse_on_mutated_units_exits_0_or_3(source, seed, edits, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "unit.arch").write_text(mutate(base_text(source, seed), edits),
+                                    encoding="utf-8")
+    files = [str(root / "unit.arch")]
+    for name, unit in bundle_units().items():
+        (root / name).write_text(print_unit(unit), encoding="utf-8")
+        files.append(str(root / name))
+    assert main(["parse", *files]) in (0, 3)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)

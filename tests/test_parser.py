@@ -3,7 +3,10 @@ import zlib
 
 import pytest
 
+from archcheck import algebra as ALG
+from archcheck import constraints as CON
 from archcheck.algebra import models_spec
+from archcheck.checker import diagram_assertions
 from archcheck.cli import main
 from archcheck.constraints import (
     BoundedRigidForall,
@@ -292,34 +295,104 @@ class TestResolve:
         assert isinstance(state.formula, ExistsData)
 
 
+def _reresolved(gamma, rigid_data, rigid_comp):
+    """``gamma`` lowered, printed, parsed and resolved again, with its rigid
+    variables declared, next to the blackboard pack's declarations."""
+    printed = print_expr(lower_formula(gamma))
+    text = (
+        "constraints Reprint\n"
+        "imports BB, KS\n"
+        "rigid vars\n"
+        + "".join(f"  {n} : {s}\n" for n, s in sorted(rigid_data.items()))
+        + "".join(f"  {n} : {i}\n" for n, i in sorted(rigid_comp.items()))
+        + f"axioms\n  {printed}\n"
+    )
+    unit, diagnostics = parse_unit(text)
+    assert unit is not None, (text, diagnostics)
+    units = [
+        u for u in bundle_units().values()
+        if u.kind in ("datatype", "portspec", "interface")
+    ]
+    bundle, diagnostics = resolve(units + [unit])
+    assert bundle is not None, (text, diagnostics)
+    return bundle.constraint_by_name("Reprint.ax1").gamma
+
+
+# One formula for each quantifier class and each connective class, state
+# and trace, in the blackboard pack's vocabulary.
+EVERY_CLASS = (
+    "G(forall x : PROB . prec(x, x) -> prec(x, p))",
+    "G(exists x : PROB . not prec(x, p))",
+    "G(forall x in bb.bbop . prec(x, p) or prec(p, x))",
+    "G(exists x in bb.bbop . prec(x, p) and prec(p, x))",
+    "G(forall v : KS . active(v) <-> active(ks))",
+    "G(exists v : KS . active(v))",
+    "forall x : PROB . G(prec(x, x))",
+    "exists x : PROB . F(x in bb.bbop)",
+    "forall v : KS . G(active(v))",
+    "exists v : KS . X(active(v))",
+    "G(forall x in bb.bbop . F(x in ks.ksip))",
+    "exists x in bb.bbop . G(x in ks.ksip)",
+    "not G(active(ks))",
+    "G(active(ks)) and F(active(bb)) and X(active(ks))",
+    "G(active(ks)) or F(active(bb))",
+    "G(active(ks)) -> F(active(bb))",
+    "G(active(ks)) <-> F(active(bb))",
+    "active(ks) U active(bb)",
+    "active(ks) W (active(bb) U active(ks))",
+)
+
+
 class TestLowering:
     def test_lowering_inverts_resolution(self):
         # print(lower(resolve(x))) resolves back to the same semantic tree
         bundle, _ = resolve(list(bundle_units().values()))
-        source = dict(bundle_units())
         for item in bundle.constraints:
-            lowered = lower_formula(item.gamma)
-            printed = print_expr(lowered)
-            text = (
-                "constraints Reprint\n"
-                "imports BB, KS\n"
-                "rigid vars\n"
-                + "".join(
-                    f"  {n} : {s}\n" for n, s in sorted(item.rigid_data.items())
-                )
-                + "".join(
-                    f"  {n} : {i}\n" for n, i in sorted(item.rigid_comp.items())
-                )
-                + f"axioms\n  {printed}\n"
-            )
-            unit, diagnostics = parse_unit(text)
-            assert unit is not None, (item.name, text, diagnostics)
-            units = [
-                u
-                for nm, u in source.items()
-                if u.kind in ("datatype", "portspec", "interface")
-            ]
-            re_bundle, rediags = resolve(units + [unit])
-            assert re_bundle is not None, (item.name, text, rediags)
-            regamma = re_bundle.constraint_by_name("Reprint.ax1").gamma
-            assert regamma == item.gamma, (item.name, printed)
+            regamma = _reresolved(item.gamma, item.rigid_data, item.rigid_comp)
+            assert regamma == item.gamma, item.name
+
+    def test_lowering_inverts_the_desugared_diagram(self):
+        bundle, _ = resolve(list(bundle_units().values()))
+        triples = diagram_assertions(bundle)
+        assert [name for name, _, _ in triples] == [
+            "BlackboardDiagram.minmax",
+            "BlackboardDiagram.rigid",
+            "BlackboardDiagram.connections",
+        ]
+        for name, gamma, rigid_comp in triples:
+            assert _reresolved(gamma, {}, rigid_comp) == gamma, name
+
+    def test_lowering_inverts_every_quantifier_and_connective(self):
+        units = [
+            u for u in bundle_units().values()
+            if u.kind in ("datatype", "portspec", "interface")
+        ]
+        text = (
+            "constraints Every\nimports BB, KS\nrigid vars\n"
+            "  bb : BB\n  ks : KS\n  p : PROB\naxioms\n"
+            + "".join(f"  {formula}\n" for formula in EVERY_CLASS)
+        )
+        bundle, diagnostics = resolve([*units, parse_unit(text)[0]])
+        assert bundle is not None, diagnostics
+        seen = set()
+        for item in bundle.constraints:
+            seen |= _classes(item.gamma)
+            regamma = _reresolved(item.gamma, item.rigid_data, item.rigid_comp)
+            assert regamma == item.gamma, item.text
+        assert seen >= {
+            ALG.ForallData, ALG.ExistsData, ALG.BoundedForall, ALG.BoundedExists,
+            CON.ForallComp, CON.ExistsComp, CON.RigidForallData,
+            CON.RigidExistsData, CON.RigidForallComp, CON.RigidExistsComp,
+            CON.BoundedRigidForall, CON.BoundedRigidExists,
+            ALG.Not, ALG.And, ALG.Or, ALG.Implies, ALG.Iff,
+            CON.TraceNot, CON.TraceAnd, CON.TraceOr, CON.TraceImplies,
+            CON.TraceIff, CON.Next, CON.Eventually, CON.Globally, CON.Until,
+            CON.WeakUntil,
+        }
+
+
+def _classes(node):
+    found = {type(node)}
+    for child in ALG.children(node):
+        found |= _classes(child)
+    return found
