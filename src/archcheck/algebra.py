@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     AssignmentError,
@@ -265,9 +265,19 @@ class Algebra:
 
 
 class Node:
-    """Base of every semantic AST node: terms, assertions, trace assertions."""
+    """Base of every semantic AST node: terms, assertions, trace assertions.
+
+    ``SHAPE`` is a quantifier's ``(kind, range)``: ``"forall"`` or
+    ``"exists"``, binding ``var`` over a ``"sort"`` or an ``"interface"``,
+    or the pattern ``vars`` over the elements of the ``"set"``-valued term
+    ``source``; it is None for every other node.  ``COMP_FIELDS`` names, for
+    each component variable a node reads, the field holding it and the
+    field holding its interface, or None when the node does not reveal it.
+    """
 
     __slots__ = ()
+    SHAPE: Optional[tuple[str, str]] = None
+    COMP_FIELDS: tuple[tuple[str, Optional[str]], ...] = ()
 
 
 class Term(Node):
@@ -377,6 +387,8 @@ class Iff(Assertion):
 
 @dataclass(frozen=True)
 class ForallData(Assertion):
+    SHAPE = ("forall", "sort")
+
     var: str
     sort: Sort
     body: Assertion
@@ -384,6 +396,8 @@ class ForallData(Assertion):
 
 @dataclass(frozen=True)
 class ExistsData(Assertion):
+    SHAPE = ("exists", "sort")
+
     var: str
     sort: Sort
     body: Assertion
@@ -392,6 +406,8 @@ class ExistsData(Assertion):
 @dataclass(frozen=True)
 class BoundedForall(Assertion):
     """For all elements of an evaluated set-valued term (pattern-bound)."""
+
+    SHAPE = ("forall", "set")
 
     vars: tuple[str, ...]
     source: Term
@@ -403,6 +419,8 @@ class BoundedForall(Assertion):
 
 @dataclass(frozen=True)
 class BoundedExists(Assertion):
+    SHAPE = ("exists", "set")
+
     vars: tuple[str, ...]
     source: Term
     body: Assertion
@@ -660,8 +678,8 @@ def assertion_holds(alg: Algebra, asg: Mapping[str, Value], assertion: Assertion
 def children(node: Node) -> list[Node]:
     """Immediate sub-terms and sub-assertions of any AST node, in field order.
 
-    The one walker over the semantic AST: every node is a dataclass, and its
-    children are the fields holding a node or a tuple of nodes.
+    Every node is a dataclass, and its children are the fields holding a
+    node or a tuple of nodes; ``nodes`` and ``free_vars`` walk through it.
     """
     found = []
     for name in node.__dataclass_fields__:
@@ -673,33 +691,64 @@ def children(node: Node) -> list[Node]:
     return found
 
 
-def free_data_vars(node) -> dict[str, Sort]:
-    """Free datatype variables (name -> sort) of a term or assertion."""
-    free: dict[str, Sort] = {}
+def nodes(root: Node) -> Iterator[Node]:
+    """``root`` and every node under it, in preorder."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
-    def walk(item, bound: frozenset):
-        if isinstance(item, Var):
-            if item.name not in bound:
-                previous = free.get(item.name)
-                if previous is not None and previous != item.sort:
+
+def free_vars(node: Node) -> tuple[dict[str, Sort], dict[str, Optional[str]]]:
+    """Free data and component variables of a term, an assertion or a trace
+    assertion.  Data variables map to their sort; component variables map
+    to their interface when an occurrence reveals it (port reads, conn),
+    otherwise to None.  Raises SortError when a name is used at two sorts
+    or two interfaces.
+    """
+    data: dict[str, Sort] = {}
+    comps: dict[str, Optional[str]] = {}
+
+    def walk(node, bound_data: frozenset, bound_comp: frozenset):
+        if isinstance(node, Var):
+            if node.name not in bound_data:
+                previous = data.get(node.name)
+                if previous is not None and previous != node.sort:
                     raise SortError(
-                        f"variable {item.name!r} used at two sorts:"
-                        f" {previous} and {item.sort}"
+                        f"variable {node.name!r} used at sorts {previous} and {node.sort}"
                     )
-                free[item.name] = item.sort
+                data[node.name] = node.sort
             return
-        if isinstance(item, (ForallData, ExistsData)):
-            walk(item.body, bound | {item.var})
+        if node.SHAPE is not None:
+            over = node.SHAPE[1]
+            if over == "set":
+                walk(node.source, bound_data, bound_comp)
+                walk(node.body, bound_data | set(node.vars), bound_comp)
+            elif over == "sort":
+                walk(node.body, bound_data | {node.var}, bound_comp)
+            else:
+                walk(node.body, bound_data, bound_comp | {node.var})
             return
-        if isinstance(item, (BoundedForall, BoundedExists)):
-            walk(item.source, bound)
-            walk(item.body, bound | set(item.vars))
+        if node.COMP_FIELDS:
+            for var_field, interface_field in node.COMP_FIELDS:
+                name = getattr(node, var_field)
+                if name in bound_comp:
+                    continue
+                known = comps.get(name)
+                interface = interface_field and getattr(node, interface_field)
+                if known and interface and known != interface:
+                    raise SortError(
+                        f"component variable {name!r} used at interfaces"
+                        f" {known!r} and {interface!r}"
+                    )
+                comps[name] = known or interface
             return
-        for child in children(item):
-            walk(child, bound)
+        for child in children(node):
+            walk(child, bound_data, bound_comp)
 
-    walk(node, frozenset())
-    return free
+    walk(node, frozenset(), frozenset())
+    return data, comps
 
 
 @dataclass(frozen=True)
@@ -721,14 +770,7 @@ def _parts(pattern: Term) -> tuple[Term, ...]:
 
 
 def _var_names(node: Node) -> set[str]:
-    found, stack = set(), [node]
-    while stack:
-        item = stack.pop()
-        if type(item) is Var:
-            found.add(item.name)
-        else:
-            stack.extend(children(item))
-    return found
+    return {item.name for item in nodes(node) if type(item) is Var}
 
 
 def find_guard(
@@ -835,7 +877,7 @@ def models_spec(alg: Algebra, assertions: Iterable[Assertion]) -> bool:
     """True iff every assertion holds under every assignment of its free vars."""
     evaluator = Evaluator(alg)
     for assertion in assertions:
-        variables = free_data_vars(assertion)
+        variables = free_vars(assertion)[0]
         guard = find_guard(antecedent(assertion), variables)
         bindings = enumerate_assignments(evaluator, variables, guard=guard)
         if not all(evaluator.holds(asg, assertion) for asg in bindings):

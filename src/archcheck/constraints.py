@@ -105,7 +105,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .algebra import (  # And, Implies, Not and Or are re-exported
+from .algebra import (  # And, Implies, Not, Or and free_vars are re-exported
     Algebra,
     And,
     Assertion,
@@ -125,12 +125,12 @@ from .algebra import (  # And, Implies, Not and Or are re-exported
     PredAtom,
     Sort,
     Term,
-    Var,
     antecedent,
     bind_pattern,
-    children,
     enumerate_assignments,
     find_guard,
+    free_vars,
+    nodes,
     quantifier_guard,
     value_key,
 )
@@ -159,6 +159,8 @@ class PortRead(Term):
     """``v.p``: the current valuation of port ``p`` of the component bound to
     component variable ``v``; value sort is set(sort)."""
 
+    COMP_FIELDS = (("var", "interface"),)
+
     var: str
     interface: str
     port: str
@@ -167,18 +169,24 @@ class PortRead(Term):
 
 @dataclass(frozen=True)
 class CompEquals(Assertion):
+    COMP_FIELDS = (("left", None), ("right", None))
+
     left: str
     right: str
 
 
 @dataclass(frozen=True)
 class Active(Assertion):
+    COMP_FIELDS = (("var", None),)
+
     var: str
 
 
 @dataclass(frozen=True)
 class Conn(Assertion):
     """Port ``in_port`` of ``in_var`` is connected to ``out_port`` of ``out_var``."""
+
+    COMP_FIELDS = (("in_var", "in_interface"), ("out_var", "out_interface"))
 
     in_var: str
     in_interface: str
@@ -220,6 +228,8 @@ class MinMax(Assertion):
 
 @dataclass(frozen=True)
 class ForallComp(Assertion):
+    SHAPE = ("forall", "interface")
+
     var: str
     interface: str
     body: Assertion
@@ -227,6 +237,8 @@ class ForallComp(Assertion):
 
 @dataclass(frozen=True)
 class ExistsComp(Assertion):
+    SHAPE = ("exists", "interface")
+
     var: str
     interface: str
     body: Assertion
@@ -309,6 +321,8 @@ class WeakUntil(TraceAssertion):
 
 @dataclass(frozen=True)
 class RigidForallData(TraceAssertion):
+    SHAPE = ("forall", "sort")
+
     var: str
     sort: Sort
     body: TraceAssertion
@@ -316,6 +330,8 @@ class RigidForallData(TraceAssertion):
 
 @dataclass(frozen=True)
 class RigidExistsData(TraceAssertion):
+    SHAPE = ("exists", "sort")
+
     var: str
     sort: Sort
     body: TraceAssertion
@@ -323,6 +339,8 @@ class RigidExistsData(TraceAssertion):
 
 @dataclass(frozen=True)
 class RigidForallComp(TraceAssertion):
+    SHAPE = ("forall", "interface")
+
     var: str
     interface: str
     body: TraceAssertion
@@ -330,6 +348,8 @@ class RigidForallComp(TraceAssertion):
 
 @dataclass(frozen=True)
 class RigidExistsComp(TraceAssertion):
+    SHAPE = ("exists", "interface")
+
     var: str
     interface: str
     body: TraceAssertion
@@ -339,6 +359,8 @@ class RigidExistsComp(TraceAssertion):
 class BoundedRigidForall(TraceAssertion):
     """Rigid binding over the elements of a set-valued term evaluated at the
     current step (undefined reads yield the empty set)."""
+
+    SHAPE = ("forall", "set")
 
     vars: tuple[str, ...]
     source: Term
@@ -350,6 +372,8 @@ class BoundedRigidForall(TraceAssertion):
 
 @dataclass(frozen=True)
 class BoundedRigidExists(TraceAssertion):
+    SHAPE = ("exists", "set")
+
     vars: tuple[str, ...]
     source: Term
     body: TraceAssertion
@@ -365,6 +389,18 @@ class _Slices(BoundedRigidForall):
     trigger-shaped assertion starts at one step (see the module docstring)."""
 
     sort: Optional[Sort] = None
+
+
+# The quantifier classes by SHAPE: its configuration-assertion form, then
+# its rigid form.
+QUANTIFIERS = {
+    state.SHAPE: (state, rigid)
+    for state, rigid in (
+        (ForallData, RigidForallData), (ExistsData, RigidExistsData),
+        (ForallComp, RigidForallComp), (ExistsComp, RigidExistsComp),
+        (BoundedForall, BoundedRigidForall), (BoundedExists, BoundedRigidExists),
+    )
+}
 
 
 # ---------------------------------------------------------------------------
@@ -996,17 +1032,12 @@ def _node_tables(gamma) -> tuple[dict, dict]:
     quantifier, rigid or not, by the node's id (see ``_TraceEvaluator``)."""
     reads: dict = {}
     guards: dict = {}
-    stack = [gamma]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Term):  # terms bind nothing
-            continue
+    for node in nodes(gamma):
         if type(node) is State:
             reads[id(node.formula)] = _reads(node.formula)
         rule = _StateEvaluator.GUARDS.get(type(node))
         if rule is not None:
             guards[id(node)] = (node, rule(node))
-        stack.extend(children(node))
     return reads, guards
 
 
@@ -1145,73 +1176,7 @@ def trace_holds(
 
 
 # ---------------------------------------------------------------------------
-# Free variables and model-level checking
-
-
-def free_vars(gamma) -> tuple[dict[str, Sort], dict[str, Optional[str]]]:
-    """Free data and component variables of a trace/configuration assertion.
-
-    Component variables map to their interface when an occurrence reveals it
-    (port reads, conn, quantifier bindings), otherwise to None.
-    """
-    data: dict[str, Sort] = {}
-    comps: dict[str, Optional[str]] = {}
-
-    def see_comp(name, interface, bound_comp):
-        if name in bound_comp:
-            return
-        known = comps.get(name)
-        if interface is not None:
-            if known not in (None, interface):
-                raise SortError(
-                    f"component variable {name!r} used at interfaces"
-                    f" {known!r} and {interface!r}"
-                )
-            comps[name] = interface
-        else:
-            comps.setdefault(name, None)
-
-    def walk(node, bound_data: frozenset, bound_comp: frozenset):
-        if isinstance(node, Var):
-            if node.name not in bound_data:
-                previous = data.get(node.name)
-                if previous is not None and previous != node.sort:
-                    raise SortError(
-                        f"variable {node.name!r} used at sorts {previous} and {node.sort}"
-                    )
-                data[node.name] = node.sort
-            return
-        if isinstance(node, PortRead):
-            see_comp(node.var, node.interface, bound_comp)
-            return
-        if isinstance(node, Active):
-            see_comp(node.var, None, bound_comp)
-            return
-        if isinstance(node, CompEquals):
-            see_comp(node.left, None, bound_comp)
-            see_comp(node.right, None, bound_comp)
-            return
-        if isinstance(node, Conn):
-            see_comp(node.in_var, node.in_interface, bound_comp)
-            see_comp(node.out_var, node.out_interface, bound_comp)
-            return
-        if isinstance(node, (ForallData, ExistsData, RigidForallData, RigidExistsData)):
-            walk(node.body, bound_data | {node.var}, bound_comp)
-            return
-        if isinstance(
-            node, (BoundedForall, BoundedExists, BoundedRigidForall, BoundedRigidExists)
-        ):
-            walk(node.source, bound_data, bound_comp)
-            walk(node.body, bound_data | set(node.vars), bound_comp)
-            return
-        if isinstance(node, (ForallComp, ExistsComp, RigidForallComp, RigidExistsComp)):
-            walk(node.body, bound_data, bound_comp | {node.var})
-            return
-        for child in children(node):
-            walk(child, bound_data, bound_comp)
-
-    walk(gamma, frozenset(), frozenset())
-    return data, comps
+# Model-level checking
 
 
 def _sliced(gamma, free_data: Mapping[str, Sort]) -> Optional[TraceAssertion]:

@@ -114,7 +114,15 @@ class ConfigurationDiagram:
                     )
 
 
-def _g_state(formula) -> TraceAssertion:
+def _globally_all(conjuncts: list) -> TraceAssertion:
+    """G of the conjunction of ``conjuncts``: of the one conjunct alone, and
+    G(true) when there is none."""
+    if not conjuncts:
+        formula = BoolLit(True)
+    elif len(conjuncts) == 1:
+        formula = conjuncts[0]
+    else:
+        formula = And(tuple(conjuncts))
     return Globally(State(formula))
 
 
@@ -135,11 +143,7 @@ def desugar_minmax(ann: MinMaxAnnotation) -> TraceAssertion:
                 conjuncts.append(Min(name, low))
             if high is not None:
                 conjuncts.append(Max(name, high))
-    if not conjuncts:
-        return _g_state(BoolLit(True))
-    if len(conjuncts) == 1:
-        return _g_state(conjuncts[0])
-    return _g_state(And(tuple(conjuncts)))
+    return _globally_all(conjuncts)
 
 
 def desugar_rigid(ann: RigidAnnotation) -> TraceAssertion:
@@ -161,11 +165,7 @@ def desugar_rigid(ann: RigidAnnotation) -> TraceAssertion:
         disjuncts = tuple(CompEquals(fresh, c) for c in variables)
         body = disjuncts[0] if len(disjuncts) == 1 else Or(disjuncts)
         conjuncts.append(ForallComp(fresh, name, body))
-    if not conjuncts:
-        return _g_state(BoolLit(True))
-    if len(conjuncts) == 1:
-        return _g_state(conjuncts[0])
-    return _g_state(And(tuple(conjuncts)))
+    return _globally_all(conjuncts)
 
 
 def _fresh_var(taken: set) -> str:
@@ -197,11 +197,7 @@ def desugar_required_conn(
             Not(Conn("v", j, p, "w", k, q)),
         )
         conjuncts.append(ForallComp("v", j, ForallComp("w", k, inner)))
-    if not conjuncts:
-        return _g_state(BoolLit(True))
-    if len(conjuncts) == 1:
-        return _g_state(conjuncts[0])
-    return _g_state(And(tuple(conjuncts)))
+    return _globally_all(conjuncts)
 
 
 def annotation_labels(diagram: ConfigurationDiagram) -> tuple[str, ...]:

@@ -22,10 +22,10 @@ from .algebra import (
     Sort,
     Term,
     antecedent,
-    children,
     enumerate_assignments,
     find_guard,
-    free_data_vars,
+    free_vars,
+    nodes,
     value_key,
 )
 from .errors import (
@@ -346,13 +346,10 @@ def interface_assertion_holds(
 def uses_local_port(assertion: Assertion, interface: Interface) -> bool:
     """Whether the assertion reads a local port (published semantics covers
     only input/output port symbols; local reads use our extension clause)."""
-    stack = [assertion]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, PortSym) and node.port in interface.local:
-            return True
-        stack.extend(children(node))
-    return False
+    return any(
+        isinstance(node, PortSym) and node.port in interface.local
+        for node in nodes(assertion)
+    )
 
 
 def check_spec_interpretation(
@@ -440,7 +437,7 @@ def _check_interpretations(name, interface, assertions, interps, pspec, alg):
         violations.extend(typing.violations)
         evaluator = _InterfaceEvaluator(alg, interp)
         if guarded is None:  # found once, and only if an interpretation reads them
-            guarded = [(a, free_data_vars(a)) for a in assertions]
+            guarded = [(a, free_vars(a)[0]) for a in assertions]
             guarded = [(a, v, find_guard(antecedent(a), v)) for a, v in guarded]
         for idx, (assertion, variables, guard) in enumerate(guarded):
             if not notes and uses_local_port(assertion, interface):

@@ -23,6 +23,7 @@ from .syntax import (
     ActiveDecl,
     AlgebraBody,
     AxiomDecl,
+    BINARY_LEVEL,
     CarrierDecl,
     ComponentDecl,
     ConnectDecl,
@@ -49,8 +50,11 @@ from .syntax import (
     EWellFounded,
     InterfaceBody,
     InterfaceDecl,
+    PREFIX_LEVEL,
+    PREFIX_OPERATORS,
     PortDecl,
     PortSpecBody,
+    RIGHT_ASSOC,
     RName,
     RPair,
     RSet,
@@ -166,70 +170,30 @@ class Cursor:
 # Expressions
 
 
-def parse_formula(cur: Cursor):
-    return _parse_iff(cur)
-
-
-def _parse_iff(cur: Cursor):
+def parse_formula(cur: Cursor, level: int = 1):
+    """A formula whose binary operators are at ``level`` of ``BINARY_LEVEL``
+    or tighter.  Each operator opens one more nesting level: a left-grouping
+    chain keeps its levels open to its end, and a right-grouping operator
+    closes its level after its right operand."""
+    if level == PREFIX_LEVEL:
+        return _parse_unary(cur)
     depth = cur.depth
-    left = _parse_implies(cur)
-    while cur.at("<->"):
-        span = cur.take().span
+    left = parse_formula(cur, level + 1)
+    token = cur.peek()
+    while token is not None and BINARY_LEVEL.get(token.text) == level:
+        cur.take()
         cur.nest()
-        right = _parse_implies(cur)
-        left = EBinary("<->", left, right, span=span)
+        tighter = level if token.text in RIGHT_ASSOC else level + 1
+        left = EBinary(token.text, left, parse_formula(cur, tighter), span=token.span)
+        token = cur.peek()
     cur.depth = depth
-    return left
-
-
-def _parse_implies(cur: Cursor):
-    left = _parse_or(cur)
-    if cur.at("->"):
-        span = cur.take().span
-        cur.nest()
-        right = _parse_implies(cur)
-        cur.depth -= 1
-        return EBinary("->", left, right, span=span)
-    return left
-
-
-def _parse_or(cur: Cursor):
-    depth = cur.depth
-    left = _parse_and(cur)
-    while cur.at("or"):
-        span = cur.take().span
-        cur.nest()
-        left = EBinary("or", left, _parse_and(cur), span=span)
-    cur.depth = depth
-    return left
-
-
-def _parse_and(cur: Cursor):
-    depth = cur.depth
-    left = _parse_until(cur)
-    while cur.at("and"):
-        span = cur.take().span
-        cur.nest()
-        left = EBinary("and", left, _parse_until(cur), span=span)
-    cur.depth = depth
-    return left
-
-
-def _parse_until(cur: Cursor):
-    left = _parse_unary(cur)
-    if cur.at("U") or cur.at("W"):
-        op = cur.take()
-        cur.nest()
-        right = _parse_until(cur)
-        cur.depth -= 1
-        return EBinary(op.text, left, right, span=op.span)
     return left
 
 
 def _parse_unary(cur: Cursor):
     cur.nest()
     token = cur.peek()
-    if token is not None and token.text in ("not", "X", "F", "G"):
+    if token is not None and token.text in PREFIX_OPERATORS:
         cur.take()
         node = EUnary(token.text, _parse_unary(cur), span=token.span)
     elif token is not None and token.text in ("forall", "exists"):
@@ -268,7 +232,7 @@ def _parse_quantifier(cur: Cursor):
             cur.take()
             bound = _parse_bound_term(cur)
     cur.expect(".")
-    body = _parse_iff(cur)
+    body = parse_formula(cur)
     return EQuant(kw.text, tuple(names), annotation, bound, body, span=kw.span)
 
 
@@ -306,17 +270,17 @@ def _parse_primary(cur: Cursor):
         raise LineError("unexpected end of line", cur.end_span())
     if token.text == "(":
         cur.take()
-        first = _parse_iff(cur)
+        first = parse_formula(cur)
         if cur.at(","):
             cur.take()
-            second = _parse_iff(cur)
+            second = parse_formula(cur)
             cur.expect(")")
             return EPair(first, second, span=token.span)
         cur.expect(")")
         return first
     if token.text == "{":
         cur.take()
-        items = _parse_list(cur, _parse_iff, "}")
+        items = _parse_list(cur, parse_formula, "}")
         cur.expect("}")
         return ESet(tuple(items), span=token.span)
     if token.text == "true":
@@ -370,7 +334,7 @@ def _parse_primary(cur: Cursor):
         cur.take()
         if cur.at("("):
             cur.take()
-            args = _parse_list(cur, _parse_iff, ")")
+            args = _parse_list(cur, parse_formula, ")")
             cur.expect(")")
             return EApply(token.text, tuple(args), span=token.span)
         if cur.at(".") and cur.at_ident(1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from .. import algebra as ALG
 from .. import constraints as CON
 from ..interfaces import PortSym
+from .resolver import OPERATOR_CLASSES
 from .syntax import (
     EActive,
     EApply,
@@ -27,6 +28,7 @@ from .syntax import (
     ESet,
     EUnary,
     EWellFounded,
+    PREFIX_OPERATORS,
     RName,
     RPair,
     RSet,
@@ -61,51 +63,30 @@ def lower_term(term):
     raise TypeError(f"not a term: {term!r}")
 
 
-# Connectives by class: a state connective prints like its trace counterpart.
-_CONNECTIVES = {
-    ALG.Not: "not", CON.TraceNot: "not",
-    CON.Next: "X", CON.Eventually: "F", CON.Globally: "G",
-    ALG.And: "and", CON.TraceAnd: "and", ALG.Or: "or", CON.TraceOr: "or",
-    ALG.Implies: "->", CON.TraceImplies: "->", ALG.Iff: "<->", CON.TraceIff: "<->",
-    CON.Until: "U", CON.WeakUntil: "W",
+# Each operator class's spelling: a state connective prints like its trace
+# counterpart.
+_SPELLING = {
+    cls: op for op, classes in OPERATOR_CLASSES.items() for cls in classes if cls
 }
-_PREFIX = {"not", "X", "F", "G"}
-
-# Quantifiers print in three shapes: over a set-valued term, over an
-# interface, or over a sort.
-_FORALL = (
-    ALG.ForallData, ALG.BoundedForall, CON.ForallComp,
-    CON.RigidForallData, CON.RigidForallComp, CON.BoundedRigidForall,
-)
-_EXISTS = (
-    ALG.ExistsData, ALG.BoundedExists, CON.ExistsComp,
-    CON.RigidExistsData, CON.RigidExistsComp, CON.BoundedRigidExists,
-)
-_BOUNDED = (
-    ALG.BoundedForall, ALG.BoundedExists,
-    CON.BoundedRigidForall, CON.BoundedRigidExists,
-)
-_OVER_INTERFACE = (
-    CON.ForallComp, CON.ExistsComp, CON.RigidForallComp, CON.RigidExistsComp,
-)
 
 
 def lower_formula(node):
-    op = _CONNECTIVES.get(type(node))
+    op = _SPELLING.get(type(node))
     if op is not None:
         parts = [lower_formula(part) for part in ALG.children(node)]
-        if op in _PREFIX:
+        if op in PREFIX_OPERATORS:
             return EUnary(op, parts[0])
         out = parts[0]
         for part in parts[1:]:
             out = EBinary(op, out, part)
         return out
-    if isinstance(node, _FORALL + _EXISTS):
-        kind = "forall" if isinstance(node, _FORALL) else "exists"
-        if isinstance(node, _BOUNDED):
+    shape = getattr(node, "SHAPE", None)
+    if shape is not None:
+        kind, over = shape
+        if over == "set":
             source = lower_term(node.source)
             return EQuant(kind, node.vars, None, source, lower_formula(node.body))
-        if isinstance(node, _OVER_INTERFACE):
+        if over == "interface":
             annotation = RName(node.interface)
         else:
             annotation = lower_sort(node.sort)

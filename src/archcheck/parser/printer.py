@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from .syntax import (
     AlgebraBody,
+    BINARY_LEVEL,
     ConstraintsBody,
     DatatypeBody,
     DiagramBody,
@@ -28,7 +29,9 @@ from .syntax import (
     EUnary,
     EWellFounded,
     InterfaceBody,
+    PREFIX_LEVEL,
     PortSpecBody,
+    RIGHT_ASSOC,
     RName,
     RPair,
     RSet,
@@ -37,10 +40,7 @@ from .syntax import (
     TraceBody,
 )
 
-_BINARY_LEVEL = {"<->": 1, "->": 2, "or": 3, "and": 4, "U": 5, "W": 5}
-_RIGHT_ASSOC = {"->", "U", "W"}
 _COMPARE_LEVEL = 7
-_UNARY_LEVEL = 6
 
 
 def print_sort(ref: SortRef) -> str:
@@ -78,16 +78,14 @@ def _render(expr):
         inner = ", ".join(print_expr(e, 0) for e in expr.items)
         return "{" + (f" {inner} " if inner else "") + "}", 9
     if isinstance(expr, EUnary):
-        operand = print_expr(expr.operand, _UNARY_LEVEL)
-        joiner = " " if expr.op in ("not", "X", "F", "G") else ""
-        return f"{expr.op}{joiner}{operand}", _UNARY_LEVEL
+        return f"{expr.op} {print_expr(expr.operand, PREFIX_LEVEL)}", PREFIX_LEVEL
     if isinstance(expr, EBinary):
         if expr.op in ("==", "in"):
             left = print_expr(expr.left, 8)
             right = print_expr(expr.right, 8)
             return f"{left} {expr.op} {right}", _COMPARE_LEVEL
-        level = _BINARY_LEVEL[expr.op]
-        if expr.op in _RIGHT_ASSOC:
+        level = BINARY_LEVEL[expr.op]
+        if expr.op in RIGHT_ASSOC:
             left = print_expr(expr.left, level + 1)
             right = print_expr(expr.right, level)
         else:

@@ -46,6 +46,7 @@ from ..model import (
 from .syntax import (
     ActiveDecl,
     AxiomDecl,
+    BINARY_LEVEL,
     Diagnostic,
     EActive,
     EApply,
@@ -386,14 +387,7 @@ def resolve_formula(env: Env, expr):
             )
         return "state", CON.MinMax(expr.interface, expr.low, expr.high)
     if isinstance(expr, EUnary):
-        if expr.op == "not":
-            kind, operand = resolve_formula(env, expr.operand)
-            if kind == "state":
-                return "state", ALG.Not(operand)
-            return "trace", CON.TraceNot(operand)
-        _require_temporal(env, expr.span)
-        body = _lift(env, resolve_formula(env, expr.operand), expr.span)
-        return "trace", _TEMPORAL[expr.op](body)
+        return _resolve_operator(env, expr.op, (expr.operand,), expr.span)
     if isinstance(expr, EBinary):
         return _resolve_binary(env, expr)
     if isinstance(expr, EQuant):
@@ -456,39 +450,46 @@ def _require_temporal(env: Env, span):
         )
 
 
-_TEMPORAL = {
-    "X": CON.Next, "F": CON.Eventually, "G": CON.Globally,
-    "U": CON.Until, "W": CON.WeakUntil,
-}
-# A connective's classes: of two configuration assertions, and otherwise.
-_CONNECTIVES = {
+# Each formula operator's classes: of configuration-assertion operands, then
+# of trace-assertion operands.  A temporal operator has only the second.
+OPERATOR_CLASSES = {
+    "not": (ALG.Not, CON.TraceNot),
     "and": (ALG.And, CON.TraceAnd),
     "or": (ALG.Or, CON.TraceOr),
     "->": (ALG.Implies, CON.TraceImplies),
     "<->": (ALG.Iff, CON.TraceIff),
+    "X": (None, CON.Next),
+    "F": (None, CON.Eventually),
+    "G": (None, CON.Globally),
+    "U": (None, CON.Until),
+    "W": (None, CON.WeakUntil),
 }
+
+
+def _resolve_operator(env: Env, op: str, operands, span):
+    """``op`` applied to ``operands``: a configuration assertion when ``op``
+    has a state form and every operand is one, else a trace assertion over
+    the lifted operands.  ``and`` and ``or`` flatten nested items."""
+    state_cls, trace_cls = OPERATOR_CLASSES[op]
+    if state_cls is None:
+        _require_temporal(env, span)
+        parts = [_lift(env, resolve_formula(env, part), span) for part in operands]
+        return "trace", trace_cls(*parts)
+    tagged = [resolve_formula(env, part) for part in operands]
+    if all(kind == "state" for kind, _ in tagged):
+        kind, cls, parts = "state", state_cls, [node for _, node in tagged]
+    else:
+        kind, cls = "trace", trace_cls
+        parts = [_lift(env, part, span) for part in tagged]
+    if op in ("and", "or"):
+        return kind, _flat(cls, parts)
+    return kind, cls(*parts)
 
 
 def _resolve_binary(env: Env, expr: EBinary):
     op = expr.op
-    if op in ("U", "W"):
-        _require_temporal(env, expr.span)
-        left = _lift(env, resolve_formula(env, expr.left), expr.span)
-        right = _lift(env, resolve_formula(env, expr.right), expr.span)
-        return "trace", _TEMPORAL[op](left, right)
-    if op in _CONNECTIVES:
-        left_kind, left = resolve_formula(env, expr.left)
-        right_kind, right = resolve_formula(env, expr.right)
-        kind = "state" if left_kind == right_kind == "state" else "trace"
-        state_cls, trace_cls = _CONNECTIVES[op]
-        cls = state_cls
-        if kind == "trace":
-            cls = trace_cls
-            left = _lift(env, (left_kind, left), expr.span)
-            right = _lift(env, (right_kind, right), expr.span)
-        if op in ("and", "or"):
-            return kind, _flat(cls, left, right)
-        return kind, cls(left, right)
+    if op in BINARY_LEVEL:
+        return _resolve_operator(env, op, (expr.left, expr.right), expr.span)
     if op == "==":
         both_comp = (
             isinstance(expr.left, EName)
@@ -513,9 +514,9 @@ def _resolve_binary(env: Env, expr: EBinary):
     raise ResolveError(f"unknown operator {op!r}", expr.span)
 
 
-def _flat(cls, left, right):
+def _flat(cls, parts):
     items = []
-    for part in (left, right):
+    for part in parts:
         if isinstance(part, cls):
             items.extend(part.items)
         else:
@@ -554,29 +555,17 @@ def _lift(env: Env, tagged, span) -> CON.TraceAssertion:
         return node
     free_data, free_comp = CON.free_vars(node)
     closed = node
-    for name in sorted(free_data):
-        info = env.data_vars.get(name)
-        if name in env.pending or info is None or info[1]:
-            continue  # bound later, or rigid
-        closed = ALG.ExistsData(name, info[0], closed)
-        env.closures.append((name, span))
-    for name in sorted(free_comp):
-        info = env.comp_vars.get(name)
-        if name in env.pending or info is None or info[1]:
-            continue
-        closed = CON.ExistsComp(name, info[0], closed)
-        env.closures.append((name, span))
+    for free, table, over in (
+        (free_data, env.data_vars, "sort"), (free_comp, env.comp_vars, "interface")
+    ):
+        exists = CON.QUANTIFIERS["exists", over][0]
+        for name in sorted(free):
+            info = table.get(name)
+            if name in env.pending or info is None or info[1]:
+                continue  # bound later, or rigid
+            closed = exists(name, info[0], closed)
+            env.closures.append((name, span))
     return CON.State(closed)
-
-
-# The (forall, exists) classes of a quantifier over a sort and over an
-# interface: its configuration-assertion form, then its rigid form.
-_DATA_QUANTIFIERS = (
-    (ALG.ForallData, ALG.ExistsData), (CON.RigidForallData, CON.RigidExistsData)
-)
-_COMP_QUANTIFIERS = (
-    (CON.ForallComp, CON.ExistsComp), (CON.RigidForallComp, CON.RigidExistsComp)
-)
 
 
 def _resolve_quantifier(env: Env, expr: EQuant):
@@ -593,7 +582,7 @@ def _resolve_quantifier(env: Env, expr: EQuant):
                     " annotated",
                     expr.span,
                 )
-            over_components = declared_comp is not None
+            over = "interface" if declared_comp is not None else "sort"
             domain = (declared_comp or declared_data)[0]
         elif isinstance(annotation, RName) and annotation.name in env.interfaces:
             if declared_data is not None:
@@ -601,7 +590,7 @@ def _resolve_quantifier(env: Env, expr: EQuant):
                     f"{name!r} is a data variable, not a component variable",
                     expr.span,
                 )
-            over_components = True
+            over = "interface"
             domain = annotation.name
             if declared_comp is not None and declared_comp[0] != domain:
                 raise ResolveError(
@@ -610,7 +599,7 @@ def _resolve_quantifier(env: Env, expr: EQuant):
                     expr.span,
                 )
         else:
-            over_components = False
+            over = "sort"
             domain = resolve_sortref(annotation, env.sig.sorts, expr.span)
             if declared_comp is not None:
                 raise ResolveError(
@@ -622,15 +611,9 @@ def _resolve_quantifier(env: Env, expr: EQuant):
                     f"{name!r} declared {declared_data[0]}, annotated {domain}",
                     expr.span,
                 )
-        if over_components:
+        if over == "interface":
             _require_components(env, expr.span)
-            return _finish_quant(
-                env, expr, name, domain, "comp_vars", declared_comp,
-                _COMP_QUANTIFIERS,
-            )
-        return _finish_quant(
-            env, expr, name, domain, "data_vars", declared_data, _DATA_QUANTIFIERS
-        )
+        return _finish_quant(env, expr, name, domain, over)
     # bounded form
     source, source_sort = resolve_term(env, expr.bound)
     if not isinstance(source_sort, ALG.SetSort):
@@ -684,23 +667,19 @@ def _resolve_quantifier(env: Env, expr: EQuant):
             " declare them rigid",
             expr.span,
         )
+    state_cls, rigid_cls = CON.QUANTIFIERS[expr.kind, "set"]
     if want_rigid:
         gamma = _lift(inner, (kind, body), expr.span)
-        cls = (
-            CON.BoundedRigidForall if expr.kind == "forall" else CON.BoundedRigidExists
-        )
-        return "trace", cls(tuple(rng_names), source, gamma)
-    cls = ALG.BoundedForall if expr.kind == "forall" else ALG.BoundedExists
-    return "state", cls(tuple(rng_names), source, body)
+        return "trace", rigid_cls(tuple(rng_names), source, gamma)
+    return "state", state_cls(tuple(rng_names), source, body)
 
 
-def _finish_quant(env: Env, expr: EQuant, name, domain, table, declared, classes):
-    """``expr`` binding ``name`` over ``domain``, a sort or an interface.
-
-    ``table`` names the ``Env`` table the variable goes in, ``declared`` is
-    its declaration there or None, and ``classes`` are the quantifier's
-    (forall, exists) classes, state form first.
+def _finish_quant(env: Env, expr: EQuant, name, domain, over):
+    """``expr`` binding ``name`` over ``domain``, an interface when ``over``,
+    the range of the quantifier's ``SHAPE``, is ``"interface"``, else a sort.
     """
+    table = "comp_vars" if over == "interface" else "data_vars"
+    declared = getattr(env, table).get(name)
     rigid = declared[1] if declared is not None else None
     inner = env.child()
     getattr(inner, table)[name] = (domain, bool(rigid))
@@ -713,19 +692,16 @@ def _finish_quant(env: Env, expr: EQuant, name, domain, table, declared, classes
             " declare it rigid",
             expr.span,
         )
-    state_classes, rigid_classes = classes
+    cls, rigid_cls = CON.QUANTIFIERS[expr.kind, over]
     if kind == "trace" or rigid:
         if env.level != "trace":
             raise ResolveError(
                 "rigid quantification is only allowed in constraint axioms",
                 expr.span,
             )
-        forall, exists = rigid_classes
+        cls = rigid_cls
         body = _lift(inner, (kind, body), expr.span)
         kind = "trace"
-    else:
-        forall, exists = state_classes
-    cls = forall if expr.kind == "forall" else exists
     return kind, cls(name, domain, body)
 
 
@@ -1237,7 +1213,6 @@ class Resolver:
                         ann.span,
                     )
                     continue
-                names = []
                 for var in ann.vars:
                     binding = env.comp_vars.get(var)
                     if binding is None or not binding[1]:
@@ -1256,10 +1231,9 @@ class Resolver:
                             ann.span,
                         )
                         continue
-                    names.append(var)
-                if names:
-                    rigid_vars.setdefault(ann.interface, [])
-                    rigid_vars[ann.interface].extend(names)
+                    kept = rigid_vars.setdefault(ann.interface, [])
+                    if var not in kept:  # a repeat would desugar twice
+                        kept.append(var)
             pairs = set()
             for conn in body.connects:
                 try:

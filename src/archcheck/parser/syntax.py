@@ -20,6 +20,15 @@ UNIT_KINDS = (
     "trace",
 )
 
+# Binary formula operators by precedence level, loosest first, and those of
+# them that group to the right; every other level groups to the left.  The
+# prefix operators bind tighter than any of them.  The grammar and the
+# printer read these, and docs/grammar.md states them.
+BINARY_LEVEL = {"<->": 1, "->": 2, "or": 3, "and": 4, "U": 5, "W": 5}
+RIGHT_ASSOC = frozenset({"->", "U", "W"})
+PREFIX_OPERATORS = ("not", "X", "F", "G")
+PREFIX_LEVEL = max(BINARY_LEVEL.values()) + 1
+
 
 @dataclass(frozen=True)
 class Span:
@@ -106,14 +115,14 @@ class ESet(ExprNode):
 
 @dataclass(frozen=True)
 class EUnary(ExprNode):
-    op: str  # not | X | F | G
+    op: str  # one of PREFIX_OPERATORS
     operand: ExprNode
     span: Optional[Span] = SPAN
 
 
 @dataclass(frozen=True)
 class EBinary(ExprNode):
-    op: str  # U | W | and | or | -> | <-> | == | in
+    op: str  # a key of BINARY_LEVEL, == or in
     left: ExprNode
     right: ExprNode
     span: Optional[Span] = SPAN

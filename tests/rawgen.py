@@ -36,6 +36,7 @@ from archcheck.parser.syntax import (
     EWellFounded,
     InterfaceBody,
     InterfaceDecl,
+    PREFIX_OPERATORS,
     PortDecl,
     PortSpecBody,
     RName,
@@ -131,7 +132,7 @@ class RawGen:
             return self.atom()
         roll = rng.randrange(8)
         if roll == 0:
-            return EUnary(rng.choice(("not", "X", "F", "G")), self.formula(depth - 1))
+            return EUnary(rng.choice(PREFIX_OPERATORS), self.formula(depth - 1))
         if roll <= 4:
             op = rng.choice(("and", "or", "->", "<->", "U", "W"))
             return EBinary(op, self.formula(depth - 1), self.formula(depth - 1))

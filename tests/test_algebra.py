@@ -29,7 +29,7 @@ from archcheck.algebra import (
     check_well_founded,
     constant,
     eval_term,
-    free_data_vars,
+    free_vars,
     models_spec,
     typecheck_term,
 )
@@ -332,7 +332,7 @@ def _random_open_formula(rng):
 
 
 def _bruteforce_models(alg, formula):
-    names = sorted(free_data_vars(formula))
+    names = sorted(free_vars(formula)[0])
     for combo in itertools.product(alg.carriers["PROB"], repeat=len(names)):
         if not assertion_holds(alg, dict(zip(names, combo)), formula):
             return False

@@ -224,6 +224,25 @@ class TestCliDesugar:
         assert (code, captured.err) == (0, "")
         assert captured.out == PACK_DESUGARED
 
+    def test_a_repeated_rigid_variable_desugars_once(self, tmp_path, capsys):
+        pack = Path(archcheck.__file__).parent / "blackboardpack"
+        paths = []
+        for source in sorted(pack.glob("*.arch")):
+            text = source.read_text(encoding="utf-8")
+            if source.name == "diagram.arch":
+                assert "\nrigid BB : bb\n" in text
+                text = text.replace("\nrigid BB : bb\n", "\nrigid BB : bb, bb\n")
+            (tmp_path / source.name).write_text(text, encoding="utf-8")
+            paths.append(str(tmp_path / source.name))
+        code = main(["desugar", *paths])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out == PACK_DESUGARED
+        desugared = tmp_path / "desugared.arch"
+        desugared.write_text(captured.out, encoding="utf-8")
+        pack_paths = sorted(str(p) for p in pack.glob("*.arch"))
+        assert main(["parse", *pack_paths, str(desugared)]) == 0
+
     def test_blackboard_diagram_desugars_and_reparses(self, workdir, capsys):
         code = main(
             [

@@ -1,5 +1,7 @@
 import random
+import re
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,13 @@ from archcheck.parser import parse_unit, print_unit, resolve
 from archcheck.parser.grammar import MAX_NESTING
 from archcheck.parser.lowering import lower_formula
 from archcheck.parser.printer import print_expr
-from archcheck.parser.syntax import UNIT_KINDS
+from archcheck.parser.syntax import (
+    BINARY_LEVEL,
+    PREFIX_LEVEL,
+    PREFIX_OPERATORS,
+    RIGHT_ASSOC,
+    UNIT_KINDS,
+)
 
 from blackboard_sources import bundle_units, source_text
 from rawgen import RawGen
@@ -85,17 +93,31 @@ class TestParseBasics:
 
 
 def _nested_axioms(levels):
-    """Datatype axioms whose formulas nest exactly ``levels`` deep."""
+    """Datatype axioms whose formulas nest exactly ``levels`` deep: a chain
+    of ``levels`` atoms joined by one binary operator nests as deep as
+    ``levels - 1`` parentheses around an atom."""
     atom = "x == x"
     return {
         "parentheses": "(" * (levels - 1) + atom + ")" * (levels - 1),
         "prefix": "not " * (levels - 1) + atom,
+        "equivalence": " <-> ".join([atom] * levels),
+        "implication": " -> ".join([atom] * levels),
+        "disjunction": " or ".join([atom] * levels),
         "conjunction": " and ".join([atom] * levels),
     }
 
 
+def _temporal_chains(levels):
+    """Constraint axioms chaining ``levels`` atoms by ``U`` and by ``W``."""
+    return {op: f" {op} ".join(["true"] * levels) for op in ("U", "W")}
+
+
 def _datatype(axiom):
     return f"datatype D\nsorts\n  S\nvars\n  x : S\naxioms\n  {axiom}\n"
+
+
+def _constraints(axiom):
+    return f"constraints C\naxioms\n  {axiom}\n"
 
 
 class TestNestingLimit:
@@ -121,6 +143,24 @@ class TestNestingLimit:
             path.write_text(_datatype(axiom), encoding="utf-8")
             assert main(["parse", str(path)]) == 3
 
+    def test_a_closed_chain_gives_its_levels_back(self):
+        # each of the 40 chains closes its operators' levels, so the line
+        # stays within the limit
+        axiom = " and ".join(["(x == x or x == x -> x == x U x == x)"] * 40)
+        unit, diagnostics = parse_unit(_constraints(axiom))
+        assert unit is not None and not diagnostics
+
+    def test_temporal_chains_parse_at_the_limit_and_not_deeper(self):
+        for op, axiom in _temporal_chains(MAX_NESTING).items():
+            unit, diagnostics = parse_unit(_constraints(axiom))
+            assert unit is not None and not diagnostics, op
+        for op, axiom in _temporal_chains(MAX_NESTING + 1).items():
+            unit, diagnostics = parse_unit(_constraints(axiom))
+            assert unit is None, op
+            assert [d.message for d in diagnostics] == [
+                f"nested deeper than {MAX_NESTING} levels"
+            ], op
+
     def test_far_too_deep_input_does_not_crash(self, tmp_path):
         path = tmp_path / "deep.arch"
         path.write_text(_datatype("(" * 400 + "x == x" + ")" * 400), encoding="utf-8")
@@ -128,6 +168,23 @@ class TestNestingLimit:
         deep_sort = "set(" * 400 + "S" + ")" * 400
         unit, diagnostics = parse_unit(f"datatype D\nsorts\n  S\nvars\n  x : {deep_sort}\n")
         assert unit is None and diagnostics
+
+
+class TestOperatorTable:
+    def test_the_grammar_document_states_the_operator_table(self):
+        doc = Path(__file__).parent.parent / "docs" / "grammar.md"
+        rows = re.findall(
+            r"^\| (\d+) \| (.+) \| (\S+) \|$", doc.read_text(encoding="utf-8"), re.M
+        )
+        table = {
+            int(level): (re.findall(r"`([^`]+)`", ops), assoc)
+            for level, ops, assoc in rows
+        }
+        for level in range(1, PREFIX_LEVEL):
+            ops = [op for op, at in BINARY_LEVEL.items() if at == level]
+            assoc = "right" if set(ops) <= RIGHT_ASSOC else "left"
+            assert table[level] == (ops, assoc), level
+        assert table[PREFIX_LEVEL] == (list(PREFIX_OPERATORS), "-")
 
 
 class TestRoundTrip:
