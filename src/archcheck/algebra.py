@@ -314,10 +314,6 @@ class SetTerm(Term):
         object.__setattr__(self, "elements", tuple(self.elements))
 
 
-def constant(symbol: str) -> Apply:
-    return Apply(symbol, ())
-
-
 # ---------------------------------------------------------------------------
 # Assertions
 
@@ -437,73 +433,6 @@ class WellFounded(Assertion):
     """
 
     symbol: str
-
-
-# ---------------------------------------------------------------------------
-# Sorting / typechecking
-
-
-def typecheck_term(
-    sig: Signature,
-    vars: Mapping[str, Sort],
-    term: Term,
-    path: tuple[str, ...] = (),
-) -> Sort:
-    """The unique sort of a well-sorted term; raises SortError otherwise.
-
-    Port symbols and port reads are handled by the callers that extend this
-    grammar; here only the datatype fragment is admitted.
-    """
-    if isinstance(term, Var):
-        declared = vars.get(term.name)
-        if declared is None:
-            raise SortError(f"undeclared variable {term.name!r}", path)
-        if declared != term.sort:
-            raise SortError(
-                f"variable {term.name!r} declared {declared} but annotated {term.sort}",
-                path,
-            )
-        return term.sort
-    if isinstance(term, Apply):
-        typing = sig.functions.get(term.symbol)
-        if typing is None:
-            raise SortError(f"unknown function symbol {term.symbol!r}", path)
-        arg_sorts, result = typing
-        if len(arg_sorts) != len(term.args):
-            raise SortError(
-                f"{term.symbol!r} expects {len(arg_sorts)} arguments,"
-                f" got {len(term.args)}",
-                path,
-            )
-        for i, (arg, expected) in enumerate(zip(term.args, arg_sorts)):
-            actual = typecheck_term(sig, vars, arg, path + (f"{term.symbol}/arg{i}",))
-            if actual != expected:
-                raise SortError(
-                    f"argument {i} of {term.symbol!r} has sort {actual},"
-                    f" expected {expected}",
-                    path,
-                )
-        return result
-    if isinstance(term, PairTerm):
-        first = typecheck_term(sig, vars, term.first, path + ("pair/first",))
-        second = typecheck_term(sig, vars, term.second, path + ("pair/second",))
-        return PairSort(first, second)
-    if isinstance(term, SetTerm):
-        if not term.elements:
-            if term.element_sort is None:
-                raise SortError("empty set literal needs an element sort", path)
-            return SetSort(term.element_sort)
-        sorts = {
-            typecheck_term(sig, vars, e, path + (f"set/{i}",))
-            for i, e in enumerate(term.elements)
-        }
-        if len(sorts) != 1:
-            raise SortError("set literal mixes element sorts", path)
-        elem = sorts.pop()
-        if term.element_sort is not None and term.element_sort != elem:
-            raise SortError("set literal annotation disagrees with elements", path)
-        return SetSort(elem)
-    raise SortError(f"term {term!r} is not part of the datatype grammar", path)
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +597,6 @@ class Evaluator:
 def eval_term(alg: Algebra, asg: Mapping[str, Value], term: Term) -> Value:
     """Value of a well-sorted term under a variable assignment."""
     return Evaluator(alg).term(asg, term)
-
-
-def assertion_holds(alg: Algebra, asg: Mapping[str, Value], assertion: Assertion) -> bool:
-    """Truth of a datatype assertion under one variable assignment."""
-    return Evaluator(alg).holds(asg, assertion)
 
 
 def children(node: Node) -> list[Node]:

@@ -353,6 +353,13 @@ def random_scenario(
     horizon: int = 50,
 ) -> BlackboardScenario:
     """A random acyclic decomposition DAG with full source coverage."""
+    for name, bound in (
+        ("max_problems", max_problems),
+        ("max_depth", max_depth),
+        ("max_sources", max_sources),
+    ):
+        if bound < 1:
+            raise UsageError(f"{name} must be at least 1")
     count = rng.randint(1, max_problems)
     problems = tuple(f"p{i}" for i in range(count))
     depth_of = {problems[0]: 0}

@@ -3,8 +3,11 @@
 Subcommands: ``check``, ``desugar``, ``simulate-blackboard``,
 ``verify-theorem``, and ``parse``.  Exit codes for ``check``: 0 satisfied,
 1 violated, 2 inconclusive, 3 usage or parse errors.  Every subcommand
-exits 4 on an internal error, a fault of archcheck itself: it prints one
-``internal error:`` line and no traceback.
+exits 3 on a usage error, such as a bad flag or a file that cannot be read
+as UTF-8 text, with one ``error:`` line, and 4 on an internal error, a
+fault of archcheck itself: it prints one ``internal error:`` line and no
+traceback.  ``main`` returns the exit code; only ``--help`` exits through
+``SystemExit``.
 """
 from __future__ import annotations
 
@@ -48,10 +51,8 @@ def _load_units(paths, out_diags):
     for path in paths:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            out_diags.append(f"{path}: {exc}")
-            ok = False
-            continue
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"{path}: {exc}") from None
         unit, diagnostics = parse_unit(text)
         for diag in diagnostics:
             # parse diagnostics carry no unit name: the file stands in for it
@@ -94,6 +95,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.max_assignments < 1:
+        raise UsageError("--max-assignments must be at least 1")
     paths = []
     seen = set()
     for path in [*args.spec, args.algebra, args.trace]:
@@ -202,8 +205,15 @@ def cmd_verify_theorem(args) -> int:
     return EXIT_SATISFIED if report.ok else EXIT_VIOLATED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a usage error, not by exiting 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="archcheck",
         description="Constraint checking for dynamic software architectures",
     )
@@ -270,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ArchError as exc:
         print(f"error: {exc}", file=sys.stderr)

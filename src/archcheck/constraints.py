@@ -131,13 +131,11 @@ from .algebra import (  # And, Implies, Not, Or and free_vars are re-exported
     find_guard,
     free_vars,
     nodes,
-    quantifier_guard,
     value_key,
 )
 from .errors import (
     AssignmentError,
     CapacityError,
-    InactiveComponentError,
     InterpretationError,
     SortError,
     UsageError,
@@ -631,43 +629,6 @@ class _StateEvaluator(Evaluator):
         src = (in_id, self.interpretation(in_id).concrete_port(in_port))
         tgt = (out_id, self.interpretation(out_id).concrete_port(out_port))
         return tgt in self.k.connection.get(src, frozenset())
-
-
-def eval_config_term(
-    alg: Algebra,
-    data_asg: Mapping,
-    J: SpecInterpretation,
-    comp_asg: Mapping[str, str],
-    k: ArchConfiguration,
-    term: Term,
-):
-    """Value of a configuration term.  An undefined read raises
-    InactiveComponentError here; config_holds instead makes the enclosing
-    atom false."""
-    evaluator = _StateEvaluator(alg, J)
-    evaluator.at(k)
-    try:
-        return evaluator.term({**data_asg, _COMPS: comp_asg}, term)
-    except _UndefinedRead as undef:
-        raise InactiveComponentError(undef.description) from None
-
-
-def config_holds(
-    alg: Algebra,
-    data_asg: Mapping,
-    J: SpecInterpretation,
-    comp_asg: Mapping[str, str],
-    k: ArchConfiguration,
-    phi: Assertion,
-    notes: Optional[list] = None,
-) -> bool:
-    """Truth of a configuration assertion at one configuration."""
-    evaluator = _StateEvaluator(alg, J)
-    evaluator.at(k)
-    result = evaluator.holds({**data_asg, _COMPS: comp_asg}, phi)
-    if notes is not None:
-        notes.extend(evaluator.notes)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,8 @@ from .constraints import (
     State,
     TraceAssertion,
 )
-from .errors import InterpretationError, StructuralError
-from .interfaces import InterfaceSpec, SpecInterpretation
-from .model import ConfigurationTrace
+from .errors import StructuralError
+from .interfaces import InterfaceSpec
 
 PortPair = tuple[tuple[str, str], tuple[str, str]]  # ((iface, in), (iface, out))
 
@@ -236,55 +235,3 @@ def desugar_diagram(
         ),
     }
     return diagram.spec, tuple(desugar[label]() for label in annotation_labels(diagram))
-
-
-def check_full_homomorphism(
-    trace: ConfigurationTrace,
-    ann: RequiredConnAnnotation,
-    J: SpecInterpretation,
-) -> bool:
-    """Direct check of the biconditional the required-connection annotation
-    induces: at every step and for every active pair of components, a
-    concrete connection exists iff the interface-level port pair is declared.
-    """
-    interface_of: dict[str, str] = {}
-    for name, interps in J.by_interface.items():
-        for interp in interps:
-            interface_of[interp.snapshot.id] = name
-    for step in trace.steps:
-        actives = sorted(step.active, key=lambda s: s.id)
-        for snap in actives:
-            if snap.id not in interface_of:
-                raise InterpretationError(
-                    f"active component {snap.id!r} is not interpreted"
-                )
-        for src in actives:
-            src_interps = [
-                i for i in J.interpretations_of(src.id) if i.snapshot == src
-            ]
-            if not src_interps:
-                raise InterpretationError(
-                    f"active snapshot of {src.id!r} has no interpretation"
-                )
-            src_interp = src_interps[0]
-            for tgt in actives:
-                tgt_interps = [
-                    i for i in J.interpretations_of(tgt.id) if i.snapshot == tgt
-                ]
-                if not tgt_interps:
-                    raise InterpretationError(
-                        f"active snapshot of {tgt.id!r} has no interpretation"
-                    )
-                tgt_interp = tgt_interps[0]
-                for p in sorted(src.input_ports):
-                    for q in sorted(tgt.output_ports):
-                        connected = (tgt.id, q) in step.connection.get(
-                            (src.id, p), frozenset()
-                        )
-                        declared = (
-                            (interface_of[src.id], src_interp.input_map[p]),
-                            (interface_of[tgt.id], tgt_interp.output_map[q]),
-                        ) in ann.pairs
-                        if connected != declared:
-                            return False
-    return True

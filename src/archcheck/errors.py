@@ -13,26 +13,12 @@ class UnknownComponentError(ArchError, LookupError):
     """A component identifier does not occur where it is required."""
 
 
-class InactiveComponentError(ArchError, LookupError):
-    """A component is not active in the configuration under inspection."""
-
-
-class PortDomainError(ArchError, ValueError):
-    """A port was used in a role it does not have (e.g. reading a non-local port)."""
-
-
 class SignatureError(ArchError, ValueError):
     """A symbol is missing from, or incompatible with, a signature."""
 
 
 class SortError(ArchError, ValueError):
     """A term or assertion is not well-sorted."""
-
-    def __init__(self, message, path=()):
-        self.path = tuple(path)
-        if self.path:
-            message = f"{message} (at {'/'.join(self.path)})"
-        super().__init__(message)
 
 
 class AssignmentError(ArchError, LookupError):

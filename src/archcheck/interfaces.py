@@ -13,7 +13,7 @@ clauses; specs relying on it are flagged in the check report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .algebra import (
     Algebra,
@@ -239,23 +239,6 @@ class SpecInterpretation:
         }
         object.__setattr__(self, "by_interface", normalized)
 
-    def interface_of(self, cid: str) -> Optional[str]:
-        for name, interps in self.by_interface.items():
-            for interp in interps:
-                if interp.snapshot.id == cid:
-                    return name
-        return None
-
-    def interpretations_of(self, cid: str) -> tuple[InterfaceInterpretation, ...]:
-        found = [
-            interp
-            for interps in self.by_interface.values()
-            for interp in interps
-            if interp.snapshot.id == cid
-        ]
-        found.sort(key=InterfaceInterpretation.sort_key)
-        return tuple(found)
-
     def ids_of(self, interface_id: str) -> tuple[str, ...]:
         try:
             interps = self.by_interface[interface_id]
@@ -273,15 +256,6 @@ class SpecInterpretation:
                 for interp in interps
             )
         )
-
-
-def components_of(J: SpecInterpretation, interface_id: str) -> frozenset[ComponentSnapshot]:
-    """All components interpreting one interface identifier."""
-    try:
-        interps = J.by_interface[interface_id]
-    except KeyError:
-        raise UnknownComponentError(f"undeclared interface {interface_id!r}") from None
-    return frozenset(interp.snapshot for interp in interps)
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +295,6 @@ class _InterfaceEvaluator(Evaluator):
     def __init__(self, alg: Algebra, interp: InterfaceInterpretation):
         super().__init__(alg)
         self.interp = interp
-
-
-def eval_interface_term(
-    alg: Algebra,
-    asg: Mapping[str, object],
-    interp: InterfaceInterpretation,
-    term: Term,
-):
-    """Value of an interface term under one data assignment."""
-    return _InterfaceEvaluator(alg, interp).term(asg, term)
-
-
-def interface_assertion_holds(
-    alg: Algebra,
-    asg: Mapping[str, object],
-    interp: InterfaceInterpretation,
-    assertion: Assertion,
-) -> bool:
-    """Truth of an interface assertion under one data assignment."""
-    return _InterfaceEvaluator(alg, interp).holds(asg, assertion)
 
 
 def uses_local_port(assertion: Assertion, interface: Interface) -> bool:

@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
-    InactiveComponentError,
-    PortDomainError,
     StructuralError,
-    UnknownComponentError,
 )
 
 # Message atoms are nonempty strings; composite carrier elements are tuples
@@ -182,9 +179,6 @@ class ComponentUniverse:
     def __post_init__(self):
         object.__setattr__(self, "snapshots", frozenset(self.snapshots))
 
-    def ids(self) -> frozenset[str]:
-        return frozenset(c.id for c in self.snapshots)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -278,31 +272,6 @@ def _health_violations(snapshots: list) -> list:
     return violations
 
 
-@dataclass(frozen=True)
-class PortGroups:
-    local: frozenset[str]
-    input: frozenset[str]
-    output: frozenset[str]
-
-
-def ports_of(universe: ComponentUniverse, cid: str) -> PortGroups:
-    """The interface of ``cid``, well-defined on healthy universes."""
-    for snap in universe.snapshots:
-        if snap.id == cid:
-            return PortGroups(snap.local_ports, snap.input_ports, snap.output_ports)
-    raise UnknownComponentError(f"no component with id {cid!r} in the universe")
-
-
-def local_valuation(universe: ComponentUniverse, cid: str, port: str) -> frozenset:
-    """The fixed value of a local port, well-defined on healthy universes."""
-    for snap in universe.snapshots:
-        if snap.id == cid:
-            if port not in snap.local_ports:
-                raise PortDomainError(f"{port!r} is not a local port of {cid!r}")
-            return snap.valuation[port]
-    raise UnknownComponentError(f"no component with id {cid!r} in the universe")
-
-
 class ConnectionMap(Mapping):
     """Immutable map from input port refs to sets of output port refs.
 
@@ -366,28 +335,6 @@ class ArchConfiguration:
         object.__setattr__(self, "active", frozenset(self.active))
         if not isinstance(self.connection, ConnectionMap):
             object.__setattr__(self, "connection", ConnectionMap(self.connection))
-
-    def active_ids(self) -> frozenset[str]:
-        return frozenset(c.id for c in self.active)
-
-    def snapshot_of(self, cid: str) -> ComponentSnapshot:
-        for snap in self.active:
-            if snap.id == cid:
-                return snap
-        raise InactiveComponentError(f"component {cid!r} is not active")
-
-
-def open_input_ports(k: ArchConfiguration) -> frozenset[PortRef]:
-    """Active input ports whose connection set is empty or absent."""
-    inputs = {
-        (snap.id, port) for snap in k.active for port in snap.input_ports
-    }
-    return frozenset(ref for ref in inputs if not k.connection.get(ref))
-
-
-def config_valuation(k: ArchConfiguration, cid: str) -> PortValuation:
-    """The valuation of the active component with identifier ``cid``."""
-    return k.snapshot_of(cid).valuation
 
 
 def check_configuration(

@@ -784,11 +784,6 @@ class _UnitParser:
         steps: list[dict] = []
         section = [None]  # None | "components" | "step"
 
-        def current_step():
-            if not steps:
-                raise LineError("`step` section required first", None)
-            return steps[-1]
-
         # Each step-section line yields an entry (kind, payload, column,
         # end_column) that holds no line number, so _each_line can replay it
         # for every later line with the same text.
@@ -815,7 +810,7 @@ class _UnitParser:
                 )
                 return None
             if section[0] == "step":
-                step = current_step()
+                step = steps[-1]
                 if head.text == "active":
                     cur.take()
                     cid = cur.expect_ident("component id").text

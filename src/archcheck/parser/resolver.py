@@ -291,10 +291,7 @@ def resolve_term(env: Env, expr, expected: Optional[ALG.Sort] = None):
         items = []
         elem_sort = elem_expected
         for item in expr.items:
-            term, sort = resolve_term(env, item, elem_sort)
-            elem_sort = elem_sort or sort
-            if sort != elem_sort:
-                raise ResolveError("set literal mixes element sorts", expr.span)
+            term, elem_sort = resolve_term(env, item, elem_sort)
             items.append(term)
         sort = ALG.SetSort(elem_sort)
         _check_expected(expected, sort, expr.span)
@@ -694,11 +691,6 @@ def _finish_quant(env: Env, expr: EQuant, name, domain, over):
         )
     cls, rigid_cls = CON.QUANTIFIERS[expr.kind, over]
     if kind == "trace" or rigid:
-        if env.level != "trace":
-            raise ResolveError(
-                "rigid quantification is only allowed in constraint axioms",
-                expr.span,
-            )
         cls = rigid_cls
         body = _lift(inner, (kind, body), expr.span)
         kind = "trace"
@@ -915,15 +907,11 @@ class Resolver:
                         self.functions[decl.name] = (args, result)
                 except ResolveError as errr:
                     self.err(name, errr.message, errr.span or decl.span)
-        try:
-            self.sig = ALG.Signature(
-                sorts=frozenset(self.sorts),
-                functions=self.functions,
-                predicates=self.predicates,
-            )
-        except Exception as exc:  # SignatureError
-            self.err("", str(exc))
-            self.sig = ALG.Signature(sorts=frozenset(self.sorts))
+        self.sig = ALG.Signature(
+            sorts=frozenset(self.sorts),
+            functions=self.functions,
+            predicates=self.predicates,
+        )
 
     # -- ports and interfaces ----------------------------------------------
 
@@ -1039,19 +1027,18 @@ class Resolver:
 
     # -- datatype and interface axioms ------------------------------------------
 
-    def _state_axioms(self, unit_name, env: Env, var_decls, axioms, what):
-        """(index, axiom, assertion) of each of ``axioms`` that resolves to a
-        configuration assertion in ``env`` once ``var_decls`` are declared;
-        the others get a diagnostic, ``what`` naming them."""
+    def _state_axioms(self, unit_name, env: Env, var_decls, axioms):
+        """(index, axiom, assertion) of each of ``axioms`` that resolves in
+        ``env`` once ``var_decls`` are declared; the others get a diagnostic.
+        ``env`` is not a trace environment, so it refuses every temporal
+        operator and declares no rigid variable: each assertion is a
+        configuration assertion."""
         self._declare_vars(unit_name, var_decls, rigid=False, env=env)
         for index, axiom in enumerate(axioms, start=1):
             try:
-                kind, node = resolve_formula(env, axiom.expr)
+                _, node = resolve_formula(env, axiom.expr)
             except ResolveError as errr:
                 self.err(unit_name, errr.message, errr.span or axiom.span)
-                continue
-            if kind != "state":
-                self.err(unit_name, f"{what} cannot be temporal", axiom.span)
                 continue
             yield index, axiom, node
 
@@ -1060,7 +1047,7 @@ class Resolver:
         for name, unit in self._units("datatype"):
             env = Env(self.sig, self.pspec, self.interfaces, level="datatype")
             for index, axiom, node in self._state_axioms(
-                name, env, unit.body.vars, unit.body.axioms, "datatype axioms"
+                name, env, unit.body.vars, unit.body.axioms
             ):
                 axioms.append(
                     LabeledAssertion(
@@ -1086,7 +1073,7 @@ class Resolver:
         self.interface_assertions[iface_name].extend(
             node
             for _, _, node in self._state_axioms(
-                unit_name, env, var_decls, axioms, "interface assertions"
+                unit_name, env, var_decls, axioms
             )
         )
 

@@ -5,12 +5,14 @@ operator and every rigid quantifier into finite three-valued combinations
 ("T"/"F"/"U") computed directly from the definitions, and evaluates state
 formulas with its own straightforward recursion.  It shares no evaluation
 code with archcheck.constraints; it does assume the identity port maps that
-the test generators use.
+the test generators use.  ``check_full_homomorphism`` is the direct reading
+of the required-connection annotation that its desugaring is compared with.
 """
 from __future__ import annotations
 
 from archcheck import algebra as A
 from archcheck import constraints as C
+from archcheck.errors import InterpretationError
 from archcheck.interfaces import PortSym
 
 T, F, U = "T", "F", "U"
@@ -301,3 +303,50 @@ def check_assertion(world, trace, gamma, mode,
 
 def truth_letter(verdict) -> str:
     return {"Satisfied": T, "Violated": F, "Inconclusive": U}[verdict.truth.value]
+
+
+def check_full_homomorphism(trace, ann, J) -> bool:
+    """Direct check of the biconditional the required-connection annotation
+    induces: at every step and for every active pair of components, a
+    concrete connection exists iff the interface-level port pair is declared.
+    """
+    interface_of: dict[str, str] = {}
+    for name, interps in J.by_interface.items():
+        for interp in interps:
+            interface_of[interp.snapshot.id] = name
+
+    def interpretation(snap):
+        found = sorted(
+            (i for interps in J.by_interface.values() for i in interps
+             if i.snapshot == snap),
+            key=lambda i: i.sort_key(),
+        )
+        if not found:
+            raise InterpretationError(
+                f"active snapshot of {snap.id!r} has no interpretation"
+            )
+        return found[0]
+
+    for step in trace.steps:
+        actives = sorted(step.active, key=lambda s: s.id)
+        for snap in actives:
+            if snap.id not in interface_of:
+                raise InterpretationError(
+                    f"active component {snap.id!r} is not interpreted"
+                )
+        for src in actives:
+            src_interp = interpretation(src)
+            for tgt in actives:
+                tgt_interp = interpretation(tgt)
+                for p in sorted(src.input_ports):
+                    for q in sorted(tgt.output_ports):
+                        connected = (tgt.id, q) in step.connection.get(
+                            (src.id, p), frozenset()
+                        )
+                        declared = (
+                            (interface_of[src.id], src_interp.input_map[p]),
+                            (interface_of[tgt.id], tgt_interp.output_map[q]),
+                        ) in ann.pairs
+                        if connected != declared:
+                            return False
+    return True

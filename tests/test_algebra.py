@@ -10,6 +10,7 @@ from archcheck.algebra import (
     BaseSort,
     BoundedForall,
     Equals,
+    Evaluator,
     ExistsData,
     ForallData,
     Iff,
@@ -25,21 +26,18 @@ from archcheck.algebra import (
     Signature,
     Var,
     WellFounded,
-    assertion_holds,
     check_well_founded,
-    constant,
     eval_term,
     free_vars,
     models_spec,
-    typecheck_term,
 )
 from archcheck.errors import (
     AssignmentError,
     CapacityError,
     SignatureError,
-    SortError,
     StructuralError,
 )
+from archcheck.parser import parse_unit, resolve
 
 from fixtures import PROB, SOL, probsol_algebra, probsol_signature
 
@@ -112,42 +110,73 @@ class TestSignaturesAndAlgebras:
         assert not alg.contains("a0", SetSort(A))
 
 
+_SORTED = """\
+datatype D
+sorts
+  PROB, SOL
+symbols
+  solve : PROB -> SOL
+vars
+  p : PROB
+  s : SOL
+  P : set(PROB)
+axioms
+  {axiom}
+"""
+
+
+def _sorted_axiom(axiom):
+    """The datatype axiom as the resolver sorts it, or None, with the
+    resolver's diagnostics rendered."""
+    unit, diagnostics = parse_unit(_SORTED.format(axiom=axiom))
+    assert unit is not None, diagnostics
+    bundle, diagnostics = resolve([unit])
+    node = bundle.datatype_axioms[0].assertion if bundle is not None else None
+    return node, [d.render() for d in diagnostics]
+
+
 class TestTypechecking:
     def test_solve_application(self):
-        sig = probsol_signature()
         term = Apply("solve", (Var("p", PROB),))
-        assert typecheck_term(sig, {"p": PROB}, term) == SOL
+        assert _sorted_axiom("solve(p) == s") == (Equals(term, Var("s", SOL)), [])
 
     def test_bare_variable(self):
-        assert typecheck_term(probsol_signature(), {"v": PROB}, Var("v", PROB)) == PROB
+        p = Var("p", PROB)
+        assert _sorted_axiom("p == p") == (Equals(p, p), [])
 
     def test_sort_mismatch(self):
-        sig = probsol_signature()
-        with pytest.raises(SortError, match="sort"):
-            typecheck_term(sig, {"s": SOL}, Apply("solve", (Var("s", SOL),)))
+        assert _sorted_axiom("solve(s) == s") == (
+            None, ["D:11:9: error[resolve]: expected sort PROB, got SOL"]
+        )
 
     def test_arity_mismatch(self):
-        with pytest.raises(SortError, match="arguments"):
-            typecheck_term(probsol_signature(), {}, Apply("solve", ()))
+        assert _sorted_axiom("solve() == s") == (
+            None, ["D:11:3: error[resolve]: 'solve' expects 1 arguments, got 0"]
+        )
 
     def test_unknown_symbol_has_path(self):
-        nested = Apply("solve", (Apply("mystery", ()),))
-        with pytest.raises(SortError, match="solve/arg0"):
-            typecheck_term(probsol_signature(), {}, nested)
+        # the diagnostic points at the nested symbol, not at the application
+        assert _sorted_axiom("solve(mystery) == s") == (
+            None, ["D:11:9: error[resolve]: unknown name 'mystery'"]
+        )
 
     def test_empty_set_literal_needs_annotation(self):
-        sig = probsol_signature()
-        with pytest.raises(SortError):
-            typecheck_term(sig, {}, SetTerm(()))
+        assert _sorted_axiom("{} == {}") == (
+            None,
+            ["D:11:9: error[resolve]: cannot infer the element sort of an empty"
+             " set literal"],
+        )
         annotated = SetTerm((), element_sort=PROB)
-        assert typecheck_term(sig, {}, annotated) == SetSort(PROB)
+        assert _sorted_axiom("P == {}") == (
+            Equals(Var("P", SetSort(PROB)), annotated), []
+        )
 
 
 class TestEvaluation:
     def test_constant_lookup(self):
         sig = Signature(sorts={"A"}, functions={"c": ((), A)})
         alg = Algebra(sig, carriers={"A": ("m", "n")}, functions={"c": {(): "m"}})
-        assert eval_term(alg, {}, constant("c")) == "m"
+        assert eval_term(alg, {}, Apply("c", ())) == "m"
 
     def test_table_lookup(self):
         alg = probsol_algebra()
@@ -185,7 +214,7 @@ class TestAssertions:
     def test_reflexive_equality(self):
         alg = probsol_algebra()
         term = Apply("solve", (Var("p", PROB),))
-        assert assertion_holds(alg, {"p": "pC"}, Equals(term, term))
+        assert Evaluator(alg).holds({"p": "pC"}, Equals(term, term))
 
     def test_forall_exists_solution(self):
         alg = probsol_algebra()
@@ -196,42 +225,41 @@ class TestAssertions:
                 "s", SOL, Equals(Apply("solve", (Var("p", PROB),)), Var("s", SOL))
             ),
         )
-        assert assertion_holds(alg, {}, formula)
+        assert Evaluator(alg).holds({}, formula)
 
     def test_predicate_table_membership(self):
         alg = probsol_algebra()
         atom = PredAtom("prec", (Var("q", PROB), Var("p", PROB)))
-        assert not assertion_holds(alg, {"p": "pA", "q": "pA"}, atom)
-        assert assertion_holds(alg, {"p": "pA", "q": "pB"}, atom)
+        assert not Evaluator(alg).holds({"p": "pA", "q": "pA"}, atom)
+        assert Evaluator(alg).holds({"p": "pA", "q": "pB"}, atom)
 
     def test_negation_is_classical(self):
         alg = grounded_probsol()
         rng = random.Random(11)
         for _ in range(60):
             closed = _random_closed_assertion(rng)
-            assert assertion_holds(alg, {}, Not(closed)) != assertion_holds(
-                alg, {}, closed
-            )
+            ev = Evaluator(alg)
+            assert ev.holds({}, Not(closed)) != ev.holds({}, closed)
 
     def test_membership_and_bounded_quantifier(self):
         alg = grounded_probsol()
-        collection = SetTerm((constant("pA"), constant("pB")))
+        collection = SetTerm((Apply("pA", ()), Apply("pB", ())))
         member = Member(Var("x", PROB), collection)
-        assert assertion_holds(alg, {"x": "pA"}, member)
-        assert not assertion_holds(alg, {"x": "pC"}, member)
+        assert Evaluator(alg).holds({"x": "pA"}, member)
+        assert not Evaluator(alg).holds({"x": "pC"}, member)
         bounded = BoundedForall(("y",), collection, Member(Var("y", PROB), collection))
-        assert assertion_holds(alg, {}, bounded)
+        assert Evaluator(alg).holds({}, bounded)
 
     def test_bounded_pattern_binding(self):
         alg = grounded_probsol()
         pairs = SetTerm(
             (
-                PairTerm(constant("pA"), SetTerm((constant("pB"),))),
-                PairTerm(constant("pB"), SetTerm(())),
+                PairTerm(Apply("pA", ()), SetTerm((Apply("pB", ()),))),
+                PairTerm(Apply("pB", ()), SetTerm(())),
             )
         )
-        body = Member(Var("x", PROB), SetTerm((constant("pA"), constant("pB"))))
-        assert assertion_holds(alg, {}, BoundedForall(("x", "X"), pairs, body))
+        body = Member(Var("x", PROB), SetTerm((Apply("pA", ()), Apply("pB", ()))))
+        assert Evaluator(alg).holds({}, BoundedForall(("x", "X"), pairs, body))
 
 
 def _random_closed_assertion(rng):
@@ -239,7 +267,7 @@ def _random_closed_assertion(rng):
 
     def atom():
         return PredAtom(
-            "prec", (constant(rng.choice(constants)), constant(rng.choice(constants)))
+            "prec", (Apply(rng.choice(constants), ()), Apply(rng.choice(constants), ()))
         )
 
     def build(depth):
@@ -303,7 +331,7 @@ def _random_open_formula(rng):
     def term(scope):
         name = rng.choice(scope)
         if rng.random() < 0.3:
-            return constant(rng.choice(["pA", "pB", "pC"]))
+            return Apply(rng.choice(["pA", "pB", "pC"]), ())
         return Var(name, PROB)
 
     def atom(scope):
@@ -334,7 +362,7 @@ def _random_open_formula(rng):
 def _bruteforce_models(alg, formula):
     names = sorted(free_vars(formula)[0])
     for combo in itertools.product(alg.carriers["PROB"], repeat=len(names)):
-        if not assertion_holds(alg, dict(zip(names, combo)), formula):
+        if not Evaluator(alg).holds(dict(zip(names, combo)), formula):
             return False
     return True
 

@@ -71,7 +71,7 @@ class TestSimulation:
         result = simulate_blackboard(paper_scenario())
         assert not result.truncated
         final = result.trace.steps[-1]
-        bb = final.snapshot_of("bb")
+        (bb,) = (s for s in final.active if s.id == "bb")
         assert ("pA", "sA") in bb.valuation["bbos"]
 
     def test_single_source_still_decomposes(self):

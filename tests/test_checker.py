@@ -395,6 +395,7 @@ class TestCliMisc:
         assert payload["ok"] is not bool(mutation)
 
 
+_CHECK_FILES = ["s.arch", "--algebra", "m.arch", "--trace", "r.arch"]
 _DEEP = "datatype D\nsorts\n  S\nvars\n  x : S\naxioms\n  {axiom}\n"
 
 
@@ -407,6 +408,52 @@ class TestCliExitContract:
         err = capsys.readouterr().err
         assert ": :" not in err
         assert re.match(rf"{re.escape(str(bad))}:\d+:\d+: error\[parse\]: ", err), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--mode", "bogus", *_CHECK_FILES],
+            ["check", "--max-assignments", "0", *_CHECK_FILES],
+            ["check", "--max-assignments", "-5", *_CHECK_FILES],
+            ["check", "--max-assignments", "abc", *_CHECK_FILES],
+            ["check", *_CHECK_FILES[:-2]],
+            ["nosuch"],
+            [],
+            ["verify-theorem", "--max-problems", "0"],
+            ["parse", "no-such-file.arch"],
+        ],
+    )
+    def test_usage_error_exits_three_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize("role", ["parse", "spec", "algebra", "trace"])
+    def test_file_that_is_not_utf8_exits_three(self, role, workdir, capsys, tmp_path):
+        bad = tmp_path / "latin1.arch"
+        bad.write_bytes("datatype Caf\u00e9\n".encode("latin-1"))
+        files = {"spec": _spec_files(workdir), "algebra": str(workdir / "model.arch"),
+                 "trace": str(workdir / "run.arch")}
+        if role == "parse":
+            argv = ["parse", str(bad)]
+        else:
+            files[role] = [str(bad)] if role == "spec" else str(bad)
+            argv = ["check", *files["spec"], "--algebra", files["algebra"],
+                    "--trace", files["trace"]]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xe9 in position 12:"
+            " invalid continuation byte\n"
+        )
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["check", "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: archcheck check")
 
     def test_internal_error_exits_four_without_traceback(self, monkeypatch, capsys):
         import archcheck.cli as cli

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from archcheck.algebra import And, Apply, BoolLit, Member, PairTerm, PredAtom, Var
+from archcheck.algebra import And, Apply, BoolLit, Equals, Member, PairTerm, PredAtom, Var
 from archcheck.constraints import (
     CLOSED,
     OPEN,
@@ -32,14 +32,11 @@ from archcheck.constraints import (
     Verdict,
     WeakUntil,
     check_trace_assertion,
-    config_holds,
-    eval_config_term,
     free_vars,
     trace_holds,
 )
 from archcheck.errors import (
     CapacityError,
-    InactiveComponentError,
     SignatureError,
     SortError,
     UsageError,
@@ -114,48 +111,53 @@ class TestConfigSemantics:
         self.k0 = config_k0()
         self.trace = example_trace()
 
+    def verdict(self, phi, comps=(), k=None, data=()):
+        """Verdict of the configuration assertion ``phi`` at ``k`` (by
+        default ``k0``), checked as a trace of that one step."""
+        trace = ConfigurationTrace(self.trace.universe, (k or self.k0,))
+        return trace_holds(
+            self.alg, self.J, dict(data), dict(comps), trace, 0, State(phi)
+        )
+
+    def holds(self, phi, comps=(), k=None, data=()):
+        return self.verdict(phi, comps, k, data).truth is Truth.SATISFIED
+
     def test_port_read(self):
-        term = PortRead("v", "Worker", "i1", self.msg)
-        value = eval_config_term(self.alg, {}, self.J, {"v": "c2"}, self.k0, term)
-        assert value == {"A"}
+        read = Member(Var("x", self.msg), PortRead("v", "Worker", "i1", self.msg))
+        members = {
+            x for x in self.alg.carriers["MSG"]
+            if self.holds(read, {"v": "c2"}, data={"x": x})
+        }
+        assert members == {"A"}
 
     def test_port_read_requires_activation(self):
-        term = PortRead("v", "Worker", "o1", self.msg)
-        with pytest.raises(InactiveComponentError):
-            eval_config_term(self.alg, {}, self.J, {"v": "c4"}, self.k0, term)
+        # c4 is not active at k0, so its ports have no value there
+        read = Member(Var("x", self.msg), PortRead("v", "Worker", "o0", self.msg))
+        verdict = self.verdict(read, {"v": "c4"}, data={"x": "9"})
+        assert str(verdict) == "Violated (undefined read: v.o0 (c4 inactive))"
 
     def test_active_predicate(self):
-        assert config_holds(self.alg, {}, self.J, {"v": "c2"}, self.k0, Active("v"))
-        assert not config_holds(
-            self.alg, {}, self.J, {"v": "c4"}, self.k0, Active("v")
-        )
+        assert self.holds(Active("v"), {"v": "c2"})
+        assert not self.holds(Active("v"), {"v": "c4"})
 
     def test_conn_predicate(self):
         conn = Conn("v", "Worker", "i1", "w", "Producer", "o1")
-        assert config_holds(
-            self.alg, {}, self.J, {"v": "c2", "w": "c1"}, self.k0, conn
-        )
+        assert self.holds(conn, {"v": "c2", "w": "c1"})
         other = Conn("v", "Worker", "i0", "w", "Producer", "o1")
-        assert not config_holds(
-            self.alg, {}, self.J, {"v": "c2", "w": "c1"}, self.k0, other
-        )
+        assert not self.holds(other, {"v": "c2", "w": "c1"})
 
     def test_min_zero_always_holds(self):
         for iface in ("Producer", "Worker"):
-            assert config_holds(self.alg, {}, self.J, {}, self.k0, Min(iface, 0))
+            assert self.holds(Min(iface, 0))
 
     def test_undefined_read_makes_atom_false(self):
         term = PortRead("v", "Worker", "o0", self.msg)
         atom = Member(Var("x", self.msg), term)
-        notes = []
-        assert not config_holds(
-            self.alg, {"x": "9"}, self.J, {"v": "c4"}, self.k0, atom, notes=notes
-        )
-        assert any("undefined read" in n for n in notes)
+        verdict = self.verdict(atom, {"v": "c4"}, data={"x": "9"})
+        assert verdict.truth is Truth.VIOLATED
+        assert "undefined read" in verdict.explanation
         # the negation of the atom is then true: undefined reads never raise
-        assert config_holds(
-            self.alg, {"x": "9"}, self.J, {"v": "c4"}, self.k0, Not(atom)
-        )
+        assert self.holds(Not(atom), {"v": "c4"}, data={"x": "9"})
 
     def test_repeated_undefined_read_keeps_its_explanation(self):
         # each verdict carries its own undefined reads, also when an earlier
@@ -183,9 +185,7 @@ class TestConfigSemantics:
             ),
         )
         for k in self.trace.steps:
-            assert config_holds(
-                self.alg, {}, self.J, {}, k, irconn
-            ) == config_holds(self.alg, {}, self.J, {}, k, expansion)
+            assert self.holds(irconn, k=k) == self.holds(expansion, k=k)
 
     def test_minmax_is_min_and_max(self):
         from archcheck.constraints import Max
@@ -193,15 +193,10 @@ class TestConfigSemantics:
         for k in self.trace.steps:
             for low in range(3):
                 for high in range(low, 4):
-                    conj = config_holds(
-                        self.alg, {}, self.J, {}, k, Min("Worker", low)
-                    ) and config_holds(self.alg, {}, self.J, {}, k, Max("Worker", high))
-                    assert (
-                        config_holds(
-                            self.alg, {}, self.J, {}, k, MinMax("Worker", low, high)
-                        )
-                        == conj
+                    conj = self.holds(Min("Worker", low), k=k) and self.holds(
+                        Max("Worker", high), k=k
                     )
+                    assert self.holds(MinMax("Worker", low, high), k=k) == conj
 
 
 class TestTraceSemantics:
@@ -289,17 +284,18 @@ class TestTraceSemantics:
     def test_bad_symbols_raise_signature_error(self):
         # the same errors as the datatype fragment: an undeclared predicate,
         # a function symbol with no table, a table undefined at its arguments
-        k = self.trace.steps[0]
         read = PortRead("b", "BB", "bbop", PROB)
-        with pytest.raises(SignatureError, match="unknown predicate"):
-            config_holds(self.alg, {}, self.J, {"b": "bb"}, k, PredAtom("nosuch", (read,)))
-        with pytest.raises(SignatureError, match="no table"):
-            eval_config_term(self.alg, {}, self.J, {}, k, Apply("nosuch", ()))
-        with pytest.raises(SignatureError, match="undefined at"):
-            config_holds(
-                self.alg, {"p": "pZ"}, self.J, {"b": "bb"}, k,
-                Member(Apply("solve", (Var("p", PROB),)), read),
-            )
+        nosuch = Apply("nosuch", ())
+        for data, phi, match in (
+            ({}, PredAtom("nosuch", (read,)), "unknown predicate"),
+            ({}, Equals(nosuch, nosuch), "no table"),
+            ({"p": "pZ"}, Member(Apply("solve", (Var("p", PROB),)), read),
+             "undefined at"),
+        ):
+            with pytest.raises(SignatureError, match=match):
+                trace_holds(
+                    self.alg, self.J, data, {"b": "bb"}, self.trace, 0, State(phi)
+                )
 
     def test_next_at_last_index(self):
         gamma = Next(State(BoolLit(True)))

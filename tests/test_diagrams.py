@@ -19,7 +19,6 @@ from archcheck.diagrams import (
     RequiredConnAnnotation,
     RigidAnnotation,
     annotation_labels,
-    check_full_homomorphism,
     desugar_diagram,
     desugar_minmax,
     desugar_required_conn,
@@ -42,6 +41,7 @@ from archcheck.model import (
 
 from fixtures import blackboard_interfaces
 from generators import random_world
+from oracle import check_full_homomorphism
 
 BB_CONNECTIONS = frozenset(
     {

@@ -10,7 +10,12 @@ The differential check compares each input with the same input whose every
 line carries a distinct trailing comment.  That changes no token and no
 span, but it keeps the grammar's line table from ever replaying a line, so
 the two parses must agree to the span and to the rendered diagnostic.
+
+Files with bytes that are not UTF-8, bad flag values and unknown
+subcommands must each end in one ``error:`` line and exit 3.
 """
+import contextlib
+import io
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -151,3 +156,96 @@ def test_check_on_mutated_traces_exits_with_a_documented_code(
     code = main(["check", *sorted(specs), "--algebra", str(root / "model.arch"),
                  "--trace", str(root / "run.arch"), "--mode", "closed"])
     assert code in (0, 1, 2, 3)
+
+
+def _usage_error(argv):
+    """Exit code and stderr of ``main(argv)``, which may print nothing to
+    stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert out.getvalue() == ""
+    return code, err.getvalue()
+
+
+# Byte sequences that are not UTF-8 wherever they are inserted.
+UNDECODABLE = (b"\xff", b"\xfe", b"\xc0\xaf", b"\xed\xa0\x80")
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(source=sources, seed=st.integers(0, 2**16), where=st.integers(0, 10**6),
+       bad=st.sampled_from(UNDECODABLE),
+       role=st.sampled_from(("parse", "spec", "algebra", "trace")))
+def test_undecodable_bytes_exit_3_with_one_error_line(
+    source, seed, where, bad, role, tmp_path_factory
+):
+    root = tmp_path_factory.mktemp("bytes")
+    data = base_text(source, seed).encode("utf-8")
+    at = where % (len(data) + 1)
+    broken = root / "broken.arch"
+    broken.write_bytes(data[:at] + bad + data[at:])
+    (root / "model.arch").write_text(print_unit(ALGEBRA), encoding="utf-8")
+    (root / "run.arch").write_text(SIMULATED, encoding="utf-8")
+    files = {"spec": [], "algebra": str(root / "model.arch"),
+             "trace": str(root / "run.arch")}
+    for name, unit in bundle_units().items():
+        (root / name).write_text(print_unit(unit), encoding="utf-8")
+        files["spec"].append(str(root / name))
+    if role == "parse":
+        argv = ["parse", *files["spec"], str(broken)]
+    else:
+        files[role] = [*files[role], str(broken)] if role == "spec" else str(broken)
+        argv = ["check", *files["spec"], "--algebra", files["algebra"],
+                "--trace", files["trace"]]
+    code, err = _usage_error(argv)
+    assert code == 3
+    assert err.startswith(f"error: {broken}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+_INT_FLAGS = {
+    "check": ("--max-assignments",),
+    "verify-theorem": ("--trials", "--horizon", "--max-problems", "--max-depth",
+                       "--max-sources"),
+    "simulate-blackboard": ("--horizon",),
+}
+_CHOICE_FLAGS = {
+    "check": ("--mode",),
+    "verify-theorem": ("--mutate",),
+    "simulate-blackboard": ("--mutate",),
+}
+# Each command with arguments that are valid but for the flag under test;
+# none of them gets as far as reading a file or running a trial.
+_VALID = {
+    "check": ["s.arch", "--algebra", "m.arch", "--trace", "r.arch"],
+    "verify-theorem": ["--trials", "1", "--horizon", "5"],
+    "simulate-blackboard": ["--problems", "p1", "--root", "p1", "--source", "ks1=p1"],
+}
+_WORD = st.text(alphabet="abcxyz019 ._", max_size=6)
+_NOT_AN_INT = st.sampled_from(("", "x", "1.5", "0x10", "one", "1e3"))
+
+
+@st.composite
+def bad_flags(draw):
+    command = draw(st.sampled_from(sorted(_VALID)))
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(_INT_FLAGS[command]))
+        value = draw(st.one_of(st.integers(-10**6, 0).map(str), _NOT_AN_INT))
+    else:
+        flag = draw(st.sampled_from(_CHOICE_FLAGS[command]))
+        value = draw(_WORD.filter(lambda v: v not in ("open", "closed")))
+    return [command, *_VALID[command], flag, value]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(argv=st.one_of(
+    bad_flags(),
+    _WORD.filter(lambda v: v not in _VALID and v not in ("parse", "desugar")).map(
+        lambda v: [v]
+    ),
+))
+def test_bad_flag_values_exit_3_with_one_error_line(argv):
+    code, err = _usage_error(argv)
+    assert code == 3
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1, err

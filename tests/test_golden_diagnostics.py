@@ -11,22 +11,14 @@ Call sites no input reaches, and why:
 
 * grammar ``Cursor.take``, "unexpected end of line": every caller looks at
   the token first.
-* grammar ``_parse_trace``, "`step` section required first": the step
-  section starts only with a `step` line, which opens a step.
 * resolver ``resolve_sortref``, "malformed sort reference": the grammar
   makes only names, ``set(...)`` and ``pair(...)``.
-* resolver ``resolve_term``, "set literal mixes element sorts": every item
-  after the first is resolved against the first item's sort, which reports
-  "expected sort ..." first.
 * resolver ``resolve_formula``, "malformed formula", and
   ``_resolve_binary``, "unknown operator": the grammar makes no other node
   or operator.
-* resolver "rigid quantification is only allowed in constraint axioms",
-  "datatype axioms cannot be temporal" and "interface assertions cannot be
-  temporal": outside constraint axioms every temporal operator is refused
-  first, and only constraints and diagram units declare rigid variables.
-* resolver ``_collect_signature``, the signature's own error: duplicate
-  symbols and unknown sorts are refused before the signature is made.
+
+Each is a guard: the first stops a cursor from handing on a missing token,
+the others end a dispatch on node type or operator.
 """
 import pytest
 

@@ -3,6 +3,7 @@ import pytest
 from archcheck.algebra import (
     Apply,
     Equals,
+    Evaluator,
     Implies,
     Member,
     PairTerm,
@@ -21,10 +22,8 @@ from archcheck.interfaces import (
     SpecInterpretation,
     check_port_typing,
     check_spec_interpretation,
-    components_of,
-    eval_interface_term,
+    _InterfaceEvaluator,
     identity_interpretation,
-    interface_assertion_holds,
 )
 from archcheck.model import check_healthy, make_snapshot
 
@@ -90,26 +89,21 @@ class TestPortTyping:
 class TestTermEvaluation:
     def test_port_symbol_reads_valuation(self):
         interp = identity_interpretation(ks_snapshot("ks1", prob={"pA", "pB"}))
-        value = eval_interface_term(
-            probsol_algebra(), {}, interp, PortSym("prob", PROB)
-        )
-        assert value == {"pA", "pB"}
+        ev = _InterfaceEvaluator(probsol_algebra(), interp)
+        assert ev.term({}, PortSym("prob", PROB)) == {"pA", "pB"}
 
     def test_pair_valued_output_port(self):
         interp = identity_interpretation(
             ks_snapshot("ks1", prob={"pA"}, ksop={("pA", frozenset({"pB"}))})
         )
-        value = eval_interface_term(
-            probsol_algebra(), {}, interp, PortSym("ksop", PAIR_PP)
-        )
-        assert value == {("pA", frozenset({"pB"}))}
+        ev = _InterfaceEvaluator(probsol_algebra(), interp)
+        assert ev.term({}, PortSym("ksop", PAIR_PP)) == {("pA", frozenset({"pB"}))}
 
     def test_datatype_subterm_delegates(self):
         interp = identity_interpretation(ks_snapshot("ks1", prob=()))
         term = Apply("solve", (Var("p", PROB),))
-        assert (
-            eval_interface_term(probsol_algebra(), {"p": "pA"}, interp, term) == "sA"
-        )
+        ev = _InterfaceEvaluator(probsol_algebra(), interp)
+        assert ev.term({"p": "pA"}, term) == "sA"
 
     def test_renaming_invariance(self):
         # Same data through renamed concrete ports and adjusted bijections.
@@ -125,13 +119,9 @@ class TestTermEvaluation:
             input_map={"in1": "ksip", "in2": "ksis"},
             output_map={"out1": "ksop", "out2": "ksos"},
         )
-        assert eval_interface_term(
-            probsol_algebra(), {}, interp, PortSym("prob", PROB)
-        ) == {"pA"}
-        assert interface_assertion_holds(
-            probsol_algebra(), {"p": "pA", "P": frozenset()}, interp,
-            ks_only_solves_known_problems(),
-        )
+        ev = _InterfaceEvaluator(probsol_algebra(), interp)
+        assert ev.term({}, PortSym("prob", PROB)) == {"pA"}
+        assert ev.holds({"p": "pA", "P": frozenset()}, ks_only_solves_known_problems())
 
 
 class TestAssertionSemantics:
@@ -141,50 +131,42 @@ class TestAssertionSemantics:
         )
         alg = probsol_algebra()
         formula = ks_only_solves_known_problems()
+        ev = _InterfaceEvaluator(alg, interp)
         for p in alg.carriers["PROB"]:
             for P in alg.carrier(SET_P):
-                assert interface_assertion_holds(
-                    alg, {"p": p, "P": P}, interp, formula
-                )
+                assert ev.holds({"p": p, "P": P}, formula)
 
     def test_request_for_unknown_problem_rejected(self):
         interp = identity_interpretation(
             ks_snapshot("ks1", prob={"pA"}, ksop={("pB", frozenset())})
         )
-        alg = probsol_algebra()
-        assert not interface_assertion_holds(
-            alg, {"p": "pB", "P": frozenset()}, interp,
-            ks_only_solves_known_problems(),
-        )
+        ev = _InterfaceEvaluator(probsol_algebra(), interp)
+        formula = ks_only_solves_known_problems()
+        assert not ev.holds({"p": "pB", "P": frozenset()}, formula)
 
     def test_portless_assertion_matches_algebra_semantics(self):
-        from archcheck.algebra import assertion_holds
-
         alg = probsol_algebra()
         interp = identity_interpretation(ks_snapshot("ks1", prob=()))
         formula = Equals(Apply("solve", (Var("p", PROB),)), Var("s", SOL))
+        ev, datatype_ev = _InterfaceEvaluator(alg, interp), Evaluator(alg)
         for p in alg.carriers["PROB"]:
             for s in alg.carriers["SOL"]:
                 asg = {"p": p, "s": s}
-                assert interface_assertion_holds(
-                    alg, asg, interp, formula
-                ) == assertion_holds(alg, asg, formula)
+                assert ev.holds(asg, formula) == datatype_ev.holds(asg, formula)
 
 
     def test_bad_symbols_raise_signature_error(self):
         # the same errors as the datatype fragment: an undeclared predicate,
         # a function symbol with no table, a table undefined at its arguments
-        alg = probsol_algebra()
         interp = identity_interpretation(ks_snapshot("ks1", prob={"pA"}))
+        ev = _InterfaceEvaluator(probsol_algebra(), interp)
         with pytest.raises(SignatureError, match="unknown predicate"):
-            interface_assertion_holds(
-                alg, {}, interp, PredAtom("nosuch", (PortSym("prob", PROB),))
-            )
+            ev.holds({}, PredAtom("nosuch", (PortSym("prob", PROB),)))
         with pytest.raises(SignatureError, match="no table"):
-            eval_interface_term(alg, {}, interp, Apply("nosuch", ()))
+            ev.term({}, Apply("nosuch", ()))
         with pytest.raises(SignatureError, match="undefined at"):
-            interface_assertion_holds(
-                alg, {"p": "pZ"}, interp,
+            ev.holds(
+                {"p": "pZ"},
                 Member(Apply("solve", (Var("p", PROB),)), PortSym("prob", PROB)),
             )
 
@@ -251,17 +233,17 @@ class TestSpecInterpretation:
 
     def test_components_of(self):
         J = self._blackboard_J()
-        assert {c.id for c in components_of(J, "KS")} == {"ks1", "ks2"}
-        assert components_of(J, "BB") == frozenset({bb_snapshot()})
+        assert J.ids_of("KS") == ("ks1", "ks2")
+        assert J.ids_of("BB") == (bb_snapshot().id,)
         with pytest.raises(UnknownComponentError):
-            components_of(J, "Nope")
+            J.ids_of("Nope")
 
     def test_union_universe_is_healthy(self):
         assert check_healthy(self._blackboard_J().universe()).ok
 
     def test_empty_interface_has_no_components(self):
         J = SpecInterpretation({"BB": frozenset(), "KS": frozenset()})
-        assert components_of(J, "BB") == frozenset()
+        assert J.ids_of("BB") == ()
 
 
 def test_concrete_port_inverts_the_role_maps():

@@ -2,12 +2,7 @@ import random
 
 import pytest
 
-from archcheck.errors import (
-    InactiveComponentError,
-    PortDomainError,
-    StructuralError,
-    UnknownComponentError,
-)
+from archcheck.errors import StructuralError
 from archcheck.model import (
     ArchConfiguration,
     ComponentUniverse,
@@ -16,11 +11,7 @@ from archcheck.model import (
     check_configuration,
     check_healthy,
     check_trace,
-    config_valuation,
-    local_valuation,
     make_snapshot,
-    open_input_ports,
-    ports_of,
     snapshot_key,
 )
 
@@ -124,39 +115,37 @@ def _random_healthy_universe(rng) -> ComponentUniverse:
 
 class TestInterfaceLookups:
     def test_ports_of_worked_example(self):
-        groups = ports_of(example_universe(), "c2")
-        assert groups.local == {"l0", "l1"}
-        assert groups.input == {"i0", "i1", "i2"}
-        assert groups.output == {"o0"}
-
-    def test_ports_of_unknown_id(self):
-        with pytest.raises(UnknownComponentError):
-            ports_of(ComponentUniverse(frozenset()), "c9")
+        snaps = [s for s in example_universe().snapshots if s.id == "c2"]
+        assert snaps
+        for snap in snaps:
+            assert snap.local_ports == {"l0", "l1"}
+            assert snap.input_ports == {"i0", "i1", "i2"}
+            assert snap.output_ports == {"o0"}
 
     def test_ports_of_agrees_across_snapshots(self):
         a = make_snapshot("c", inputs={"i0": {"1"}})
         b = make_snapshot("c", inputs={"i0": {"2"}})
         universe = ComponentUniverse(frozenset({a, b}))
-        assert ports_of(universe, "c").input == {"i0"}
+        assert check_healthy(universe).ok
+        assert {s.input_ports for s in universe.snapshots} == {frozenset({"i0"})}
 
     def test_local_valuation(self):
-        assert local_valuation(example_universe(), "c2", "l0") == {"4"}
-
-    def test_local_valuation_rejects_input_port(self):
-        with pytest.raises(PortDomainError):
-            local_valuation(example_universe(), "c2", "i0")
+        # a local port's value is fixed: every snapshot of c2 has it
+        values = {
+            s.valuation["l0"] for s in example_universe().snapshots if s.id == "c2"
+        }
+        assert values == {frozenset({"4"})}
 
 
 class TestConfigurations:
     def test_open_inputs_of_worked_example(self):
-        assert open_input_ports(config_k0()) == {
+        k = config_k0()
+        inputs = {(s.id, p) for s in k.active for p in s.input_ports}
+        assert inputs - set(k.connection) == {
             ("c1", "i0"),
             ("c2", "i0"),
             ("c3", "i0"),
         }
-
-    def test_open_inputs_empty_configuration(self):
-        assert open_input_ports(ArchConfiguration(frozenset())) == frozenset()
 
     def test_fully_connected_chain_has_no_open_inputs(self):
         a = make_snapshot("a", outputs={"o": {"m"}})
@@ -164,7 +153,7 @@ class TestConfigurations:
         k = ArchConfiguration(
             active=frozenset({a, b}), connection={("b", "i"): {("a", "o")}}
         )
-        assert open_input_ports(k) == frozenset()
+        assert set(k.connection) == {("b", "i")}
 
     def test_worked_example_configuration_ok(self):
         assert check_configuration(example_universe(), config_k0()).ok
@@ -197,12 +186,8 @@ class TestConfigurations:
         assert "connection-typing" in {v.code for v in report.violations}
 
     def test_config_valuation(self):
-        assert config_valuation(config_k0(), "c2") == c2_k0().valuation
-        assert config_valuation(config_k2(), "c4") == c4_k2().valuation
-
-    def test_config_valuation_requires_activation(self):
-        with pytest.raises(InactiveComponentError):
-            config_valuation(config_k0(), "c4")
+        assert c2_k0() in config_k0().active
+        assert c4_k2() in config_k2().active
 
     def test_active_uniqueness_in_valid_configurations(self):
         # Two active snapshots with one id must be the identical record.

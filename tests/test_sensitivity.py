@@ -61,7 +61,7 @@ def run(bundle, result, trace, interpretation):
 
 def find_step_with_active_ks(result):
     for index, step in enumerate(result.trace.steps):
-        ks_ids = sorted(step.active_ids() - {"bb"})
+        ks_ids = sorted({s.id for s in step.active} - {"bb"})
         if ks_ids:
             return index, ks_ids[0]
     raise AssertionError("no step with an active knowledge source")
@@ -162,8 +162,8 @@ class TestSurgicalCorruptions:
         # input valuation is adjusted so only the connection constraint fires
         index, ks = find_step_with_active_ks(clean_run)
         step = clean_run.trace.steps[index]
-        old_ks = step.snapshot_of(ks)
-        bb = step.snapshot_of("bb")
+        active = {s.id: s for s in step.active}
+        old_ks, bb = active[ks], active["bb"]
         rewired = make_snapshot(
             ks,
             local={"prob": old_ks.valuation["prob"]},

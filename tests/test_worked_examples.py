@@ -19,18 +19,16 @@ from archcheck.model import (
     ArchConfiguration,
     ComponentUniverse,
     ConfigurationTrace,
-    local_valuation,
-    open_input_ports,
 )
 from archcheck.parser import parse_unit, resolve
 
-from fixtures import PROB, bb_snapshot, ks_snapshot
+from fixtures import PROB, ks_snapshot
 from test_blackboard import paper_scenario
 
 
 def first_solution_step(trace, pair):
     for index, step in enumerate(trace.steps):
-        bb = step.snapshot_of("bb")
+        (bb,) = (s for s in step.active if s.id == "bb")
         if pair in bb.valuation["bbos"]:
             return index
     return None
@@ -70,14 +68,14 @@ class TestSimulatorBackedWitnesses:
         # still unsolved: posted-until-solved breaks exactly there
         target = None
         for index, step in enumerate(self.trace.steps):
-            bb = step.snapshot_of("bb")
+            (bb,) = (s for s in step.active if s.id == "bb")
             if index > 0 and "pA" in bb.valuation["bbop"] and not any(
                 entry[0] == "pA" for entry in bb.valuation["bbis"]
             ):
                 target = index
                 break
         assert target is not None
-        old_bb = self.trace.steps[target].snapshot_of("bb")
+        (old_bb,) = (s for s in self.trace.steps[target].active if s.id == "bb")
         from archcheck.model import make_snapshot
 
         new_bb = make_snapshot(
@@ -166,19 +164,6 @@ axioms If1
 
 class TestReadbacks:
     def test_local_valuation_of_knowledge_source(self):
-        universe = ComponentUniverse(
-            frozenset({bb_snapshot(), ks_snapshot("ks1", prob={"pA", "pC"})})
-        )
-        assert local_valuation(universe, "ks1", "prob") == {"pA", "pC"}
-
-    def test_open_inputs_disjoint_from_connected_inputs(self):
-        import random
-
-        from generators import random_world
-
-        rng = random.Random(5)
-        for _ in range(25):
-            world = random_world(rng)
-            for k in world.trace.steps:
-                connected = set(k.connection)
-                assert not (set(open_input_ports(k)) & connected)
+        ks = ks_snapshot("ks1", prob={"pA", "pC"})
+        assert "prob" in ks.local_ports
+        assert ks.valuation["prob"] == {"pA", "pC"}
