@@ -3,11 +3,11 @@
 Subcommands: ``check``, ``desugar``, ``simulate-blackboard``,
 ``verify-theorem``, and ``parse``.  Exit codes for ``check``: 0 satisfied,
 1 violated, 2 inconclusive, 3 usage or parse errors.  Every subcommand
-exits 3 on a usage error, such as a bad flag or a file that cannot be read
-as UTF-8 text, with one ``error:`` line, and 4 on an internal error, a
-fault of archcheck itself: it prints one ``internal error:`` line and no
-traceback.  ``main`` returns the exit code; only ``--help`` exits through
-``SystemExit``.
+exits 3 on a usage error, such as a bad flag, an input file that is not
+UTF-8 text or an output file that cannot be written, with one ``error:``
+line, and 4 on an internal error, a fault of archcheck itself: it prints
+one ``internal error:`` line and no traceback.  ``main`` returns the exit
+code; only ``--help`` exits through ``SystemExit``.
 """
 from __future__ import annotations
 
@@ -179,14 +179,19 @@ def cmd_simulate(args) -> int:
         )
     trace_text = print_unit(trace_unit(result, name=args.name))
     if args.out:
-        Path(args.out).write_text(trace_text, encoding="utf-8")
+        _write(args.out, trace_text)
     else:
         print(trace_text, end="")
     if args.algebra_out:
-        Path(args.algebra_out).write_text(
-            print_unit(algebra_unit(scenario)), encoding="utf-8"
-        )
+        _write(args.algebra_out, print_unit(algebra_unit(scenario)))
     return EXIT_SATISFIED
+
+
+def _write(path, text):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def cmd_verify_theorem(args) -> int:

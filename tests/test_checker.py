@@ -421,6 +421,8 @@ class TestCliExitContract:
             [],
             ["verify-theorem", "--max-problems", "0"],
             ["parse", "no-such-file.arch"],
+            ["simulate-blackboard", "--problems", "p", "--root", "p", "--source", "k=p",
+             "--out", "no-such-dir/run.arch"],
         ],
     )
     def test_usage_error_exits_three_with_one_error_line(self, argv, capsys):
