@@ -20,10 +20,13 @@ is left of an assertion under its rigid assignment, into a final verdict or
 the next residual; ``close`` ends a residual at the end of the trace: X, F
 and U are Violated and G and W Satisfied in closed mode, and all are
 Inconclusive in open mode.  ``check_trace_assertion`` and ``trace_holds``
-progress over the trace until the verdict is decided and close it by mode.
-``Monitor`` keeps only the current residual, not the prefix: each step is one
-``progress`` and one open ``close``, and reads only the new configuration
-and the residual.  Equal pending residuals are merged into the earliest, so
+feed the trace step by step until the verdict is decided and close it by
+mode.  ``Monitor`` keeps only the current residual, not the prefix: each step
+is one ``feed``, which reads only the new configuration and the residual.
+``feed`` does not read a configuration known to leave the residual unchanged
+(Havelund and Roşu, "Monitoring programs using rewriting", ASE 2001); the
+monitor then returns its last verdict, and otherwise closes the new residual
+in open mode.  Equal pending residuals are merged into the earliest, so
 ``G(a -> F b)`` keeps one pending ``F b`` however long the stream.
 
 An assertion with free rigid variables holds when it holds under every
@@ -146,6 +149,8 @@ from .model import ArchConfiguration, ConfigurationTrace
 OPEN = "open"
 CLOSED = "closed"
 DEFAULT_ASSIGNMENT_BOUND = 10**6
+# configurations a Monitor interns before it starts its table afresh
+_INTERNED_CONFIGURATIONS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +1022,10 @@ class _TraceEvaluator:
     data quantifier, rigid or not, the quantifier and its guard.  Entries
     hold their node, so its id is not reused.  The tables fill as nodes are
     met; ``_node_tables`` fills them in advance for one assertion.
+
+    ``unchanged`` holds the ids of the configurations known to leave the
+    current residual unchanged (see ``feed``).  Whoever feeds the evaluator
+    keeps those configurations alive, so that their ids are not reused.
     """
 
     def __init__(
@@ -1032,6 +1041,7 @@ class _TraceEvaluator:
         self._bound: dict = {}
         # state verdicts by (formula, step, values of its free variables)
         self._verdicts: Optional[dict] = {} if remember_steps else None
+        self.unchanged: set = set()
 
     def progress(self, residual, m: int, k: ArchConfiguration):
         self.m = m
@@ -1041,24 +1051,42 @@ class _TraceEvaluator:
     def close(self, residual, mode: str) -> Verdict:
         return residual.close(self, mode)
 
+    def feed(self, residual, m: int, k: ArchConfiguration):
+        """``residual`` advanced over configuration ``k`` at step ``m``: the
+        one step function of the checks and the monitor.  Each call passes
+        the residual the previous call returned, as ``unchanged`` is kept
+        for it.
+
+        When ``k`` is in ``unchanged``, ``k`` is not read and ``residual``
+        itself is returned.  Otherwise ``residual`` is progressed; when the
+        result equals it, ``k`` joins ``unchanged`` and ``residual`` itself
+        is returned, and when it differs, ``unchanged`` starts afresh.  An
+        equal residual ends alike, so returning ``residual`` is exact."""
+        unchanged = self.unchanged
+        if id(k) in unchanged:
+            return residual
+        after = self.progress(residual, m, k)
+        if type(after) is Verdict:
+            return after
+        if after == residual:
+            unchanged.add(id(k))
+            return residual
+        unchanged.clear()
+        return after
+
     def run(self, gamma: TraceAssertion, asg: dict, steps, n: int, mode: str) -> Verdict:
-        """Verdict of ``gamma`` at step ``n``: progress until decided, then
-        close at the end of the trace.  A step whose configuration is known
-        to leave the residual unchanged is skipped."""
+        """Verdict of ``gamma`` at step ``n``: ``feed`` each step until a
+        verdict, then close at the end of the trace in ``mode``.  ``steps``
+        holds its configurations alive, and equal ones are one object when
+        they come from a ``ConfigurationTrace``, so ``unchanged`` keeps ids
+        without hashing a configuration."""
         residual = _Deferred(gamma, asg)
-        unchanged_by: set = set()  # ids of configurations, for this residual
+        self.unchanged.clear()
+        feed = self.feed
         for m in range(n, len(steps)):
-            k = steps[m]
-            if id(k) in unchanged_by:
-                continue
-            after = self.progress(residual, m, k)
-            if type(after) is Verdict:
-                return after
-            if after == residual:
-                unchanged_by.add(id(k))
-            else:
-                unchanged_by = set()
-            residual = after
+            residual = feed(residual, m, steps[m])
+            if type(residual) is Verdict:
+                return residual
         self.m = len(steps) - 1
         return self.close(residual, mode)
 
@@ -1286,6 +1314,15 @@ class Monitor:
     residual of the assertion, not the steps fed so far.  ``plan`` is as
     for ``check_trace_assertion``, and the rigid assignments are bounded by
     ``DEFAULT_ASSIGNMENT_BOUND``.
+
+    Each configuration is interned by equality, so that equal ones, even
+    when built afresh, are one object, and is then fed to the evaluator
+    (``_TraceEvaluator.feed``).  A configuration known to leave the residual
+    unchanged is not read, and the step returns the last verdict: in open
+    mode an unchanged residual closes to the same verdict.  The intern table
+    holds at most ``_INTERNED_CONFIGURATIONS`` configurations; when it is
+    full, it is cleared together with the evaluator's set of configurations
+    known to leave the residual unchanged, which holds their ids.
     """
 
     def __init__(
@@ -1301,6 +1338,7 @@ class Monitor:
             alg, J, remember_steps=False, tables=plan.tables
         )
         self._residual = _Deferred(plan.closed, {_COMPS: {}})
+        self._interned: dict = {}
         self._steps = 0
         self._last: Optional[Verdict] = None
         self._final: Optional[Verdict] = None
@@ -1314,8 +1352,17 @@ class Monitor:
     def step(self, k: ArchConfiguration) -> Verdict:
         if self._final is not None:
             return self._final
-        residual = self._evaluator.progress(self._residual, self._steps, k)
+        interned = self._interned
+        known = interned.get(k)
+        if known is None:
+            if len(interned) >= _INTERNED_CONFIGURATIONS:
+                interned.clear()
+                self._evaluator.unchanged.clear()
+            known = interned[k] = k
+        residual = self._evaluator.feed(self._residual, self._steps, known)
         self._steps += 1
+        if residual is self._residual:
+            return self._last
         if type(residual) is Verdict:
             verdict = residual
         else:

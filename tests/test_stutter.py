@@ -4,6 +4,7 @@ which reads every step and evaluates every state formula afresh."""
 import itertools
 import random
 
+from archcheck import constraints
 from archcheck.algebra import And, Equals, Member, Var, children
 from archcheck.blackboard import random_scenario, simulate_blackboard
 from archcheck.constraints import (
@@ -129,8 +130,9 @@ def test_stuttering_traces_agree_with_the_oracle_and_the_plain_progression():
                     )
                     assert oracle.truth_letter(verdict) == letter, (mode, gamma)
                     letters.append(letter)
-                # the monitor has neither the memo nor the skip: it must
-                # agree on every prefix until its verdict is final
+                # the monitor has no memo, and it interns the fresh copies
+                # before it skips: it must agree on every prefix until its
+                # verdict is final
                 plan = AssertionPlan(gamma, decls)
                 monitor, final = Monitor(world.alg, world.J, gamma, plan), None
                 for t, k in enumerate(trace.steps, start=1):
@@ -306,3 +308,114 @@ def test_state_evaluations_are_at_most_the_distinct_triples(monkeypatch):
             total_requested += len(requested)
             total_evaluated += len(evaluated)
     assert total_evaluated < total_requested
+
+
+def _fresh(k):
+    """An equal configuration built afresh, down to its sets and its map,
+    as a stream read from outside the simulator would give it."""
+    return ArchConfiguration(set(k.active), dict(k.connection))
+
+
+def _monitor_against_the_check(run, steps, name, plan, oworld=None):
+    """Stream ``steps`` through a Monitor of ``plan``'s assertion, each
+    rebuilt afresh just before it is fed and dropped after, unless the
+    monitor keeps it.  Until the first final verdict, each verdict must
+    print as the open check of the prefix read, witness and explanation
+    included, and after it the check's truth must agree.  With ``oworld``,
+    the oracle's open truth must agree on every prefix."""
+    gamma = plan.gamma
+    monitor, final = Monitor(run.algebra, run.interpretation, gamma, plan), None
+    for t, k in enumerate(steps, start=1):
+        verdict = monitor.step(_fresh(k))
+        prefix = ConfigurationTrace(run.trace.universe, steps[:t])
+        expected = check_trace_assertion(
+            run.algebra, run.interpretation, prefix, gamma, OPEN, plan=plan
+        )
+        if final is None:
+            assert str(verdict) == str(expected), (name, t)
+            final = verdict if verdict.final else None
+        else:
+            assert verdict == final and verdict.truth is expected.truth, (name, t)
+        if oworld is not None:
+            letter = oracle.check_assertion(
+                oworld, prefix, gamma, OPEN, rigid_comp=dict(plan.comps)
+            )
+            assert oracle.truth_letter(verdict) == letter, (name, t)
+        yield monitor, verdict
+
+
+def test_monitor_on_fresh_configurations_equals_the_check(monkeypatch):
+    # every step rebuilt as a new object: the monitor interns it by
+    # equality and skips as it does on the simulator's shared objects.
+    # Each simulated stream is also fed with an empty configuration in its
+    # middle, which violates safety assertions.
+    assertions = [
+        (name, AssertionPlan(gamma, rigid_comp, rigid_data))
+        for name, gamma, rigid_comp, rigid_data in _bundle_assertions()
+    ]
+    rng = random.Random(220001)
+    runs = [
+        simulate_blackboard(
+            random_scenario(rng, max_problems=4, max_sources=3, horizon=30),
+            mutation=mutation,
+        )
+        for mutation in (None, "drop-forwarding", "drop-activation")
+        for _ in range(2)
+    ]
+    progressed = []
+    progress = _TraceEvaluator.progress
+
+    def counted(evaluator, *args):
+        progressed.append(id(evaluator))
+        return progress(evaluator, *args)
+
+    monkeypatch.setattr(_TraceEvaluator, "progress", counted)
+    truths, fed, read, sampled = set(), 0, 0, 0
+    for r, run in enumerate(runs):
+        oworld = oracle.World(run.algebra, run.interpretation)
+        plain = run.trace.steps
+        gap = list(plain)
+        gap[len(gap) // 2] = ArchConfiguration(frozenset())
+        for i, (name, plan) in enumerate(assertions):
+            # the oracle enumerates every rigid assignment at every prefix:
+            # one assertion in five, a different one for each run, keeps it short
+            sample = i % 5 == r % 5
+            sampled += sample
+            for steps in (plain, gap):
+                for monitor, verdict in _monitor_against_the_check(
+                    run, steps, name, plan, oworld if sample else None
+                ):
+                    truths.add(verdict.truth)
+                fed += len(steps)
+                read += progressed.count(id(monitor._evaluator))
+                progressed.clear()
+    assert {Truth.VIOLATED, Truth.INCONCLUSIVE} <= truths
+    assert read < fed / 4 and sampled >= 15
+
+
+def test_the_intern_table_is_bounded(monkeypatch):
+    # a bound of 4 against a stream of distinct configurations, each fresh
+    # and each met again soon after: the evaluator's set of ids only names
+    # configurations the table keeps alive, so that no id in it is reused,
+    # and no verdict changes across a clear
+    monkeypatch.setattr(constraints, "_INTERNED_CONFIGURATIONS", 4)
+    rng = random.Random(220002)
+    scenario = random_scenario(rng, max_problems=4, max_sources=3, horizon=60)
+    run = simulate_blackboard(scenario)
+    distinct = list(dict.fromkeys(run.trace.steps))
+    assert len(distinct) >= 8
+    order = []
+    for i in range(len(distinct)):
+        order += [i, i, max(i - 1, 0), i, max(i - 3, 0)]
+    steps = [distinct[i] for i in order]
+    clears = 0
+    for name, gamma, rigid_comp, rigid_data in _bundle_assertions():
+        plan = AssertionPlan(gamma, rigid_comp, rigid_data)
+        size = 0
+        for monitor, _ in _monitor_against_the_check(run, steps, name, plan):
+            interned = len(monitor._interned)
+            assert interned <= 4, name
+            assert monitor._evaluator.unchanged <= set(map(id, monitor._interned)), name
+            clears += interned < size
+            size = interned
+    assert clears > 15
