@@ -28,9 +28,10 @@ back to the full enumeration, which meets the same failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable, Iterator, Mapping, Optional
 
+from ._record import record
 from .errors import (
     AssignmentError,
     CapacityError,
@@ -53,7 +54,7 @@ class Sort:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class BaseSort(Sort):
     name: str
 
@@ -61,7 +62,7 @@ class BaseSort(Sort):
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class PairSort(Sort):
     first: Sort
     second: Sort
@@ -70,7 +71,7 @@ class PairSort(Sort):
         return f"pair({self.first}, {self.second})"
 
 
-@dataclass(frozen=True)
+@record
 class SetSort(Sort):
     element: Sort
 
@@ -92,7 +93,7 @@ def base_sorts(sort: Sort) -> frozenset[str]:
 # Signatures and algebras
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """Sort names plus typed function and predicate symbols.
 
@@ -128,7 +129,7 @@ class Signature:
             )
 
 
-@dataclass(frozen=True)
+@record
 class Algebra:
     """Concrete finite interpretation of a signature.
 
@@ -284,13 +285,13 @@ class Term(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Var(Term):
     name: str
     sort: Sort
 
 
-@dataclass(frozen=True)
+@record
 class Apply(Term):
     symbol: str
     args: tuple[Term, ...] = ()
@@ -299,13 +300,13 @@ class Apply(Term):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@record
 class PairTerm(Term):
     first: Term
     second: Term
 
 
-@dataclass(frozen=True)
+@record
 class SetTerm(Term):
     elements: tuple[Term, ...] = ()
     element_sort: Optional[Sort] = None  # required for the empty literal
@@ -322,12 +323,12 @@ class Assertion(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit(Assertion):
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class PredAtom(Assertion):
     symbol: str
     args: tuple[Term, ...] = ()
@@ -336,24 +337,24 @@ class PredAtom(Assertion):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@record
 class Equals(Assertion):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Member(Assertion):
     element: Term
     collection: Term
 
 
-@dataclass(frozen=True)
+@record
 class Not(Assertion):
     operand: Assertion
 
 
-@dataclass(frozen=True)
+@record
 class And(Assertion):
     items: tuple[Assertion, ...]
 
@@ -361,7 +362,7 @@ class And(Assertion):
         object.__setattr__(self, "items", tuple(self.items))
 
 
-@dataclass(frozen=True)
+@record
 class Or(Assertion):
     items: tuple[Assertion, ...]
 
@@ -369,19 +370,19 @@ class Or(Assertion):
         object.__setattr__(self, "items", tuple(self.items))
 
 
-@dataclass(frozen=True)
+@record
 class Implies(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True)
+@record
 class Iff(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True)
+@record
 class ForallData(Assertion):
     SHAPE = ("forall", "sort")
 
@@ -390,7 +391,7 @@ class ForallData(Assertion):
     body: Assertion
 
 
-@dataclass(frozen=True)
+@record
 class ExistsData(Assertion):
     SHAPE = ("exists", "sort")
 
@@ -399,7 +400,7 @@ class ExistsData(Assertion):
     body: Assertion
 
 
-@dataclass(frozen=True)
+@record
 class BoundedForall(Assertion):
     """For all elements of an evaluated set-valued term (pattern-bound)."""
 
@@ -413,7 +414,7 @@ class BoundedForall(Assertion):
         object.__setattr__(self, "vars", tuple(self.vars))
 
 
-@dataclass(frozen=True)
+@record
 class BoundedExists(Assertion):
     SHAPE = ("exists", "set")
 
@@ -425,7 +426,7 @@ class BoundedExists(Assertion):
         object.__setattr__(self, "vars", tuple(self.vars))
 
 
-@dataclass(frozen=True)
+@record
 class WellFounded(Assertion):
     """Axiom form requiring a binary relation to be acyclic on its carrier.
 
@@ -675,7 +676,7 @@ def free_vars(node: Node) -> tuple[dict[str, Sort], dict[str, Optional[str]]]:
     return data, comps
 
 
-@dataclass(frozen=True)
+@record
 class Guard:
     """A guard of quantified variables (see the module docstring): ``pattern
     in source``, or ``source == {pattern}`` when ``single``.  ``names``

@@ -16,10 +16,10 @@ first request.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Optional
 
+from ._record import record
 from .algebra import Algebra, BaseSort, Signature
 from .errors import StructuralError, UsageError
 from .interfaces import SpecInterpretation, identity_interpretation
@@ -52,7 +52,7 @@ MUTATIONS = (MUTATION_DROP_FORWARDING, MUTATION_DROP_ACTIVATION)
 BB_ID = "bb"
 
 
-@dataclass(frozen=True)
+@record
 class BlackboardScenario:
     """A problem universe, a roster of sources, and a run length.
 
@@ -146,7 +146,7 @@ class BlackboardScenario:
         return frozenset(seen)
 
 
-@dataclass(frozen=True)
+@record
 class SimulationResult:
     scenario: BlackboardScenario
     trace: ConfigurationTrace

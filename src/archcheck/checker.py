@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import record
 from .algebra import Algebra, models_spec
 from .blackboard import (
     SimulationResult,
@@ -38,7 +38,7 @@ from .parser import parse_unit, resolve
 from .parser.resolver import ResolvedBundle, TraceData
 
 
-@dataclass(frozen=True)
+@record
 class AssertionResult:
     name: str
     verdict: Verdict
@@ -49,7 +49,7 @@ class AssertionResult:
         return f"{self.verdict!s:<14} {self.name}{suffix}"
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     """Per-phase results plus the combined outcome."""
 
@@ -246,7 +246,7 @@ def blackboard_bundle(extra_units=()):
     return bundle
 
 
-@dataclass(frozen=True)
+@record
 class TrialOutcome:
     seed: int
     premise: Truth
@@ -255,7 +255,7 @@ class TrialOutcome:
     failed_assertions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class TheoremReport:
     trials: tuple[TrialOutcome, ...]
     mutation: Optional[str]

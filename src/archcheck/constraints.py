@@ -105,9 +105,9 @@ assertion on the bundle it checks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
+from ._record import record
 from .algebra import (  # And, Implies, Not, Or and free_vars are re-exported
     Algebra,
     And,
@@ -157,7 +157,7 @@ _INTERNED_CONFIGURATIONS = 1024
 # Configuration-assertion AST extensions
 
 
-@dataclass(frozen=True)
+@record
 class PortRead(Term):
     """``v.p``: the current valuation of port ``p`` of the component bound to
     component variable ``v``; value sort is set(sort)."""
@@ -170,7 +170,7 @@ class PortRead(Term):
     sort: Sort  # declared element sort of the port
 
 
-@dataclass(frozen=True)
+@record
 class CompEquals(Assertion):
     COMP_FIELDS = (("left", None), ("right", None))
 
@@ -178,14 +178,14 @@ class CompEquals(Assertion):
     right: str
 
 
-@dataclass(frozen=True)
+@record
 class Active(Assertion):
     COMP_FIELDS = (("var", None),)
 
     var: str
 
 
-@dataclass(frozen=True)
+@record
 class Conn(Assertion):
     """Port ``in_port`` of ``in_var`` is connected to ``out_port`` of ``out_var``."""
 
@@ -199,7 +199,7 @@ class Conn(Assertion):
     out_port: str
 
 
-@dataclass(frozen=True)
+@record
 class IRConn(Assertion):
     """Every active component of one interface is connected to every active
     component of another (the activation-guarded universal form)."""
@@ -210,26 +210,26 @@ class IRConn(Assertion):
     out_port: str
 
 
-@dataclass(frozen=True)
+@record
 class Min(Assertion):
     interface: str
     count: int
 
 
-@dataclass(frozen=True)
+@record
 class Max(Assertion):
     interface: str
     count: int
 
 
-@dataclass(frozen=True)
+@record
 class MinMax(Assertion):
     interface: str
     low: int
     high: int
 
 
-@dataclass(frozen=True)
+@record
 class ForallComp(Assertion):
     SHAPE = ("forall", "interface")
 
@@ -238,7 +238,7 @@ class ForallComp(Assertion):
     body: Assertion
 
 
-@dataclass(frozen=True)
+@record
 class ExistsComp(Assertion):
     SHAPE = ("exists", "interface")
 
@@ -255,19 +255,19 @@ class TraceAssertion(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class State(TraceAssertion):
     """An embedded configuration assertion, evaluated at the current step."""
 
     formula: Assertion
 
 
-@dataclass(frozen=True)
+@record
 class TraceNot(TraceAssertion):
     operand: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class TraceAnd(TraceAssertion):
     items: tuple[TraceAssertion, ...]
 
@@ -275,7 +275,7 @@ class TraceAnd(TraceAssertion):
         object.__setattr__(self, "items", tuple(self.items))
 
 
-@dataclass(frozen=True)
+@record
 class TraceOr(TraceAssertion):
     items: tuple[TraceAssertion, ...]
 
@@ -283,46 +283,46 @@ class TraceOr(TraceAssertion):
         object.__setattr__(self, "items", tuple(self.items))
 
 
-@dataclass(frozen=True)
+@record
 class TraceImplies(TraceAssertion):
     left: TraceAssertion
     right: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class TraceIff(TraceAssertion):
     left: TraceAssertion
     right: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class Next(TraceAssertion):
     body: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class Eventually(TraceAssertion):
     body: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class Globally(TraceAssertion):
     body: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class Until(TraceAssertion):
     left: TraceAssertion
     right: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class WeakUntil(TraceAssertion):
     left: TraceAssertion
     right: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class RigidForallData(TraceAssertion):
     SHAPE = ("forall", "sort")
 
@@ -331,7 +331,7 @@ class RigidForallData(TraceAssertion):
     body: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class RigidExistsData(TraceAssertion):
     SHAPE = ("exists", "sort")
 
@@ -340,7 +340,7 @@ class RigidExistsData(TraceAssertion):
     body: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class RigidForallComp(TraceAssertion):
     SHAPE = ("forall", "interface")
 
@@ -349,7 +349,7 @@ class RigidForallComp(TraceAssertion):
     body: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class RigidExistsComp(TraceAssertion):
     SHAPE = ("exists", "interface")
 
@@ -358,7 +358,7 @@ class RigidExistsComp(TraceAssertion):
     body: TraceAssertion
 
 
-@dataclass(frozen=True)
+@record
 class BoundedRigidForall(TraceAssertion):
     """Rigid binding over the elements of a set-valued term evaluated at the
     current step (undefined reads yield the empty set)."""
@@ -373,7 +373,7 @@ class BoundedRigidForall(TraceAssertion):
         object.__setattr__(self, "vars", tuple(self.vars))
 
 
-@dataclass(frozen=True)
+@record
 class BoundedRigidExists(TraceAssertion):
     SHAPE = ("exists", "set")
 
@@ -385,7 +385,7 @@ class BoundedRigidExists(TraceAssertion):
         object.__setattr__(self, "vars", tuple(self.vars))
 
 
-@dataclass(frozen=True)
+@record
 class _Slices(BoundedRigidForall):
     """``BoundedRigidForall`` over the values of ``source`` in the carrier of
     ``sort``, the sort of the pattern ``vars``: the instances that a
@@ -419,7 +419,7 @@ class Truth(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     truth: Truth
     witness: Optional[int] = None

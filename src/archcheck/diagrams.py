@@ -9,9 +9,10 @@ cross-connection - this is by definition and tends to surprise users.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping, Optional
 
+from ._record import record
 from .algebra import BoolLit
 from .constraints import (
     Active,
@@ -36,7 +37,7 @@ from .interfaces import InterfaceSpec
 PortPair = tuple[tuple[str, str], tuple[str, str]]  # ((iface, in), (iface, out))
 
 
-@dataclass(frozen=True)
+@record
 class MinMaxAnnotation:
     """Partial lower/upper bounds on the number of active components."""
 
@@ -58,7 +59,7 @@ class MinMaxAnnotation:
         return not self.min and not self.max
 
 
-@dataclass(frozen=True)
+@record
 class RigidAnnotation:
     """Per interface, the rigid component variables allowed to be active."""
 
@@ -70,7 +71,7 @@ class RigidAnnotation:
         )
 
 
-@dataclass(frozen=True)
+@record
 class RequiredConnAnnotation:
     """Relation between interface input ports and interface output ports."""
 
@@ -80,7 +81,7 @@ class RequiredConnAnnotation:
         object.__setattr__(self, "pairs", frozenset(self.pairs))
 
 
-@dataclass(frozen=True)
+@record
 class ConfigurationDiagram:
     """A structured diagram: an interface-spec fragment plus annotations."""
 

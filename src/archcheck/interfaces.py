@@ -12,9 +12,10 @@ clauses; specs relying on it are flagged in the check report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping
 
+from ._record import record
 from .algebra import (
     Algebra,
     Assertion,
@@ -45,7 +46,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class PortSpec:
     """Port identifiers with the sort of the messages each port carries."""
 
@@ -61,7 +62,7 @@ class PortSpec:
             raise SortError(f"undeclared port identifier {port!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class Interface:
     """Disjoint local/input/output port identifier sets from a PortSpec."""
 
@@ -85,7 +86,7 @@ class Interface:
         return self.local | self.inputs | self.outputs
 
 
-@dataclass(frozen=True)
+@record
 class InterfaceSpec:
     """Named interfaces plus per-interface assertion sets (component types)."""
 
@@ -125,7 +126,7 @@ class InterfaceSpec:
 # Interface terms: port symbols as term leaves
 
 
-@dataclass(frozen=True)
+@record
 class PortSym(Term):
     """A port identifier used as a term; denotes the port's message set."""
 
@@ -143,7 +144,7 @@ def _bijection(mapping: Mapping[str, str], domain: frozenset[str], what: str):
     return mapping
 
 
-@dataclass(frozen=True)
+@record
 class InterfaceInterpretation:
     """A snapshot with bijections from its concrete ports to interface ports."""
 
@@ -226,7 +227,7 @@ def identity_interpretation(snapshot: ComponentSnapshot) -> InterfaceInterpretat
     )
 
 
-@dataclass(frozen=True)
+@record
 class SpecInterpretation:
     """Per interface identifier, the set of interpreting components."""
 

@@ -11,9 +11,10 @@ Everything here is immutable and all operations are pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable, Iterator, Mapping, Optional
 
+from ._record import record
 from .errors import (
     StructuralError,
 )
@@ -113,7 +114,7 @@ class PortValuation(Mapping):
         return f"PortValuation({inner})"
 
 
-@dataclass(frozen=True)
+@record
 class ComponentSnapshot:
     """A component at one instant: identifier, port roles, and valuation."""
 
@@ -170,7 +171,7 @@ def make_snapshot(cid: str, local=None, inputs=None, outputs=None) -> ComponentS
     )
 
 
-@dataclass(frozen=True)
+@record
 class ComponentUniverse:
     """A set of component snapshots; healthiness is checked, not assumed."""
 
@@ -180,7 +181,7 @@ class ComponentUniverse:
         object.__setattr__(self, "snapshots", frozenset(self.snapshots))
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One well-formedness failure; violations are data, not faults."""
 
@@ -194,7 +195,7 @@ class Violation:
         return f"{self.code}: {self.subject}: {self.message}{where}"
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
     notes: tuple[str, ...] = ()
@@ -276,10 +277,12 @@ class ConnectionMap(Mapping):
     """Immutable map from input port refs to sets of output port refs.
 
     Entries with an empty target set are dropped, so the domain contains
-    exactly the connected inputs.
+    exactly the connected inputs.  ``_entries`` holds them sorted, for
+    iteration, equality, hashing and repr; ``_table`` holds them by input
+    port, for lookup.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_table")
 
     def __init__(self, entries: Mapping[PortRef, Iterable[PortRef]] | Iterable = ()):
         table = {}
@@ -289,18 +292,13 @@ class ConnectionMap(Mapping):
             if frozen:
                 table[src] = frozen
         self._entries = tuple(sorted(table.items()))
+        self._table = table
 
     def __getitem__(self, ref: PortRef) -> frozenset:
-        for src, targets in self._entries:
-            if src == ref:
-                return targets
-        raise KeyError(ref)
+        return self._table[ref]
 
     def get(self, ref, default=frozenset()):
-        try:
-            return self[ref]
-        except KeyError:
-            return default
+        return self._table.get(ref, default)
 
     def __iter__(self):
         return iter(src for src, _ in self._entries)
@@ -324,7 +322,7 @@ class ConnectionMap(Mapping):
         return f"ConnectionMap({inner})"
 
 
-@dataclass(frozen=True)
+@record
 class ArchConfiguration:
     """Active snapshots plus a connection map over their ports."""
 
@@ -408,7 +406,7 @@ def check_configuration(
     return ValidationReport(tuple(violations))
 
 
-@dataclass(frozen=True)
+@record
 class ConfigurationTrace:
     """Nonempty finite sequence of configurations over one universe.
 

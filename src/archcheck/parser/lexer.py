@@ -7,8 +7,8 @@ as aliases for their ASCII forms; the printer always emits ASCII.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from .._record import record
 from .syntax import Diagnostic, Span
 
 UNICODE_ALIASES = {
@@ -47,7 +47,7 @@ TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # ident | number | op | wf
     text: str

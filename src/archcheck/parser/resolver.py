@@ -21,6 +21,7 @@ from typing import Mapping, Optional
 
 from .. import algebra as ALG
 from .. import constraints as CON
+from .._record import record
 from ..diagrams import (
     ConfigurationDiagram,
     MinMaxAnnotation,
@@ -88,7 +89,7 @@ class NeedsContext(ResolveError):
     """An empty set literal whose element sort is not yet determined."""
 
 
-@dataclass(frozen=True)
+@record
 class ResolvedAssertion:
     name: str
     unit: str
@@ -99,7 +100,7 @@ class ResolvedAssertion:
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class LabeledAssertion:
     name: str
     unit: str
@@ -108,7 +109,7 @@ class LabeledAssertion:
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class TraceData:
     name: str
     trace: ConfigurationTrace

@@ -7,8 +7,10 @@ resolver, which lowers these trees onto the semantic AST.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
+
+from .._record import record
 
 UNIT_KINDS = (
     "datatype",
@@ -30,7 +32,7 @@ PREFIX_OPERATORS = ("not", "X", "F", "G")
 PREFIX_LEVEL = max(BINARY_LEVEL.values()) + 1
 
 
-@dataclass(frozen=True)
+@record
 class Span:
     line: int  # 1-based
     column: int  # 1-based
@@ -43,7 +45,7 @@ class Span:
 SPAN = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     severity: str  # "error" | "warning"
     code: str
@@ -62,32 +64,32 @@ class ExprNode:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class EName(ExprNode):
     name: str
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class ENum(ExprNode):
     value: int
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EBool(ExprNode):
     value: bool
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EDot(ExprNode):
     base: str
     attr: str
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EApply(ExprNode):
     name: str
     args: tuple[ExprNode, ...]
@@ -97,14 +99,14 @@ class EApply(ExprNode):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@record
 class EPair(ExprNode):
     first: ExprNode
     second: ExprNode
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class ESet(ExprNode):
     items: tuple[ExprNode, ...]
     span: Optional[Span] = SPAN
@@ -113,14 +115,14 @@ class ESet(ExprNode):
         object.__setattr__(self, "items", tuple(self.items))
 
 
-@dataclass(frozen=True)
+@record
 class EUnary(ExprNode):
     op: str  # one of PREFIX_OPERATORS
     operand: ExprNode
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EBinary(ExprNode):
     op: str  # a key of BINARY_LEVEL, == or in
     left: ExprNode
@@ -128,7 +130,7 @@ class EBinary(ExprNode):
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EQuant(ExprNode):
     kind: str  # forall | exists
     names: tuple[str, ...]
@@ -141,13 +143,13 @@ class EQuant(ExprNode):
         object.__setattr__(self, "names", tuple(self.names))
 
 
-@dataclass(frozen=True)
+@record
 class EActive(ExprNode):
     var: str
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EConn(ExprNode):
     in_var: str
     in_port: str
@@ -156,7 +158,7 @@ class EConn(ExprNode):
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EIRConn(ExprNode):
     in_interface: str
     in_port: str
@@ -165,21 +167,21 @@ class EIRConn(ExprNode):
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EMin(ExprNode):
     interface: str
     count: int
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EMax(ExprNode):
     interface: str
     count: int
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EMinMax(ExprNode):
     interface: str
     low: int
@@ -187,7 +189,7 @@ class EMinMax(ExprNode):
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class EWellFounded(ExprNode):
     symbol: str
     span: Optional[Span] = SPAN
@@ -201,19 +203,19 @@ class SortRef:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class RName(SortRef):
     name: str
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class RSet(SortRef):
     element: SortRef
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class RPair(SortRef):
     first: SortRef
     second: SortRef
@@ -224,7 +226,7 @@ class RPair(SortRef):
 # Declarations
 
 
-@dataclass(frozen=True)
+@record
 class VarDecl:
     names: tuple[str, ...]
     sort: SortRef
@@ -234,7 +236,7 @@ class VarDecl:
         object.__setattr__(self, "names", tuple(self.names))
 
 
-@dataclass(frozen=True)
+@record
 class PortDecl:
     names: tuple[str, ...]
     sort: SortRef
@@ -244,7 +246,7 @@ class PortDecl:
         object.__setattr__(self, "names", tuple(self.names))
 
 
-@dataclass(frozen=True)
+@record
 class SymbolDecl:
     name: str
     args: tuple[SortRef, ...]
@@ -255,14 +257,14 @@ class SymbolDecl:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@record
 class AxiomDecl:
     expr: ExprNode
     text: str = field(compare=False, default="")
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class InterfaceDecl:
     name: str
     local: tuple[str, ...] = ()
@@ -277,7 +279,7 @@ class InterfaceDecl:
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
 
-@dataclass(frozen=True)
+@record
 class RigidAnnDecl:
     interface: str
     vars: tuple[str, ...]
@@ -287,7 +289,7 @@ class RigidAnnDecl:
         object.__setattr__(self, "vars", tuple(self.vars))
 
 
-@dataclass(frozen=True)
+@record
 class ConnectDecl:
     in_owner: str
     in_port: str
@@ -296,7 +298,7 @@ class ConnectDecl:
     span: Optional[Span] = SPAN
 
 
-@dataclass(frozen=True)
+@record
 class CarrierDecl:
     sort: str
     elements: tuple[str, ...]
@@ -306,7 +308,7 @@ class CarrierDecl:
         object.__setattr__(self, "elements", tuple(self.elements))
 
 
-@dataclass(frozen=True)
+@record
 class TableEntry:
     symbol: str
     args: tuple[ExprNode, ...]
@@ -317,7 +319,7 @@ class TableEntry:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@record
 class ComponentDecl:
     id: str
     interface: str
@@ -328,7 +330,7 @@ class ComponentDecl:
         object.__setattr__(self, "locals", tuple(self.locals))
 
 
-@dataclass(frozen=True)
+@record
 class ActiveDecl:
     id: str
     valuations: tuple[tuple[str, ExprNode], ...] = ()
@@ -338,7 +340,7 @@ class ActiveDecl:
         object.__setattr__(self, "valuations", tuple(self.valuations))
 
 
-@dataclass(frozen=True)
+@record
 class StepDecl:
     """One step of a trace.  ``lines`` are the source lines of a parsed
     step, from its `step` line to the next: steps with equal lines are
@@ -359,7 +361,7 @@ class StepDecl:
 # Unit bodies
 
 
-@dataclass(frozen=True)
+@record
 class DatatypeBody:
     sorts: tuple[str, ...] = ()
     symbols: tuple[SymbolDecl, ...] = ()
@@ -373,7 +375,7 @@ class DatatypeBody:
         object.__setattr__(self, "axioms", tuple(self.axioms))
 
 
-@dataclass(frozen=True)
+@record
 class PortSpecBody:
     ports: tuple[PortDecl, ...] = ()
 
@@ -381,7 +383,7 @@ class PortSpecBody:
         object.__setattr__(self, "ports", tuple(self.ports))
 
 
-@dataclass(frozen=True)
+@record
 class InterfaceBody:
     ports: tuple[PortDecl, ...] = ()
     local: tuple[str, ...] = ()
@@ -395,7 +397,7 @@ class InterfaceBody:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintsBody:
     vars: tuple[VarDecl, ...] = ()
     rigid_vars: tuple[VarDecl, ...] = ()
@@ -406,7 +408,7 @@ class ConstraintsBody:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@record
 class DiagramBody:
     ports: tuple[PortDecl, ...] = ()
     vars: tuple[VarDecl, ...] = ()
@@ -427,7 +429,7 @@ class DiagramBody:
         )
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraBody:
     carriers: tuple[CarrierDecl, ...] = ()
     functions: tuple[TableEntry, ...] = ()
@@ -438,7 +440,7 @@ class AlgebraBody:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@record
 class TraceBody:
     components: tuple[ComponentDecl, ...] = ()
     steps: tuple[StepDecl, ...] = ()
@@ -448,7 +450,7 @@ class TraceBody:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-@dataclass(frozen=True)
+@record
 class SourceUnit:
     kind: str
     name: str

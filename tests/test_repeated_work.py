@@ -2,7 +2,8 @@
 snapshot once per simulation, a bundle keeps the analysis of its assertions
 across checks, an interface check analyses each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
-explanation included."""
+explanation included; a connection map finds an input port without reading
+its other entries, and a missed lookup raises nothing."""
 import gc
 import hashlib
 import random
@@ -29,7 +30,12 @@ from archcheck.constraints import (
 )
 from archcheck.errors import UsageError
 from archcheck.interfaces import identity_interpretation
-from archcheck.model import ArchConfiguration, ConfigurationTrace, make_snapshot
+from archcheck.model import (
+    ArchConfiguration,
+    ConfigurationTrace,
+    ConnectionMap,
+    make_snapshot,
+)
 from archcheck.parser import print_unit
 
 from generators import random_closed_assertion, random_world
@@ -279,3 +285,50 @@ def test_rigid_closed_assertions_report_the_verdict_of_their_one_run():
                     ), (mode, gamma)
                     witnessed += verdict.witness is not None
     assert witnessed > 100
+
+
+class _Port(tuple):
+    """A port reference that counts the comparisons made with it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _Port.compared += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+def test_a_connection_lookup_reads_one_entry_and_a_miss_raises_nothing():
+    entries = {(f"ks{i}", "ksip"): {("bb", "bbop")} for i in range(100)}
+    connection = ConnectionMap(entries)
+    _Port.compared = 0
+    assert connection[_Port(("ks70", "ksip"))] == {("bb", "bbop")}
+    assert connection.get(_Port(("ks99", "ksip"))) == {("bb", "bbop")}
+    assert connection.get(_Port(("bb", "bbip"))) == frozenset()
+    assert _Port.compared <= 2  # a scan of the entries made 269
+    with pytest.raises(KeyError):
+        connection[("bb", "bbip")]
+
+    raised = []
+
+    def tracer(frame, event, arg):
+        if event == "exception":
+            raised.append(arg[0])
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        missed = connection.get(("bb", "bbip"), None)
+    finally:
+        sys.settrace(previous)
+    assert missed is None and raised == []
+
+    # iteration, equality, hashing and repr still follow the sorted entries
+    backwards = ConnectionMap(dict(reversed(list(entries.items()))))
+    assert list(backwards) == list(connection) == sorted(entries)
+    assert backwards == connection and hash(backwards) == hash(connection)
+    assert hash(connection) == hash(tuple(sorted(connection.items())))
+    small = ConnectionMap({("ks", "ksis"): {("bb", "bbos")}, ("bb", "bbip"): {("ks", "ksos")}})
+    assert repr(small) == "ConnectionMap(bb.bbip <- ks.ksos; ks.ksis <- bb.bbos)"
