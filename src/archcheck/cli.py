@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -217,7 +218,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every
+    call, so it must not be changed.  Each subcommand names its ``cmd_*``
+    function, which ``main`` looks up when it runs."""
     parser = _ArgumentParser(
         prog="archcheck",
         description="Constraint checking for dynamic software architectures",
@@ -226,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_parse = sub.add_parser("parse", help="parse and resolve units")
     p_parse.add_argument("files", nargs="+")
-    p_parse.set_defaults(func=cmd_parse)
+    p_parse.set_defaults(handler="cmd_parse")
 
     p_check = sub.add_parser("check", help="check a trace against a bundle")
     p_check.add_argument("spec", nargs="+", help="specification unit files")
@@ -238,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-assignments", type=int, default=DEFAULT_ASSIGNMENT_BOUND,
         help="bound on the rigid-assignment enumeration",
     )
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(handler="cmd_check")
 
     p_desugar = sub.add_parser(
         "desugar", help="print diagram annotations as constraint units"
     )
     p_desugar.add_argument("files", nargs="+", help="diagram plus its imports")
-    p_desugar.set_defaults(func=cmd_desugar)
+    p_desugar.set_defaults(handler="cmd_desugar")
 
     p_sim = sub.add_parser(
         "simulate-blackboard", help="generate a blackboard-pattern trace"
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write the trace unit to this file")
     p_sim.add_argument("--algebra-out", help="write the algebra unit to this file")
     p_sim.add_argument("--mutate", choices=MUTATIONS)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(handler="cmd_simulate")
 
     p_thm = sub.add_parser(
         "verify-theorem",
@@ -279,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--max-sources", type=int, default=3)
     p_thm.add_argument("--mutate", choices=MUTATIONS)
     p_thm.add_argument("--json", action="store_true")
-    p_thm.set_defaults(func=cmd_verify_theorem)
+    p_thm.set_defaults(handler="cmd_verify_theorem")
 
     return parser
 
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[args.handler](args)
     except ArchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -79,21 +79,26 @@ def sorted_snapshots(snapshots: Iterable["ComponentSnapshot"]) -> list:
 
 
 class PortValuation(Mapping):
-    """Immutable map from port name to a finite set of message values."""
+    """Immutable map from port name to a finite set of message values.
 
-    __slots__ = ("_entries",)
+    ``_entries`` holds the ports sorted, for iteration, equality, hashing
+    and repr; ``_table`` holds them by name, for lookup.
+    """
+
+    __slots__ = ("_entries", "_table")
 
     def __init__(self, entries: Mapping[str, Iterable] | Iterable = ()):
         table = {}
         for port, messages in dict(entries).items():
             table[port] = frozenset(freeze_value(m) for m in messages)
         self._entries = tuple(sorted(table.items()))
+        self._table = table
 
     def __getitem__(self, port: str) -> frozenset:
-        for name, messages in self._entries:
-            if name == port:
-                return messages
-        raise KeyError(port)
+        return self._table[port]
+
+    def get(self, port, default=None):
+        return self._table.get(port, default)
 
     def __iter__(self) -> Iterator[str]:
         return iter(name for name, _ in self._entries)

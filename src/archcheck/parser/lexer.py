@@ -7,8 +7,8 @@ as aliases for their ASCII forms; the printer always emits ASCII.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from .._record import record
 from .syntax import Diagnostic, Span
 
 UNICODE_ALIASES = {
@@ -42,38 +42,39 @@ TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<number>[0-9]+)
   | (?P<op><->|->|<-|==|\.\.|[(){}\[\],:.*=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@record
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | op | wf
     text: str
     span: Span
 
 
 def lex_line(line: str, line_no: int):
-    """Tokenize one line; returns (tokens, diagnostic-or-None)."""
-    for alias, replacement in UNICODE_ALIASES.items():
-        if alias in line:
-            line = line.replace(alias, replacement)
+    """Tokenize one line; returns (tokens, diagnostic-or-None).
+
+    One ``finditer`` pass: ``bad`` matches any character that no token
+    starts with, so the matches tile the line and the first ``bad`` one is
+    the lex error.  Spans are columns of the line after alias replacement.
+    """
+    if not line.isascii():
+        for alias, replacement in UNICODE_ALIASES.items():
+            if alias in line:
+                line = line.replace(alias, replacement)
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(line):
-        match = TOKEN_RE.match(line, pos)
-        if match is None:
-            span = Span(line_no, pos + 1, pos + 2)
-            bad = line[pos]
-            return tokens, Diagnostic(
-                "error", "lex", f"unexpected character {bad!r}", span
-            )
-        pos = match.end()
+    for match in TOKEN_RE.finditer(line):
         kind = match.lastgroup
         if kind in ("ws", "comment"):
             continue
-        text = match.group()
-        span = Span(line_no, match.start() + 1, match.end() + 1)
-        tokens.append(Token(kind, text, span))
+        start, end = match.span()
+        if kind == "bad":
+            return tokens, Diagnostic(
+                "error", "lex", f"unexpected character {match.group()!r}",
+                Span(line_no, start + 1, start + 2),
+            )
+        tokens.append(Token(kind, match.group(), Span(line_no, start + 1, end + 1)))
     return tokens, None

@@ -8,7 +8,7 @@ resolver, which lowers these trees onto the semantic AST.
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .._record import record
 
@@ -32,8 +32,11 @@ PREFIX_OPERATORS = ("not", "X", "F", "G")
 PREFIX_LEVEL = max(BINARY_LEVEL.values()) + 1
 
 
-@record
-class Span:
+class Span(NamedTuple):
+    """Where a token or node sits in its unit.  A plain tuple, because the
+    front end makes one per token: it compares, hashes and sorts as the
+    tuple of its three ints."""
+
     line: int  # 1-based
     column: int  # 1-based
     end_column: int

@@ -468,3 +468,63 @@ class TestCliExitContract:
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError: boom")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestCliParserPerProcess:
+    """``build_parser`` runs once per process; ``main`` calls read nothing
+    that an earlier call left in it."""
+
+    def test_many_calls_build_the_parser_once(self, workdir, monkeypatch, capsys):
+        import archcheck.cli as cli
+
+        built = []
+        real = cli._ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            codes = [
+                main(["parse", *_spec_files(workdir)]),
+                main(["verify-theorem", "--trials", "0"]),
+                main(["check", "--mode", "bogus", *_CHECK_FILES]),
+                main(["desugar", str(workdir / "run.arch")]),
+                main(["parse", *_spec_files(workdir)]),
+            ]
+        finally:
+            cli.build_parser.cache_clear()
+        capsys.readouterr()
+        assert codes == [0, 3, 3, 3, 0]
+        assert built == ["archcheck"] + [
+            f"archcheck {command}" for command in
+            ("parse", "check", "desugar", "simulate-blackboard", "verify-theorem")
+        ]
+
+    def test_simulations_in_one_process_print_what_fresh_processes_print(self, capsys):
+        # ``--sub`` and ``--source`` append to a default list, which an
+        # earlier call must not have grown
+        runs = [
+            ["--problems", "pA,pB", "--sub", "pB<pA", "--source", "ks1=pA,pB"],
+            ["--problems", "pA,pC", "--sub", "pC<pA", "--source", "ks2=pA,pC", "--seed", "4"],
+            ["--problems", "pA", "--source", "ks3=pA"],
+        ]
+        runs = [["simulate-blackboard", *argv, "--root", "pA", "--horizon", "12"] for argv in runs]
+        in_process = []
+        for argv in runs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            in_process.append((code, out, err))
+        src = str(Path(archcheck.__file__).parent.parent)
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "archcheck.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                timeout=60,
+            )
+            for argv in runs
+        ]
+        assert in_process == [(done.returncode, done.stdout, done.stderr) for done in fresh]
+        assert len({out for _, out, _ in in_process}) == len(runs)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from archcheck.algebra import And, Apply, BoolLit, Equals, Member, PairTerm, PredAtom, Var
+from archcheck.algebra import And, Apply, BaseSort, BoolLit, Equals, Member, PairTerm, PredAtom, Var
 from archcheck.constraints import (
     CLOSED,
     OPEN,
@@ -457,6 +457,16 @@ class TestMonitor:
         assert monitor.step(self._steps(self.bb_idle)[0]).truth is Truth.INCONCLUSIVE
         empty = ArchConfiguration(frozenset())
         assert monitor.step(empty) == Verdict(Truth.VIOLATED, 1)
+
+    def test_rejects_a_declaration_that_disagrees_with_the_use(self):
+        msg = BaseSort("MSG")
+        gamma = Globally(State(Member(Var("x", msg), PortRead("v", "Worker", "i1", msg))))
+        with pytest.raises(SortError, match="'v' declared 'Producer' but used at 'Worker'"):
+            AssertionPlan(gamma, {"v": "Producer"})
+        with pytest.raises(SortError, match="'x' declared OTHER but used at MSG"):
+            AssertionPlan(gamma, {"v": "Worker"}, {"x": BaseSort("OTHER")})
+        plan = AssertionPlan(gamma, {"v": "Worker"}, {"x": msg})
+        assert (plan.comps, plan.data) == ((("v", "Worker"),), (("x", msg),))
 
     def test_monitors_rigid_quantifiers(self):
         gamma = RigidForallComp("b", "BB", Globally(State(Active("b"))))

@@ -185,6 +185,33 @@ class TestConfigurations:
         report = check_configuration(universe, k)
         assert "connection-typing" in {v.code for v in report.violations}
 
+    def test_active_snapshot_outside_the_universe(self):
+        a = make_snapshot("a", inputs={"i": {"m"}})
+        b = make_snapshot("b", inputs={"i": {"m"}})
+        report = check_configuration(ComponentUniverse(frozenset({a})), ArchConfiguration({a, b}))
+        assert [(v.code, v.subject) for v in report.violations] == [("not-in-universe", "b")]
+
+    def test_two_active_snapshots_of_one_id_that_differ(self):
+        first = make_snapshot("a", inputs={"i": {"m"}})
+        second = make_snapshot("a", inputs={"i": {"n"}})
+        universe = ComponentUniverse(frozenset({first, second}))
+        assert check_healthy(universe).ok
+        report = check_configuration(universe, ArchConfiguration({first, second}))
+        assert [(v.code, v.subject) for v in report.violations] == [("ambiguous-valuation", "a")]
+
+    def test_connection_from_a_port_that_is_not_an_active_input(self):
+        a = make_snapshot("a", inputs={"i": {"m"}}, outputs={"o": {"m"}})
+        b = make_snapshot("b", inputs={"j": {"m"}})
+        universe = ComponentUniverse(frozenset({a, b}))
+        # from an output port, and from an input of an inactive component;
+        # neither entry is then checked for consistency
+        k = ArchConfiguration({a}, {("a", "o"): {("a", "o")}, ("b", "j"): {("a", "o")}})
+        report = check_configuration(universe, k)
+        assert [v.render() for v in report.violations] == [
+            "connection-typing: a.o: connection source is not an active input port",
+            "connection-typing: b.j: connection source is not an active input port",
+        ]
+
     def test_config_valuation(self):
         assert c2_k0() in config_k0().active
         assert c4_k2() in config_k2().active

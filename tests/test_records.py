@@ -34,7 +34,8 @@ from archcheck.blackboard import random_scenario
 from archcheck.constraints import Truth, Verdict, _Slices
 from archcheck.interfaces import InterfaceInterpretation
 from archcheck.model import ArchConfiguration
-from archcheck.parser.syntax import Diagnostic, Span
+from archcheck.parser.lexer import Token
+from archcheck.parser.syntax import Diagnostic, EName, Span
 
 # The resolver's two mutable scopes stay plain ``@dataclass`` classes.
 MUTABLE = {"archcheck.parser.resolver.ResolvedBundle", "archcheck.parser.resolver.Env"}
@@ -191,6 +192,55 @@ def test_hot_records_hash_and_compare_by_their_fields():
     assert hash(Verdict(Truth.VIOLATED, 3)) == hash((Truth.VIOLATED, 3, None))
     assert hash(SetSort(BaseSort("P"))) == hash((BaseSort("P"),))
     assert SetSort(BaseSort("P")) != BaseSort("P")
+
+
+# The front end makes one Span and one Token per token, so both are named
+# tuples rather than records.
+tuples = pytest.mark.parametrize("cls", [Span, Token], ids=_ids)
+
+
+@tuples
+def test_span_and_token_are_immutable(cls):
+    obj = cls(*cls._fields)
+    for name in [cls._fields[0], "not_a_field"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+@tuples
+def test_span_and_token_keep_the_repr_equality_and_hash_of_a_record(cls):
+    twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+    values = [f"<{name}>" for name in cls._fields]
+    obj, same, twin_obj = cls(*values), cls(*values), twin(*values)
+    assert repr(obj) == repr(twin_obj)
+    assert obj == same and not obj != same
+    assert hash(obj) == hash(same) == hash(twin_obj) == hash(tuple(values))
+    for index, name in enumerate(cls._fields):
+        changed = cls(*values[:index], "<changed>", *values[index + 1:])
+        assert obj != changed and f"{name}=" in repr(obj)
+
+
+@tuples
+def test_span_and_token_keep_their_field_order(cls):
+    expected = {Span: ("line", "column", "end_column"), Token: ("kind", "text", "span")}
+    assert cls._fields == tuple(cls.__annotations__) == expected[cls]
+
+
+def test_a_span_is_the_tuple_of_its_three_ints():
+    span = Span(3, 5, 9)
+    assert (str(span), repr(span)) == ("3:5", "Span(line=3, column=5, end_column=9)")
+    assert span == Span(3, 5, 9) != Span(3, 5, 10)
+    assert hash(span) == hash((3, 5, 9))
+    # what a record did not do: compare and sort with plain tuples
+    assert span == (3, 5, 9)
+    assert sorted([Span(3, 6, 7), Span(2, 9, 9), span]) == [(2, 9, 9), (3, 5, 9), (3, 6, 7)]
+    with pytest.raises(TypeError):
+        dataclasses.fields(Span)
+    # nodes still leave their span out of comparison
+    assert EName("x", span) == EName("x", Span(1, 1, 2))
+    assert Diagnostic("error", "E1", "bad", span) != Diagnostic("error", "E1", "bad", Span(1, 1, 2))
 
 
 def _made_both_ways(body):

@@ -2,8 +2,8 @@
 snapshot once per simulation, a bundle keeps the analysis of its assertions
 across checks, an interface check analyses each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
-explanation included; a connection map finds an input port without reading
-its other entries, and a missed lookup raises nothing."""
+explanation included; a connection map and a port valuation find a port
+without reading their other entries, and a missed lookup raises nothing."""
 import gc
 import hashlib
 import random
@@ -34,6 +34,7 @@ from archcheck.model import (
     ArchConfiguration,
     ConfigurationTrace,
     ConnectionMap,
+    PortValuation,
     make_snapshot,
 )
 from archcheck.parser import print_unit
@@ -299,6 +300,24 @@ class _Port(tuple):
     __hash__ = tuple.__hash__
 
 
+def _raised_by(call, *args):
+    """What ``call(*args)`` returns, and the exceptions raised inside it."""
+    raised = []
+
+    def tracer(frame, event, arg):
+        if event == "exception":
+            raised.append(arg[0])
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = call(*args)
+    finally:
+        sys.settrace(previous)
+    return result, raised
+
+
 def test_a_connection_lookup_reads_one_entry_and_a_miss_raises_nothing():
     entries = {(f"ks{i}", "ksip"): {("bb", "bbop")} for i in range(100)}
     connection = ConnectionMap(entries)
@@ -310,20 +329,7 @@ def test_a_connection_lookup_reads_one_entry_and_a_miss_raises_nothing():
     with pytest.raises(KeyError):
         connection[("bb", "bbip")]
 
-    raised = []
-
-    def tracer(frame, event, arg):
-        if event == "exception":
-            raised.append(arg[0])
-        return tracer
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        missed = connection.get(("bb", "bbip"), None)
-    finally:
-        sys.settrace(previous)
-    assert missed is None and raised == []
+    assert _raised_by(connection.get, ("bb", "bbip"), None) == (None, [])
 
     # iteration, equality, hashing and repr still follow the sorted entries
     backwards = ConnectionMap(dict(reversed(list(entries.items()))))
@@ -332,3 +338,37 @@ def test_a_connection_lookup_reads_one_entry_and_a_miss_raises_nothing():
     assert hash(connection) == hash(tuple(sorted(connection.items())))
     small = ConnectionMap({("ks", "ksis"): {("bb", "bbos")}, ("bb", "bbip"): {("ks", "ksos")}})
     assert repr(small) == "ConnectionMap(bb.bbip <- ks.ksos; ks.ksis <- bb.bbos)"
+
+
+class _Name(str):
+    """A port name that counts the comparisons made with it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _Name.compared += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_a_port_lookup_reads_one_entry_and_a_miss_raises_nothing():
+    entries = {f"p{i:02}": {f"m{i}"} for i in range(100)}
+    valuation = PortValuation(entries)
+    _Name.compared = 0
+    assert valuation[_Name("p70")] == {"m70"}
+    assert valuation.get(_Name("p99")) == {"m99"}
+    assert valuation.get(_Name("q")) is None
+    assert _Name.compared <= 2  # a scan of the entries made 271
+    with pytest.raises(KeyError):
+        valuation["q"]
+    assert _raised_by(valuation.get, "q", frozenset()) == (frozenset(), [])
+
+    # iteration, equality, hashing and repr still follow the sorted entries
+    backwards = PortValuation(dict(reversed(list(entries.items()))))
+    assert list(backwards) == list(valuation) == sorted(entries)
+    assert backwards == valuation and hash(backwards) == hash(valuation)
+    assert hash(valuation) == hash(tuple(sorted(valuation.items())))
+    assert valuation == {port: frozenset(messages) for port, messages in entries.items()}
+    small = PortValuation({"o": {"b", "a"}, "i": set()})
+    assert repr(small) == "PortValuation(i={}, o={a, b})"
