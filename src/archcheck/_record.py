@@ -9,12 +9,15 @@ a tuple of the compare fields), so they cost the same and hash the same.
 What changes is the cost of making the class: ``dataclasses`` compiles six
 methods for a frozen class, one ``exec`` each, while ``record`` compiles
 ``__init__``, ``__eq__`` and ``__hash__`` in one ``exec`` and shares one
-``__repr__``, ``__setattr__`` and ``__delattr__`` among all records.  A
-method defined in the class body is kept.  ``InitVar`` and keyword-only
-fields are not supported; no record has one.
+``__repr__``, ``__setattr__`` and ``__delattr__`` among all records.  Each
+distinct generated source is compiled once, and every class that generates
+it runs the same code object in a namespace of its own.  A method defined
+in the class body is kept.  ``InitVar`` and keyword-only fields are not
+supported; no record has one.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
@@ -55,6 +58,13 @@ def _tuple(obj: str, names: list[str]) -> str:
     return f"({','.join(f'{obj}.{name}' for name in names)},)" if names else "()"
 
 
+@functools.cache
+def _compiled(source: str):
+    """The code of one generated source; classes whose fields have the same
+    names and options share it, and each runs it in its own namespace."""
+    return compile(source, "<string>", "exec")
+
+
 def record(cls):
     """Make ``cls`` a frozen dataclass (see the module docstring)."""
     documented = cls.__doc__ is not None
@@ -87,7 +97,7 @@ def record(cls):
         lines.append("self.__post_init__()")
     compared = [f.name for f in flds if f.compare]
     hashed = [f.name for f in flds if (f.compare if f.hash is None else f.hash)]
-    exec(
+    source = (
         f"def __init__({','.join(params)}):\n"
         + "".join(f" {line}\n" for line in lines or ["pass"])
         + "def __eq__(self,other):\n"
@@ -95,9 +105,9 @@ def record(cls):
         f"  return {_tuple('self', compared)}=={_tuple('other', compared)}\n"
         " return NotImplemented\n"
         "def __hash__(self):\n"
-        f" return hash({_tuple('self', hashed)})\n",
-        env,
+        f" return hash({_tuple('self', hashed)})\n"
     )
+    exec(_compiled(source), env)
     env["__init__"].__annotations__ = {f.name: f.type for f in flds if f.init}
     env["__init__"].__annotations__["return"] = None
     methods = {name: env[name] for name in ("__init__", "__eq__", "__hash__")}

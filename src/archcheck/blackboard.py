@@ -435,6 +435,12 @@ def algebra_unit(scenario: BlackboardScenario, name: str = "ProbSolModel") -> So
 def trace_unit(
     result: SimulationResult, name: str = "Run", algebra_name: str = "ProbSolModel"
 ) -> SourceUnit:
+    """The trace of ``result`` as a trace unit.
+
+    Each distinct snapshot becomes one ``ActiveDecl`` and each distinct
+    configuration one ``StepDecl``, shared by every step that repeats it.
+    The simulation interns both, so tables keyed by ``id`` for this call
+    find every repeat; the trace keeps each keyed object alive."""
     scenario = result.scenario
     components = [ComponentDecl(BB_ID, "BB", ())]
     for ks in sorted(scenario.sources):
@@ -445,26 +451,39 @@ def trace_unit(
                 ((("prob", _value_expr(scenario.sources[ks]))),),
             )
         )
-    steps = []
-    for k in result.trace.steps:
-        actives = []
-        for snap in sorted(k.active, key=lambda s: (s.id != BB_ID, s.id)):
+    active_decls: dict[int, ActiveDecl] = {}
+    step_decls: dict[int, StepDecl] = {}
+
+    def active(snap: ComponentSnapshot) -> ActiveDecl:
+        decl = active_decls.get(id(snap))
+        if decl is None:
             valuations = tuple(
                 (port, _value_expr(snap.valuation[port]))
                 for port in sorted(snap.input_ports | snap.output_ports)
                 if snap.valuation[port]
             )
-            actives.append(ActiveDecl(snap.id, valuations))
-        connects = []
-        for (cid, port), targets in sorted(k.connection.items()):
-            for tid, tport in sorted(targets):
-                connects.append(ConnectDecl(cid, port, tid, tport))
-        steps.append(StepDecl(tuple(actives), tuple(connects)))
+            decl = active_decls[id(snap)] = ActiveDecl(snap.id, valuations)
+        return decl
+
+    def step(k: ArchConfiguration) -> StepDecl:
+        decl = step_decls.get(id(k))
+        if decl is None:
+            actives = [
+                active(snap)
+                for snap in sorted(k.active, key=lambda s: (s.id != BB_ID, s.id))
+            ]
+            connects = []
+            for (cid, port), targets in sorted(k.connection.items()):
+                for tid, tport in sorted(targets):
+                    connects.append(ConnectDecl(cid, port, tid, tport))
+            decl = step_decls[id(k)] = StepDecl(tuple(actives), tuple(connects))
+        return decl
+
     return SourceUnit(
         kind="trace",
         name=name,
         imports=("BB", "KS", algebra_name),
-        body=TraceBody(tuple(components), tuple(steps)),
+        body=TraceBody(tuple(components), tuple(map(step, result.trace.steps))),
     )
 
 

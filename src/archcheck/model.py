@@ -39,6 +39,24 @@ def freeze_value(value) -> Value:
     raise StructuralError(f"unsupported message value: {value!r}")
 
 
+def _is_frozen(value) -> bool:
+    """Whether ``freeze_value`` would return an equal value of the same
+    types: nonempty ``str`` atoms inside plain tuples and frozensets.  The
+    walk builds nothing."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        cls = type(value)
+        if cls is str:
+            if not value:
+                return False
+        elif cls is tuple or cls is frozenset:
+            stack.extend(value)
+        else:
+            return False
+    return True
+
+
 def value_key(value: Value):
     """Total order on values, used for deterministic rendering."""
     if isinstance(value, str):
@@ -82,7 +100,8 @@ class PortValuation(Mapping):
     """Immutable map from port name to a finite set of message values.
 
     ``_entries`` holds the ports sorted, for iteration, equality, hashing
-    and repr; ``_table`` holds them by name, for lookup.
+    and repr; ``_table`` holds them by name, for lookup.  A port's messages
+    that are already a frozenset of frozen values are kept as they are.
     """
 
     __slots__ = ("_entries", "_table")
@@ -90,7 +109,9 @@ class PortValuation(Mapping):
     def __init__(self, entries: Mapping[str, Iterable] | Iterable = ()):
         table = {}
         for port, messages in dict(entries).items():
-            table[port] = frozenset(freeze_value(m) for m in messages)
+            if type(messages) is not frozenset or not _is_frozen(messages):
+                messages = frozenset(freeze_value(m) for m in messages)
+            table[port] = messages
         self._entries = tuple(sorted(table.items()))
         self._table = table
 

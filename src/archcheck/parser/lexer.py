@@ -59,22 +59,43 @@ def lex_line(line: str, line_no: int):
 
     One ``finditer`` pass: ``bad`` matches any character that no token
     starts with, so the matches tile the line and the first ``bad`` one is
-    the lex error.  Spans are columns of the line after alias replacement.
+    the lex error.  Spans are columns of the source line: on a line that is
+    not ASCII, the aliases are replaced first and the spans mapped back, so
+    a token read from an alias spans the alias.
     """
+    columns = None
     if not line.isascii():
-        for alias, replacement in UNICODE_ALIASES.items():
-            if alias in line:
-                line = line.replace(alias, replacement)
+        pieces = [UNICODE_ALIASES.get(ch, ch) for ch in line]
+        # the source column of each column of the replaced line
+        columns = [column for column, piece in enumerate(pieces, 1) for _ in piece]
+        line = "".join(pieces)
     tokens: list[Token] = []
+    diag = None
     for match in TOKEN_RE.finditer(line):
         kind = match.lastgroup
         if kind in ("ws", "comment"):
             continue
         start, end = match.span()
         if kind == "bad":
-            return tokens, Diagnostic(
+            diag = Diagnostic(
                 "error", "lex", f"unexpected character {match.group()!r}",
                 Span(line_no, start + 1, start + 2),
             )
+            break
         tokens.append(Token(kind, match.group(), Span(line_no, start + 1, end + 1)))
-    return tokens, None
+    if columns is not None:
+        return _in_source(tokens, diag, columns)
+    return tokens, diag
+
+
+def _in_source(tokens, diag, columns):
+    """``tokens`` and ``diag`` with their spans moved from the replaced line
+    to the source line, through ``columns``."""
+
+    def moved(span: Span) -> Span:
+        return Span(span.line, columns[span.column - 1], columns[span.end_column - 2] + 1)
+
+    tokens = [Token(t.kind, t.text, moved(t.span)) for t in tokens]
+    if diag is not None:
+        diag = Diagnostic(diag.severity, diag.code, diag.message, moved(diag.span))
+    return tokens, diag

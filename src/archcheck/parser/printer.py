@@ -256,17 +256,24 @@ def print_unit(unit: SourceUnit) -> str:
                     )
                     line += f" with {parts}"
                 out.append(line)
+        # a step that repeats one object (as ``trace_unit`` shares them) is
+        # rendered once; the body keeps each keyed step alive
+        rendered: dict[int, str] = {}
         for step in body.steps:
-            out.append("step")
-            for active in step.actives:
-                out.append(f"  active {active.id}")
-                for port, value in active.valuations:
-                    out.append(f"    {port} = {print_expr(value)}")
-            for conn in step.connects:
-                out.append(
-                    f"  connect {conn.in_owner}.{conn.in_port}"
-                    f" <- {conn.out_owner}.{conn.out_port}"
-                )
+            text = rendered.get(id(step))
+            if text is None:
+                lines = ["step"]
+                for active in step.actives:
+                    lines.append(f"  active {active.id}")
+                    for port, value in active.valuations:
+                        lines.append(f"    {port} = {print_expr(value)}")
+                for conn in step.connects:
+                    lines.append(
+                        f"  connect {conn.in_owner}.{conn.in_port}"
+                        f" <- {conn.out_owner}.{conn.out_port}"
+                    )
+                text = rendered[id(step)] = "\n".join(lines)
+            out.append(text)
     else:
         raise TypeError(f"unknown unit body {type(body).__name__}")
     return "\n".join(out) + "\n"

@@ -1,7 +1,9 @@
 """The line lexer as it was before it became one ``finditer`` pass: it
 replaces every Unicode alias, then matches one token at a time and stops at
-the first position no token matches.  ``test_lexer.py`` checks the lexer
-of the package against it."""
+the first position no token matches.  Its spans are columns of the line
+after alias replacement; ``lex_source_line`` moves them to the source line
+by measuring replaced prefixes.  ``test_lexer.py`` checks the lexer of the
+package against ``lex_source_line``."""
 import re
 
 from archcheck.parser.lexer import UNICODE_ALIASES, Token
@@ -20,10 +22,15 @@ TOKEN_RE = re.compile(
 )
 
 
-def lex_line(line: str, line_no: int):
+def _replaced(line: str) -> str:
     for alias, replacement in UNICODE_ALIASES.items():
         if alias in line:
             line = line.replace(alias, replacement)
+    return line
+
+
+def lex_line(line: str, line_no: int):
+    line = _replaced(line)
     tokens = []
     pos = 0
     while pos < len(line):
@@ -42,3 +49,23 @@ def lex_line(line: str, line_no: int):
         span = Span(line_no, match.start() + 1, match.end() + 1)
         tokens.append(Token(kind, text, span))
     return tokens, None
+
+
+def lex_source_line(line: str, line_no: int):
+    """``lex_line`` with every span in columns of ``line`` itself: a
+    replaced column ``c`` comes from the first source column whose prefix,
+    replaced, is ``c`` characters long or longer."""
+
+    def source(column):
+        return next(
+            end for end in range(1, len(line) + 1) if len(_replaced(line[:end])) >= column
+        )
+
+    def moved(span):
+        return Span(span.line, source(span.column), source(span.end_column - 1) + 1)
+
+    tokens, diag = lex_line(line, line_no)
+    tokens = [Token(t.kind, t.text, moved(t.span)) for t in tokens]
+    if diag is not None:
+        diag = Diagnostic(diag.severity, diag.code, diag.message, moved(diag.span))
+    return tokens, diag

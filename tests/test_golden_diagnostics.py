@@ -125,6 +125,8 @@ def trace(components=(), step=("active a", "  i = {c}")):
 CASES = {
     # -- lexer and grammar ---------------------------------------------------
     "lex.character": ("datatype D\nsorts\n  S @\n",),
+    # columns after a Unicode alias are columns of the source line
+    "lex.character_after_alias": ("datatype D\nsorts\n  S ∧ é\n",),
     "parse.no_header": ("# only a comment\n",),
     "parse.unknown_kind": ("widget W\n",),
     "parse.header_without_name": ("datatype\n",),
@@ -183,6 +185,7 @@ CASES = {
     ),
     "term.component_variable": (constraint("G(v == c)"),),
     "term.unknown_name": (datatype_axiom("p(zz)"),),
+    "term.unknown_name_after_alias": (datatype_axiom("p(c) ∧ p(zz)"),),
     "term.port_read_outside_constraints": (datatype_axiom("p(v.i)"),),
     "term.port_read_undeclared": (constraint("G(forall z : S . z.i == c)"),),
     "term.port_read_no_port": (constraint("G(v.q == {e})"),),
@@ -408,6 +411,9 @@ EXPECTED = {
     'lex.character': [
         "3:5: error[lex]: unexpected character '@'",
     ],
+    'lex.character_after_alias': [
+        "3:7: error[lex]: unexpected character 'é'",
+    ],
     'order.several_units': [
         "C:10:3: error[resolve]: undeclared component variable 'zz' and no port usage identifies its interface",
         "Extra:6:5: error[resolve]: unknown name 'zz'",
@@ -616,6 +622,9 @@ EXPECTED = {
     ],
     'term.unknown_name': [
         "Extra:6:5: error[resolve]: unknown name 'zz'",
+    ],
+    'term.unknown_name_after_alias': [
+        "Extra:6:12: error[resolve]: unknown name 'zz'",
     ],
     'trace.activated_twice': [
         "R:8:3: error[resolve]: component 'a' activated twice in one step",

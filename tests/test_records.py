@@ -4,8 +4,9 @@
 class of the package and compare it with a twin that ``dataclasses`` builds
 from the same fields: repr text, equality and hash values must agree.  They
 also pin the design: ``__init__``, ``__eq__`` and ``__hash__`` come from one
-``exec`` per class, and ``__repr__``, ``__setattr__`` and ``__delattr__`` are
-one shared function each.
+``exec`` per class, each distinct generated source is compiled once, and
+``__repr__``, ``__setattr__`` and ``__delattr__`` are one shared function
+each.
 """
 import dataclasses
 import importlib
@@ -344,3 +345,47 @@ def test_importing_the_cli_compiles_one_namespace_per_record():
     ours, theirs = map(int, done.stdout.split())
     assert ours == len(RECORDS)
     assert theirs <= 3 * len(MUTABLE)
+
+
+def test_importing_the_cli_compiles_each_distinct_record_source_once():
+    """Records whose fields have the same names and options generate the same
+    source; ``record`` compiles it on the first and reuses the code."""
+    spy = (
+        "import builtins, sys\n"
+        "sources, runs = [], []\n"
+        "real_compile, real_exec = builtins.compile, builtins.exec\n"
+        "def ours():\n"
+        "    return sys._getframe(2).f_globals.get('__name__') == 'archcheck._record'\n"
+        "def compile(source, *args, **kwargs):\n"
+        "    if ours():\n"
+        "        sources.append(source)\n"
+        "    return real_compile(source, *args, **kwargs)\n"
+        "def exec(code, *args):\n"
+        "    if ours():\n"
+        "        runs.append(code)\n"
+        "    return real_exec(code, *args)\n"
+        "builtins.compile, builtins.exec = compile, exec\n"
+        "import archcheck.cli\n"
+        "print(len(sources), len(set(sources)), len(runs), len(set(map(id, runs))))\n"
+    )
+    src = str(Path(archcheck.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", spy], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    compiled, distinct, runs, codes = map(int, done.stdout.split())
+    assert compiled == distinct == codes
+    assert runs == len(RECORDS) > distinct  # some classes share a source
+
+    @_record.record
+    class Once:
+        first_field_of_this_test: int
+
+    @_record.record
+    class Again:
+        first_field_of_this_test: int
+
+    assert Once.__init__.__code__ is Again.__init__.__code__
+    assert Once.__init__.__globals__ is not Again.__init__.__globals__
+    assert Once(1) != Again(1) and Once(1) == Once(1)

@@ -3,7 +3,8 @@ snapshot once per simulation, a bundle keeps the analysis of its assertions
 across checks, an interface check analyses each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
 explanation included; a connection map and a port valuation find a port
-without reading their other entries, and a missed lookup raises nothing."""
+without reading their other entries, and a missed lookup raises nothing; a
+port valuation keeps messages that are already frozen."""
 import gc
 import hashlib
 import random
@@ -12,7 +13,7 @@ import weakref
 
 import pytest
 
-from archcheck import algebra, blackboard, checker, constraints
+from archcheck import algebra, blackboard, checker, constraints, model
 from archcheck.blackboard import (
     MUTATIONS,
     random_scenario,
@@ -28,7 +29,7 @@ from archcheck.constraints import (
     free_vars,
     trace_holds,
 )
-from archcheck.errors import UsageError
+from archcheck.errors import StructuralError, UsageError
 from archcheck.interfaces import identity_interpretation
 from archcheck.model import (
     ArchConfiguration,
@@ -88,6 +89,44 @@ def test_one_simulation_builds_each_distinct_snapshot_once(monkeypatch):
             assert len(calls) == len(trace.universe.snapshots)
             repeated += sum(len(k.active) for k in trace.steps) > len(calls)
     assert repeated > 40  # most simulations repeat snapshots
+
+
+def test_a_simulation_freezes_no_message_value_again(monkeypatch):
+    # every port value the simulator hands make_snapshot is a frozenset of
+    # frozen values already; freezing them again made 162.4 freeze_value
+    # calls per simulation of SEEDS x VARIANTS
+    calls = []
+    real = model.freeze_value
+
+    def counting(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(model, "freeze_value", counting)
+    snapshots = 0
+    for result in _simulations():
+        snapshots += len(result.trace.universe.snapshots)
+    assert snapshots > 100
+    assert not calls
+
+
+def test_a_port_valuation_keeps_frozen_messages_and_still_checks_them():
+    messages = frozenset({("p1", frozenset({"p2"})), ("p2", "s2")})
+    valuation = PortValuation({"o": messages, "i": frozenset()})
+    assert valuation["o"] is messages
+    # a message set that is not frozen yet is frozen as before
+    thawed = PortValuation({"o": [("p1", frozenset({"p2"})), ("p2", "s2")], "i": ()})
+    assert thawed == valuation and hash(thawed) == hash(valuation)
+    for bad in (
+        frozenset({""}),
+        frozenset({1}),
+        frozenset({("p1", frozenset({""}))}),
+        frozenset({("p1", frozenset({None}))}),
+    ):
+        with pytest.raises(StructuralError):
+            PortValuation({"o": bad})
+        with pytest.raises(StructuralError):
+            make_snapshot("c", outputs={"o": bad})
 
 
 def test_interned_simulations_equal_snapshots_rebuilt_from_each_step():
