@@ -439,10 +439,19 @@ class WellFounded(Assertion):
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# One evaluator serves every assertion context.  ``Evaluator`` holds the
-# datatype fragment as two tables keyed by node type; the interface and
+# One evaluator serves every assertion context, by compiling each node once
+# to a closure ``f(ev, asg)``.  ``Evaluator`` holds the compile rules of the
+# datatype fragment in two tables keyed by node type; the interface and
 # configuration contexts subclass it and add rules for their own nodes.  A
-# rule is called as ``rule(evaluator, asg, node)``.
+# rule is called as ``rule(compiler, node)``: it compiles the node's
+# children through the ``Compiler`` (named ``_`` when there are none) and
+# returns the node's closure, which reads whatever depends on the algebra,
+# the interpretation or the step from the evaluator it is called with, so
+# evaluators that share a table of closures share their closures, and a
+# plan can compile before any of them exists.  ``holds`` and ``term``
+# look a node's closure up by the node's id and call it.  A node no rule
+# covers compiles to a closure that raises when it is reached, so that a
+# short circuit or an empty range still passes it by.
 
 
 def bind_pattern(names: tuple[str, ...], value: Value) -> dict[str, Value]:
@@ -456,41 +465,118 @@ def bind_pattern(names: tuple[str, ...], value: Value) -> dict[str, Value]:
     return dict(zip(names, value))
 
 
-def _var(ev, asg, term):
-    try:
-        return asg[term.name]
-    except KeyError:
-        raise AssignmentError(f"unbound variable {term.name!r}") from None
+def _raises(error, message: str):
+    def fail(ev, asg):
+        raise error(message)
+
+    return fail
 
 
-def _apply(ev, asg, term):
-    table = ev.alg.functions.get(term.symbol)
-    if table is None:
-        raise SignatureError(f"no table for function symbol {term.symbol!r}")
-    args = tuple([ev.term(asg, a) for a in term.args])
-    try:
-        return table[args]
-    except KeyError:
-        rendered = ", ".join(format_value(v) for v in args)
-        raise SignatureError(
-            f"function table {term.symbol!r} undefined at ({rendered})"
-        ) from None
+def _var(ev, term):
+    name = term.name
+
+    def var(ev, asg):
+        try:
+            return asg[name]
+        except KeyError:
+            raise AssignmentError(f"unbound variable {name!r}") from None
+
+    return var
 
 
-def _pred(ev, asg, phi):
-    rows = ev.alg.predicates.get(phi.symbol)
-    if rows is None:
-        if phi.symbol not in ev.alg.signature.predicates:
-            raise SignatureError(f"unknown predicate symbol {phi.symbol!r}")
-        rows = frozenset()
-    return tuple([ev.term(asg, a) for a in phi.args]) in rows
+def _apply(ev, term):
+    symbol = term.symbol
+    args = [ev.term_fn(a) for a in term.args]
+
+    def apply(ev, asg):
+        table = ev.alg.functions.get(symbol)
+        if table is None:
+            raise SignatureError(f"no table for function symbol {symbol!r}")
+        values = tuple([a(ev, asg) for a in args])
+        try:
+            return table[values]
+        except KeyError:
+            rendered = ", ".join(format_value(v) for v in values)
+            raise SignatureError(
+                f"function table {symbol!r} undefined at ({rendered})"
+            ) from None
+
+    return apply
 
 
-def _member(ev, asg, phi):
-    collection = ev.term(asg, phi.collection)
-    if not isinstance(collection, frozenset):
-        raise SortError("membership against a non-set value")
-    return ev.term(asg, phi.element) in collection
+def _pair(ev, term):
+    first, second = ev.term_fn(term.first), ev.term_fn(term.second)
+    return lambda ev, asg: (first(ev, asg), second(ev, asg))
+
+
+def _set(ev, term):
+    elements = [ev.term_fn(e) for e in term.elements]
+    return lambda ev, asg: frozenset([e(ev, asg) for e in elements])
+
+
+def _pred(ev, phi):
+    symbol = phi.symbol
+    args = [ev.term_fn(a) for a in phi.args]
+
+    def pred(ev, asg):
+        rows = ev.alg.predicates.get(symbol)
+        if rows is None:
+            if symbol not in ev.alg.signature.predicates:
+                raise SignatureError(f"unknown predicate symbol {symbol!r}")
+            rows = frozenset()
+        return tuple([a(ev, asg) for a in args]) in rows
+
+    return pred
+
+
+def _equals(ev, phi):
+    left, right = ev.term_fn(phi.left), ev.term_fn(phi.right)
+    return lambda ev, asg: left(ev, asg) == right(ev, asg)
+
+
+def _member(ev, phi):
+    element, collection = ev.term_fn(phi.element), ev.term_fn(phi.collection)
+
+    def member(ev, asg):
+        values = collection(ev, asg)
+        if not isinstance(values, frozenset):
+            raise SortError("membership against a non-set value")
+        return element(ev, asg) in values
+
+    return member
+
+
+def _not(ev, phi):
+    operand = ev.assertion_fn(phi.operand)
+    return lambda ev, asg: not operand(ev, asg)
+
+
+def _items(forall: bool):
+    """``And`` holds when all its items do (``forall``), ``Or`` when some
+    item does; the first item that decides ends the scan."""
+
+    def rule(ev, phi):
+        items = [ev.assertion_fn(item) for item in phi.items]
+
+        def connective(ev, asg):
+            for item in items:
+                if (not item(ev, asg)) is forall:  # false decides forall, true exists
+                    return not forall
+            return forall
+
+        return connective
+
+    return rule
+
+
+def _implies(ev, phi):
+    left, right = ev.assertion_fn(phi.left), ev.assertion_fn(phi.right)
+    return lambda ev, asg: not left(ev, asg) or right(ev, asg)
+
+
+def _iff(ev, phi):
+    left, right = ev.assertion_fn(phi.left), ev.assertion_fn(phi.right)
+    return lambda ev, asg: left(ev, asg) == right(ev, asg)
 
 
 def antecedent(phi: Assertion) -> Optional[Assertion]:
@@ -506,86 +592,119 @@ def quantifier_guard(phi) -> Optional[Guard]:
     return find_guard(body, {phi.var: phi.sort})
 
 
-def _quantifier(combine):
-    def rule(ev, asg, phi):
-        bindings = enumerate_assignments(ev, {phi.var: phi.sort}, asg, ev.guard(phi))
-        return combine(ev.holds({**asg, **b}, phi.body) for b in bindings)
+def _decide(forall: bool, body, ev, asg, names: tuple[str, ...], values) -> bool:
+    """Whether the closure ``body`` holds under ``asg`` with the pattern
+    ``names`` bound to every one (``forall``) or to some one of ``values``,
+    tried in turn until one decides.  One extended copy of ``asg`` serves
+    every binding, as a closure keeps no assignment after it returns."""
+    inner = dict(asg)
+    for value in values:
+        inner.update(bind_pattern(names, value))
+        if (not body(ev, inner)) is forall:  # as in _items
+            return not forall
+    return forall
+
+
+def _quantifier(forall: bool):
+    def rule(ev, phi):
+        var, sort, body = phi.var, phi.sort, ev.assertion_fn(phi.body)
+        guard = quantifier_guard(phi)
+        if guard is None:
+            return lambda ev, asg: _decide(
+                forall, body, ev, asg, (var,), ev.alg.carrier(sort)
+            )
+        variables = {var: sort}
+        return lambda ev, asg: _decide(forall, body, ev, asg, (var,), (
+            b[var] for b in enumerate_assignments(ev, variables, asg, guard)
+        ))
 
     return rule
 
 
-def _bounded(combine):
-    def rule(ev, asg, phi):
-        source = sorted(ev.source(asg, phi.source), key=value_key)
-        return combine(
-            ev.holds({**asg, **bind_pattern(phi.vars, v)}, phi.body) for v in source
-        )
+def _bounded(forall: bool):
+    def rule(ev, phi):
+        names, source, body = phi.vars, phi.source, ev.assertion_fn(phi.body)
+        ev.term_fn(source)
+
+        def bounded(ev, asg):
+            values = sorted(ev.source(asg, source), key=value_key)
+            return _decide(forall, body, ev, asg, names, values)
+
+        return bounded
 
     return rule
 
 
-class Evaluator:
-    """Terms and assertions of the datatype fragment over one algebra."""
+class Compiler:
+    """Compiles nodes to closures by the rule tables of ``rules``, an
+    ``Evaluator`` class, into ``closures``: by the id of a node, the node
+    and its closure.  The entry holds the node, so its id is not reused;
+    pass one table to every compiler that should share it.  An evaluator
+    compiles by its own class's rules."""
 
-    FRAGMENT = "datatype assertions"
-    TERMS = {
-        Var: _var,
-        Apply: _apply,
-        PairTerm: lambda ev, asg, t: (ev.term(asg, t.first), ev.term(asg, t.second)),
-        SetTerm: lambda ev, asg, t: frozenset([ev.term(asg, e) for e in t.elements]),
-    }
-    ASSERTIONS = {
-        BoolLit: lambda ev, asg, phi: phi.value,
-        PredAtom: _pred,
-        Equals: lambda ev, asg, phi: ev.term(asg, phi.left) == ev.term(asg, phi.right),
-        Member: _member,
-        Not: lambda ev, asg, phi: not ev.holds(asg, phi.operand),
-        And: lambda ev, asg, phi: all(ev.holds(asg, item) for item in phi.items),
-        Or: lambda ev, asg, phi: any(ev.holds(asg, item) for item in phi.items),
-        Implies: lambda ev, asg, phi: (
-            not ev.holds(asg, phi.left) or ev.holds(asg, phi.right)
-        ),
-        Iff: lambda ev, asg, phi: ev.holds(asg, phi.left) == ev.holds(asg, phi.right),
-        ForallData: _quantifier(all),
-        ExistsData: _quantifier(any),
-        BoundedForall: _bounded(all),
-        BoundedExists: _bounded(any),
-        WellFounded: lambda ev, asg, phi: check_well_founded(ev.alg, phi.symbol),
-    }
-    # quantifier type -> the rule that finds its guard
-    GUARDS = {ForallData: quantifier_guard, ExistsData: quantifier_guard}
+    def __init__(self, rules: type, closures: Optional[dict] = None):
+        self.rules = rules
+        self.closures = {} if closures is None else closures
 
-    def __init__(self, alg: Algebra, guards: Optional[dict] = None):
-        self.alg = alg
-        # id(quantifier) -> (quantifier, its guard); the entry holds the
-        # quantifier, so its id is not reused
-        self.guards = {} if guards is None else guards
+    def compile(self, node: Node, table: dict):
+        """The closure of ``node`` by its rule in ``table``; called once per
+        node and table of closures."""
+        return table[type(node)](self, node)
 
-    def guard(self, phi) -> Optional[Guard]:
-        """The guard of the quantifier ``phi`` by the rule ``GUARDS`` holds
-        for its type, found once per node and guard table."""
-        entry = self.guards.get(id(phi))
+    def _closure(self, node: Node, table: dict, missing: str):
+        """The closure of ``node`` from ``closures``, compiled on a miss; for
+        a node ``table`` does not cover, a closure, not kept, that raises."""
+        if type(node) not in table:
+            name = type(node).__name__
+            return _raises(SortError, missing.format(name, self.rules.FRAGMENT))
+        entry = self.closures.get(id(node))
         if entry is None:
-            entry = self.guards[id(phi)] = (phi, self.GUARDS[type(phi)](phi))
+            entry = self.closures[id(node)] = (node, self.compile(node, table))
         return entry[1]
 
+    def term_fn(self, term: Term):
+        return self._closure(term, self.rules.TERMS, "cannot evaluate {} in {}")
+
+    def assertion_fn(self, phi: Assertion):
+        return self._closure(phi, self.rules.ASSERTIONS, "{} is not part of {}")
+
+
+class Evaluator(Compiler):
+    """Terms and assertions of the datatype fragment over one algebra, each
+    compiled once per table of closures (see ``Compiler``)."""
+
+    FRAGMENT = "datatype assertions"
+    TERMS = {Var: _var, Apply: _apply, PairTerm: _pair, SetTerm: _set}
+    ASSERTIONS = {
+        BoolLit: lambda _, phi: lambda ev, asg: phi.value,
+        PredAtom: _pred,
+        Equals: _equals,
+        Member: _member,
+        Not: _not,
+        And: _items(True),
+        Or: _items(False),
+        Implies: _implies,
+        Iff: _iff,
+        ForallData: _quantifier(True),
+        ExistsData: _quantifier(False),
+        BoundedForall: _bounded(True),
+        BoundedExists: _bounded(False),
+        WellFounded: lambda _, phi: lambda ev, asg: check_well_founded(ev.alg, phi.symbol),
+    }
+
+    def __init__(self, alg: Algebra, closures: Optional[dict] = None):
+        super().__init__(type(self), closures)
+        self.alg = alg
+
     def term(self, asg: Mapping[str, Value], term: Term) -> Value:
-        try:
-            rule = self.TERMS[type(term)]
-        except KeyError:
-            raise SortError(
-                f"cannot evaluate {type(term).__name__} in {self.FRAGMENT}"
-            ) from None
-        return rule(self, asg, term)
+        return self.term_fn(term)(self, asg)
 
     def holds(self, asg: Mapping[str, Value], phi: Assertion) -> bool:
-        try:
-            rule = self.ASSERTIONS[type(phi)]
-        except KeyError:
-            raise SortError(
-                f"{type(phi).__name__} is not part of {self.FRAGMENT}"
-            ) from None
-        return rule(self, asg, phi)
+        # an entry holds its node, so a hit is phi's own closure
+        entry = self.closures.get(id(phi))
+        if entry is None:
+            return self.assertion_fn(phi)(self, asg)
+        return entry[1](self, asg)
 
     def source(self, asg: Mapping[str, Value], term: Term) -> frozenset:
         """The set a bounded quantifier ranges over."""

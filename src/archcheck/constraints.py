@@ -92,15 +92,19 @@ drops at one step it drops at any later one, and a pending X or chain
 position never equals its successor, since ``_Deferred`` turns into its
 body and chain positions carry their origin step.  The last index is the
 current one at the end, so the witnesses that name it stay exact.
-``Monitor`` keeps neither the memo nor the skip: it reads each step it is
-fed.
+``Monitor`` keeps no memo, but it skips by the same rule.
 
 What does not depend on the trace is found once per assertion: an
 ``AssertionPlan`` holds the free rigid variables with their sorts and
-interfaces, the closure, the free variables of each ``State`` formula and
-the guard of each quantifier.  ``check_trace_assertion`` and ``Monitor``
-make one unless they are given one; ``checker.run_check`` keeps one per
-assertion on the bundle it checks.
+interfaces, the closure, the free variables of each ``State`` formula, the
+guard of each rigid data quantifier, and the state formulas compiled to
+closures (see ``algebra``), each quantifier's guard found as it is
+compiled.  ``check_trace_assertion`` and ``Monitor`` make one unless they
+are given one; ``checker.run_check`` keeps one per assertion on the bundle
+it checks.  What depends on the trace but not on the assertion, the
+interpretation index and each configuration's index, is a
+``_TraceContext``, which ``run_check`` makes once per trace for all the
+assertions of the bundle.
 """
 from __future__ import annotations
 
@@ -114,6 +118,7 @@ from .algebra import (  # And, Implies, Not, Or and free_vars are re-exported
     Assertion,
     BoundedExists,
     BoundedForall,
+    Compiler,
     Equals,
     Evaluator,
     ExistsData,
@@ -461,8 +466,8 @@ class _UndefinedRead(Exception):
 # ---------------------------------------------------------------------------
 # State-formula evaluation
 
-# Key of the component assignment inside the assignment the rules read; not a
-# string, so it never clashes with a data variable.
+# Key of the component assignment inside the assignment the closures read;
+# not a string, so it never clashes with a data variable.
 _COMPS = object()
 
 
@@ -473,24 +478,61 @@ def _comp(asg, var: str) -> str:
         raise AssignmentError(f"unbound component variable {var!r}") from None
 
 
-def _port_read(ev, asg, term: PortRead) -> frozenset:
-    cid = _comp(asg, term.var)
-    if cid not in ev.active:
-        raise _UndefinedRead(f"undefined read: {term.var}.{term.port} ({cid} inactive)")
-    return ev.interpretation(cid).port_value(term.port)
+def _port_read(ev, term: PortRead):
+    var, port = term.var, term.port
+
+    def read(ev, asg) -> frozenset:
+        cid = _comp(asg, var)
+        if cid not in ev.active:
+            raise _UndefinedRead(f"undefined read: {var}.{port} ({cid} inactive)")
+        return ev.interpretation(cid).port_value(port)
+
+    return read
 
 
 def _defined(rule):
-    """An atom's rule under which an undefined read makes the atom false."""
+    """An atom's compile rule under which an undefined read makes the atom
+    false."""
 
-    def atom(ev, asg, phi):
+    def compile_atom(ev, phi):
+        evaluate = rule(ev, phi)
+
+        def atom(ev, asg):
+            try:
+                return evaluate(ev, asg)
+            except _UndefinedRead as undef:
+                ev.notes[undef.description] = None
+                return False
+
+        return atom
+
+    return compile_atom
+
+
+def _active(ev, phi: Active):
+    var = phi.var
+
+    def active(ev, asg):
         try:
-            return rule(ev, asg, phi)
-        except _UndefinedRead as undef:
-            ev.notes[undef.description] = None
-            return False
+            return asg[_COMPS][var] in ev.active
+        except KeyError:
+            return _comp(asg, var)  # raises AssignmentError
 
-    return atom
+    return active
+
+
+def _conn(ev, phi: Conn):
+    in_var, in_port, out_var, out_port = phi.in_var, phi.in_port, phi.out_var, phi.out_port
+
+    def conn(ev, asg):
+        try:
+            comps = asg[_COMPS]
+            in_id, out_id = comps[in_var], comps[out_var]
+        except KeyError:
+            in_id, out_id = _comp(asg, in_var), _comp(asg, out_var)  # one raises
+        return ev.connected(in_id, in_port, out_id, out_port)
+
+    return conn
 
 
 def _irconn(ev, asg, phi: IRConn) -> bool:
@@ -503,13 +545,23 @@ def _irconn(ev, asg, phi: IRConn) -> bool:
     return True
 
 
-def _comp_quantifier(combine):
-    def rule(ev, asg, phi):
-        comps = asg[_COMPS]
-        return combine(
-            ev.holds({**asg, _COMPS: {**comps, phi.var: cid}}, phi.body)
-            for cid in ev.interface_ids(phi.interface)
-        )
+def _comp_quantifier(forall: bool):
+    """The compile rule of ``ForallComp`` or ``ExistsComp``, as ``algebra``
+    compiles data quantifiers, over the component ids of the interface."""
+
+    def rule(ev, phi):
+        var, interface, body = phi.var, phi.interface, ev.assertion_fn(phi.body)
+
+        def quantifier(ev, asg):
+            inner = dict(asg)
+            bound = inner[_COMPS] = dict(asg[_COMPS])
+            for cid in ev.interface_ids(interface):
+                bound[var] = cid
+                if (not body(ev, inner)) is forall:  # as in algebra._decide
+                    return not forall
+            return forall
+
+        return quantifier
 
     return rule
 
@@ -529,13 +581,44 @@ def _instance_guard(gamma) -> Optional[Guard]:
     return find_guard(formula, {gamma.var: gamma.sort})
 
 
+class _TraceContext:
+    """What evaluating any assertion on one trace reads besides the
+    assertion: the algebra, the interpretation set ``J``, the ids of each
+    interface's components, the interpretations by id and snapshot, and,
+    with ``remember_steps``, the index of each configuration read, kept
+    for later visits.  ``run_check`` makes one per trace and shares it
+    among the bundle's assertions."""
+
+    def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
+        self.alg, self.J = alg, J
+        self.ids_by_interface = {
+            name: tuple(sorted({i.snapshot.id for i in interps}))
+            for name, interps in J.by_interface.items()
+        }
+        self.interps: dict[str, dict] = {}
+        for interps in J.by_interface.values():
+            for interp in interps:
+                self.interps.setdefault(interp.snapshot.id, {})[interp.snapshot] = interp
+        self.steps: Optional[dict[int, tuple]] = {} if remember_steps else None
+
+    def index(self, k: ArchConfiguration) -> tuple:
+        """``k``, its active components by id, and a table of their
+        interpretations by id, filled as reads find them."""
+        cache = self.steps
+        cached = None if cache is None else cache.get(id(k))
+        if cached is None or cached[0] is not k:
+            cached = (k, {snap.id: snap for snap in k.active}, {})
+            if cache is not None:
+                cache[id(k)] = cached
+        return cached
+
+
 class _StateEvaluator(Evaluator):
-    """Evaluates configuration assertions against one interpretation set.
+    """Evaluates configuration assertions in a ``_TraceContext``.
 
     ``at`` makes a configuration ``k`` current, with ``active`` mapping its
     active component ids to their snapshots; ``notes`` collects the
-    undefined reads of the verdict under way, in order.  With
-    ``remember_steps`` each configuration's index is kept for later visits.
+    undefined reads of the verdict under way, in order.
     """
 
     FRAGMENT = "configuration assertions"
@@ -545,60 +628,33 @@ class _StateEvaluator(Evaluator):
         PredAtom: _defined(Evaluator.ASSERTIONS[PredAtom]),
         Equals: _defined(Evaluator.ASSERTIONS[Equals]),
         Member: _defined(Evaluator.ASSERTIONS[Member]),
-        CompEquals: lambda ev, asg, phi: _comp(asg, phi.left) == _comp(asg, phi.right),
-        Active: lambda ev, asg, phi: _comp(asg, phi.var) in ev.active,
-        Conn: lambda ev, asg, phi: ev.connected(
-            _comp(asg, phi.in_var), phi.in_port, _comp(asg, phi.out_var), phi.out_port
+        CompEquals: lambda _, phi: (
+            lambda ev, asg: _comp(asg, phi.left) == _comp(asg, phi.right)
         ),
-        IRConn: _irconn,
-        Min: lambda ev, asg, phi: ev.count(phi.interface) >= phi.count,
-        Max: lambda ev, asg, phi: ev.count(phi.interface) <= phi.count,
-        MinMax: lambda ev, asg, phi: phi.low <= ev.count(phi.interface) <= phi.high,
-        ForallComp: _comp_quantifier(all),
-        ExistsComp: _comp_quantifier(any),
-    }
-    GUARDS = {
-        **Evaluator.GUARDS,
-        RigidForallData: _instance_guard,
-        RigidExistsData: _instance_guard,
+        Active: _active,
+        Conn: _conn,
+        IRConn: lambda _, phi: lambda ev, asg: _irconn(ev, asg, phi),
+        Min: lambda _, phi: lambda ev, asg: ev.count(phi.interface) >= phi.count,
+        Max: lambda _, phi: lambda ev, asg: ev.count(phi.interface) <= phi.count,
+        MinMax: lambda _, phi: lambda ev, asg: phi.low <= ev.count(phi.interface) <= phi.high,
+        ForallComp: _comp_quantifier(True),
+        ExistsComp: _comp_quantifier(False),
     }
 
-    def __init__(
-        self,
-        alg: Algebra,
-        J: SpecInterpretation,
-        remember_steps: bool = True,
-        guards: Optional[dict] = None,
-    ):
-        super().__init__(alg, guards)
+    def __init__(self, context: _TraceContext, closures: Optional[dict] = None):
+        super().__init__(context.alg, closures)
+        self.context = context
         self.notes: dict[str, None] = {}
-        self._ids_by_interface = {
-            name: tuple(sorted({i.snapshot.id for i in interps}))
-            for name, interps in J.by_interface.items()
-        }
-        self._interps: dict[str, dict] = {}
-        for interps in J.by_interface.values():
-            for interp in interps:
-                self._interps.setdefault(interp.snapshot.id, {})[
-                    interp.snapshot
-                ] = interp
-        self._step_cache: Optional[dict[int, tuple]] = {} if remember_steps else None
 
     def interface_ids(self, interface: str) -> tuple[str, ...]:
         try:
-            return self._ids_by_interface[interface]
+            return self.context.ids_by_interface[interface]
         except KeyError:
             raise InterpretationError(f"undeclared interface {interface!r}") from None
 
     def at(self, k: ArchConfiguration) -> None:
         """Make ``k`` the current configuration."""
-        cache = self._step_cache
-        cached = None if cache is None else cache.get(id(k))
-        if cached is None or cached[0] is not k:
-            cached = (k, {snap.id: snap for snap in k.active}, {})
-            if cache is not None:
-                cache[id(k)] = cached
-        self.k, self.active, self._active_interps = cached
+        self.k, self.active, self._active_interps = self.context.index(k)
 
     def source(self, asg, term: Term) -> frozenset:
         """Undefined reads give the empty set (matching the guarded expansion
@@ -613,7 +669,7 @@ class _StateEvaluator(Evaluator):
         """The interpretation of an active component, found once per step."""
         interp = self._active_interps.get(cid)
         if interp is None:
-            interp = self._interps.get(cid, {}).get(self.active[cid])
+            interp = self.context.interps.get(cid, {}).get(self.active[cid])
             self._active_interps[cid] = interp
         if interp is None:
             raise InterpretationError(
@@ -915,7 +971,7 @@ def _start_implies(ev, gamma, asg):
 
 def _rigid_data(dominant):
     def rule(ev, gamma, asg):
-        guard = ev.state.guard(gamma)
+        guard = ev.node_info[id(gamma)][1]
         bindings = enumerate_assignments(ev.state, {gamma.var: gamma.sort}, asg, guard)
         return _items(dominant, (
             ev.start(gamma.body, ev.bind(asg, gamma, b[gamma.var], b)) for b in bindings
@@ -993,18 +1049,22 @@ def _reads(phi: Assertion) -> tuple:
 
 
 def _node_tables(gamma) -> tuple[dict, dict]:
-    """What evaluating ``gamma`` looks up about its nodes, all found at once:
-    the ``_reads`` of each ``State`` formula and the guard of each data
-    quantifier, rigid or not, by the node's id (see ``_TraceEvaluator``)."""
-    reads: dict = {}
-    guards: dict = {}
+    """What evaluating ``gamma`` looks up about its nodes, all found at once
+    (see ``_TraceEvaluator``): by the node's id, the ``_reads`` of each
+    ``State`` formula and the guard of each rigid data quantifier; and the
+    closures of the state formulas and of the bounded rigid quantifiers'
+    sources."""
+    node_info: dict = {}
+    compiler = Compiler(_StateEvaluator)
     for node in nodes(gamma):
         if type(node) is State:
-            reads[id(node.formula)] = _reads(node.formula)
-        rule = _StateEvaluator.GUARDS.get(type(node))
-        if rule is not None:
-            guards[id(node)] = (node, rule(node))
-    return reads, guards
+            node_info[id(node.formula)] = _reads(node.formula)
+            compiler.assertion_fn(node.formula)
+        elif type(node) in (RigidForallData, RigidExistsData):
+            node_info[id(node)] = (node, _instance_guard(node))
+        elif isinstance(node, TraceAssertion) and node.SHAPE and node.SHAPE[1] == "set":
+            compiler.term_fn(node.source)
+    return node_info, compiler.closures
 
 
 class _TraceEvaluator:
@@ -1013,34 +1073,28 @@ class _TraceEvaluator:
     ``progress(residual, m, k)`` makes configuration ``k`` the current step
     ``m`` and advances ``residual`` over it; ``close(residual, mode)`` ends a
     residual at the last step read.  An assertion under an assignment
-    starts as ``_Deferred(gamma, asg)``.  ``remember_steps`` keeps each
-    configuration's index of active components, and the state verdicts
-    reached at it, for later visits.
+    starts as ``_Deferred(gamma, asg)``.  ``context`` is the trace's
+    ``_TraceContext``; when it remembers steps, so does the evaluator the
+    state verdicts reached at each.
 
-    ``tables`` holds what the evaluation looks up about the nodes it meets:
+    ``tables`` are the ``_node_tables`` of the assertion: ``node_info`` holds,
     by the id of a ``State`` formula, its ``_reads``, and by the id of a
-    data quantifier, rigid or not, the quantifier and its guard.  Entries
-    hold their node, so its id is not reused.  The tables fill as nodes are
-    met; ``_node_tables`` fills them in advance for one assertion.
+    rigid data quantifier, the quantifier and its guard; the other is the
+    state evaluator's table of closures.  Entries hold their node, so its
+    id is not reused.
 
     ``unchanged`` holds the ids of the configurations known to leave the
     current residual unchanged (see ``feed``).  Whoever feeds the evaluator
     keeps those configurations alive, so that their ids are not reused.
     """
 
-    def __init__(
-        self,
-        alg: Algebra,
-        J: SpecInterpretation,
-        remember_steps: bool = True,
-        tables: Optional[tuple[dict, dict]] = None,
-    ):
-        self._reads, guards = ({}, {}) if tables is None else tables
-        self.state = _StateEvaluator(alg, J, remember_steps, guards)
+    def __init__(self, context: _TraceContext, tables: tuple[dict, dict]):
+        self.node_info, closures = tables
+        self.state = _StateEvaluator(context, closures)
         self.m: Optional[int] = None
         self._bound: dict = {}
         # state verdicts by (formula, step, values of its free variables)
-        self._verdicts: Optional[dict] = {} if remember_steps else None
+        self._verdicts: Optional[dict] = None if context.steps is None else {}
         self.unchanged: set = set()
 
     def progress(self, residual, m: int, k: ArchConfiguration):
@@ -1117,10 +1171,7 @@ class _TraceEvaluator:
         memo = self._verdicts
         if memo is None:
             return self._state_verdict(asg, phi)
-        reads = self._reads.get(id(phi))
-        if reads is None:
-            reads = self._reads[id(phi)] = _reads(phi)
-        _, data, comps = reads
+        _, data, comps = self.node_info[id(phi)]
         if data is None:
             return self._state_verdict(asg, phi)
         key = (
@@ -1161,7 +1212,8 @@ def trace_holds(
     if n >= length or n < 0:
         raise UsageError(f"time index {n} outside the trace (length {length})")
     asg = {**rigid_data, _COMPS: dict(rigid_comp)}
-    return _TraceEvaluator(alg, J).run(gamma, asg, trace.steps, n, mode)
+    evaluator = _TraceEvaluator(_TraceContext(alg, J), _node_tables(gamma))
+    return evaluator.run(gamma, asg, trace.steps, n, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -1195,7 +1247,7 @@ class AssertionPlan:
     """What checking a trace assertion needs before it reads a trace: its
     free rigid variables with their sorts and interfaces, in product order;
     ``closed``, its universal closure over them (see the module docstring);
-    and the ``_node_tables`` of ``closed``.
+    and the ``_node_tables`` of ``closed``, its state formulas compiled.
 
     Make one per assertion and its declarations and pass it to every
     ``check_trace_assertion`` or ``Monitor`` of that assertion, as
@@ -1278,6 +1330,8 @@ def check_trace_assertion(
     rigid_data_decls: Optional[Mapping[str, Sort]] = None,
     max_assignments: int = DEFAULT_ASSIGNMENT_BOUND,
     plan: Optional[AssertionPlan] = None,
+    *,
+    _context: Optional[_TraceContext] = None,
 ) -> Verdict:
     """Three-valued conjunction of trace_holds at index 0 over all rigid
     assignments of the assertion's free variables: one run of its
@@ -1296,12 +1350,15 @@ def check_trace_assertion(
     ``max_assignments`` bounds the product of the rigid variables'
     carriers and component sets before anything runs.  ``plan`` is the
     ``AssertionPlan`` of ``gamma`` and the two declarations, made once and
-    reused; without it, one is made for this call.
+    reused; without it, one is made for this call.  ``_context``, internal,
+    is the ``_TraceContext`` of ``alg`` and ``J`` that ``checker.run_check``
+    shares among the assertions of a bundle; without it, one is made.
     """
     plan = AssertionPlan.of(gamma, plan, rigid_comp_decls, rigid_data_decls)
     plan.check_bound(alg, J, max_assignments)
     _check_mode(mode)
-    evaluator = _TraceEvaluator(alg, J, tables=plan.tables)
+    context = _TraceContext(alg, J) if _context is None else _context
+    evaluator = _TraceEvaluator(context, plan.tables)
     return evaluator.run(plan.closed, {_COMPS: {}}, trace.steps, 0, mode)
 
 
@@ -1335,7 +1392,7 @@ class Monitor:
         plan = AssertionPlan.of(gamma, plan)
         plan.check_bound(alg, J, DEFAULT_ASSIGNMENT_BOUND)
         self._evaluator = _TraceEvaluator(
-            alg, J, remember_steps=False, tables=plan.tables
+            _TraceContext(alg, J, remember_steps=False), plan.tables
         )
         self._residual = _Deferred(plan.closed, {_COMPS: {}})
         self._interned: dict = {}

@@ -13,7 +13,7 @@ clauses; specs relying on it are flagged in the check report.
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Mapping
+from typing import Mapping, Optional
 
 from ._record import record
 from .algebra import (
@@ -290,11 +290,13 @@ class _InterfaceEvaluator(Evaluator):
     FRAGMENT = "interface assertions"
     TERMS = {
         **Evaluator.TERMS,
-        PortSym: lambda ev, asg, term: ev.interp.port_value(term.port),
+        PortSym: lambda _, term: lambda ev, asg: ev.interp.port_value(term.port),
     }
 
-    def __init__(self, alg: Algebra, interp: InterfaceInterpretation):
-        super().__init__(alg)
+    def __init__(
+        self, alg: Algebra, interp: InterfaceInterpretation, closures: Optional[dict] = None
+    ):
+        super().__init__(alg, closures)
         self.interp = interp
 
 
@@ -324,6 +326,7 @@ def check_spec_interpretation(
     """
     violations = []
     notes = []
+    closures: dict = {}  # the compiled axioms, shared by every interpretation
     owners: dict[str, str] = {}
     for name in sorted(J.by_interface):
         if name not in spec.interfaces:
@@ -353,12 +356,12 @@ def check_spec_interpretation(
         interps = sorted(J.by_interface[name], key=lambda it: it.snapshot.id)
         try:
             checked, note = _check_interpretations(
-                name, interface, assertions, interps, pspec, alg
+                name, interface, assertions, interps, pspec, alg, closures
             )
         except Exception:  # noqa: BLE001 - raised again in the canonical order
             interps.sort(key=InterfaceInterpretation.sort_key)
             checked, note = _check_interpretations(
-                name, interface, assertions, interps, pspec, alg
+                name, interface, assertions, interps, pspec, alg, closures
             )
         if any(found for _, found in checked):
             checked.sort(key=lambda item: item[0].sort_key())
@@ -368,9 +371,10 @@ def check_spec_interpretation(
     return ValidationReport(tuple(violations), tuple(notes))
 
 
-def _check_interpretations(name, interface, assertions, interps, pspec, alg):
+def _check_interpretations(name, interface, assertions, interps, pspec, alg, closures):
     """Each of one interface's interpretations with its violations, in the
-    order given, and the local-port note.  The note names only the
+    order given, and the local-port note; the axioms are compiled into
+    ``closures``, shared by every interpretation.  The note names only the
     interface and the first assertion that reads a local port, so it does
     not depend on the order."""
     checked = []
@@ -390,7 +394,7 @@ def _check_interpretations(name, interface, assertions, interps, pspec, alg):
             continue
         typing = check_port_typing(interp, pspec, alg)
         violations.extend(typing.violations)
-        evaluator = _InterfaceEvaluator(alg, interp)
+        evaluator = _InterfaceEvaluator(alg, interp, closures)
         if guarded is None:  # found once, and only if an interpretation reads them
             guarded = [(a, free_vars(a)[0]) for a in assertions]
             guarded = [(a, v, find_guard(antecedent(a), v)) for a, v in guarded]

@@ -1,6 +1,8 @@
 """Work that a theorem trial used to redo: the simulator builds each distinct
 snapshot once per simulation, a bundle keeps the analysis of its assertions
-across checks, an interface check analyses each axiom once, and a
+across checks, their state formulas compiled once per plan, a check indexes
+the trace once for all its assertions, an interface check analyses and
+compiles each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
 explanation included; a connection map and a port valuation find a port
 without reading their other entries, and a missed lookup raises nothing; a
@@ -241,6 +243,76 @@ def test_interface_axioms_are_analysed_once_per_check(monkeypatch):
         assert report.ok
         assert len(calls) == axioms
     assert len(sizes) > 1
+
+
+def _compiled(monkeypatch):
+    """The table and the node of every compilation from now on; the list
+    keeps them alive, so their ids are not reused."""
+    compiled = []
+    compile_node = algebra.Compiler.compile
+
+    def counted(compiler, node, table):
+        compiled.append((compiler.closures, node))
+        return compile_node(compiler, node, table)
+
+    monkeypatch.setattr(algebra.Compiler, "compile", counted)
+    return compiled
+
+
+def test_each_state_node_is_compiled_once_per_plan(monkeypatch):
+    # a bundle's plans compile their state formulas when they are made, on
+    # the first check; later trials compile nothing into them
+    bundle = blackboard_bundle()
+    compiled = _compiled(monkeypatch)
+    first = checker.verify_theorem(trials=1, bundle=bundle)
+    tables = {id(plan.tables[1]) for plan in bundle.plans.values()}
+    into_plans = [(id(t), id(n)) for t, n in compiled if id(t) in tables]
+    assert len(into_plans) == len(set(into_plans)) > 100
+    assert len(into_plans) == sum(len(plan.tables[1]) for plan in bundle.plans.values())
+    owned = set().union(*(_nodes(plan.closed) for plan in bundle.plans.values()))
+    compiled.clear()
+    report = checker.verify_theorem(trials=20, bundle=bundle)
+    assert first.ok and report.ok
+    assert not [node for _, node in compiled if id(node) in owned]
+
+
+def test_a_check_shares_one_trace_context_among_its_assertions(monkeypatch):
+    contexts = []
+    init = constraints._TraceContext.__init__
+
+    def counted(context, *args, **kwargs):
+        contexts.append(context)
+        init(context, *args, **kwargs)
+
+    monkeypatch.setattr(constraints._TraceContext, "__init__", counted)
+    bundle = blackboard_bundle()
+    result = simulate_blackboard(random_scenario(random.Random(17), horizon=30))
+    report = check_simulation(bundle, result)
+    assert len(report.assertions) == len(bundle.plans) > 10
+    assert len(contexts) == 1
+    # each distinct configuration is indexed once, for all the assertions
+    steps = result.trace.steps
+    assert len(contexts[0].steps) == len({id(k) for k in steps}) < len(steps)
+
+
+def test_interface_axioms_are_compiled_once_per_check(monkeypatch):
+    from archcheck import interfaces
+
+    bundle = blackboard_bundle()
+    axioms = {id(a) for items in bundle.interface_spec.assertions.values() for a in items}
+    compiled = _compiled(monkeypatch)
+    rng = random.Random(13)
+    for sources in (2, 3):
+        result = simulate_blackboard(random_scenario(rng, max_sources=sources))
+        assert len(result.interpretation.by_interface["KS"]) > 1
+        compiled.clear()
+        report = interfaces.check_spec_interpretation(
+            result.interpretation, bundle.interface_spec, bundle.port_spec, result.algebra
+        )
+        assert report.ok
+        roots = [id(node) for _, node in compiled if id(node) in axioms]
+        assert sorted(roots) == sorted(axioms)
+        assert len({id(table) for table, _ in compiled}) == 1
 
 
 def _module_tables():

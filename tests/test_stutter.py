@@ -30,7 +30,9 @@ from archcheck.constraints import (
     Verdict,
     _Deferred,
     _StateEvaluator,
+    _TraceContext,
     _TraceEvaluator,
+    _node_tables,
     check_trace_assertion,
     free_vars,
     trace_holds,
@@ -64,7 +66,9 @@ def _plain(alg, J, trace, gamma, mode, rigid_comp=None):
         for comp_combo in itertools.product(*comp_domains):
             asg = {**dict(zip(data_names, data_combo)),
                    _COMPS: dict(zip(comp_names, comp_combo))}
-            evaluator = _TraceEvaluator(alg, J, remember_steps=False)
+            evaluator = _TraceEvaluator(
+                _TraceContext(alg, J, remember_steps=False), _node_tables(gamma)
+            )
             residual = _Deferred(gamma, asg)
             for m, k in enumerate(trace.steps):
                 residual = evaluator.progress(residual, m, k)
