@@ -1,6 +1,9 @@
 """``record``: a frozen dataclass built with one ``exec`` per class.
 
-``@record`` means what ``@dataclass(frozen=True)`` means.  ``dataclasses``
+``@record`` means what ``@dataclass(frozen=True)`` means, with one
+addition: an init field whose annotation has the outer type ``tuple`` or
+``frozenset`` stores ``tuple(x)`` or ``frozenset(x)`` of its argument ``x``,
+which is ``x`` itself when ``x`` already has that type.  ``dataclasses``
 itself collects the fields, so ``dataclasses.fields``, ``replace``, every
 ``field(...)`` option, ``__post_init__``, ``__match_args__`` and inherited
 fields keep their meaning.  ``__init__``, ``__eq__`` and ``__hash__`` have
@@ -58,10 +61,32 @@ def _tuple(obj: str, names: list[str]) -> str:
     return f"({','.join(f'{obj}.{name}' for name in names)},)" if names else "()"
 
 
+_CONTAINERS = {"tuple": tuple, "frozenset": frozenset}
+
+
+def _container(annotation):
+    """``tuple`` or ``frozenset`` when it is the outer type of ``annotation``,
+    else None.  Under ``from __future__ import annotations`` the annotation
+    is a string such as ``"tuple[str, ...]"``."""
+    if not isinstance(annotation, str):
+        origin = getattr(annotation, "__origin__", annotation)
+        return origin if origin in (tuple, frozenset) else None
+    name, _, args = annotation.partition("[")
+    if name not in _CONTAINERS or args[-1:] not in ("", "]"):
+        return None
+    depth = 1
+    for char in args[:-1]:
+        depth += (char == "[") - (char == "]")
+        if depth == 0:  # the bracket after ``name`` closes early: ``tuple[x] | y[z]``
+            return None
+    return _CONTAINERS[name]
+
+
 @functools.cache
 def _compiled(source: str):
     """The code of one generated source; classes whose fields have the same
-    names and options share it, and each runs it in its own namespace."""
+    names, options and tuple or frozenset types share it, and each runs it
+    in its own namespace."""
     return compile(source, "<string>", "exec")
 
 
@@ -92,6 +117,9 @@ def record(cls):
             value = f.name
         else:
             continue
+        container = _container(f.type) if f.init else None
+        if container is not None:
+            value = f"{container.__name__}({value})"
         lines.append(f"__dataclass_builtins_object__.__setattr__(self,{f.name!r},{value})")
     if hasattr(cls, "__post_init__"):
         lines.append("self.__post_init__()")

@@ -106,7 +106,6 @@ class Signature:
     predicates: Mapping[str, tuple[Sort, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "sorts", frozenset(self.sorts))
         object.__setattr__(self, "functions", dict(self.functions))
         object.__setattr__(self, "predicates", dict(self.predicates))
         for name, (args, result) in self.functions.items():
@@ -296,9 +295,6 @@ class Apply(Term):
     symbol: str
     args: tuple[Term, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
 
 @record
 class PairTerm(Term):
@@ -310,9 +306,6 @@ class PairTerm(Term):
 class SetTerm(Term):
     elements: tuple[Term, ...] = ()
     element_sort: Optional[Sort] = None  # required for the empty literal
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +325,6 @@ class BoolLit(Assertion):
 class PredAtom(Assertion):
     symbol: str
     args: tuple[Term, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
 
 
 @record
@@ -358,16 +348,10 @@ class Not(Assertion):
 class And(Assertion):
     items: tuple[Assertion, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-
 
 @record
 class Or(Assertion):
     items: tuple[Assertion, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
 
 
 @record
@@ -410,9 +394,6 @@ class BoundedForall(Assertion):
     source: Term
     body: Assertion
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-
 
 @record
 class BoundedExists(Assertion):
@@ -421,9 +402,6 @@ class BoundedExists(Assertion):
     vars: tuple[str, ...]
     source: Term
     body: Assertion
-
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
 
 
 @record

@@ -70,7 +70,6 @@ class BlackboardScenario:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "problems", tuple(self.problems))
         stray = set(self.subproblems) - set(self.problems)
         if stray:
             raise StructuralError(

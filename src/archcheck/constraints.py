@@ -276,16 +276,10 @@ class TraceNot(TraceAssertion):
 class TraceAnd(TraceAssertion):
     items: tuple[TraceAssertion, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-
 
 @record
 class TraceOr(TraceAssertion):
     items: tuple[TraceAssertion, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
 
 
 @record
@@ -374,9 +368,6 @@ class BoundedRigidForall(TraceAssertion):
     source: Term
     body: TraceAssertion
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-
 
 @record
 class BoundedRigidExists(TraceAssertion):
@@ -385,9 +376,6 @@ class BoundedRigidExists(TraceAssertion):
     vars: tuple[str, ...]
     source: Term
     body: TraceAssertion
-
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
 
 
 @record
@@ -587,7 +575,9 @@ class _TraceContext:
     interface's components, the interpretations by id and snapshot, and,
     with ``remember_steps``, the index of each configuration read, kept
     for later visits.  ``run_check`` makes one per trace and shares it
-    among the bundle's assertions."""
+    among the bundle's assertions.  ``Monitor`` does not remember steps:
+    the steps it is fed are mostly first visits, so the table would only
+    add work there (its step tail got slower in measured pairs)."""
 
     def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
         self.alg, self.J = alg, J

@@ -77,9 +77,6 @@ class RequiredConnAnnotation:
 
     pairs: frozenset[PortPair]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-
 
 @record
 class ConfigurationDiagram:

@@ -71,9 +71,6 @@ class Interface:
     outputs: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "local", frozenset(self.local))
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
         if (
             self.local & self.inputs
             or self.local & self.outputs

@@ -12,7 +12,7 @@ Everything here is immutable and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from ._record import record
 from .errors import (
@@ -96,15 +96,45 @@ def sorted_snapshots(snapshots: Iterable["ComponentSnapshot"]) -> list:
     return ordered
 
 
-class PortValuation(Mapping):
-    """Immutable map from port name to a finite set of message values.
+class _FrozenMap(Mapping):
+    """An immutable map whose subclass ``__init__`` sets its two slots.
 
-    ``_entries`` holds the ports sorted, for iteration, equality, hashing
-    and repr; ``_table`` holds them by name, for lookup.  A port's messages
-    that are already a frozenset of frozen values are kept as they are.
+    ``_entries`` holds the items sorted by key, for iteration, equality,
+    hashing and repr; ``_table`` holds them in a dict, for lookup.  Maps
+    with the same items are equal, and equal to a dict with those items.
     """
 
     __slots__ = ("_entries", "_table")
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def get(self, key, default=None):
+        return self._table.get(key, default)
+
+    def __iter__(self):
+        return iter(key for key, _ in self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __hash__(self):
+        return hash(self._entries)
+
+    def __eq__(self, other):
+        if isinstance(other, _FrozenMap):
+            return self._entries == other._entries
+        return dict(self) == other
+
+
+class PortValuation(_FrozenMap):
+    """Immutable map from port name to a finite set of message values.
+
+    A port's messages that are already a frozenset of frozen values are
+    kept as they are.
+    """
+
+    __slots__ = ()
 
     def __init__(self, entries: Mapping[str, Iterable] | Iterable = ()):
         table = {}
@@ -114,26 +144,6 @@ class PortValuation(Mapping):
             table[port] = messages
         self._entries = tuple(sorted(table.items()))
         self._table = table
-
-    def __getitem__(self, port: str) -> frozenset:
-        return self._table[port]
-
-    def get(self, port, default=None):
-        return self._table.get(port, default)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(name for name, _ in self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PortValuation):
-            return self._entries == other._entries
-        return dict(self) == other
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}={format_value(v)}" for p, v in self._entries)
@@ -151,9 +161,6 @@ class ComponentSnapshot:
     valuation: PortValuation
 
     def __post_init__(self):
-        object.__setattr__(self, "local_ports", frozenset(self.local_ports))
-        object.__setattr__(self, "input_ports", frozenset(self.input_ports))
-        object.__setattr__(self, "output_ports", frozenset(self.output_ports))
         if not isinstance(self.valuation, PortValuation):
             object.__setattr__(self, "valuation", PortValuation(self.valuation))
         if not self.id:
@@ -202,9 +209,6 @@ class ComponentUniverse:
     """A set of component snapshots; healthiness is checked, not assumed."""
 
     snapshots: frozenset[ComponentSnapshot]
-
-    def __post_init__(self):
-        object.__setattr__(self, "snapshots", frozenset(self.snapshots))
 
 
 @record
@@ -299,16 +303,15 @@ def _health_violations(snapshots: list) -> list:
     return violations
 
 
-class ConnectionMap(Mapping):
+class ConnectionMap(_FrozenMap):
     """Immutable map from input port refs to sets of output port refs.
 
     Entries with an empty target set are dropped, so the domain contains
-    exactly the connected inputs.  ``_entries`` holds them sorted, for
-    iteration, equality, hashing and repr; ``_table`` holds them by input
-    port, for lookup.
+    exactly the connected inputs, and ``get`` of another port gives the
+    empty set.
     """
 
-    __slots__ = ("_entries", "_table")
+    __slots__ = ()
 
     def __init__(self, entries: Mapping[PortRef, Iterable[PortRef]] | Iterable = ()):
         table = {}
@@ -320,25 +323,8 @@ class ConnectionMap(Mapping):
         self._entries = tuple(sorted(table.items()))
         self._table = table
 
-    def __getitem__(self, ref: PortRef) -> frozenset:
-        return self._table[ref]
-
     def get(self, ref, default=frozenset()):
         return self._table.get(ref, default)
-
-    def __iter__(self):
-        return iter(src for src, _ in self._entries)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __hash__(self):
-        return hash(self._entries)
-
-    def __eq__(self, other):
-        if isinstance(other, ConnectionMap):
-            return self._entries == other._entries
-        return dict(self) == other
 
     def __repr__(self):
         inner = "; ".join(
@@ -356,7 +342,6 @@ class ArchConfiguration:
     connection: ConnectionMap = field(default_factory=ConnectionMap)
 
     def __post_init__(self):
-        object.__setattr__(self, "active", frozenset(self.active))
         if not isinstance(self.connection, ConnectionMap):
             object.__setattr__(self, "connection", ConnectionMap(self.connection))
 

@@ -936,11 +936,7 @@ class Resolver:
     def _declare_interface(self, unit_name, iface_name, roles, span):
         """Declare the interface whose ports ``roles`` lists by role."""
         try:
-            interface = Interface(
-                local=frozenset(roles.local),
-                inputs=frozenset(roles.inputs),
-                outputs=frozenset(roles.outputs),
-            )
+            interface = Interface(roles.local, roles.inputs, roles.outputs)
         except StructuralError as exc:
             self.err(unit_name, str(exc), span)
             return

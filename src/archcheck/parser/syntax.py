@@ -98,9 +98,6 @@ class EApply(ExprNode):
     args: tuple[ExprNode, ...]
     span: Optional[Span] = SPAN
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
 
 @record
 class EPair(ExprNode):
@@ -113,9 +110,6 @@ class EPair(ExprNode):
 class ESet(ExprNode):
     items: tuple[ExprNode, ...]
     span: Optional[Span] = SPAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
 
 
 @record
@@ -141,9 +135,6 @@ class EQuant(ExprNode):
     bound: Optional[ExprNode]  # set-valued term for bounded quantifiers
     body: ExprNode
     span: Optional[Span] = SPAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
 
 
 @record
@@ -235,18 +226,12 @@ class VarDecl:
     sort: SortRef
     span: Optional[Span] = SPAN
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-
 
 @record
 class PortDecl:
     names: tuple[str, ...]
     sort: SortRef
     span: Optional[Span] = SPAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
 
 
 @record
@@ -255,9 +240,6 @@ class SymbolDecl:
     args: tuple[SortRef, ...]
     result: Optional[SortRef]  # None marks a predicate
     span: Optional[Span] = SPAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
 
 
 @record
@@ -276,20 +258,12 @@ class InterfaceDecl:
     minmax: Optional[tuple[Optional[int], Optional[int]]] = None
     span: Optional[Span] = SPAN
 
-    def __post_init__(self):
-        object.__setattr__(self, "local", tuple(self.local))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-
 
 @record
 class RigidAnnDecl:
     interface: str
     vars: tuple[str, ...]
     span: Optional[Span] = SPAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
 
 
 @record
@@ -307,9 +281,6 @@ class CarrierDecl:
     elements: tuple[str, ...]
     span: Optional[Span] = SPAN
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-
 
 @record
 class TableEntry:
@@ -317,9 +288,6 @@ class TableEntry:
     args: tuple[ExprNode, ...]
     value: Optional[ExprNode]  # None for predicate rows
     span: Optional[Span] = SPAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
 
 
 @record
@@ -329,18 +297,12 @@ class ComponentDecl:
     locals: tuple[tuple[str, ExprNode], ...] = ()
     span: Optional[Span] = SPAN
 
-    def __post_init__(self):
-        object.__setattr__(self, "locals", tuple(self.locals))
-
 
 @record
 class ActiveDecl:
     id: str
     valuations: tuple[tuple[str, ExprNode], ...] = ()
     span: Optional[Span] = SPAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "valuations", tuple(self.valuations))
 
 
 @record
@@ -355,10 +317,6 @@ class StepDecl:
     span: Optional[Span] = SPAN
     lines: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "actives", tuple(self.actives))
-        object.__setattr__(self, "connects", tuple(self.connects))
-
 
 # ---------------------------------------------------------------------------
 # Unit bodies
@@ -371,19 +329,10 @@ class DatatypeBody:
     vars: tuple[VarDecl, ...] = ()
     axioms: tuple[AxiomDecl, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "sorts", tuple(self.sorts))
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "axioms", tuple(self.axioms))
-
 
 @record
 class PortSpecBody:
     ports: tuple[PortDecl, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ports", tuple(self.ports))
 
 
 @record
@@ -395,20 +344,12 @@ class InterfaceBody:
     vars: tuple[VarDecl, ...] = ()
     axioms: tuple[AxiomDecl, ...] = ()
 
-    def __post_init__(self):
-        for name in ("ports", "local", "inputs", "outputs", "vars", "axioms"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
 
 @record
 class ConstraintsBody:
     vars: tuple[VarDecl, ...] = ()
     rigid_vars: tuple[VarDecl, ...] = ()
     axioms: tuple[AxiomDecl, ...] = ()
-
-    def __post_init__(self):
-        for name in ("vars", "rigid_vars", "axioms"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 @record
@@ -422,9 +363,6 @@ class DiagramBody:
     axioms: tuple[tuple[str, tuple[AxiomDecl, ...]], ...] = ()
 
     def __post_init__(self):
-        for name in ("ports", "vars", "rigid_vars", "interfaces",
-                     "rigid_annotations", "connects"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(
             self,
             "axioms",
@@ -438,19 +376,11 @@ class AlgebraBody:
     functions: tuple[TableEntry, ...] = ()
     predicates: tuple[TableEntry, ...] = ()
 
-    def __post_init__(self):
-        for name in ("carriers", "functions", "predicates"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
 
 @record
 class TraceBody:
     components: tuple[ComponentDecl, ...] = ()
     steps: tuple[StepDecl, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "steps", tuple(self.steps))
 
 
 @record
@@ -461,6 +391,5 @@ class SourceUnit:
     body: object
 
     def __post_init__(self):
-        object.__setattr__(self, "imports", tuple(self.imports))
         if self.kind not in UNIT_KINDS:
             raise ValueError(f"unknown unit kind {self.kind!r}")

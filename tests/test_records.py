@@ -2,7 +2,9 @@
 
 ``archcheck._record.record`` builds them all.  The tests walk every record
 class of the package and compare it with a twin that ``dataclasses`` builds
-from the same fields: repr text, equality and hash values must agree.  They
+from the same fields: repr text, equality and hash values must agree.  The
+one addition, that ``tuple`` and ``frozenset`` fields store a tuple and a
+frozenset of their argument, is tested on a probe record.  They
 also pin the design: ``__init__``, ``__eq__`` and ``__hash__`` come from one
 ``exec`` per class, each distinct generated source is compiled once, and
 ``__repr__``, ``__setattr__`` and ``__delattr__`` are one shared function
@@ -17,6 +19,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Mapping, Optional
 
 import pytest
 
@@ -316,6 +319,45 @@ def test_record_keeps_what_the_class_body_defines_and_inherits_fields():
     assert [f.name for f in dataclasses.fields(Point3)] == ["x", "y", "z"]
     assert Point3(1, 2, 3) != rec(1, 2) and Point3(1, 2, 3) == Point3(1, 2, 3)
     assert Point3.__doc__ == "Point3(x: int, y: int = 0, z: int = 0)"
+
+
+@pytest.mark.parametrize("spell", [str, lambda t: t], ids=["string", "evaluated"])
+def test_tuple_and_frozenset_fields_store_a_tuple_and_a_frozenset(spell):
+    """The one addition to ``dataclass(frozen=True)``; ``spell`` writes each
+    annotation as a string, as the package does, or as the type itself."""
+    annotations = {
+        "items": tuple[int, ...],
+        "names": frozenset[str],
+        "maybe": Optional[tuple[int, ...]],
+        "table": Mapping[str, int],
+        "either": tuple[int, ...] | list[int],
+        "rest": tuple[int, ...],
+        "made": frozenset[int],
+    }
+    Probe = _record.record(type("Probe", (), {
+        "__annotations__": {name: spell(t) for name, t in annotations.items()},
+        "rest": (),
+        "made": dataclasses.field(default_factory=frozenset),
+    }))
+
+    maybe, table, either = [3], {"k": 1}, [4]
+    probe = Probe([1, 2], {"a"}, maybe, table, either, (n for n in (4, 5)), [6, 6])
+    assert (probe.items, probe.names, probe.rest, probe.made) == (
+        (1, 2), frozenset({"a"}), (4, 5), frozenset({6}))
+    assert type(probe.items) is type(probe.rest) is tuple
+    assert type(probe.names) is type(probe.made) is frozenset
+    assert probe.maybe is maybe and probe.table is table and probe.either is either
+
+    items, names, made = (1,), frozenset({"b"}), frozenset({7})
+    kept = Probe(items, names, None, table, either, made=made)
+    assert kept.items is items and kept.names is names and kept.made is made
+    assert kept.maybe is None and kept.rest == ()
+    assert Probe((), [], None, {}, ()).made == frozenset()
+
+    replaced = dataclasses.replace(kept, items=[8], made={9, 9}, maybe=[0])
+    assert replaced.items == (8,) and type(replaced.items) is tuple
+    assert replaced.made == frozenset({9}) and type(replaced.made) is frozenset
+    assert replaced.maybe == [0] and replaced.names is names
 
 
 def test_importing_the_cli_compiles_one_namespace_per_record():
