@@ -42,6 +42,8 @@ from .errors import (
 from .model import Value, format_value, freeze_value, value_key
 
 SET_CARRIER_CAP = 8
+# distinct message sets an algebra keeps in order before it clears its table
+_ORDERED_SETS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,7 @@ class Algebra:
         object.__setattr__(self, "predicates", predicates)
         object.__setattr__(self, "_carrier_cache", {})
         object.__setattr__(self, "_position_cache", {})
+        object.__setattr__(self, "_ordered_cache", {})
         self._validate_tables()
 
     def _validate_tables(self):
@@ -230,6 +233,17 @@ class Algebra:
         else:
             raise SortError(f"unknown sort expression: {sort!r}")
         cache[sort] = result
+        return result
+
+    def ordered(self, values: frozenset) -> tuple[Value, ...]:
+        """The elements of a message set in ``value_key`` order, sorted once
+        per distinct set."""
+        cache = self._ordered_cache
+        result = cache.get(values)
+        if result is None:
+            if len(cache) >= _ORDERED_SETS:
+                cache.clear()
+            result = cache[values] = tuple(sorted(values, key=value_key))
         return result
 
     def positions(self, sort: Sort) -> dict[Value, int]:
@@ -605,7 +619,7 @@ def _bounded(forall: bool):
         ev.term_fn(source)
 
         def bounded(ev, asg):
-            values = sorted(ev.source(asg, source), key=value_key)
+            values = ev.alg.ordered(ev.source(asg, source))
             return _decide(forall, body, ev, asg, names, values)
 
         return bounded

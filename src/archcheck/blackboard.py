@@ -209,22 +209,33 @@ def simulate_blackboard(
     snapshots: dict[tuple, ComponentSnapshot] = {}
     configurations: dict[tuple, ArchConfiguration] = {}
 
-    def snapshot(cid: str, local: dict, inputs: dict, outputs: dict):
-        key = (cid, *inputs.values(), *outputs.values())
+    def snapshot(cid: str, in1, in2, out1, out2):
+        """The snapshot of ``cid`` with these values of its two input and
+        two output ports: bbip, bbis, bbop, bbos or ksip, ksis, ksop, ksos."""
+        key = (cid, in1, in2, out1, out2)
         snap = snapshots.get(key)
         if snap is None:
+            if cid == BB_ID:
+                local, inputs = {}, {"bbip": in1, "bbis": in2}
+                outputs = {"bbop": out1, "bbos": out2}
+            else:
+                local, inputs = {"prob": scenario.sources[cid]}, {"ksip": in1, "ksis": in2}
+                outputs = {"ksop": out1, "ksos": out2}
             snap = snapshots[key] = make_snapshot(
                 cid, local=local, inputs=inputs, outputs=outputs
             )
         return snap
 
-    def capable(p: str):
-        return [ks for ks in roster if p in scenario.sources[ks] and ks not in dark]
+    capable = {
+        p: [ks for ks in roster if p in scenario.sources[ks]] for p in scenario.problems
+    }
 
     for step_no in range(scenario.horizon):
         forced = set()
         for p in sorted(open_problems):
-            candidates = capable(p)
+            candidates = capable[p]
+            if dark:
+                candidates = [ks for ks in candidates if ks not in dark]
             if candidates:
                 forced.add(rng.choice(candidates))
         if mutation != MUTATION_DROP_ACTIVATION:
@@ -259,23 +270,9 @@ def simulate_blackboard(
         bbip = frozenset().union(*requests.values()) if requests else frozenset()
         bbis = frozenset().union(*answers.values()) if answers else frozenset()
 
-        step_snapshots = [
-            snapshot(
-                BB_ID,
-                local={},
-                inputs={"bbip": bbip, "bbis": bbis},
-                outputs={"bbop": bbop, "bbos": bbos},
-            )
-        ]
+        step_snapshots = [snapshot(BB_ID, bbip, bbis, bbop, bbos)]
         for ks in sorted(active):
-            step_snapshots.append(
-                snapshot(
-                    ks,
-                    local={"prob": scenario.sources[ks]},
-                    inputs={"ksip": bbop, "ksis": bbos},
-                    outputs={"ksop": requests[ks], "ksos": answers[ks]},
-                )
-            )
+            step_snapshots.append(snapshot(ks, bbop, bbos, requests[ks], answers[ks]))
         # the snapshots fix the active sources, and so the connections
         key = tuple(map(id, step_snapshots))
         config = configurations.get(key)
@@ -287,7 +284,7 @@ def simulate_blackboard(
                 connection.setdefault((BB_ID, "bbip"), set()).add((ks, "ksop"))
                 connection.setdefault((BB_ID, "bbis"), set()).add((ks, "ksos"))
             config = configurations[key] = ArchConfiguration(
-                frozenset(step_snapshots), connection
+                step_snapshots, connection
             )
         steps.append(config)
 
@@ -302,11 +299,12 @@ def simulate_blackboard(
         for p, required in bbip:
             open_problems.update(required)
         fresh_problems = {q for q, _ in fresh}
-        for ks in roster:
-            if not fresh_problems.isdisjoint(
-                q for p in emitted[ks] for q in subs[p]
-            ):
-                needs_wake[ks] = True
+        if fresh_problems:
+            for ks in roster:
+                if not fresh_problems.isdisjoint(
+                    q for p in emitted[ks] for q in subs[p]
+                ):
+                    needs_wake[ks] = True
         if (
             steps_to_solution is None
             and (scenario.root, solve[scenario.root]) in solved
@@ -316,14 +314,9 @@ def simulate_blackboard(
     ever_active = {key[0] for key in snapshots}
     for ks in roster:
         if ks not in ever_active:
-            snapshot(
-                ks,
-                local={"prob": scenario.sources[ks]},
-                inputs={"ksip": (), "ksis": ()},
-                outputs={"ksop": (), "ksos": ()},
-            )
+            snapshot(ks, (), (), (), ())
 
-    universe = ComponentUniverse(frozenset(snapshots.values()))
+    universe = ComponentUniverse(snapshots.values())
     by_iface = {"BB": set(), "KS": set()}
     for snap in universe.snapshots:
         by_iface["BB" if snap.id == BB_ID else "KS"].add(
@@ -332,7 +325,7 @@ def simulate_blackboard(
     interpretation = SpecInterpretation(
         {name: frozenset(items) for name, items in by_iface.items()}
     )
-    trace = ConfigurationTrace(universe, tuple(steps))
+    trace = ConfigurationTrace(universe, steps)
     truncated = (scenario.root, solve[scenario.root]) not in published
     return SimulationResult(
         scenario=scenario,
@@ -405,7 +398,7 @@ def _value_expr(value):
     if isinstance(value, tuple):
         return EPair(_value_expr(value[0]), _value_expr(value[1]))
     items = sorted(value, key=lambda v: (isinstance(v, (tuple, frozenset)), str(v)))
-    return ESet(tuple(_value_expr(v) for v in items))
+    return ESet(_value_expr(v) for v in items)
 
 
 def algebra_unit(scenario: BlackboardScenario, name: str = "ProbSolModel") -> SourceUnit:
@@ -420,11 +413,11 @@ def algebra_unit(scenario: BlackboardScenario, name: str = "ProbSolModel") -> So
                 CarrierDecl("PROB", scenario.problems),
                 CarrierDecl("SOL", alg.carriers["SOL"]),
             ),
-            functions=tuple(
+            functions=(
                 TableEntry("solve", (EName(p),), EName(scenario.solutions[p]))
                 for p in scenario.problems
             ),
-            predicates=tuple(
+            predicates=(
                 TableEntry("prec", (EName(q), EName(p)), None) for q, p in prec_rows
             ),
         ),
@@ -475,14 +468,14 @@ def trace_unit(
             for (cid, port), targets in sorted(k.connection.items()):
                 for tid, tport in sorted(targets):
                     connects.append(ConnectDecl(cid, port, tid, tport))
-            decl = step_decls[id(k)] = StepDecl(tuple(actives), tuple(connects))
+            decl = step_decls[id(k)] = StepDecl(actives, connects)
         return decl
 
     return SourceUnit(
         kind="trace",
         name=name,
         imports=("BB", "KS", algebra_name),
-        body=TraceBody(tuple(components), tuple(map(step, result.trace.steps))),
+        body=TraceBody(components, map(step, result.trace.steps)),
     )
 
 

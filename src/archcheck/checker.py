@@ -199,10 +199,10 @@ def run_check(
         results.append(AssertionResult(name, verdict, text))
     results.sort(key=lambda r: r.name)
     return CheckReport(
-        datatype_failures=tuple(failures),
+        datatype_failures=failures,
         interpretation=interpretation,
         trace_validity=validity,
-        assertions=tuple(results),
+        assertions=results,
         mode=mode,
     )
 
@@ -398,4 +398,4 @@ def verify_theorem(
                 failed_assertions=premise_failures,
             )
         )
-    return TheoremReport(trials=tuple(outcomes), mutation=mutation)
+    return TheoremReport(trials=outcomes, mutation=mutation)

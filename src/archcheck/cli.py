@@ -125,14 +125,14 @@ def cmd_desugar(args) -> int:
         unit = SourceUnit(
             kind="constraints",
             name=f"{unit_name}Constraints",
-            imports=tuple(sorted(diagram.spec.interfaces)),
+            imports=sorted(diagram.spec.interfaces),
             body=ConstraintsBody(
                 vars=(),
-                rigid_vars=tuple(
+                rigid_vars=(
                     VarDecl((var,), RName(iface))
                     for var, iface in rigid_declarations(diagram)
                 ),
-                axioms=tuple(
+                axioms=(
                     AxiomDecl(lower_formula(gamma)) for gamma in assertions
                 ),
             ),

@@ -139,7 +139,6 @@ from .algebra import (  # And, Implies, Not, Or and free_vars are re-exported
     find_guard,
     free_vars,
     nodes,
-    value_key,
 )
 from .errors import (
     AssignmentError,
@@ -983,12 +982,13 @@ def _rigid_comp(dominant):
 
 def _bounded_rigid(dominant):
     def rule(ev, gamma, asg):
-        source = ev.state.source(asg, gamma.source)
+        alg = ev.state.alg
+        source = alg.ordered(ev.state.source(asg, gamma.source))
         if type(gamma) is _Slices:  # a value outside the carrier binds nothing
-            source = [v for v in source if ev.state.alg.contains(v, gamma.sort)]
+            source = [v for v in source if alg.contains(v, gamma.sort)]
         return _items(dominant, (
             ev.start(gamma.body, ev.bind(asg, gamma, v, bind_pattern(gamma.vars, v)))
-            for v in sorted(source, key=value_key)
+            for v in source
         ))
 
     return rule

@@ -119,7 +119,7 @@ def _globally_all(conjuncts: list) -> TraceAssertion:
     elif len(conjuncts) == 1:
         formula = conjuncts[0]
     else:
-        formula = And(tuple(conjuncts))
+        formula = And(conjuncts)
     return Globally(State(formula))
 
 

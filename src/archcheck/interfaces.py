@@ -27,7 +27,6 @@ from .algebra import (
     find_guard,
     free_vars,
     nodes,
-    value_key,
 )
 from .errors import (
     InterpretationError,
@@ -248,11 +247,9 @@ class SpecInterpretation:
 
     def universe(self) -> ComponentUniverse:
         return ComponentUniverse(
-            frozenset(
-                interp.snapshot
-                for interps in self.by_interface.values()
-                for interp in interps
-            )
+            interp.snapshot
+            for interps in self.by_interface.values()
+            for interp in interps
         )
 
 
@@ -268,7 +265,7 @@ def check_port_typing(
     for mapping in (interp.local_map, interp.input_map, interp.output_map):
         for concrete, pid in sorted(mapping.items()):
             sort = pspec.sort_of(pid)
-            for message in sorted(interp.snapshot.valuation[concrete], key=value_key):
+            for message in alg.ordered(interp.snapshot.valuation[concrete]):
                 if not alg.contains(message, sort):
                     violations.append(
                         Violation(
@@ -277,7 +274,7 @@ def check_port_typing(
                             f"message {format_value(message)} is not of sort {sort}",
                         )
                     )
-    return ValidationReport(tuple(violations))
+    return ValidationReport(violations)
 
 
 class _InterfaceEvaluator(Evaluator):
@@ -365,7 +362,7 @@ def check_spec_interpretation(
         for _, found in checked:
             violations.extend(found)
         notes.extend(note)
-    return ValidationReport(tuple(violations), tuple(notes))
+    return ValidationReport(violations, notes)
 
 
 def _check_interpretations(name, interface, assertions, interps, pspec, alg, closures):

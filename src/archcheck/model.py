@@ -197,9 +197,9 @@ def make_snapshot(cid: str, local=None, inputs=None, outputs=None) -> ComponentS
     valuation.update(outputs)
     return ComponentSnapshot(
         id=cid,
-        local_ports=frozenset(local),
-        input_ports=frozenset(inputs),
-        output_ports=frozenset(outputs),
+        local_ports=local.keys(),
+        input_ports=inputs.keys(),
+        output_ports=outputs.keys(),
         valuation=PortValuation(valuation),
     )
 
@@ -264,7 +264,7 @@ def check_healthy(universe: ComponentUniverse) -> ValidationReport:
     violations = _health_violations(snapshots)
     if violations:
         violations = _health_violations(sorted(snapshots, key=snapshot_key))
-    return ValidationReport(tuple(violations))
+    return ValidationReport(violations)
 
 
 def _health_violations(snapshots: list) -> list:
@@ -414,7 +414,7 @@ def check_configuration(
                     f" provide {format_value(expected)}",
                 )
             )
-    return ValidationReport(tuple(violations))
+    return ValidationReport(violations)
 
 
 @record

@@ -233,7 +233,7 @@ def _parse_quantifier(cur: Cursor):
             bound = _parse_bound_term(cur)
     cur.expect(".")
     body = parse_formula(cur)
-    return EQuant(kw.text, tuple(names), annotation, bound, body, span=kw.span)
+    return EQuant(kw.text, names, annotation, bound, body, span=kw.span)
 
 
 def _parse_bound_term(cur: Cursor):
@@ -282,7 +282,7 @@ def _parse_primary(cur: Cursor):
         cur.take()
         items = _parse_list(cur, parse_formula, "}")
         cur.expect("}")
-        return ESet(tuple(items), span=token.span)
+        return ESet(items, span=token.span)
     if token.text == "true":
         cur.take()
         return EBool(True, span=token.span)
@@ -336,7 +336,7 @@ def _parse_primary(cur: Cursor):
             cur.take()
             args = _parse_list(cur, parse_formula, ")")
             cur.expect(")")
-            return EApply(token.text, tuple(args), span=token.span)
+            return EApply(token.text, args, span=token.span)
         if cur.at(".") and cur.at_ident(1):
             cur.take()
             attr = cur.take()
@@ -429,7 +429,7 @@ def _parse_symbol_decl(cur: Cursor) -> SymbolDecl:
         cur.take()
         result = parse_sortref(cur)
     cur.expect_end()
-    return SymbolDecl(name.text, tuple(args), result, span=name.span)
+    return SymbolDecl(name.text, args, result, span=name.span)
 
 
 def _parse_carrier(cur: Cursor) -> CarrierDecl:
@@ -440,7 +440,7 @@ def _parse_carrier(cur: Cursor) -> CarrierDecl:
     elements = _parse_list(cur, _ident, "}")
     cur.expect("}")
     cur.expect_end()
-    return CarrierDecl(sort, tuple(elements), span=span)
+    return CarrierDecl(sort, elements, span=span)
 
 
 def _parse_function_entry(cur: Cursor) -> TableEntry:
@@ -454,7 +454,7 @@ def _parse_function_entry(cur: Cursor) -> TableEntry:
     cur.expect("=")
     value = _parse_primary(cur)
     cur.expect_end()
-    return TableEntry(name, tuple(args), value, span=span)
+    return TableEntry(name, args, value, span=span)
 
 
 def _parse_predicate_entry(cur: Cursor) -> TableEntry:
@@ -464,7 +464,7 @@ def _parse_predicate_entry(cur: Cursor) -> TableEntry:
     args = _parse_list(cur, _parse_primary, ")")
     cur.expect(")")
     cur.expect_end()
-    return TableEntry(name, tuple(args), None, span=span)
+    return TableEntry(name, args, None, span=span)
 
 
 def _parse_valuation(cur: Cursor) -> tuple:
@@ -579,7 +579,7 @@ class _UnitParser:
         body = getattr(self, f"_parse_{kind}")()
         if any(d.severity == "error" for d in self.diagnostics):
             return None
-        return SourceUnit(kind=kind, name=name, imports=tuple(imports), body=body)
+        return SourceUnit(kind=kind, name=name, imports=imports, body=body)
 
     def _parse_imports(self):
         imports = []
@@ -740,7 +740,7 @@ class _UnitParser:
                 name = cur.expect_ident("interface").text
                 cur.expect(":")
                 names = _parse_names(cur)
-                rigid_ann.append(RigidAnnDecl(name, tuple(names), span=head.span))
+                rigid_ann.append(RigidAnnDecl(name, names, span=head.span))
             elif head.text == "interface":
                 cur.take()
                 name = cur.expect_ident("interface name").text
@@ -806,7 +806,7 @@ class _UnitParser:
                     locals_ = _parse_list(cur, _parse_valuation)
                 cur.expect_end()
                 components.append(
-                    ComponentDecl(cid, iface, tuple(locals_), span=head.span)
+                    ComponentDecl(cid, iface, locals_, span=head.span)
                 )
                 return None
             if section[0] == "step":
@@ -870,17 +870,17 @@ class _UnitParser:
         starts = [step["span"].line - 1 for step in steps] + [len(self.raw_lines)]
         built_steps = tuple(
             StepDecl(
-                actives=tuple(
-                    ActiveDecl(a["id"], tuple(a["vals"]), span=a["span"])
+                actives=(
+                    ActiveDecl(a["id"], a["vals"], span=a["span"])
                     for a in step["actives"]
                 ),
-                connects=tuple(step["connects"]),
+                connects=step["connects"],
                 span=step["span"],
                 lines=tuple(self.raw_lines[start:end]),
             )
             for step, start, end in zip(steps, starts, starts[1:])
         )
-        return TraceBody(tuple(components), built_steps)
+        return TraceBody(components, built_steps)
 
 
 def _is_ground(expr) -> bool:

@@ -51,11 +51,11 @@ def lower_term(term):
     if isinstance(term, ALG.Apply):
         if not term.args:
             return EName(term.symbol)
-        return EApply(term.symbol, tuple(lower_term(a) for a in term.args))
+        return EApply(term.symbol, (lower_term(a) for a in term.args))
     if isinstance(term, ALG.PairTerm):
         return EPair(lower_term(term.first), lower_term(term.second))
     if isinstance(term, ALG.SetTerm):
-        return ESet(tuple(lower_term(e) for e in term.elements))
+        return ESet(lower_term(e) for e in term.elements)
     if isinstance(term, PortSym):
         return EName(term.port)
     if isinstance(term, CON.PortRead):
@@ -96,7 +96,7 @@ def lower_formula(node):
     if isinstance(node, ALG.BoolLit):
         return EBool(node.value)
     if isinstance(node, ALG.PredAtom):
-        return EApply(node.symbol, tuple(lower_term(a) for a in node.args))
+        return EApply(node.symbol, (lower_term(a) for a in node.args))
     if isinstance(node, ALG.Equals):
         return EBinary("==", lower_term(node.left), lower_term(node.right))
     if isinstance(node, ALG.Member):

@@ -296,7 +296,7 @@ def resolve_term(env: Env, expr, expected: Optional[ALG.Sort] = None):
             items.append(term)
         sort = ALG.SetSort(elem_sort)
         _check_expected(expected, sort, expr.span)
-        return ALG.SetTerm(tuple(items)), sort
+        return ALG.SetTerm(items), sort
     if isinstance(expr, ENum):
         raise ResolveError(
             "numbers appear only in min/max cardinality forms", expr.span
@@ -909,7 +909,7 @@ class Resolver:
                 except ResolveError as errr:
                     self.err(name, errr.message, errr.span or decl.span)
         self.sig = ALG.Signature(
-            sorts=frozenset(self.sorts),
+            sorts=self.sorts,
             functions=self.functions,
             predicates=self.predicates,
         )
@@ -1269,7 +1269,7 @@ class Resolver:
                     )
                     if rigid_vars
                     else None,
-                    required_conn=RequiredConnAnnotation(frozenset(pairs))
+                    required_conn=RequiredConnAnnotation(pairs)
                     if body.connects
                     else None,
                 )
@@ -1443,7 +1443,7 @@ class Resolver:
                 connection.setdefault((conn.in_owner, conn.in_port), set()).add(
                     (conn.out_owner, conn.out_port)
                 )
-            config = ArchConfiguration(frozenset(snapshots.values()), connection)
+            config = ArchConfiguration(snapshots.values(), connection)
             if len(self.diagnostics) == reported:
                 resolved[key] = config
             steps.append(config)
@@ -1460,13 +1460,13 @@ class Resolver:
                         outputs={p: frozenset() for p in interface.outputs},
                     )
                 )
-        universe = ComponentUniverse(frozenset(all_snapshots))
+        universe = ComponentUniverse(all_snapshots)
         by_iface: dict = {iface: set() for iface in self.interfaces}
         for snap in universe.snapshots:
             iface_name = components[snap.id][0]
             by_iface[iface_name].add(identity_interpretation(snap))
         J = SpecInterpretation({k: frozenset(v) for k, v in by_iface.items()})
-        trace = ConfigurationTrace(universe, tuple(steps))
+        trace = ConfigurationTrace(universe, steps)
         return TraceData(name=name, trace=trace, interpretation=J)
 
     def _resolve_active(self, name, components, active: ActiveDecl):

@@ -9,7 +9,13 @@ from archcheck.blackboard import (
     simulate_blackboard,
     trace_unit,
 )
-from archcheck.checker import blackboard_bundle, check_simulation, verify_theorem
+from archcheck.checker import (
+    TheoremReport,
+    TrialOutcome,
+    blackboard_bundle,
+    check_simulation,
+    verify_theorem,
+)
 from archcheck.constraints import OPEN, Truth
 from archcheck.errors import StructuralError, UsageError
 from archcheck.model import check_trace
@@ -49,6 +55,38 @@ class TestScenarioValidation:
     def test_unknown_root_rejected(self):
         with pytest.raises(StructuralError):
             paper_scenario(root="pZ")
+
+    def test_stray_subproblem_entries_rejected(self):
+        with pytest.raises(StructuralError, match=r"entries for unknown problems \['pZ'\]"):
+            paper_scenario(subproblems={"pA": {"pB"}, "pZ": {"pC"}})
+
+    @pytest.mark.parametrize("problems", [(), ("pA", "pB", "pC", "pB")])
+    def test_empty_or_duplicate_problems_rejected(self, problems):
+        with pytest.raises(StructuralError, match="problems must be a nonempty set"):
+            paper_scenario(problems=problems, subproblems={})
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(StructuralError, match="horizon must be at least 1"):
+            paper_scenario(horizon=horizon)
+
+    def test_empty_source_roster_rejected(self):
+        with pytest.raises(StructuralError, match="the source roster is empty"):
+            paper_scenario(sources={})
+
+    def test_unknown_subproblems_rejected(self):
+        with pytest.raises(StructuralError, match=r"unknown subproblems \['pZ'\]"):
+            paper_scenario(subproblems={"pA": {"pB", "pZ"}})
+
+    def test_missing_solution_rejected(self):
+        with pytest.raises(StructuralError, match="no solution assigned to 'pC'"):
+            paper_scenario(solutions={"pA": "sA", "pB": "sB"})
+
+    def test_source_claiming_unknown_problems_rejected(self):
+        with pytest.raises(
+            StructuralError, match=r"source 'ks2' claims unknown problems \['pY', 'pZ'\]"
+        ):
+            paper_scenario(sources={"ks1": {"pA"}, "ks2": {"pB", "pC", "pZ", "pY"}})
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(UsageError):
@@ -176,3 +214,32 @@ class TestTheoremHarness:
             a.name for a in report.assertions if a.verdict.truth is Truth.VIOLATED
         }
         assert "BlackboardActivation.ax2" in violated
+
+
+class TestTheoremReportRender:
+    def test_a_broken_premise_names_its_assertions(self):
+        report = verify_theorem(trials=2, seed=0, mutation="drop-forwarding")
+        assert report.render().splitlines() == [
+            "trials: 2 (mutation: drop-forwarding)",
+            "premises satisfied: 0/2",
+            "guarantee satisfied: 0/2",
+            "  seed 316721330: premise Violated (BlackboardBehavior.ax1)",
+            "  seed 1924014660: premise Violated (BlackboardBehavior.ax1)",
+        ]
+
+    def test_a_violated_guarantee_gets_its_own_line(self):
+        report = TheoremReport(
+            trials=[
+                TrialOutcome(11, Truth.SATISFIED, Truth.SATISFIED, False),
+                TrialOutcome(12, Truth.SATISFIED, Truth.VIOLATED, True),
+                TrialOutcome(13, Truth.INCONCLUSIVE, None, True, ["A.ax1", "B.ax2"]),
+            ],
+            mutation=None,
+        )
+        assert report.render().splitlines() == [
+            "trials: 3",
+            "premises satisfied: 2/3",
+            "guarantee satisfied: 1/3",
+            "  seed 12: guarantee Violated",
+            "  seed 13: premise Inconclusive (A.ax1, B.ax2)",
+        ]

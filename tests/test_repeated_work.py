@@ -6,7 +6,9 @@ compiles each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
 explanation included; a connection map and a port valuation find a port
 without reading their other entries, and a missed lookup raises nothing; a
-port valuation keeps messages that are already frozen."""
+port valuation keeps messages that are already frozen; an algebra orders
+each distinct message set once, in a table of bounded size."""
+import collections
 import gc
 import hashlib
 import random
@@ -22,11 +24,18 @@ from archcheck.blackboard import (
     simulate_blackboard,
     trace_unit,
 )
-from archcheck.checker import blackboard_bundle, check_simulation, diagram_assertions
+from archcheck.algebra import Algebra, Signature
+from archcheck.checker import (
+    blackboard_bundle,
+    check_simulation,
+    diagram_assertions,
+    verify_theorem,
+)
 from archcheck.constraints import (
     CLOSED,
     OPEN,
     AssertionPlan,
+    Monitor,
     check_trace_assertion,
     free_vars,
     trace_holds,
@@ -43,6 +52,7 @@ from archcheck.model import (
 from archcheck.parser import print_unit
 
 from generators import random_closed_assertion, random_world
+from test_rigid_enumeration import _bundle_assertions
 
 SEEDS = range(20)
 VARIANTS = (None,) + MUTATIONS
@@ -483,3 +493,108 @@ def test_a_port_lookup_reads_one_entry_and_a_miss_raises_nothing():
     assert valuation == {port: frozenset(messages) for port, messages in entries.items()}
     small = PortValuation({"o": {"b", "a"}, "i": set()})
     assert repr(small) == "PortValuation(i={}, o={a, b})"
+
+
+def test_each_distinct_message_set_is_sorted_once_per_algebra(monkeypatch):
+    # bounded quantifiers, rigid instances and port typing sorted the same
+    # few port values again at every instance start and every evaluation
+    current, kept, sorts, asked = [None], {}, collections.Counter(), [0]
+    real_ordered = Algebra.ordered
+
+    def ordered(alg, values):
+        current[0] = kept[id(alg)] = alg  # kept alive, so that no id is reused
+        asked[0] += 1
+        return real_ordered(alg, values)
+
+    def counted_sorted(values, key=None):
+        if key is algebra.value_key:
+            sorts[id(current[0]), values] += 1
+        return sorted(values, key=key)
+
+    monkeypatch.setattr(Algebra, "ordered", ordered)
+    monkeypatch.setattr(algebra, "sorted", counted_sorted, raising=False)
+    report = verify_theorem(trials=20, seed=930106, bundle=blackboard_bundle())
+    assert report.ok
+    assert len(kept) >= 20 and sorts and max(sorts.values()) == 1
+    assert asked[0] > 5 * len(sorts)
+
+
+def test_value_keys_per_criterion_6_trial(monkeypatch):
+    # 827 per trial when each sort site sorted its set afresh
+    calls = [0]
+    real = model.value_key
+
+    def counting(value):
+        calls[0] += 1
+        return real(value)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("archcheck"):
+            if getattr(module, "value_key", None) is real:
+                monkeypatch.setattr(module, "value_key", counting)
+    report = verify_theorem(
+        trials=100, seed=930106, horizon=50, max_problems=6, max_depth=3,
+        bundle=blackboard_bundle(),
+    )
+    assert report.ok
+    assert calls[0] <= 100 * 100
+
+
+def _message(rng, depth):
+    shape = rng.randrange(3 if depth else 1)
+    if shape == 0:
+        return rng.choice("abcde") * rng.randint(1, 2)
+    if shape == 1:
+        return (_message(rng, depth - 1), _message(rng, depth - 1))
+    return _messages(rng, depth - 1)
+
+
+def _messages(rng, depth):
+    return frozenset(_message(rng, depth) for _ in range(rng.randrange(5)))
+
+
+def _small_algebra():
+    return Algebra(Signature(frozenset({"D"})), {"D": ("a",)})
+
+
+def test_an_ordered_set_is_its_value_key_sort_kept_for_the_next_call():
+    rng = random.Random(280001)
+    alg = _small_algebra()
+    seen = 0
+    for _ in range(500):
+        messages = _messages(rng, 3)
+        order = alg.ordered(messages)
+        assert order == tuple(sorted(messages, key=model.value_key))
+        assert alg.ordered(messages) is order
+        # an equal set built afresh, in another insertion order
+        assert alg.ordered(frozenset(reversed(order))) is order
+        seen += not messages
+    assert seen  # the empty set among them
+    assert alg.ordered(frozenset()) == ()
+
+
+def test_the_ordered_table_is_bounded_and_verdicts_hold_across_clears(monkeypatch):
+    # a bound of 4 against a monitor on fresh configurations, whose bounded
+    # quantifiers and rigid instances meet many distinct port values
+    monkeypatch.setattr(algebra, "_ORDERED_SETS", 4)
+    run = simulate_blackboard(random_scenario(random.Random(220002), horizon=40))
+    steps = list(dict.fromkeys(run.trace.steps))
+    assert len(steps) >= 8
+    alg = run.algebra
+    clears = 0
+    for name, gamma, rigid_comp, rigid_data in _bundle_assertions():
+        plan = AssertionPlan(gamma, rigid_comp, rigid_data)
+        monitor = Monitor(alg, run.interpretation, gamma, plan)
+        size = len(alg._ordered_cache)
+        for t, k in enumerate(steps, start=1):
+            verdict = monitor.step(ArchConfiguration(set(k.active), dict(k.connection)))
+            table = len(alg._ordered_cache)
+            assert table <= 4, name
+            clears += table < size
+            expected = check_trace_assertion(
+                alg, run.interpretation, ConfigurationTrace(run.trace.universe, steps[:t]),
+                gamma, OPEN, plan=plan,
+            )
+            assert verdict.truth is expected.truth, (name, t)
+            size = len(alg._ordered_cache)
+    assert clears > 5
