@@ -932,25 +932,33 @@ def check_well_founded(alg: Algebra, symbol: str) -> bool:
             f"well-founded requires a binary relation over one sort,"
             f" got {symbol!r}: {tuple(str(s) for s in typing)}"
         )
-    rows = alg.predicates.get(symbol, frozenset())
     adjacency: dict[Value, set] = {}
-    for a, b in rows:
+    for a, b in alg.predicates.get(symbol, frozenset()):
         adjacency.setdefault(a, set()).add(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[Value, int] = {}
+    return next(back_edges(adjacency, lambda a: adjacency.get(a, ())), None) is None
 
-    def has_cycle(node) -> bool:
-        color[node] = GREY
-        for nxt in adjacency.get(node, ()):
-            state = color.get(nxt, WHITE)
-            if state == GREY:
-                return True
-            if state == WHITE and has_cycle(nxt):
-                return True
-        color[node] = BLACK
-        return False
 
-    for start in adjacency:
-        if color.get(start, WHITE) == WHITE and has_cycle(start):
-            return False
-    return True
+def back_edges(roots: Iterable, successors) -> Iterator[tuple]:
+    """The edges that close a cycle, in the order of a depth-first search
+    from each root not reached before: each as the search path from its root
+    to the edge's source, then the edge's target.  The search keeps its own
+    stack, so a chain of any length is searched."""
+    done: set = set()
+    for root in roots:
+        if root in done:
+            continue
+        path, on_path = [root], {root}
+        pending = [iter(successors(root))]
+        while pending:
+            for node in pending[-1]:
+                if node in on_path:
+                    yield (*path, node)
+                elif node not in done:
+                    path.append(node)
+                    on_path.add(node)
+                    pending.append(iter(successors(node)))
+                    break
+            else:
+                pending.pop()
+                on_path.remove(path[-1])
+                done.add(path.pop())

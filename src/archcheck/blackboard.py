@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Mapping, Optional
 
 from ._record import record
-from .algebra import Algebra, BaseSort, Signature
+from .algebra import Algebra, BaseSort, Signature, back_edges
 from .errors import StructuralError, UsageError
 from .interfaces import SpecInterpretation, identity_interpretation
 from .model import (
@@ -105,7 +105,7 @@ class BlackboardScenario:
                 raise StructuralError(
                     f"source {ks!r} claims unknown problems {sorted(unknown)}"
                 )
-        if not self._acyclic():
+        if next(back_edges(self.problems, subs.__getitem__), None) is not None:
             raise StructuralError("the subproblem relation has a cycle")
         uncovered = [
             p
@@ -116,22 +116,6 @@ class BlackboardScenario:
             raise StructuralError(
                 f"no source can solve reachable problems {uncovered}"
             )
-
-    def _acyclic(self) -> bool:
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {p: WHITE for p in self.problems}
-
-        def visit(p):
-            color[p] = GREY
-            for q in self.subproblems[p]:
-                if color[q] == GREY:
-                    return False
-                if color[q] == WHITE and not visit(q):
-                    return False
-            color[p] = BLACK
-            return True
-
-        return all(visit(p) for p in self.problems if color[p] == WHITE)
 
     def reachable(self) -> frozenset[str]:
         seen = set()

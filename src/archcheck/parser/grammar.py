@@ -59,6 +59,7 @@ from .syntax import (
     RPair,
     RSet,
     RigidAnnDecl,
+    SECTIONS,
     SortRef,
     SourceUnit,
     Span,
@@ -510,6 +511,52 @@ def _parse_minmax_suffix(cur: Cursor):
     return (low, high)
 
 
+_LINE_PARSERS = {
+    "names": _parse_names,
+    "symbol": _parse_symbol_decl,
+    "var": _parse_var_decl,
+    "port": _parse_port_decl,
+    "axiom": _parse_axiom,
+    "carrier": _parse_carrier,
+    "function": _parse_function_entry,
+    "predicate": _parse_predicate_entry,
+}
+# Each kind's section headers, with the body field and line parser of each,
+# and its role words, from SECTIONS
+_SECTION_PARSERS = {
+    kind: {
+        header: (field, _LINE_PARSERS[line], line == "names")
+        for header, field, line in sections
+        if line != "role"
+    }
+    for kind, sections in SECTIONS.items()
+}
+_ROLES = {
+    kind: frozenset(header for header, _, line in sections if line == "role")
+    for kind, sections in SECTIONS.items()
+}
+# The body record of each kind that `_parse_sections` parses, and the
+# message for a line before its first header
+_BODIES = {
+    "datatype": (
+        DatatypeBody, "expected a section header (sorts, symbols, vars, axioms)"
+    ),
+    "portspec": (PortSpecBody, "expected the `ports` section header"),
+    "interface": (
+        InterfaceBody, "expected ports/vars/axioms section or local/inputs/outputs"
+    ),
+    "constraints": (ConstraintsBody, "expected vars, rigid vars, or axioms section"),
+    "algebra": (AlgebraBody, "expected carriers, functions, or predicates section"),
+}
+
+
+def _open(found, field, parse, names):
+    """The (add, parse) pair of a section just opened: a names line adds
+    each of its names to the field, any other line adds one entry."""
+    lines = found[field]
+    return (lines.extend if names else lines.append), parse
+
+
 # ---------------------------------------------------------------------------
 # Unit parsing
 
@@ -576,7 +623,10 @@ class _UnitParser:
             return None
         kind = kind_tok.text
         imports = self._parse_imports()
-        body = getattr(self, f"_parse_{kind}")()
+        if kind in _BODIES:
+            body = self._parse_sections(kind)
+        else:  # diagram, trace
+            body = getattr(self, f"_parse_{kind}")()
         if any(d.severity == "error" for d in self.diagnostics):
             return None
         return SourceUnit(kind=kind, name=name, imports=imports, body=body)
@@ -623,95 +673,39 @@ class _UnitParser:
             if entry is not None:
                 table[self.raw_lines[line_no - 1]] = entry
 
-    def _parse_sections(self, sections, expected, roles=()):
-        """Parse a body of sections, each opened by a header line.
-
-        ``sections`` maps each header to the parser of a line under it.  A
-        line that starts with one of ``roles`` lists names and may stand
-        anywhere.  Returns the parsed lines by header and the names by role.
-        """
-        found = {key: [] for key in (*sections, *roles)}
-        section = None
+    def _parse_sections(self, kind):
+        """Parse a body of sections, each opened by a header line, as
+        ``SECTIONS`` lays out ``kind``; returns the body.  A role line may
+        stand anywhere."""
+        sections, roles = _SECTION_PARSERS[kind], _ROLES[kind]
+        found = {field: [] for field, _, _ in sections.values()}
+        found.update((role, []) for role in roles)
+        body, expected = _BODIES[kind]
+        section = None  # (add, parse) for the lines under the open header
 
         def handler(cur: Cursor):
             nonlocal section
             head = cur.peek()
             header = _header(cur)
             if header in sections:
-                section = header
+                section = _open(found, *sections[header])
             elif head.text in roles:
                 cur.take()
                 found[head.text].extend(_parse_names(cur))
             elif section is None:
                 raise LineError(expected, head.span)
             else:
-                found[section].append(sections[section](cur))
+                add, parse = section
+                add(parse(cur))
 
         self._each_line(handler)
-        return found
-
-    def _parse_datatype(self):
-        found = self._parse_sections(
-            {
-                "sorts": _parse_names,
-                "symbols": _parse_symbol_decl,
-                "vars": _parse_var_decl,
-                "axioms": _parse_axiom,
-            },
-            "expected a section header (sorts, symbols, vars, axioms)",
-        )
-        sorts = [sort for line in found["sorts"] for sort in line]
-        return DatatypeBody(sorts, found["symbols"], found["vars"], found["axioms"])
-
-    def _parse_portspec(self):
-        found = self._parse_sections(
-            {"ports": _parse_port_decl}, "expected the `ports` section header"
-        )
-        return PortSpecBody(found["ports"])
-
-    def _parse_interface(self):
-        found = self._parse_sections(
-            {
-                "ports": _parse_port_decl,
-                "vars": _parse_var_decl,
-                "axioms": _parse_axiom,
-            },
-            "expected ports/vars/axioms section or local/inputs/outputs",
-            roles=("local", "inputs", "outputs"),
-        )
-        return InterfaceBody(**found)
-
-    def _parse_constraints(self):
-        found = self._parse_sections(
-            {
-                "vars": _parse_var_decl,
-                "rigid vars": _parse_var_decl,
-                "axioms": _parse_axiom,
-            },
-            "expected vars, rigid vars, or axioms section",
-        )
-        return ConstraintsBody(found["vars"], found["rigid vars"], found["axioms"])
-
-    def _parse_algebra(self):
-        found = self._parse_sections(
-            {
-                "carriers": _parse_carrier,
-                "functions": _parse_function_entry,
-                "predicates": _parse_predicate_entry,
-            },
-            "expected carriers, functions, or predicates section",
-        )
-        return AlgebraBody(**found)
+        return body(**found)
 
     # -- diagram ----------------------------------------------------------
 
     def _parse_diagram(self):
-        sections = {
-            "ports": _parse_port_decl,
-            "vars": _parse_var_decl,
-            "rigid vars": _parse_var_decl,
-        }
-        found = {header: [] for header in sections}
+        sections = _SECTION_PARSERS["diagram"]
+        found = {field: [] for field, _, _ in sections.values()}
         interfaces, rigid_ann, connects, axioms = [], [], [], []
         # What the next lines add to: a section, the roles of an interface
         # block, or the axioms of an interface.
@@ -734,7 +728,7 @@ class _UnitParser:
             ):
                 section = iface = block = None
             if header in sections:
-                section = header
+                section = _open(found, *sections[header])
             elif head.text == "rigid":
                 cur.take()
                 name = cur.expect_ident("interface").text
@@ -762,15 +756,14 @@ class _UnitParser:
             elif block is not None:
                 block.append(_parse_axiom(cur))
             elif section is not None:
-                found[section].append(sections[section](cur))
+                add, parse = section
+                add(parse(cur))
             else:
                 raise LineError("unexpected line in diagram unit", head.span)
 
         self._each_line(handler)
         return DiagramBody(
-            ports=found["ports"],
-            vars=found["vars"],
-            rigid_vars=found["rigid vars"],
+            **found,
             interfaces=[InterfaceDecl(**builder) for builder in interfaces],
             rigid_annotations=rigid_ann,
             connects=connects,

@@ -1,15 +1,12 @@
 """Canonical text rendering of source units.
 
 `parse_unit(print_unit(u))` reproduces `u` up to structural equality; the
-printer emits ASCII operators and a fixed section order.
+printer emits ASCII operators and the section order of `SECTIONS`.
 """
 from __future__ import annotations
 
 from .syntax import (
-    AlgebraBody,
     BINARY_LEVEL,
-    ConstraintsBody,
-    DatatypeBody,
     DiagramBody,
     EActive,
     EApply,
@@ -28,13 +25,12 @@ from .syntax import (
     ESet,
     EUnary,
     EWellFounded,
-    InterfaceBody,
     PREFIX_LEVEL,
-    PortSpecBody,
     RIGHT_ASSOC,
     RName,
     RPair,
     RSet,
+    SECTIONS,
     SortRef,
     SourceUnit,
     TraceBody,
@@ -134,14 +130,38 @@ def _render(expr):
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _var_lines(decls, out):
-    for decl in decls:
-        out.append(f"  {', '.join(decl.names)} : {print_sort(decl.sort)}")
+def _symbol_line(sym) -> str:
+    args = " * ".join(print_sort(a) for a in sym.args)
+    if sym.result is None:
+        return f"{sym.name} : {args}"
+    if args:
+        return f"{sym.name} : {args} -> {print_sort(sym.result)}"
+    return f"{sym.name} : -> {print_sort(sym.result)}"
 
 
-def _axiom_lines(axioms, out):
-    for axiom in axioms:
-        out.append(f"  {print_expr(axiom.expr)}")
+def _entry_head(entry) -> str:
+    args = ", ".join(print_expr(a) for a in entry.args)
+    return f"{entry.symbol}({args})" if entry.args else entry.symbol
+
+
+def _axiom_line(axiom) -> str:
+    return print_expr(axiom.expr)
+
+
+def _decl_line(decl) -> str:
+    return f"{', '.join(decl.names)} : {print_sort(decl.sort)}"
+
+
+# The text of one line under a section header, by line kind (SECTIONS)
+_LINE_PRINTERS = {
+    "symbol": _symbol_line,
+    "var": _decl_line,
+    "port": _decl_line,
+    "axiom": _axiom_line,
+    "carrier": lambda carrier: f"{carrier.sort} = {{ {', '.join(carrier.elements)} }}",
+    "function": lambda entry: f"{_entry_head(entry)} = {print_expr(entry.value)}",
+    "predicate": _entry_head,
+}
 
 
 def print_unit(unit: SourceUnit) -> str:
@@ -149,66 +169,18 @@ def print_unit(unit: SourceUnit) -> str:
     if unit.imports:
         out.append(f"imports {', '.join(unit.imports)}")
     body = unit.body
-    if isinstance(body, DatatypeBody):
-        if body.sorts:
-            out.append("sorts")
-            out.append(f"  {', '.join(body.sorts)}")
-        if body.symbols:
-            out.append("symbols")
-            for sym in body.symbols:
-                args = " * ".join(print_sort(a) for a in sym.args)
-                if sym.result is None:
-                    out.append(f"  {sym.name} : {args}")
-                elif args:
-                    out.append(f"  {sym.name} : {args} -> {print_sort(sym.result)}")
-                else:
-                    out.append(f"  {sym.name} : -> {print_sort(sym.result)}")
-        if body.vars:
-            out.append("vars")
-            _var_lines(body.vars, out)
-        if body.axioms:
-            out.append("axioms")
-            _axiom_lines(body.axioms, out)
-    elif isinstance(body, PortSpecBody):
-        if body.ports:
-            out.append("ports")
-            _var_lines(body.ports, out)
-    elif isinstance(body, InterfaceBody):
-        if body.ports:
-            out.append("ports")
-            _var_lines(body.ports, out)
-        if body.local:
-            out.append(f"local {', '.join(body.local)}")
-        if body.inputs:
-            out.append(f"inputs {', '.join(body.inputs)}")
-        if body.outputs:
-            out.append(f"outputs {', '.join(body.outputs)}")
-        if body.vars:
-            out.append("vars")
-            _var_lines(body.vars, out)
-        if body.axioms:
-            out.append("axioms")
-            _axiom_lines(body.axioms, out)
-    elif isinstance(body, ConstraintsBody):
-        if body.vars:
-            out.append("vars")
-            _var_lines(body.vars, out)
-        if body.rigid_vars:
-            out.append("rigid vars")
-            _var_lines(body.rigid_vars, out)
-        if body.axioms:
-            out.append("axioms")
-            _axiom_lines(body.axioms, out)
-    elif isinstance(body, DiagramBody):
-        if body.ports:
-            out.append("ports")
-            _var_lines(body.ports, out)
-        if body.vars:
-            out.append("vars")
-            _var_lines(body.vars, out)
-        if body.rigid_vars:
-            out.append("rigid vars")
-            _var_lines(body.rigid_vars, out)
+    for header, field, line in SECTIONS.get(unit.kind, ()):
+        items = getattr(body, field)
+        if not items:
+            continue
+        if line == "role":
+            out.append(f"{header} {', '.join(items)}")
+        elif line == "names":
+            out.extend((header, f"  {', '.join(items)}"))
+        else:
+            out.append(header)
+            out.extend(f"  {_LINE_PRINTERS[line](item)}" for item in items)
+    if isinstance(body, DiagramBody):
         for iface in body.interfaces:
             suffix = _minmax_suffix(iface.minmax)
             out.append(f"interface {iface.name}{suffix}")
@@ -227,24 +199,7 @@ def print_unit(unit: SourceUnit) -> str:
             )
         for iface, axioms in body.axioms:
             out.append(f"axioms {iface}")
-            _axiom_lines(axioms, out)
-    elif isinstance(body, AlgebraBody):
-        if body.carriers:
-            out.append("carriers")
-            for carrier in body.carriers:
-                elems = ", ".join(carrier.elements)
-                out.append(f"  {carrier.sort} = {{ {elems} }}")
-        if body.functions:
-            out.append("functions")
-            for entry in body.functions:
-                args = ", ".join(print_expr(a) for a in entry.args)
-                head = f"{entry.symbol}({args})" if entry.args else entry.symbol
-                out.append(f"  {head} = {print_expr(entry.value)}")
-        if body.predicates:
-            out.append("predicates")
-            for entry in body.predicates:
-                args = ", ".join(print_expr(a) for a in entry.args)
-                out.append(f"  {entry.symbol}({args})")
+            out.extend(f"  {_axiom_line(axiom)}" for axiom in axioms)
     elif isinstance(body, TraceBody):
         if body.components:
             out.append("components")
@@ -274,8 +229,6 @@ def print_unit(unit: SourceUnit) -> str:
                     )
                 text = rendered[id(step)] = "\n".join(lines)
             out.append(text)
-    else:
-        raise TypeError(f"unknown unit body {type(body).__name__}")
     return "\n".join(out) + "\n"
 
 

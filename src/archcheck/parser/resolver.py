@@ -855,25 +855,11 @@ class Resolver:
                     self.err(
                         unit.name, f"import of unknown unit {imported!r}"
                     )
-        # cycle detection over the declared import edges
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self.unit_by_name}
-
-        def visit(name, stack):
-            color[name] = GREY
-            for dep in self.unit_by_name[name].imports:
-                if dep not in self.unit_by_name:
-                    continue
-                if color[dep] == GREY:
-                    cycle = " -> ".join(stack + [dep])
-                    self.err(name, f"cyclic imports: {cycle}")
-                elif color[dep] == WHITE:
-                    visit(dep, stack + [dep])
-            color[name] = BLACK
-
-        for name in sorted(self.unit_by_name):
-            if color[name] == WHITE:
-                visit(name, [name])
+        units = self.unit_by_name
+        for cycle in ALG.back_edges(
+            sorted(units), lambda name: [d for d in units[name].imports if d in units]
+        ):
+            self.err(cycle[-2], f"cyclic imports: {' -> '.join(cycle)}")
 
     # -- signature ---------------------------------------------------------
 

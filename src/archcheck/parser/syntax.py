@@ -22,6 +22,47 @@ UNIT_KINDS = (
     "trace",
 )
 
+# The sections of each unit kind that is a list of sections, in printed
+# order, as (header, body field, line kind).  A section holds the lines
+# under its header; a `names` section prints its names on one line, and a
+# `role` line lists names after its header word and may stand anywhere.  A
+# diagram's interface blocks, rigid annotations, connect lines and axiom
+# blocks follow its sections, and a trace has no sections.  The grammar
+# parses and the printer prints these bodies from this table, and
+# docs/grammar.md states it.
+SECTIONS = {
+    "datatype": (
+        ("sorts", "sorts", "names"),
+        ("symbols", "symbols", "symbol"),
+        ("vars", "vars", "var"),
+        ("axioms", "axioms", "axiom"),
+    ),
+    "portspec": (("ports", "ports", "port"),),
+    "interface": (
+        ("ports", "ports", "port"),
+        ("local", "local", "role"),
+        ("inputs", "inputs", "role"),
+        ("outputs", "outputs", "role"),
+        ("vars", "vars", "var"),
+        ("axioms", "axioms", "axiom"),
+    ),
+    "constraints": (
+        ("vars", "vars", "var"),
+        ("rigid vars", "rigid_vars", "var"),
+        ("axioms", "axioms", "axiom"),
+    ),
+    "diagram": (
+        ("ports", "ports", "port"),
+        ("vars", "vars", "var"),
+        ("rigid vars", "rigid_vars", "var"),
+    ),
+    "algebra": (
+        ("carriers", "carriers", "carrier"),
+        ("functions", "functions", "function"),
+        ("predicates", "predicates", "predicate"),
+    ),
+}
+
 # Binary formula operators by precedence level, loosest first, and those of
 # them that group to the right; every other level groups to the left.  The
 # prefix operators bind tighter than any of them.  The grammar and the

@@ -26,6 +26,7 @@ from archcheck.algebra import (
     Signature,
     Var,
     WellFounded,
+    back_edges,
     check_well_founded,
     eval_term,
     free_vars,
@@ -379,6 +380,31 @@ class TestWellFoundedness:
             predicates={"prec": {("pA", "pA")}},
         )
         assert not check_well_founded(alg, "prec")
+
+    def test_a_chain_longer_than_the_recursion_limit(self):
+        # a recursive search overflowed Python's stack on this chain
+        names = [f"p{i}" for i in range(5000)]
+        chain = set(zip(names, names[1:]))
+
+        def chain_algebra(rows):
+            return Algebra(
+                probsol_signature(),
+                carriers={"PROB": tuple(names), "SOL": ("s",)},
+                functions={"solve": {(p,): "s" for p in names}},
+                predicates={"prec": rows},
+            )
+
+        assert models_spec(chain_algebra(chain), [WellFounded("prec")])
+        closed = chain_algebra(chain | {(names[-1], names[0])})
+        assert not models_spec(closed, [WellFounded("prec")])
+
+    def test_back_edges_reports_each_cycle_in_search_order(self):
+        graph = {"a": ("b", "c"), "b": ("c", "a"), "c": ("c",), "d": ("b",)}
+        assert list(back_edges("abcd", graph.__getitem__)) == [
+            ("a", "b", "c", "c"),
+            ("a", "b", "a"),
+        ]
+        assert list(back_edges("d", {"d": ()}.__getitem__)) == []
 
     def test_empty_relation_is_well_founded(self):
         alg = Algebra(

@@ -41,6 +41,26 @@ class TestScenarioValidation:
         with pytest.raises(StructuralError, match="cycle"):
             paper_scenario(subproblems={"pA": {"pB"}, "pB": {"pA"}})
 
+    def test_a_subproblem_chain_deeper_than_the_recursion_limit(self):
+        # a recursive search overflowed Python's stack on this chain
+        problems = tuple(f"p{i}" for i in range(3000))
+        scenario = paper_scenario(
+            problems=problems,
+            subproblems={p: {q} for p, q in zip(problems, problems[1:])},
+            solutions={p: "s" for p in problems},
+            sources={"ks1": set(problems)},
+            root="p0",
+        )
+        assert scenario.reachable() == set(problems)
+        with pytest.raises(StructuralError, match="cycle"):
+            paper_scenario(
+                problems=problems,
+                subproblems={p: {q} for p, q in zip(problems, problems[1:] + ("p0",))},
+                solutions={p: "s" for p in problems},
+                sources={"ks1": set(problems)},
+                root="p0",
+            )
+
     def test_uncovered_reachable_problem_rejected(self):
         with pytest.raises(StructuralError, match="no source"):
             paper_scenario(sources={"ks1": {"pA"}})

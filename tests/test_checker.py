@@ -138,6 +138,29 @@ class TestCliCheck:
         assert code == 1
         assert "ProbSol.ax1" in out  # the well-foundedness axiom
 
+    def test_a_chain_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        # the well-foundedness check once overflowed Python's stack on this
+        # chain and exited 4 with an internal error
+        names = [f"p{i}" for i in range(5000)]
+        (tmp_path / "d.arch").write_text(
+            "datatype D\nsorts\n  PROB\nsymbols\n  prec : PROB * PROB\n"
+            "axioms\n  well-founded(prec)\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "t.arch").write_text("trace T\nstep\n", encoding="utf-8")
+        model = tmp_path / "m.arch"
+        args = ["check", str(tmp_path / "d.arch"), "--algebra", str(model),
+                "--trace", str(tmp_path / "t.arch")]
+        for closed, verdict in ((False, "  ok"), (True, "  Violated       D.ax1")):
+            rows = list(zip(names, names[1:] + names[:1] * closed))
+            model.write_text(
+                f"algebra M\nimports D\ncarriers\n  PROB = {{ {', '.join(names)} }}\n"
+                "predicates\n" + "".join(f"  prec({a}, {b})\n" for a, b in rows),
+                encoding="utf-8",
+            )
+            assert main(args) == closed
+            assert f"phase 1: datatype axioms\n{verdict}\n" in capsys.readouterr().out
+
     def test_parse_error_exits_three(self, workdir, capsys, tmp_path):
         bad = tmp_path / "junk.arch"
         bad.write_text("datatype ???\n", encoding="utf-8")

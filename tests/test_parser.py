@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import zlib
@@ -26,11 +27,17 @@ from archcheck.parser.syntax import (
     PREFIX_LEVEL,
     PREFIX_OPERATORS,
     RIGHT_ASSOC,
+    SECTIONS,
     UNIT_KINDS,
 )
 
 from blackboard_sources import bundle_units, source_text
 from rawgen import RawGen
+
+# sha256 of print_unit over the parsed pack units, in file name order, and
+# over 30 RawGen units of each kind, as the printer gave them when each kind
+# had its own printing branch
+PRINTED_DIGEST = "70b15ed7c1f03b86a90c14453717368e862ee9a3f77d4b0dc606535608b677ec"
 
 
 class TestParseBasics:
@@ -187,6 +194,19 @@ class TestOperatorTable:
         assert table[PREFIX_LEVEL] == (list(PREFIX_OPERATORS), "-")
 
 
+class TestSectionTable:
+    def test_the_grammar_document_states_the_section_table(self):
+        doc = Path(__file__).parent.parent / "docs" / "grammar.md"
+        rows = re.findall(
+            r"^\| (\w+) \| `([^`]+)` \| `(\w+)` \| (\w+) \|$",
+            doc.read_text(encoding="utf-8"),
+            re.M,
+        )
+        assert rows == [
+            (kind, *section) for kind, sections in SECTIONS.items() for section in sections
+        ]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("kind", UNIT_KINDS)
     def test_random_units_round_trip(self, kind):
@@ -204,6 +224,19 @@ class TestRoundTrip:
             text = print_unit(unit)
             reparsed, diagnostics = parse_unit(text)
             assert reparsed == unit, (name, text)
+
+    def test_printed_bytes_are_pinned(self):
+        # parsing ignores section order, so the round trips above would
+        # still pass with a printer that reordered sections; this digest
+        # would not
+        digest = hashlib.sha256()
+        for name, unit in sorted(bundle_units().items()):
+            digest.update(print_unit(unit).encode())
+        for kind in UNIT_KINDS:
+            gen = RawGen(random.Random(f"print {kind}"))
+            for _ in range(30):
+                digest.update(print_unit(gen.unit(kind)).encode())
+        assert digest.hexdigest() == PRINTED_DIGEST
 
     def test_diagnostics_are_deterministic(self):
         text = "constraints C\naxioms\n  and and\n  or or\n"
@@ -291,6 +324,21 @@ class TestResolve:
         bundle, diagnostics = resolve([one, two])
         assert bundle is None
         assert any("cyclic imports" in d.message for d in diagnostics)
+
+    def test_an_import_chain_longer_than_the_recursion_limit(self):
+        def unit(i, imported):
+            return parse_unit(f"constraints C{i}\nimports C{imported}\naxioms\n  true\n")[0]
+
+        units = [unit(i, i + 1) for i in range(2999)]
+        last, _ = parse_unit("constraints C2999\naxioms\n  true\n")
+        bundle, diagnostics = resolve(units + [last])
+        assert bundle is not None and diagnostics == []
+        bundle, diagnostics = resolve(units + [unit(2999, 0)])
+        assert bundle is None
+        chain = " -> ".join(f"C{i}" for i in (*range(3000), 0))
+        assert [d.render() for d in diagnostics] == [
+            f"C2999: error[resolve]: cyclic imports: {chain}"
+        ]
 
     def test_set_import_is_builtin(self):
         unit, _ = parse_unit("datatype A\nimports SET\nsorts\n  P\n")

@@ -24,6 +24,8 @@ from archcheck.blackboard import (
     trace_unit,
 )
 from archcheck.cli import main
+from archcheck.interfaces import identity_interpretation
+from archcheck.model import make_snapshot
 from archcheck.parser import parse_unit, print_unit, resolve
 
 from blackboard_sources import bundle_units
@@ -233,3 +235,28 @@ def test_check_json_is_the_same_in_every_process(tmp_path):
     assert len(outcomes) == 1
     code, stdout = outcomes.pop()
     assert code == 1 and b'"overall": "Violated"' in stdout
+
+
+def test_a_component_that_is_never_active_keeps_its_snapshot():
+    result = simulate_blackboard(paper_scenario(horizon=5))
+    text = print_unit(trace_unit(result, name="Run"))
+    declared = "  ks2 : KS with prob = { pB, pC }\n"
+    assert declared in text
+    text = text.replace(declared, declared + "  ks9 : KS with prob = { pC }\n")
+    unit, _ = parse_unit(text)
+    algebra = algebra_unit(result.scenario)
+    bundle, diagnostics = resolve([*bundle_units().values(), algebra, unit])
+    assert bundle is not None and diagnostics == []
+    data = bundle.traces["Run"]
+    idle = make_snapshot(
+        "ks9",
+        local={"prob": frozenset({"pC"})},
+        inputs={"ksip": frozenset(), "ksis": frozenset()},
+        outputs={"ksop": frozenset(), "ksos": frozenset()},
+    )
+    assert data.trace.steps == result.trace.steps
+    assert data.trace.universe.snapshots == result.trace.universe.snapshots | {idle}
+    assert identity_interpretation(idle) in data.interpretation.by_interface["KS"]
+    assert data.interpretation.by_interface["BB"] == (
+        result.interpretation.by_interface["BB"]
+    )
