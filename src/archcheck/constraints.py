@@ -75,15 +75,10 @@ current step: ``exists x . State(guard ...)`` and ``forall x .
 (State(guard ...) -> ...)``.  ``max_assignments`` bounds the product of the
 free rigid variables' carriers and component sets, whichever instances run.
 
-The checks evaluate each state formula once per distinct configuration and
-skip the steps that cannot change a residual.  ``ConfigurationTrace``
-interns its steps, so equal steps are the same object.  Within one
-``check_trace_assertion`` or ``trace_holds`` call, a state formula's
-verdict, explanation included, is memoised under the formula, the step and
-the values of the formula's own free variables; so a formula that does not
-read a rigid variable is evaluated once across that variable's assignments.
-When a residual is a fixed point of a configuration, ``progress(r, k) ==
-r``, the run skips every later step that is ``k`` for as long as the
+The checks skip the steps that cannot change a residual.
+``ConfigurationTrace`` interns its steps, so equal steps are the same
+object.  When a residual is a fixed point of a configuration, ``progress(r,
+k) == r``, the run skips every later step that is ``k`` for as long as the
 residual stays ``r``.  On a run of equal steps this is stutter invariance
 (Lamport, "What Good Is Temporal Logic?", IFIP 1983; Peled and Wilke, IPL
 1997).  It is exact for every formula, X included: ``progress`` reads the
@@ -92,16 +87,17 @@ drops at one step it drops at any later one, and a pending X or chain
 position never equals its successor, since ``_Deferred`` turns into its
 body and chain positions carry their origin step.  The last index is the
 current one at the end, so the witnesses that name it stay exact.
-``Monitor`` keeps no memo, but it skips by the same rule.
+``Monitor`` skips by the same rule.  A state formula is evaluated afresh
+at every step that reads it: compiled, it costs less than looking up a
+verdict kept under the formula, the step and the values it reads.
 
 What does not depend on the trace is found once per assertion: an
 ``AssertionPlan`` holds the free rigid variables with their sorts and
-interfaces, the closure, the free variables of each ``State`` formula, the
-guard of each rigid data quantifier, and the state formulas compiled to
-closures (see ``algebra``), each quantifier's guard found as it is
-compiled.  ``check_trace_assertion`` and ``Monitor`` make one unless they
-are given one; ``checker.run_check`` keeps one per assertion on the bundle
-it checks.  What depends on the trace but not on the assertion, the
+interfaces, the closure, the guard of each rigid data quantifier, and the
+state formulas compiled to closures (see ``algebra``), each quantifier's
+guard found as it is compiled.  ``check_trace_assertion`` and ``Monitor``
+make one unless they are given one; ``checker.run_check`` keeps one per
+assertion on the bundle it checks.  What depends on the trace but not on the assertion, the
 interpretation index and each configuration's index, is a
 ``_TraceContext``, which ``run_check`` makes once per trace for all the
 assertions of the bundle.
@@ -574,9 +570,10 @@ class _TraceContext:
     interface's components, the interpretations by id and snapshot, and,
     with ``remember_steps``, the index of each configuration read, kept
     for later visits.  ``run_check`` makes one per trace and shares it
-    among the bundle's assertions.  ``Monitor`` does not remember steps:
-    the steps it is fed are mostly first visits, so the table would only
-    add work there (its step tail got slower in measured pairs)."""
+    among the bundle's assertions; the table saves about 3 % of a theorem
+    trial.  ``Monitor`` does not remember steps: the steps it is fed are
+    mostly first visits, so the table only adds work there (about 2 % of
+    its total step time in measured pairs)."""
 
     def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
         self.alg, self.J = alg, J
@@ -960,7 +957,7 @@ def _start_implies(ev, gamma, asg):
 
 def _rigid_data(dominant):
     def rule(ev, gamma, asg):
-        guard = ev.node_info[id(gamma)][1]
+        guard = ev.guards[id(gamma)][1]
         bindings = enumerate_assignments(ev.state, {gamma.var: gamma.sort}, asg, guard)
         return _items(dominant, (
             ev.start(gamma.body, ev.bind(asg, gamma, b[gamma.var], b)) for b in bindings
@@ -995,7 +992,7 @@ def _bounded_rigid(dominant):
 
 
 _START = {
-    State: lambda ev, gamma, asg: ev.state_verdict(asg, gamma.formula),
+    State: lambda ev, gamma, asg: ev._state_verdict(asg, gamma.formula),
     TraceNot: lambda ev, gamma, asg: _negate(ev.start(gamma.operand, asg)),
     TraceAnd: lambda ev, gamma, asg: _items(
         Truth.VIOLATED, (ev.start(item, asg) for item in gamma.items)
@@ -1027,34 +1024,21 @@ def _check_mode(mode: str) -> None:
         raise UsageError(f"mode must be {OPEN!r} or {CLOSED!r}, got {mode!r}")
 
 
-def _reads(phi: Assertion) -> tuple:
-    """``phi`` and the names of its free data and component variables; None
-    and None when a name is used at two sorts, so that its verdicts are not
-    memoised."""
-    try:
-        data, comps = free_vars(phi)
-    except SortError:
-        return phi, None, None
-    return phi, tuple(data), tuple(comps)
-
-
 def _node_tables(gamma) -> tuple[dict, dict]:
     """What evaluating ``gamma`` looks up about its nodes, all found at once
-    (see ``_TraceEvaluator``): by the node's id, the ``_reads`` of each
-    ``State`` formula and the guard of each rigid data quantifier; and the
-    closures of the state formulas and of the bounded rigid quantifiers'
-    sources."""
-    node_info: dict = {}
+    (see ``_TraceEvaluator``): the guard of each rigid data quantifier, by
+    the quantifier's id; and the closures of the state formulas and of the
+    bounded rigid quantifiers' sources."""
+    guards: dict = {}
     compiler = Compiler(_StateEvaluator)
     for node in nodes(gamma):
         if type(node) is State:
-            node_info[id(node.formula)] = _reads(node.formula)
             compiler.assertion_fn(node.formula)
         elif type(node) in (RigidForallData, RigidExistsData):
-            node_info[id(node)] = (node, _instance_guard(node))
+            guards[id(node)] = (node, _instance_guard(node))
         elif isinstance(node, TraceAssertion) and node.SHAPE and node.SHAPE[1] == "set":
             compiler.term_fn(node.source)
-    return node_info, compiler.closures
+    return guards, compiler.closures
 
 
 class _TraceEvaluator:
@@ -1064,14 +1048,12 @@ class _TraceEvaluator:
     ``m`` and advances ``residual`` over it; ``close(residual, mode)`` ends a
     residual at the last step read.  An assertion under an assignment
     starts as ``_Deferred(gamma, asg)``.  ``context`` is the trace's
-    ``_TraceContext``; when it remembers steps, so does the evaluator the
-    state verdicts reached at each.
+    ``_TraceContext``.
 
-    ``tables`` are the ``_node_tables`` of the assertion: ``node_info`` holds,
-    by the id of a ``State`` formula, its ``_reads``, and by the id of a
-    rigid data quantifier, the quantifier and its guard; the other is the
-    state evaluator's table of closures.  Entries hold their node, so its
-    id is not reused.
+    ``tables`` are the ``_node_tables`` of the assertion: ``guards`` holds,
+    by the id of a rigid data quantifier, the quantifier and its guard; the
+    other is the state evaluator's table of closures.  Entries hold their
+    node, so its id is not reused.
 
     ``unchanged`` holds the ids of the configurations known to leave the
     current residual unchanged (see ``feed``).  Whoever feeds the evaluator
@@ -1079,12 +1061,10 @@ class _TraceEvaluator:
     """
 
     def __init__(self, context: _TraceContext, tables: tuple[dict, dict]):
-        self.node_info, closures = tables
+        self.guards, closures = tables
         self.state = _StateEvaluator(context, closures)
         self.m: Optional[int] = None
         self._bound: dict = {}
-        # state verdicts by (formula, step, values of its free variables)
-        self._verdicts: Optional[dict] = None if context.steps is None else {}
         self.unchanged: set = set()
 
     def progress(self, residual, m: int, k: ArchConfiguration):
@@ -1157,24 +1137,6 @@ class _TraceEvaluator:
             entry = self._bound[key] = (asg, binder, {**asg, **bindings})
         return entry[2]
 
-    def state_verdict(self, asg: dict, phi: Assertion) -> Verdict:
-        memo = self._verdicts
-        if memo is None:
-            return self._state_verdict(asg, phi)
-        _, data, comps = self.node_info[id(phi)]
-        if data is None:
-            return self._state_verdict(asg, phi)
-        key = (
-            id(phi),
-            id(self.state.k),
-            tuple(map(asg.get, data)),
-            tuple(map(asg[_COMPS].get, comps)),
-        )
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = memo[key] = self._state_verdict(asg, phi)
-        return verdict
-
     def _state_verdict(self, asg: dict, phi: Assertion) -> Verdict:
         state = self.state
         state.notes = {}
@@ -1237,7 +1199,8 @@ class AssertionPlan:
     """What checking a trace assertion needs before it reads a trace: its
     free rigid variables with their sorts and interfaces, in product order;
     ``closed``, its universal closure over them (see the module docstring);
-    and the ``_node_tables`` of ``closed``, its state formulas compiled.
+    and the ``_node_tables`` of ``closed``: the guards of its rigid data
+    quantifiers, and its state formulas compiled.
 
     Make one per assertion and its declarations and pass it to every
     ``check_trace_assertion`` or ``Monitor`` of that assertion, as

@@ -7,7 +7,8 @@ rigid-closed assertion reports the verdict of its one run, witness and
 explanation included; a connection map and a port valuation find a port
 without reading their other entries, and a missed lookup raises nothing; a
 port valuation keeps messages that are already frozen; an algebra orders
-each distinct message set once, in a table of bounded size."""
+each distinct message set once, in a table of bounded size; and 20
+criterion-6 trials evaluate at most 7,708 state formulas."""
 import collections
 import gc
 import hashlib
@@ -284,6 +285,23 @@ def test_each_state_node_is_compiled_once_per_plan(monkeypatch):
     report = checker.verify_theorem(trials=20, bundle=bundle)
     assert first.ok and report.ok
     assert not [node for _, node in compiled if id(node) in owned]
+
+
+def test_state_evaluations_per_20_criterion_6_trials(monkeypatch):
+    # 7,708 is the number of state verdicts these trials ask for: each is
+    # evaluated once, on the steps that the skip does not pass over and for
+    # the instances that the guards start
+    calls = [0]
+    fresh = constraints._TraceEvaluator._state_verdict
+
+    def counted(evaluator, asg, phi):
+        calls[0] += 1
+        return fresh(evaluator, asg, phi)
+
+    monkeypatch.setattr(constraints._TraceEvaluator, "_state_verdict", counted)
+    report = verify_theorem(20, seed=930106, horizon=50, bundle=blackboard_bundle())
+    assert report.ok
+    assert 0 < calls[0] <= 7708
 
 
 def test_a_check_shares_one_trace_context_among_its_assertions(monkeypatch):

@@ -1,6 +1,5 @@
-"""Stutter-aware trace evaluation: interned steps, memoised state verdicts
-and skipped fixed-point steps give the verdicts of the plain progression,
-which reads every step and evaluates every state formula afresh."""
+"""Stutter-aware trace evaluation: interned steps and skipped fixed-point
+steps give the verdicts of the plain progression, which reads every step."""
 import itertools
 import random
 
@@ -53,9 +52,10 @@ from test_rigid_enumeration import _bundle_assertions
 
 
 def _plain(alg, J, trace, gamma, mode, rigid_comp=None):
-    """check_trace_assertion with neither the memo nor the skip: one plain
-    progression per assignment of the full product, in product order.  A
-    rigid-closed assertion has one, whose verdict is returned as it is."""
+    """check_trace_assertion without the skip: one plain progression per
+    assignment of the full product, in product order, that reads every
+    step.  A rigid-closed assertion has one, whose verdict is returned as
+    it is."""
     free_data, free_comps = free_vars(gamma)
     data_names, comp_names = sorted(free_data), sorted(free_comps)
     rigid_comp = rigid_comp or {}
@@ -134,9 +134,8 @@ def test_stuttering_traces_agree_with_the_oracle_and_the_plain_progression():
                     )
                     assert oracle.truth_letter(verdict) == letter, (mode, gamma)
                     letters.append(letter)
-                # the monitor has no memo, and it interns the fresh copies
-                # before it skips: it must agree on every prefix until its
-                # verdict is final
+                # the monitor interns the fresh copies before it skips: it
+                # must agree on every prefix until its verdict is final
                 plan = AssertionPlan(gamma, decls)
                 monitor, final = Monitor(world.alg, world.J, gamma, plan), None
                 for t, k in enumerate(trace.steps, start=1):
@@ -229,7 +228,7 @@ class TestStutterRuns:
         short = ConfigurationTrace(trace.universe, (a, c, b))
         assert check_trace_assertion(self.alg, J, short, gamma, CLOSED).truth is Truth.VIOLATED
 
-    def test_a_name_at_two_sorts_is_evaluated_without_the_memo(self):
+    def test_a_name_at_two_sorts_is_evaluated(self):
         # free_vars refuses the state formula, the evaluation does not
         posted = Member(Var("p", PROB), PortRead("bb", "BB", "bbop", PROB))
         odd = Equals(Var("p", SOL), Var("p", SOL))
@@ -265,53 +264,30 @@ class TestStutterRuns:
                 assert counts[0][0] <= 2 * len(pattern) + 1
 
 
-def test_state_evaluations_are_at_most_the_distinct_triples(monkeypatch):
-    # each (formula, configuration, values of the formula's free variables)
-    # is evaluated at most once per check, and the check asks for more
+def test_pack_verdicts_equal_the_plain_progression_under_an_unread_rigid_variable():
+    # the 15 pack assertions on one run, open and closed, alone and under a
+    # rigid variable that no state formula reads, so that every instance
+    # evaluates the same state formulas at the same steps
     scenario = random_scenario(random.Random(19), max_problems=6)
     assert len(scenario.problems) == 6
     run = simulate_blackboard(scenario)
-    requested, evaluated = [], []
-    depth = [0]
-    state_verdict, holds = _TraceEvaluator.state_verdict, _StateEvaluator.holds
-
-    def triple(evaluator, asg, phi):
-        data, comps = free_vars(phi)
-        return (
-            id(phi),
-            evaluator.k,
-            tuple(asg[name] for name in sorted(data)),
-            tuple(asg[_COMPS][name] for name in sorted(comps)),
-        )
-
-    def requesting(evaluator, asg, phi):
-        requested.append(triple(evaluator.state, asg, phi))
-        return state_verdict(evaluator, asg, phi)
-
-    def evaluating(evaluator, asg, phi):
-        if depth[0] == 0:
-            evaluated.append(triple(evaluator, asg, phi))
-        depth[0] += 1
-        try:
-            return holds(evaluator, asg, phi)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(_TraceEvaluator, "state_verdict", requesting)
-    monkeypatch.setattr(_StateEvaluator, "holds", evaluating)
-    total_requested = total_evaluated = 0
-    for name, gamma, rigid_comp, rigid_data in _bundle_assertions():
+    alg, J, trace = run.algebra, run.interpretation, run.trace
+    assertions = _bundle_assertions()
+    assert len(assertions) == 15
+    for name, gamma, rigid_comp, rigid_data in assertions:
+        wrapped = RigidForallData("zz", PROB, gamma)
         for mode in (OPEN, CLOSED):
-            requested.clear()
-            evaluated.clear()
-            check_trace_assertion(
-                run.algebra, run.interpretation, run.trace, gamma, mode,
-                rigid_comp_decls=rigid_comp, rigid_data_decls=rigid_data,
-            )
-            assert len(evaluated) <= len(set(requested)), (name, mode)
-            total_requested += len(requested)
-            total_evaluated += len(evaluated)
-    assert total_evaluated < total_requested
+            verdicts = []
+            for assertion in (gamma, wrapped):
+                verdict = check_trace_assertion(
+                    alg, J, trace, assertion, mode,
+                    rigid_comp_decls=rigid_comp, rigid_data_decls=rigid_data,
+                )
+                assert verdict == _plain(alg, J, trace, assertion, mode, rigid_comp), (
+                    name, mode, assertion is wrapped,
+                )
+                verdicts.append(verdict)
+            assert verdicts[0].truth is verdicts[1].truth, (name, mode)
 
 
 def _fresh(k):
