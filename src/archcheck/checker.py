@@ -28,7 +28,6 @@ from .constraints import (
     AssertionPlan,
     Truth,
     Verdict,
-    _TraceContext,
     check_trace_assertion,
 )
 from .diagrams import annotation_labels, desugar_diagram, rigid_declarations
@@ -163,10 +162,10 @@ def run_check(
     What does not depend on the trace (the desugared diagram assertions and
     an ``AssertionPlan`` per assertion) is made on the first check of
     ``bundle`` and kept on it, so checks that reuse one bundle, as
-    ``verify_theorem(bundle=...)`` does, make it once.  What depends on the
-    trace alone (its interpretation index and configuration indexes) is
-    made once per call and shared by the assertions, which are checked one
-    after another by ``check_trace_assertion``.
+    ``verify_theorem(bundle=...)`` does, make it once.  The assertions are
+    checked one after another by ``check_trace_assertion``; what they read
+    of the trace alone, the index of each configuration and of the
+    interpretation set, was made with the trace.
     """
     algebra = _pick(bundle.algebras, algebra, "algebra")
     trace = _pick(bundle.traces, trace, "trace")
@@ -179,7 +178,6 @@ def run_check(
     )
     validity = check_trace(trace.trace)
     results = []
-    context = _TraceContext(algebra, trace.interpretation)
     for name, gamma, rigid_comp, rigid_data, text in _assertions(bundle):
         plan = bundle.plans.get(name)
         if plan is None or plan.gamma is not gamma:
@@ -194,7 +192,6 @@ def run_check(
             rigid_data_decls=rigid_data,
             max_assignments=max_assignments,
             plan=plan,
-            _context=context,
         )
         results.append(AssertionResult(name, verdict, text))
     results.sort(key=lambda r: r.name)

@@ -97,10 +97,12 @@ interfaces, the closure, the guard of each rigid data quantifier, and the
 state formulas compiled to closures (see ``algebra``), each quantifier's
 guard found as it is compiled.  ``check_trace_assertion`` and ``Monitor``
 make one unless they are given one; ``checker.run_check`` keeps one per
-assertion on the bundle it checks.  What depends on the trace but not on the assertion, the
-interpretation index and each configuration's index, is a
-``_TraceContext``, which ``run_check`` makes once per trace for all the
-assertions of the bundle.
+assertion on the bundle it checks.  What depends on the trace but not on
+the assertion is indexed by the objects of the model when they are made:
+each ``ArchConfiguration`` keeps its active snapshots by id, and the
+interpretation set ``J`` the sorted component ids of each interface and
+the interpretation of each snapshot.  An evaluation builds no index of
+its own.
 """
 from __future__ import annotations
 
@@ -564,47 +566,13 @@ def _instance_guard(gamma) -> Optional[Guard]:
     return find_guard(formula, {gamma.var: gamma.sort})
 
 
-class _TraceContext:
-    """What evaluating any assertion on one trace reads besides the
-    assertion: the algebra, the interpretation set ``J``, the ids of each
-    interface's components, the interpretations by id and snapshot, and,
-    with ``remember_steps``, the index of each configuration read, kept
-    for later visits.  ``run_check`` makes one per trace and shares it
-    among the bundle's assertions; the table saves about 3 % of a theorem
-    trial.  ``Monitor`` does not remember steps: the steps it is fed are
-    mostly first visits, so the table only adds work there (about 2 % of
-    its total step time in measured pairs)."""
-
-    def __init__(self, alg: Algebra, J: SpecInterpretation, remember_steps: bool = True):
-        self.alg, self.J = alg, J
-        self.ids_by_interface = {
-            name: tuple(sorted({i.snapshot.id for i in interps}))
-            for name, interps in J.by_interface.items()
-        }
-        self.interps: dict[str, dict] = {}
-        for interps in J.by_interface.values():
-            for interp in interps:
-                self.interps.setdefault(interp.snapshot.id, {})[interp.snapshot] = interp
-        self.steps: Optional[dict[int, tuple]] = {} if remember_steps else None
-
-    def index(self, k: ArchConfiguration) -> tuple:
-        """``k``, its active components by id, and a table of their
-        interpretations by id, filled as reads find them."""
-        cache = self.steps
-        cached = None if cache is None else cache.get(id(k))
-        if cached is None or cached[0] is not k:
-            cached = (k, {snap.id: snap for snap in k.active}, {})
-            if cache is not None:
-                cache[id(k)] = cached
-        return cached
-
-
 class _StateEvaluator(Evaluator):
-    """Evaluates configuration assertions in a ``_TraceContext``.
+    """Evaluates configuration assertions over the interpretation set ``J``.
 
-    ``at`` makes a configuration ``k`` current, with ``active`` mapping its
-    active component ids to their snapshots; ``notes`` collects the
-    undefined reads of the verdict under way, in order.
+    ``at`` makes a configuration ``k`` current, with ``active`` its index of
+    active snapshots by id (``k.by_id``); an active component's
+    interpretation is that of its snapshot in ``J.by_snapshot``.  ``notes``
+    collects the undefined reads of the verdict under way, in order.
     """
 
     FRAGMENT = "configuration assertions"
@@ -627,20 +595,20 @@ class _StateEvaluator(Evaluator):
         ExistsComp: _comp_quantifier(False),
     }
 
-    def __init__(self, context: _TraceContext, closures: Optional[dict] = None):
-        super().__init__(context.alg, closures)
-        self.context = context
+    def __init__(self, alg: Algebra, J: SpecInterpretation, closures: Optional[dict] = None):
+        super().__init__(alg, closures)
+        self.J = J
         self.notes: dict[str, None] = {}
 
     def interface_ids(self, interface: str) -> tuple[str, ...]:
         try:
-            return self.context.ids_by_interface[interface]
+            return self.J.ids_by_interface[interface]
         except KeyError:
             raise InterpretationError(f"undeclared interface {interface!r}") from None
 
     def at(self, k: ArchConfiguration) -> None:
         """Make ``k`` the current configuration."""
-        self.k, self.active, self._active_interps = self.context.index(k)
+        self.k, self.active = k, k.by_id
 
     def source(self, asg, term: Term) -> frozenset:
         """Undefined reads give the empty set (matching the guarded expansion
@@ -652,11 +620,8 @@ class _StateEvaluator(Evaluator):
             return frozenset()
 
     def interpretation(self, cid: str):
-        """The interpretation of an active component, found once per step."""
-        interp = self._active_interps.get(cid)
-        if interp is None:
-            interp = self.context.interps.get(cid, {}).get(self.active[cid])
-            self._active_interps[cid] = interp
+        """The interpretation of an active component."""
+        interp = self.J.by_snapshot.get(self.active[cid])
         if interp is None:
             raise InterpretationError(
                 f"active component {cid!r} has no interface interpretation"
@@ -765,9 +730,18 @@ class _Items(_Residual):
         self._keyed(dominant, pending, found)
 
     def progress(self, ev):
-        return _items(
-            self.dominant, (item.progress(ev) for item in self.pending), self.found
-        )
+        """``_items`` of the pending items' results, read up to the first
+        dominant verdict; or ``self`` when every item progressed to itself,
+        as ``_items`` would make an equal residual."""
+        dominant, results = self.dominant, []
+        for item in self.pending:
+            result = item.progress(ev)
+            results.append(result)
+            if type(result) is Verdict and result.truth is dominant:
+                break
+        if tuple(results) == self.pending:
+            return self
+        return _items(dominant, results, self.found)
 
     def close(self, ev, mode):
         saw_inconclusive = False
@@ -1047,8 +1021,8 @@ class _TraceEvaluator:
     ``progress(residual, m, k)`` makes configuration ``k`` the current step
     ``m`` and advances ``residual`` over it; ``close(residual, mode)`` ends a
     residual at the last step read.  An assertion under an assignment
-    starts as ``_Deferred(gamma, asg)``.  ``context`` is the trace's
-    ``_TraceContext``.
+    starts as ``_Deferred(gamma, asg)``.  State formulas are evaluated in
+    the algebra ``alg`` over the interpretation set ``J``.
 
     ``tables`` are the ``_node_tables`` of the assertion: ``guards`` holds,
     by the id of a rigid data quantifier, the quantifier and its guard; the
@@ -1060,9 +1034,9 @@ class _TraceEvaluator:
     keeps those configurations alive, so that their ids are not reused.
     """
 
-    def __init__(self, context: _TraceContext, tables: tuple[dict, dict]):
+    def __init__(self, alg: Algebra, J: SpecInterpretation, tables: tuple[dict, dict]):
         self.guards, closures = tables
-        self.state = _StateEvaluator(context, closures)
+        self.state = _StateEvaluator(alg, J, closures)
         self.m: Optional[int] = None
         self._bound: dict = {}
         self.unchanged: set = set()
@@ -1164,7 +1138,7 @@ def trace_holds(
     if n >= length or n < 0:
         raise UsageError(f"time index {n} outside the trace (length {length})")
     asg = {**rigid_data, _COMPS: dict(rigid_comp)}
-    evaluator = _TraceEvaluator(_TraceContext(alg, J), _node_tables(gamma))
+    evaluator = _TraceEvaluator(alg, J, _node_tables(gamma))
     return evaluator.run(gamma, asg, trace.steps, n, mode)
 
 
@@ -1283,8 +1257,6 @@ def check_trace_assertion(
     rigid_data_decls: Optional[Mapping[str, Sort]] = None,
     max_assignments: int = DEFAULT_ASSIGNMENT_BOUND,
     plan: Optional[AssertionPlan] = None,
-    *,
-    _context: Optional[_TraceContext] = None,
 ) -> Verdict:
     """Three-valued conjunction of trace_holds at index 0 over all rigid
     assignments of the assertion's free variables: one run of its
@@ -1303,15 +1275,12 @@ def check_trace_assertion(
     ``max_assignments`` bounds the product of the rigid variables'
     carriers and component sets before anything runs.  ``plan`` is the
     ``AssertionPlan`` of ``gamma`` and the two declarations, made once and
-    reused; without it, one is made for this call.  ``_context``, internal,
-    is the ``_TraceContext`` of ``alg`` and ``J`` that ``checker.run_check``
-    shares among the assertions of a bundle; without it, one is made.
+    reused; without it, one is made for this call.
     """
     plan = AssertionPlan.of(gamma, plan, rigid_comp_decls, rigid_data_decls)
     plan.check_bound(alg, J, max_assignments)
     _check_mode(mode)
-    context = _TraceContext(alg, J) if _context is None else _context
-    evaluator = _TraceEvaluator(context, plan.tables)
+    evaluator = _TraceEvaluator(alg, J, plan.tables)
     return evaluator.run(plan.closed, {_COMPS: {}}, trace.steps, 0, mode)
 
 
@@ -1344,9 +1313,7 @@ class Monitor:
     ):
         plan = AssertionPlan.of(gamma, plan)
         plan.check_bound(alg, J, DEFAULT_ASSIGNMENT_BOUND)
-        self._evaluator = _TraceEvaluator(
-            _TraceContext(alg, J, remember_steps=False), plan.tables
-        )
+        self._evaluator = _TraceEvaluator(alg, J, plan.tables)
         self._residual = _Deferred(plan.closed, {_COMPS: {}})
         self._interned: dict = {}
         self._steps = 0

@@ -225,9 +225,16 @@ def identity_interpretation(snapshot: ComponentSnapshot) -> InterfaceInterpretat
 
 @record
 class SpecInterpretation:
-    """Per interface identifier, the set of interpreting components."""
+    """Per interface identifier, the set of interpreting components.
+
+    Two indexes are made with it: ``ids_by_interface``, the sorted component
+    ids of each interface, and ``by_snapshot``, the interpretation of each
+    snapshot (of a snapshot interpreted twice, one of them).
+    """
 
     by_interface: Mapping[str, frozenset[InterfaceInterpretation]]
+    ids_by_interface: dict = field(init=False, compare=False, repr=False)
+    by_snapshot: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         normalized = {
@@ -235,22 +242,24 @@ class SpecInterpretation:
             for name, items in dict(self.by_interface).items()
         }
         object.__setattr__(self, "by_interface", normalized)
+        object.__setattr__(self, "ids_by_interface", {
+            name: tuple(sorted({i.snapshot.id for i in interps}))
+            for name, interps in normalized.items()
+        })
+        object.__setattr__(self, "by_snapshot", {
+            i.snapshot: i for interps in normalized.values() for i in interps
+        })
 
     def ids_of(self, interface_id: str) -> tuple[str, ...]:
         try:
-            interps = self.by_interface[interface_id]
+            return self.ids_by_interface[interface_id]
         except KeyError:
             raise UnknownComponentError(
                 f"undeclared interface {interface_id!r}"
             ) from None
-        return tuple(sorted({i.snapshot.id for i in interps}))
 
     def universe(self) -> ComponentUniverse:
-        return ComponentUniverse(
-            interp.snapshot
-            for interps in self.by_interface.values()
-            for interp in interps
-        )
+        return ComponentUniverse(self.by_snapshot.keys())
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,18 @@ class PortValuation(_FrozenMap):
 
 @record
 class ComponentSnapshot:
-    """A component at one instant: identifier, port roles, and valuation."""
+    """A component at one instant: identifier, port roles, and valuation.
+
+    Its hash, that of its field tuple as for any record, is computed once:
+    a snapshot keys the lookup of its interpretation at every port read.
+    """
 
     id: str
     local_ports: frozenset[str]
     input_ports: frozenset[str]
     output_ports: frozenset[str]
     valuation: PortValuation
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.valuation, PortValuation):
@@ -180,6 +185,17 @@ class ComponentSnapshot:
                 f"{self.id}: valuation domain mismatch"
                 f" (missing={missing}, extra={extra})"
             )
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.id, self.local_ports, self.input_ports, self.output_ports, self.valuation)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # made again on loading, so the hash follows that process's str hashes
+        return ComponentSnapshot, self._fields()
 
     @property
     def ports(self) -> frozenset[str]:
@@ -336,14 +352,17 @@ class ConnectionMap(_FrozenMap):
 
 @record
 class ArchConfiguration:
-    """Active snapshots plus a connection map over their ports."""
+    """Active snapshots plus a connection map over their ports; ``by_id``
+    maps each active snapshot's id to it (to one of two that share an id)."""
 
     active: frozenset[ComponentSnapshot]
     connection: ConnectionMap = field(default_factory=ConnectionMap)
+    by_id: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.connection, ConnectionMap):
             object.__setattr__(self, "connection", ConnectionMap(self.connection))
+        object.__setattr__(self, "by_id", {snap.id: snap for snap in self.active})
 
 
 def check_configuration(

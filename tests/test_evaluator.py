@@ -44,7 +44,6 @@ from archcheck.constraints import (
     State,
     Truth,
     _StateEvaluator,
-    _TraceContext,
     check_trace_assertion,
     trace_holds,
 )
@@ -148,8 +147,7 @@ def test_configuration_context_agrees_with_the_reference():
         dscope = ["x"]
         formulas = [gen.state_formula(3, dscope, cscope) for _ in range(2)]
         formulas += [_range_tested(rng, gen, dscope, cscope) for _ in range(3)]
-        context = _TraceContext(world.alg, world.J)
-        compiled = _StateEvaluator(context, {})  # one table for every formula
+        compiled = _StateEvaluator(world.alg, world.J, {})  # one table for every formula
         interpreted = reference.StateEvaluator(world.alg, world.J)
         for k in world.extension.steps:
             compiled.at(k)
@@ -265,7 +263,7 @@ def _passed_by(node):
 @pytest.mark.parametrize("node, error, message", UNEVALUABLE)
 def test_an_unevaluable_node_raises_only_when_reached(node, error, message):
     for phi in _passed_by(node):
-        got = _outcome(_at(_StateEvaluator(_TraceContext(ALG, J))), {_COMPS: {}}, phi)
+        got = _outcome(_at(_StateEvaluator(ALG, J)), {_COMPS: {}}, phi)
         assert type(got[0]) is bool
         assert got == _outcome(_at(reference.StateEvaluator(ALG, J)), {_COMPS: {}}, phi)
         assert trace_holds(ALG, J, {}, {}, TRACE, 0, State(phi)).truth is not None
@@ -292,7 +290,7 @@ def test_an_unbound_component_variable_is_named_as_before():
     for comps in ({}, {"v": "bb"}, {"w": "bb"}, {"v": "bb", "w": "bb"}):
         for phi in atoms:
             asg = {_COMPS: comps}
-            got = _outcome(_at(_StateEvaluator(_TraceContext(ALG, J))), asg, phi)
+            got = _outcome(_at(_StateEvaluator(ALG, J)), asg, phi)
             assert got == _outcome(_at(reference.StateEvaluator(ALG, J)), asg, phi)
 
 
@@ -318,5 +316,5 @@ def test_a_port_read_before_active_still_notes_its_undefined_read():
             verdict = trace_holds(ALG, J2, {"p": "pA"}, {}, trace, 0, State(phi))
             assert (verdict.truth, verdict.explanation) == (truth, noted), phi
             asg = {"p": "pA", _COMPS: {}}
-            got = _outcome(_at(_StateEvaluator(_TraceContext(ALG, J2)), step), asg, phi)
+            got = _outcome(_at(_StateEvaluator(ALG, J2), step), asg, phi)
             assert got == _outcome(_at(reference.StateEvaluator(ALG, J2), step), asg, phi)

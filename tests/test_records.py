@@ -14,6 +14,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import pickle
 import pkgutil
 import random
 import subprocess
@@ -24,7 +25,7 @@ from typing import Mapping, Optional
 import pytest
 
 import archcheck
-from archcheck import _record
+from archcheck import _record, blackboard
 from archcheck.algebra import (
     BaseSort,
     BoolLit,
@@ -37,14 +38,14 @@ from archcheck.algebra import (
 from archcheck.blackboard import random_scenario
 from archcheck.constraints import Truth, Verdict, _Slices
 from archcheck.interfaces import InterfaceInterpretation
-from archcheck.model import ArchConfiguration
+from archcheck.model import ArchConfiguration, ComponentSnapshot, make_snapshot
 from archcheck.parser.lexer import Token
 from archcheck.parser.syntax import Diagnostic, EName, Span
 
 # The resolver's two mutable scopes stay plain ``@dataclass`` classes.
 MUTABLE = {"archcheck.parser.resolver.ResolvedBundle", "archcheck.parser.resolver.Env"}
 # Record classes whose body defines its own ``__hash__``.
-OWN_HASH = {InterfaceInterpretation}
+OWN_HASH = {InterfaceInterpretation, ComponentSnapshot}
 
 
 def _dataclasses() -> dict:
@@ -150,9 +151,11 @@ def test_equality_hash_and_repr_match_a_dataclasses_twin(cls):
 
 def test_fields_left_out_of_comparison_are_the_expected_ones():
     ignored = {f.name for cls in RECORDS for f in dataclasses.fields(cls) if not f.compare}
-    assert ignored == {"span", "text", "lines", "_concrete"}
+    # the indexes and the cached hash that records make for themselves
+    made = {"_concrete", "_hash", "by_id", "ids_by_interface", "by_snapshot"}
+    assert ignored == {"span", "text", "lines"} | made
     hidden = {f.name for cls in RECORDS for f in dataclasses.fields(cls) if not f.repr}
-    assert hidden == {"span", "lines", "_concrete"}
+    assert hidden == {"span", "lines"} | made
 
 
 @records
@@ -189,6 +192,60 @@ def test_replace_keeps_working():
     longer = dataclasses.replace(base, horizon=60)
     assert longer.horizon == 60
     assert dataclasses.replace(longer, horizon=30) == base
+
+
+def _snapshot_fields(snap):
+    return tuple(getattr(snap, f.name) for f in dataclasses.fields(snap) if f.compare)
+
+
+def test_a_snapshot_keeps_the_hash_of_its_field_tuple():
+    """``ComponentSnapshot`` computes its hash once, as the hash that
+    ``record`` generates: equal snapshots built apart hash alike."""
+    scenario = random_scenario(random.Random(3), horizon=30)
+    snaps = {s for k in blackboard.simulate_blackboard(scenario).trace.steps for s in k.active}
+    assert len(snaps) > 10
+    for snap in snaps:
+        values = {  # each message set and message made anew
+            port: [set(m) if type(m) is frozenset else m for m in messages]
+            for port, messages in snap.valuation.items()
+        }
+        apart = make_snapshot(
+            snap.id,
+            local={p: values[p] for p in snap.local_ports},
+            inputs={p: values[p] for p in snap.input_ports},
+            outputs={p: values[p] for p in snap.output_ports},
+        )
+        direct = ComponentSnapshot(
+            snap.id, list(snap.local_ports), set(snap.input_ports),
+            tuple(snap.output_ports), dict(snap.valuation),
+        )
+        for other in (apart, direct, dataclasses.replace(snap)):
+            assert other is not snap and other == snap
+            assert hash(other) == hash(snap) == hash(_snapshot_fields(other))
+    changed = dataclasses.replace(snap, id=snap.id + "x")
+    assert hash(changed) == hash(_snapshot_fields(changed)) != hash(snap)
+
+
+def test_a_loaded_snapshot_hashes_by_the_strings_of_its_process():
+    """A pickled snapshot is made again when it is loaded, so its hash is
+    that of the loading process, whose string hashes may differ."""
+    dump = (
+        "import pickle, sys\n"
+        "from archcheck.model import make_snapshot\n"
+        "snap = make_snapshot('ks1', local={'n': {'a'}}, inputs={'i': {('a', 'b')}})\n"
+        "sys.stdout.write(pickle.dumps(snap).hex())\n"
+    )
+    src = str(Path(archcheck.__file__).parent.parent)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"  # not this one's
+    done = subprocess.run(
+        [sys.executable, "-c", dump], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = pickle.loads(bytes.fromhex(done.stdout))
+    here = make_snapshot("ks1", local={"n": {"a"}}, inputs={"i": {("a", "b")}})
+    assert loaded == here and hash(loaded) == hash(here) == hash(_snapshot_fields(loaded))
+    assert loaded in {here}
 
 
 def test_hot_records_hash_and_compare_by_their_fields():

@@ -1,8 +1,10 @@
 """Work that a theorem trial used to redo: the simulator builds each distinct
 snapshot once per simulation, a bundle keeps the analysis of its assertions
-across checks, their state formulas compiled once per plan, a check indexes
-the trace once for all its assertions, an interface check analyses and
-compiles each axiom once, and a
+across checks, their state formulas compiled once per plan, a check builds
+no configuration and no interpretation set (both index themselves when
+they are made, and configurations rebuilt down to their snapshots get the
+same verdicts), a conjunction whose items stand still is not made again,
+an interface check analyses and compiles each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
 explanation included; a connection map and a port valuation find a port
 without reading their other entries, and a missed lookup raises nothing; a
@@ -37,12 +39,13 @@ from archcheck.constraints import (
     OPEN,
     AssertionPlan,
     Monitor,
+    Truth,
     check_trace_assertion,
     free_vars,
     trace_holds,
 )
 from archcheck.errors import StructuralError, UsageError
-from archcheck.interfaces import identity_interpretation
+from archcheck.interfaces import SpecInterpretation, identity_interpretation
 from archcheck.model import (
     ArchConfiguration,
     ConfigurationTrace,
@@ -304,23 +307,98 @@ def test_state_evaluations_per_20_criterion_6_trials(monkeypatch):
     assert 0 < calls[0] <= 7708
 
 
-def test_a_check_shares_one_trace_context_among_its_assertions(monkeypatch):
-    contexts = []
-    init = constraints._TraceContext.__init__
-
-    def counted(context, *args, **kwargs):
-        contexts.append(context)
-        init(context, *args, **kwargs)
-
-    monkeypatch.setattr(constraints._TraceContext, "__init__", counted)
+def test_a_check_builds_no_configuration_and_no_interpretation_set(monkeypatch):
+    # what a check reads of the trace alone, the index of each
+    # configuration and of the interpretation set, was made with the trace
     bundle = blackboard_bundle()
     result = simulate_blackboard(random_scenario(random.Random(17), horizon=30))
+    built = []
+    for cls in (ArchConfiguration, SpecInterpretation):
+        def counted(obj, made=cls.__post_init__):
+            built.append(obj)
+            made(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
     report = check_simulation(bundle, result)
     assert len(report.assertions) == len(bundle.plans) > 10
-    assert len(contexts) == 1
-    # each distinct configuration is indexed once, for all the assertions
-    steps = result.trace.steps
-    assert len(contexts[0].steps) == len({id(k) for k in steps}) < len(steps)
+    assert built == []
+
+
+def test_a_conjunction_whose_items_stand_still_is_not_made_again(monkeypatch):
+    # BlackboardDiagram.rigid is the closure of G(...) over one blackboard:
+    # its one instance progresses to itself at every step, so the closure
+    # stays the conjunction made at its first step (8, 12 and 15 were made
+    # when every step made a new one)
+    built = [0]
+    init = constraints._Items.__init__
+
+    def counted(items, *args):
+        built[0] += 1
+        init(items, *args)
+
+    monkeypatch.setattr(constraints._Items, "__init__", counted)
+    assertions = {name: rest for name, *rest in _bundle_assertions()}
+    gamma, rigid_comp, rigid_data = assertions["BlackboardDiagram.rigid"]
+    for seed in (1, 17, 19):
+        result = simulate_blackboard(random_scenario(random.Random(seed), horizon=50))
+        for mode in (OPEN, CLOSED):
+            built[0] = 0
+            verdict = check_trace_assertion(
+                result.algebra, result.interpretation, result.trace, gamma, mode,
+                rigid_comp, rigid_data,
+            )
+            assert verdict.truth is (Truth.SATISFIED if mode == CLOSED else Truth.INCONCLUSIVE)
+            assert built[0] == 1, (seed, mode)
+    # and the whole bundle on the seed-1 run, closed: 137 were made before
+    result = simulate_blackboard(random_scenario(random.Random(1), horizon=50))
+    built[0] = 0
+    report = check_simulation(blackboard_bundle(), result)
+    assert report.overall is Truth.SATISFIED and built[0] <= 43
+
+
+def _rebuilt_steps(trace):
+    """Each configuration of ``trace`` made again from snapshots rebuilt
+    from their valuations: equal to the original, and sharing no snapshot
+    object with it or with the interpretation set."""
+    return [
+        ArchConfiguration(frozenset(map(_rebuilt, k.active)), k.connection)
+        for k in trace.steps
+    ]
+
+
+def test_configurations_rebuilt_down_to_their_snapshots_get_the_same_verdicts():
+    # the interpretation of an active component is found by its snapshot's
+    # equality, not its identity
+    assertions = _bundle_assertions()
+    assert len(assertions) == 15
+    compared = violated = 0
+    runs = [(19, None)] + [(seed, m) for seed in (1, 3) for m in MUTATIONS]
+    for seed, mutation in runs:
+        result = simulate_blackboard(
+            random_scenario(random.Random(seed), horizon=40), mutation
+        )
+        alg, J, trace = result.algebra, result.interpretation, result.trace
+        steps = _rebuilt_steps(trace)
+        assert steps == list(trace.steps)
+        originals = {id(s) for k in trace.steps for s in k.active}
+        originals |= {id(snap) for snap in J.by_snapshot}
+        assert not originals & {id(s) for k in steps for s in k.active}
+        rebuilt = ConfigurationTrace(trace.universe, steps)
+        for name, gamma, rigid_comp, rigid_data in assertions:
+            plan = AssertionPlan(gamma, rigid_comp, rigid_data)
+            for mode in (OPEN, CLOSED):
+                expected = check_trace_assertion(alg, J, trace, gamma, mode, plan=plan)
+                got = check_trace_assertion(alg, J, rebuilt, gamma, mode, plan=plan)
+                assert got == expected, (seed, mutation, name, mode)
+                compared += 1
+                violated += expected.truth is Truth.VIOLATED
+            on_original, on_rebuilt = Monitor(alg, J, gamma, plan), Monitor(alg, J, gamma, plan)
+            for k, fresh in zip(trace.steps, _rebuilt_steps(trace)):
+                assert on_rebuilt.step(fresh) == on_original.step(k), (seed, name)
+            assert on_rebuilt.verdict == check_trace_assertion(
+                alg, J, trace, gamma, OPEN, plan=plan
+            )
+    assert compared == 2 * 15 * len(runs) and violated > 5
 
 
 def test_interface_axioms_are_compiled_once_per_check(monkeypatch):

@@ -29,7 +29,6 @@ from archcheck.constraints import (
     Verdict,
     _Deferred,
     _StateEvaluator,
-    _TraceContext,
     _TraceEvaluator,
     _node_tables,
     check_trace_assertion,
@@ -66,9 +65,7 @@ def _plain(alg, J, trace, gamma, mode, rigid_comp=None):
         for comp_combo in itertools.product(*comp_domains):
             asg = {**dict(zip(data_names, data_combo)),
                    _COMPS: dict(zip(comp_names, comp_combo))}
-            evaluator = _TraceEvaluator(
-                _TraceContext(alg, J, remember_steps=False), _node_tables(gamma)
-            )
+            evaluator = _TraceEvaluator(alg, J, _node_tables(gamma))
             residual = _Deferred(gamma, asg)
             for m, k in enumerate(trace.steps):
                 residual = evaluator.progress(residual, m, k)
