@@ -470,7 +470,11 @@ def _port_read(ev, term: PortRead):
         cid = _comp(asg, var)
         if cid not in ev.active:
             raise _UndefinedRead(f"undefined read: {var}.{port} ({cid} inactive)")
-        return ev.interpretation(cid).port_value(port)
+        interp = ev.active[cid]
+        concrete = None if interp is None else interp._concrete.get(port)
+        if concrete is None:  # raises the error of the missing entry
+            return ev.interpretation(cid).port_value(port)
+        return interp.snapshot.valuation[concrete]
 
     return read
 
@@ -569,10 +573,16 @@ def _instance_guard(gamma) -> Optional[Guard]:
 class _StateEvaluator(Evaluator):
     """Evaluates configuration assertions over the interpretation set ``J``.
 
-    ``at`` makes a configuration ``k`` current, with ``active`` its index of
-    active snapshots by id (``k.by_id``); an active component's
-    interpretation is that of its snapshot in ``J.by_snapshot``.  ``notes``
-    collects the undefined reads of the verdict under way, in order.
+    ``at`` makes a configuration ``k`` current.  It looks up the
+    interpretation of each active snapshot in ``J.by_snapshot`` once:
+    ``active`` maps each active component's id to its interpretation, or to
+    None when it has none, and ``links`` is the table of ``k``'s connection
+    map.  Port reads and ``connected`` read these, and the interpretation's
+    table of concrete ports, directly, so no read hashes a snapshot.  An
+    entry that is missing is read again through ``interpretation`` and the
+    interpretation's own methods, which raise its error: at the read that
+    meets it, never in ``at``.  ``notes`` collects the undefined reads of the
+    verdict under way, in order.
     """
 
     FRAGMENT = "configuration assertions"
@@ -607,8 +617,10 @@ class _StateEvaluator(Evaluator):
             raise InterpretationError(f"undeclared interface {interface!r}") from None
 
     def at(self, k: ArchConfiguration) -> None:
-        """Make ``k`` the current configuration."""
-        self.k, self.active = k, k.by_id
+        """Make ``k`` the current configuration (see the class docstring)."""
+        by_id = k.by_id
+        self.links = k.connection._table
+        self.active = dict(zip(by_id, map(self.J.by_snapshot.get, by_id.values())))
 
     def source(self, asg, term: Term) -> frozenset:
         """Undefined reads give the empty set (matching the guarded expansion
@@ -621,7 +633,7 @@ class _StateEvaluator(Evaluator):
 
     def interpretation(self, cid: str):
         """The interpretation of an active component."""
-        interp = self.J.by_snapshot.get(self.active[cid])
+        interp = self.active[cid]
         if interp is None:
             raise InterpretationError(
                 f"active component {cid!r} has no interface interpretation"
@@ -638,9 +650,16 @@ class _StateEvaluator(Evaluator):
                 f" ({in_id if in_id not in self.active else out_id})"
             ] = None
             return False
-        src = (in_id, self.interpretation(in_id).concrete_port(in_port))
-        tgt = (out_id, self.interpretation(out_id).concrete_port(out_port))
-        return tgt in self.k.connection.get(src, frozenset())
+        in_interp, out_interp = self.active[in_id], self.active[out_id]
+        if in_interp is None or out_interp is None:
+            in_concrete = out_concrete = None
+        else:
+            in_concrete = in_interp._concrete.get(in_port)
+            out_concrete = out_interp._concrete.get(out_port)
+        if in_concrete is None or out_concrete is None:  # raises the error
+            in_concrete = self.interpretation(in_id).concrete_port(in_port)
+            out_concrete = self.interpretation(out_id).concrete_port(out_port)
+        return (out_id, out_concrete) in self.links.get((in_id, in_concrete), ())
 
 
 # ---------------------------------------------------------------------------
@@ -1294,8 +1313,9 @@ class Monitor:
     for ``check_trace_assertion``, and the rigid assignments are bounded by
     ``DEFAULT_ASSIGNMENT_BOUND``.
 
-    Each configuration is interned by equality, so that equal ones, even
-    when built afresh, are one object, and is then fed to the evaluator
+    Each configuration is interned by equality, by the hash it computed
+    when it was made, so that equal ones, even when built afresh, are one
+    object, and is then fed to the evaluator
     (``_TraceEvaluator.feed``).  A configuration known to leave the residual
     unchanged is not read, and the step returns the last verdict: in open
     mode an unchanged residual closes to the same verdict.  The intern table

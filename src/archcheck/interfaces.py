@@ -149,7 +149,8 @@ class InterfaceInterpretation:
     input_map: Mapping[str, str] = field(default_factory=dict)
     output_map: Mapping[str, str] = field(default_factory=dict)
     # interface port id -> concrete port; of the local, input and output maps,
-    # the first to hold an id wins, as in a scan of the three in that order
+    # the first to hold an id wins, as in a scan of the three in that order;
+    # the state evaluator of ``constraints`` reads it directly
     _concrete: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -324,7 +324,8 @@ class ConnectionMap(_FrozenMap):
 
     Entries with an empty target set are dropped, so the domain contains
     exactly the connected inputs, and ``get`` of another port gives the
-    empty set.
+    empty set.  The state evaluator of ``constraints`` reads ``_table``
+    directly.
     """
 
     __slots__ = ()
@@ -353,16 +354,29 @@ class ConnectionMap(_FrozenMap):
 @record
 class ArchConfiguration:
     """Active snapshots plus a connection map over their ports; ``by_id``
-    maps each active snapshot's id to it (to one of two that share an id)."""
+    maps each active snapshot's id to it (to one of two that share an id).
+
+    Its hash, that of its field tuple as for any record, is computed once:
+    a monitor interns each configuration it is fed by equality.
+    """
 
     active: frozenset[ComponentSnapshot]
     connection: ConnectionMap = field(default_factory=ConnectionMap)
     by_id: dict = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.connection, ConnectionMap):
             object.__setattr__(self, "connection", ConnectionMap(self.connection))
         object.__setattr__(self, "by_id", {snap.id: snap for snap in self.active})
+        object.__setattr__(self, "_hash", hash((self.active, self.connection)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # made again on loading, so the hash follows that process's str hashes
+        return ArchConfiguration, (self.active, self.connection)
 
 
 def check_configuration(

@@ -45,7 +45,7 @@ from archcheck.parser.syntax import Diagnostic, EName, Span
 # The resolver's two mutable scopes stay plain ``@dataclass`` classes.
 MUTABLE = {"archcheck.parser.resolver.ResolvedBundle", "archcheck.parser.resolver.Env"}
 # Record classes whose body defines its own ``__hash__``.
-OWN_HASH = {InterfaceInterpretation, ComponentSnapshot}
+OWN_HASH = {InterfaceInterpretation, ComponentSnapshot, ArchConfiguration}
 
 
 def _dataclasses() -> dict:
@@ -194,8 +194,8 @@ def test_replace_keeps_working():
     assert dataclasses.replace(longer, horizon=30) == base
 
 
-def _snapshot_fields(snap):
-    return tuple(getattr(snap, f.name) for f in dataclasses.fields(snap) if f.compare)
+def _compared_fields(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare)
 
 
 def test_a_snapshot_keeps_the_hash_of_its_field_tuple():
@@ -221,9 +221,9 @@ def test_a_snapshot_keeps_the_hash_of_its_field_tuple():
         )
         for other in (apart, direct, dataclasses.replace(snap)):
             assert other is not snap and other == snap
-            assert hash(other) == hash(snap) == hash(_snapshot_fields(other))
+            assert hash(other) == hash(snap) == hash(_compared_fields(other))
     changed = dataclasses.replace(snap, id=snap.id + "x")
-    assert hash(changed) == hash(_snapshot_fields(changed)) != hash(snap)
+    assert hash(changed) == hash(_compared_fields(changed)) != hash(snap)
 
 
 def test_a_loaded_snapshot_hashes_by_the_strings_of_its_process():
@@ -244,8 +244,65 @@ def test_a_loaded_snapshot_hashes_by_the_strings_of_its_process():
     assert done.returncode == 0, done.stderr
     loaded = pickle.loads(bytes.fromhex(done.stdout))
     here = make_snapshot("ks1", local={"n": {"a"}}, inputs={"i": {("a", "b")}})
-    assert loaded == here and hash(loaded) == hash(here) == hash(_snapshot_fields(loaded))
+    assert loaded == here and hash(loaded) == hash(here) == hash(_compared_fields(loaded))
     assert loaded in {here}
+
+
+def _remade(snap):
+    """An equal snapshot made by ``make_snapshot`` from copies of its port
+    values."""
+    def values(ports):
+        return {port: set(snap.valuation[port]) for port in ports}
+
+    return make_snapshot(snap.id, values(snap.local_ports), values(snap.input_ports),
+                         values(snap.output_ports))
+
+
+def test_a_configuration_keeps_the_hash_of_its_field_tuple():
+    """``ArchConfiguration`` computes its hash once, as the hash that
+    ``record`` generates: equal configurations built apart hash alike."""
+    scenario = random_scenario(random.Random(3), horizon=30)
+    steps = set(blackboard.simulate_blackboard(scenario).trace.steps)
+    assert len(steps) > 5
+    for k in steps:
+        links = {src: list(targets) for src, targets in k.connection.items()}
+        built = (
+            ArchConfiguration(list(k.active), links),
+            ArchConfiguration(frozenset(map(_remade, k.active)), dict(links)),
+            dataclasses.replace(k),
+        )
+        for other in built:
+            assert other is not k and other == k
+            assert hash(other) == hash(k) == hash(_compared_fields(other))
+            assert hash(k) == hash((k.active, k.connection))
+    changed = dataclasses.replace(k, connection={})
+    assert hash(changed) == hash(_compared_fields(changed)) != hash(k)
+
+
+def test_a_loaded_configuration_hashes_by_the_strings_of_its_process():
+    """A pickled configuration is made again when it is loaded, as its
+    snapshots are, so its hash is that of the loading process."""
+    dump = (
+        "import pickle, sys\n"
+        "from archcheck.model import ArchConfiguration, make_snapshot\n"
+        "k = ArchConfiguration({make_snapshot('ks1', inputs={'i': {'a'}}),"
+        " make_snapshot('bb', outputs={'o': {'a'}})}, {('ks1', 'i'): [('bb', 'o')]})\n"
+        "sys.stdout.write(pickle.dumps(k).hex())\n"
+    )
+    src = str(Path(archcheck.__file__).parent.parent)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"  # not this one's
+    done = subprocess.run(
+        [sys.executable, "-c", dump], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = pickle.loads(bytes.fromhex(done.stdout))
+    here = ArchConfiguration(
+        {make_snapshot("ks1", inputs={"i": {"a"}}), make_snapshot("bb", outputs={"o": {"a"}})},
+        {("ks1", "i"): [("bb", "o")]},
+    )
+    assert loaded == here and hash(loaded) == hash(here) == hash(_compared_fields(loaded))
+    assert loaded in {here} and loaded.by_id == here.by_id
 
 
 def test_hot_records_hash_and_compare_by_their_fields():

@@ -4,7 +4,9 @@ across checks, their state formulas compiled once per plan, a check builds
 no configuration and no interpretation set (both index themselves when
 they are made, and configurations rebuilt down to their snapshots get the
 same verdicts), a conjunction whose items stand still is not made again,
-an interface check analyses and compiles each axiom once, and a
+one evaluation of a state formula looks each active snapshot's
+interpretation up once, a monitor hashes none of the configurations it is
+fed (each computed its hash when it was made), an interface check analyses and compiles each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
 explanation included; a connection map and a port valuation find a port
 without reading their other entries, and a missed lookup raises nothing; a
@@ -399,6 +401,69 @@ def test_configurations_rebuilt_down_to_their_snapshots_get_the_same_verdicts():
                 alg, J, trace, gamma, OPEN, plan=plan
             )
     assert compared == 2 * 15 * len(runs) and violated > 5
+
+
+class _CountedLookups(dict):
+    """A dict that counts the lookups made with ``get`` and ``[]``."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_one_evaluation_of_connections_looks_each_active_snapshot_up_once():
+    # the state evaluator finds each active component's interpretation once
+    # when it visits a configuration; when every read found it again, this
+    # evaluation made 128 lookups
+    name, gamma, rigid_comp, rigid_data = next(
+        a for a in _bundle_assertions() if a[0] == "BlackboardDiagram.connections"
+    )
+    result = simulate_blackboard(random_scenario(random.Random(3), horizon=30))
+    k = next(k for k in result.trace.steps if len(k.active) == 4)
+    J = SpecInterpretation(result.interpretation.by_interface)
+    counted = _CountedLookups(J.by_snapshot)
+    object.__setattr__(J, "by_snapshot", counted)
+    trace = ConfigurationTrace(result.trace.universe, [k])
+    for mode in (OPEN, CLOSED):
+        counted.lookups = 0
+        verdict = check_trace_assertion(
+            result.algebra, J, trace, gamma, mode, rigid_comp, rigid_data
+        )
+        assert verdict.truth is (Truth.SATISFIED if mode == CLOSED else Truth.INCONCLUSIVE)
+        assert 0 < counted.lookups <= 4, mode
+
+
+def test_a_monitor_hashes_no_configuration_it_is_fed(monkeypatch):
+    # a configuration computes its hash once, when it is made: a stream of
+    # 100 steps over M distinct configurations hashes M times, where the
+    # monitor's intern table hashed each step again (M + 100)
+    hashed = [0]
+    fresh = ConnectionMap.__hash__
+
+    def counted(links):
+        hashed[0] += 1
+        return fresh(links)
+
+    monkeypatch.setattr(ConnectionMap, "__hash__", counted)
+    result = simulate_blackboard(random_scenario(random.Random(19), horizon=100))
+    steps = result.trace.steps  # equal steps are one object
+    distinct = {id(k): k for k in steps}
+    assert len(steps) == 100 and 1 < len(distinct) < 50
+    for name, gamma, rigid_comp, rigid_data in _bundle_assertions():
+        plan = AssertionPlan(gamma, rigid_comp, rigid_data)
+        monitor = Monitor(result.algebra, result.interpretation, gamma, plan)
+        hashed[0] = 0
+        remade = {key: ArchConfiguration(k.active, dict(k.connection))
+                  for key, k in distinct.items()}
+        for k in steps:
+            monitor.step(remade[id(k)])
+        assert hashed[0] <= len(distinct), name
 
 
 def test_interface_axioms_are_compiled_once_per_check(monkeypatch):

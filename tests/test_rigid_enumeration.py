@@ -28,9 +28,15 @@ from archcheck.constraints import (
     INCONCLUSIVE,
     OPEN,
     SATISFIED,
+    Active,
     AssertionPlan,
+    Conn,
     Eventually,
+    ForallComp,
     Globally,
+    IRConn,
+    MinMax,
+    Monitor,
     PortRead,
     RigidForallComp,
     RigidForallData,
@@ -44,10 +50,16 @@ from archcheck.constraints import (
     trace_holds,
 )
 from archcheck.errors import InterpretationError, StructuralError
+from archcheck.interfaces import (
+    InterfaceInterpretation,
+    SpecInterpretation,
+    identity_interpretation,
+)
 from archcheck.model import (
     ArchConfiguration,
     ComponentUniverse,
     ConfigurationTrace,
+    make_snapshot,
     value_key,
 )
 
@@ -57,6 +69,7 @@ from fixtures import (
     PROB,
     bb_snapshot,
     blackboard_interpretation,
+    ks_snapshot,
     probsol_algebra,
 )
 from generators import D, PAIR_DD, FormulaGenerator, random_world
@@ -379,6 +392,136 @@ def test_a_read_error_is_raised_at_its_step():
         check_trace_assertion(alg, J, trace, gamma, CLOSED)
     assert check_trace_assertion(alg, J, _prefix(trace, 2), gamma, OPEN) == INCONCLUSIVE
 
+
+def _outcomes(alg, J, steps, gamma) -> dict:
+    """Per prefix of ``steps``, what ``check_trace_assertion`` gives in each
+    mode and what a ``Monitor`` fed the same steps gives after the prefix's
+    last one: a verdict, or the type and message of the error raised.  The
+    monitor is fed no step after the one that raises."""
+    universe = ComponentUniverse(frozenset(s for k in steps for s in k.active))
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except InterpretationError as error:
+            return (type(error), str(error))
+
+    found = {mode: [] for mode in (OPEN, CLOSED, "monitor")}
+    monitor = Monitor(alg, J, gamma)
+    for t in range(1, len(steps) + 1):
+        trace = ConfigurationTrace(universe, steps[:t])
+        for mode in (OPEN, CLOSED):
+            found[mode].append(outcome(check_trace_assertion, alg, J, trace, gamma, mode))
+        raised = [o for o in found["monitor"] if type(o) is tuple]
+        found["monitor"].append(raised[0] if raised else outcome(monitor.step, steps[t - 1]))
+    return found
+
+
+def _raised_from(step, found, message):
+    """Both modes and the monitor give verdicts on the prefixes before
+    ``step`` and raise ``message`` on every later one, and the monitor's
+    verdicts are the open ones."""
+    error = (InterpretationError, message)
+    assert found["monitor"] == found[OPEN]
+    for mode in (OPEN, CLOSED):
+        assert all(type(o) is Verdict for o in found[mode][:step]), found[mode]
+        assert found[mode][step:] == [error] * (len(found[mode]) - step)
+
+
+_KS_CONN = Conn("k", "KS", "ksip", "b", "BB", "bbop")
+_KS_IRCONN = IRConn("KS", "ksip", "BB", "bbop")
+_LINK = {("ks", "ksip"): {("bb", "bbop")}}
+
+
+@pytest.mark.parametrize("phi", [_KS_CONN, _KS_IRCONN], ids=["conn", "irconn"])
+@pytest.mark.parametrize("side", ["ks", "bb"])
+def test_a_connection_over_a_component_without_interpretation_raises_at_its_step(phi, side):
+    # at step 2, the active snapshot of ``side`` is one that J does not interpret
+    alg = probsol_algebra()
+    bb, ks = bb_snapshot(bbop={"pA"}), ks_snapshot("ks", {"pA"}, ksip={"pA"})
+    bad = {"bb": bb_snapshot(bbop={"pB"}), "ks": ks_snapshot("ks", {"pB"}, ksip={"pA"})}
+    J = blackboard_interpretation({"BB": [bb], "KS": [ks]})
+    last = {bb, ks} - {bb if side == "bb" else ks} | {bad[side]}
+    steps = [ArchConfiguration(frozenset(active), _LINK) for active in ({bb, ks}, {bb, ks}, last)]
+    found = _outcomes(alg, J, steps, Globally(State(phi)))
+    _raised_from(2, found, f"active component {side!r} has no interface interpretation")
+    assert found[CLOSED][:2] == [SATISFIED, SATISFIED]
+
+
+def _partial_ks():
+    """A snapshot of ``ks`` with no ``ksis`` port, interpreted as a KS: its
+    interpretation does not map the interface port id ``ksis``."""
+    snap = make_snapshot("ks", local={"prob": {"pA"}}, inputs={"ksip": {"pA"}})
+    return InterfaceInterpretation(snap, {"prob": "prob"}, {"ksip": "ksip"})
+
+
+_KSIS = BB_PORT_SORTS["ksis"]
+
+
+@pytest.mark.parametrize("phi", [
+    Conn("k", "KS", "ksis", "b", "BB", "bbos"),
+    IRConn("KS", "ksis", "BB", "bbos"),
+    Equals(PortRead("k", "KS", "ksis", _KSIS), PortRead("k", "KS", "ksis", _KSIS)),
+], ids=["conn", "irconn", "read"])
+def test_a_port_id_the_interpretation_does_not_map_raises_at_its_step(phi):
+    alg = probsol_algebra()
+    bb = bb_snapshot(bbos={("pA", "sA")})
+    ks = ks_snapshot("ks", {"pA"}, ksis={("pA", "sA")})
+    partial = _partial_ks()
+    J = SpecInterpretation({
+        "BB": frozenset({identity_interpretation(bb)}),
+        "KS": frozenset({identity_interpretation(ks), partial}),
+    })
+    link = {("ks", "ksis"): {("bb", "bbos")}}
+    steps = [ArchConfiguration(frozenset(active), link)
+             for active in ({bb, ks}, {bb, ks}, {bb, partial.snapshot})]
+    found = _outcomes(alg, J, steps, Globally(State(phi)))
+    _raised_from(2, found, "port id 'ksis' is not interpreted by component 'ks'")
+    assert found[CLOSED][:2] == [SATISFIED, SATISFIED]
+
+
+@pytest.mark.parametrize("inactive", ["ks", "bb"])
+def test_a_connection_over_an_inactive_component_is_false_and_explained(inactive):
+    alg = probsol_algebra()
+    bb, ks = bb_snapshot(bbop={"pA"}), ks_snapshot("ks", {"pA"}, ksip={"pA"})
+    J = blackboard_interpretation({"BB": [bb], "KS": [ks]})
+    left = {bb, ks} - {bb if inactive == "bb" else ks}
+    steps = [ArchConfiguration(frozenset({bb, ks}), _LINK), ArchConfiguration(frozenset(left))]
+    found = _outcomes(alg, J, steps, Globally(State(_KS_CONN)))
+    violated = Verdict(
+        Truth.VIOLATED, 1, f"undefined read: conn over inactive component ({inactive})"
+    )
+    assert found["monitor"] == found[OPEN] == [INCONCLUSIVE, violated]
+    assert found[CLOSED] == [SATISFIED, violated]
+
+
+@pytest.mark.parametrize("phi", [_KS_CONN, _KS_IRCONN, MinMax("KS", 1, 1)],
+                         ids=["conn", "irconn", "minmax"])
+def test_an_uninterpreted_component_that_no_formula_reads_raises_nothing(phi):
+    # ``x`` is of no interface, so no formula over KS and BB reads it
+    alg = probsol_algebra()
+    bb, ks = bb_snapshot(bbop={"pA"}), ks_snapshot("ks", {"pA"}, ksip={"pA"})
+    x = make_snapshot("x", outputs={"o": {"pA"}})
+    J = blackboard_interpretation({"BB": [bb], "KS": [ks]})
+    steps = [ArchConfiguration(frozenset(active), _LINK)
+             for active in ({bb, ks}, {bb, ks, x}, {bb, ks, x})]
+    found = _outcomes(alg, J, steps, Globally(State(phi)))
+    assert found["monitor"] == found[OPEN] == [INCONCLUSIVE] * 3
+    assert found[CLOSED] == [SATISFIED] * 3
+
+
+def test_an_uninterpreted_snapshot_that_is_only_counted_raises_nothing():
+    # the second ``ks`` snapshot has no interpretation, but counting and
+    # activity read its id alone
+    alg = probsol_algebra()
+    bb, ks = bb_snapshot(bbop={"pA"}), ks_snapshot("ks", {"pA"}, ksip={"pA"})
+    uncounted = ks_snapshot("ks", {"pB"}, ksip={"pA"})
+    J = blackboard_interpretation({"BB": [bb], "KS": [ks]})
+    steps = [ArchConfiguration(frozenset({bb, ks})), ArchConfiguration(frozenset({bb, uncounted}))]
+    for phi in (MinMax("KS", 1, 1), ForallComp("k", "KS", Active("k"))):
+        found = _outcomes(alg, J, steps, Globally(State(phi)))
+        assert found["monitor"] == found[OPEN] == [INCONCLUSIVE] * 2
+        assert found[CLOSED] == [SATISFIED] * 2
 
 class TestTriggerRewrite:
     """The edge cases of the trigger rewrite keep the truth of the full
