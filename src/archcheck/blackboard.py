@@ -188,8 +188,7 @@ def simulate_blackboard(
     steps_to_solution: Optional[int] = None
     # Each distinct snapshot is built once, under its component id and port
     # values in a fixed port order; the id fixes the ports and local values.
-    # Each distinct configuration is built once, under the ids of its
-    # snapshots, which the snapshot table keeps alive.
+    # Each distinct configuration is built once, under its snapshots.
     snapshots: dict[tuple, ComponentSnapshot] = {}
     configurations: dict[tuple, ArchConfiguration] = {}
 
@@ -258,7 +257,7 @@ def simulate_blackboard(
         for ks in sorted(active):
             step_snapshots.append(snapshot(ks, bbop, bbos, requests[ks], answers[ks]))
         # the snapshots fix the active sources, and so the connections
-        key = tuple(map(id, step_snapshots))
+        key = tuple(step_snapshots)
         config = configurations.get(key)
         if config is None:
             connection: dict = {}
@@ -414,9 +413,7 @@ def trace_unit(
     """The trace of ``result`` as a trace unit.
 
     Each distinct snapshot becomes one ``ActiveDecl`` and each distinct
-    configuration one ``StepDecl``, shared by every step that repeats it.
-    The simulation interns both, so tables keyed by ``id`` for this call
-    find every repeat; the trace keeps each keyed object alive."""
+    configuration one ``StepDecl``, shared by every step equal to it."""
     scenario = result.scenario
     components = [ComponentDecl(BB_ID, "BB", ())]
     for ks in sorted(scenario.sources):
@@ -427,22 +424,22 @@ def trace_unit(
                 ((("prob", _value_expr(scenario.sources[ks]))),),
             )
         )
-    active_decls: dict[int, ActiveDecl] = {}
-    step_decls: dict[int, StepDecl] = {}
+    active_decls: dict[ComponentSnapshot, ActiveDecl] = {}
+    step_decls: dict[ArchConfiguration, StepDecl] = {}
 
     def active(snap: ComponentSnapshot) -> ActiveDecl:
-        decl = active_decls.get(id(snap))
+        decl = active_decls.get(snap)
         if decl is None:
             valuations = tuple(
                 (port, _value_expr(snap.valuation[port]))
                 for port in sorted(snap.input_ports | snap.output_ports)
                 if snap.valuation[port]
             )
-            decl = active_decls[id(snap)] = ActiveDecl(snap.id, valuations)
+            decl = active_decls[snap] = ActiveDecl(snap.id, valuations)
         return decl
 
     def step(k: ArchConfiguration) -> StepDecl:
-        decl = step_decls.get(id(k))
+        decl = step_decls.get(k)
         if decl is None:
             actives = [
                 active(snap)
@@ -452,7 +449,7 @@ def trace_unit(
             for (cid, port), targets in sorted(k.connection.items()):
                 for tid, tport in sorted(targets):
                     connects.append(ConnectDecl(cid, port, tid, tport))
-            decl = step_decls[id(k)] = StepDecl(actives, connects)
+            decl = step_decls[k] = StepDecl(actives, connects)
         return decl
 
     return SourceUnit(

@@ -75,21 +75,23 @@ current step: ``exists x . State(guard ...)`` and ``forall x .
 (State(guard ...) -> ...)``.  ``max_assignments`` bounds the product of the
 free rigid variables' carriers and component sets, whichever instances run.
 
-The checks skip the steps that cannot change a residual.
-``ConfigurationTrace`` interns its steps, so equal steps are the same
-object.  When a residual is a fixed point of a configuration, ``progress(r,
-k) == r``, the run skips every later step that is ``k`` for as long as the
-residual stays ``r``.  On a run of equal steps this is stutter invariance
-(Lamport, "What Good Is Temporal Logic?", IFIP 1983; Peled and Wilke, IPL
-1997).  It is exact for every formula, X included: ``progress`` reads the
-step index only as the origin of the chain positions it opens, so what it
-drops at one step it drops at any later one, and a pending X or chain
-position never equals its successor, since ``_Deferred`` turns into its
-body and chain positions carry their origin step.  The last index is the
-current one at the end, so the witnesses that name it stay exact.
-``Monitor`` skips by the same rule.  A state formula is evaluated afresh
-at every step that reads it: compiled, it costs less than looking up a
-verdict kept under the formula, the step and the values it reads.
+The checks skip the steps that cannot change a residual.  When a residual
+is a fixed point of a configuration, ``progress(r, k) == r``, the run skips
+every later step equal to ``k`` for as long as the residual stays ``r``.
+On a run of equal steps this is stutter invariance (Lamport, "What Good Is
+Temporal Logic?", IFIP 1983; Peled and Wilke, IPL 1997).  It is exact for
+every formula, X included: ``progress`` reads the step index only as the
+origin of the chain positions it opens, so what it drops at one step it
+drops at any later one, and a pending X or chain position never equals its
+successor, since ``_Deferred`` turns into its body and chain positions
+carry their origin step.  The last index is the current one at the end, so
+the witnesses that name it stay exact.  ``Monitor`` skips by the same rule.
+A configuration is a value, and the skip keys it by equality through the
+hash it computes when it is made; ``ConfigurationTrace`` interns its steps,
+so on a trace a lookup ends at the identity check.  A state formula is
+evaluated afresh at every step that reads it: compiled, it costs less than
+looking up a verdict kept under the formula, the step and the values it
+reads.
 
 What does not depend on the trace is found once per assertion: an
 ``AssertionPlan`` holds the free rigid variables with their sorts and
@@ -151,8 +153,9 @@ from .model import ArchConfiguration, ConfigurationTrace
 OPEN = "open"
 CLOSED = "closed"
 DEFAULT_ASSIGNMENT_BOUND = 10**6
-# configurations a Monitor interns before it starts its table afresh
-_INTERNED_CONFIGURATIONS = 1024
+# configurations known to leave a residual unchanged that an evaluator
+# keeps before it starts its set afresh
+_UNCHANGED_BOUND = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -1048,9 +1051,8 @@ class _TraceEvaluator:
     other is the state evaluator's table of closures.  Entries hold their
     node, so its id is not reused.
 
-    ``unchanged`` holds the ids of the configurations known to leave the
-    current residual unchanged (see ``feed``).  Whoever feeds the evaluator
-    keeps those configurations alive, so that their ids are not reused.
+    ``unchanged`` holds the configurations known to leave the current
+    residual unchanged (see ``feed``), at most ``_UNCHANGED_BOUND`` of them.
     """
 
     def __init__(self, alg: Algebra, J: SpecInterpretation, tables: tuple[dict, dict]):
@@ -1078,25 +1080,25 @@ class _TraceEvaluator:
         itself is returned.  Otherwise ``residual`` is progressed; when the
         result equals it, ``k`` joins ``unchanged`` and ``residual`` itself
         is returned, and when it differs, ``unchanged`` starts afresh.  An
-        equal residual ends alike, so returning ``residual`` is exact."""
+        equal residual ends alike, so returning ``residual`` is exact.  A
+        full ``unchanged`` is cleared before ``k`` joins it."""
         unchanged = self.unchanged
-        if id(k) in unchanged:
+        if k in unchanged:
             return residual
         after = self.progress(residual, m, k)
         if type(after) is Verdict:
             return after
         if after == residual:
-            unchanged.add(id(k))
+            if len(unchanged) >= _UNCHANGED_BOUND:
+                unchanged.clear()
+            unchanged.add(k)
             return residual
         unchanged.clear()
         return after
 
     def run(self, gamma: TraceAssertion, asg: dict, steps, n: int, mode: str) -> Verdict:
         """Verdict of ``gamma`` at step ``n``: ``feed`` each step until a
-        verdict, then close at the end of the trace in ``mode``.  ``steps``
-        holds its configurations alive, and equal ones are one object when
-        they come from a ``ConfigurationTrace``, so ``unchanged`` keeps ids
-        without hashing a configuration."""
+        verdict, then close at the end of the trace in ``mode``."""
         residual = _Deferred(gamma, asg)
         self.unchanged.clear()
         feed = self.feed
@@ -1313,15 +1315,10 @@ class Monitor:
     for ``check_trace_assertion``, and the rigid assignments are bounded by
     ``DEFAULT_ASSIGNMENT_BOUND``.
 
-    Each configuration is interned by equality, by the hash it computed
-    when it was made, so that equal ones, even when built afresh, are one
-    object, and is then fed to the evaluator
-    (``_TraceEvaluator.feed``).  A configuration known to leave the residual
-    unchanged is not read, and the step returns the last verdict: in open
-    mode an unchanged residual closes to the same verdict.  The intern table
-    holds at most ``_INTERNED_CONFIGURATIONS`` configurations; when it is
-    full, it is cleared together with the evaluator's set of configurations
-    known to leave the residual unchanged, which holds their ids.
+    Each configuration is fed to the evaluator (``_TraceEvaluator.feed``).
+    One equal to a configuration known to leave the residual unchanged,
+    even when built afresh, is not read, and the step returns the last
+    verdict: in open mode an unchanged residual closes to the same verdict.
     """
 
     def __init__(
@@ -1335,7 +1332,6 @@ class Monitor:
         plan.check_bound(alg, J, DEFAULT_ASSIGNMENT_BOUND)
         self._evaluator = _TraceEvaluator(alg, J, plan.tables)
         self._residual = _Deferred(plan.closed, {_COMPS: {}})
-        self._interned: dict = {}
         self._steps = 0
         self._last: Optional[Verdict] = None
         self._final: Optional[Verdict] = None
@@ -1349,14 +1345,7 @@ class Monitor:
     def step(self, k: ArchConfiguration) -> Verdict:
         if self._final is not None:
             return self._final
-        interned = self._interned
-        known = interned.get(k)
-        if known is None:
-            if len(interned) >= _INTERNED_CONFIGURATIONS:
-                interned.clear()
-                self._evaluator.unchanged.clear()
-            known = interned[k] = k
-        residual = self._evaluator.feed(self._residual, self._steps, known)
+        residual = self._evaluator.feed(self._residual, self._steps, k)
         self._steps += 1
         if residual is self._residual:
             return self._last

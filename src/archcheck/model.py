@@ -354,10 +354,12 @@ class ConnectionMap(_FrozenMap):
 @record
 class ArchConfiguration:
     """Active snapshots plus a connection map over their ports; ``by_id``
-    maps each active snapshot's id to it (to one of two that share an id).
+    maps each active snapshot's id to it, or, when snapshots share an id,
+    to the first of them in ``sorted_snapshots`` order, so that equal
+    configurations read the same snapshot in every process.
 
     Its hash, that of its field tuple as for any record, is computed once:
-    a monitor interns each configuration it is fed by equality.
+    the checks and the monitor key configurations by equality.
     """
 
     active: frozenset[ComponentSnapshot]
@@ -368,7 +370,10 @@ class ArchConfiguration:
     def __post_init__(self):
         if not isinstance(self.connection, ConnectionMap):
             object.__setattr__(self, "connection", ConnectionMap(self.connection))
-        object.__setattr__(self, "by_id", {snap.id: snap for snap in self.active})
+        by_id = {snap.id: snap for snap in self.active}
+        if len(by_id) < len(self.active):
+            by_id = {snap.id: snap for snap in reversed(sorted_snapshots(self.active))}
+        object.__setattr__(self, "by_id", by_id)
         object.__setattr__(self, "_hash", hash((self.active, self.connection)))
 
     def __hash__(self):
@@ -476,15 +481,15 @@ class ConfigurationTrace:
 def check_trace(trace: ConfigurationTrace) -> ValidationReport:
     """Universe healthiness plus per-step configuration validity.
 
-    Equal steps are one object (the trace interns them), so each distinct
-    configuration is checked once and its report is tagged at every index.
+    Each distinct configuration is checked once and its report is tagged
+    at every index.
     """
     report = check_healthy(trace.universe)
-    checked: dict[int, ValidationReport] = {}
+    checked: dict[ArchConfiguration, ValidationReport] = {}
     for index, step in enumerate(trace.steps):
-        step_report = checked.get(id(step))
+        step_report = checked.get(step)
         if step_report is None:
-            step_report = checked[id(step)] = check_configuration(
+            step_report = checked[step] = check_configuration(
                 trace.universe, step
             )
         if not step_report.ok:

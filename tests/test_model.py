@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import archcheck
 from archcheck.errors import StructuralError
 from archcheck.model import (
     ArchConfiguration,
@@ -198,6 +203,29 @@ class TestConfigurations:
         assert check_healthy(universe).ok
         report = check_configuration(universe, ArchConfiguration({first, second}))
         assert [(v.code, v.subject) for v in report.violations] == [("ambiguous-valuation", "a")]
+
+    def test_a_shared_id_reads_one_snapshot_in_every_process(self):
+        # equal configurations built from either order of two snapshots
+        # that share an id read the first in sorted_snapshots order, in a
+        # process under any string hash seed; under seeds 2 and 7 the two
+        # frozensets iterate in different orders
+        code = (
+            "from archcheck.model import ArchConfiguration, make_snapshot\n"
+            "a = make_snapshot('c', outputs={'o': {'m1'}})\n"
+            "b = make_snapshot('c', outputs={'o': {'m2'}})\n"
+            "one = ArchConfiguration(frozenset([a, b]))\n"
+            "two = ArchConfiguration(frozenset([b, a]))\n"
+            "assert one == two\n"
+            "print(one.by_id['c'] is a, two.by_id['c'] is a)\n"
+        )
+        src = str(Path(archcheck.__file__).parent.parent)
+        for seed in ("2", "7"):
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.split() == ["True", "True"], seed
 
     def test_connection_from_a_port_that_is_not_an_active_input(self):
         a = make_snapshot("a", inputs={"i": {"m"}}, outputs={"o": {"m"}})

@@ -441,8 +441,8 @@ def test_one_evaluation_of_connections_looks_each_active_snapshot_up_once():
 
 def test_a_monitor_hashes_no_configuration_it_is_fed(monkeypatch):
     # a configuration computes its hash once, when it is made: a stream of
-    # 100 steps over M distinct configurations hashes M times, where the
-    # monitor's intern table hashed each step again (M + 100)
+    # 100 steps over M distinct configurations hashes M times, however often
+    # the monitor's skip set looks a step up
     hashed = [0]
     fresh = ConnectionMap.__hash__
 

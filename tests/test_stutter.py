@@ -131,8 +131,8 @@ def test_stuttering_traces_agree_with_the_oracle_and_the_plain_progression():
                     )
                     assert oracle.truth_letter(verdict) == letter, (mode, gamma)
                     letters.append(letter)
-                # the monitor interns the fresh copies before it skips: it
-                # must agree on every prefix until its verdict is final
+                # the monitor skips the fresh copies by equality: it must
+                # agree on every prefix until its verdict is final
                 plan = AssertionPlan(gamma, decls)
                 monitor, final = Monitor(world.alg, world.J, gamma, plan), None
                 for t, k in enumerate(trace.steps, start=1):
@@ -224,6 +224,44 @@ class TestStutterRuns:
         assert check_trace_assertion(self.alg, J, trace, gamma, OPEN) == INCONCLUSIVE
         short = ConfigurationTrace(trace.universe, (a, c, b))
         assert check_trace_assertion(self.alg, J, short, gamma, CLOSED).truth is Truth.VIOLATED
+
+    def test_unequal_configurations_of_one_hash_are_told_apart(self):
+        # A, C and B of the test above, B and C forced to the hash of A:
+        # once the skip set holds A and C, it must still read B, which opens
+        # an F q under the first assertion and violates the second
+        ks = ks_snapshot("ks1", prob={"pA"})
+        J = blackboard_interpretation({"BB": [self.bb], "KS": [ks]})
+        a = ArchConfiguration(frozenset({self.bb}))
+        b = ArchConfiguration(frozenset({self.bb, ks}))
+        c = ArchConfiguration(frozenset())
+        for k in (b, c):
+            object.__setattr__(k, "_hash", hash(a))
+        assert len({a, b, c}) == 3 and len({hash(k) for k in (a, b, c)}) == 1
+        universe = ComponentUniverse(frozenset({self.bb, ks}))
+        gammas = [
+            Globally(TraceImplies(State(Min("KS", 1)), Eventually(State(Max("BB", 0))))),
+            Globally(State(Max("KS", 0))),
+        ]
+        for gamma in gammas:
+            for steps in ((a, c, a, c, b, c), (c, a, c, a, b, a, b)):
+                trace = ConfigurationTrace(universe, steps)
+                for mode in (OPEN, CLOSED):
+                    verdict = check_trace_assertion(self.alg, J, trace, gamma, mode)
+                    assert verdict == _plain(self.alg, J, trace, gamma, mode), (steps, mode)
+                monitor, final = Monitor(self.alg, J, gamma), None
+                for t, k in enumerate(steps, start=1):
+                    if t == 5:
+                        assert monitor._evaluator.unchanged == {a, c}
+                        assert b not in monitor._evaluator.unchanged
+                    verdict = monitor.step(k)
+                    prefix = ConfigurationTrace(universe, steps[:t])
+                    expected = check_trace_assertion(self.alg, J, prefix, gamma, OPEN)
+                    assert expected == _plain(self.alg, J, prefix, gamma, OPEN)
+                    if final is None:
+                        assert verdict == expected, (gamma, steps, t)
+                        final = verdict if verdict.final else None
+                    else:
+                        assert verdict == final
 
     def test_a_name_at_two_sorts_is_evaluated(self):
         # free_vars refuses the state formula, the evaluation does not
@@ -322,8 +360,8 @@ def _monitor_against_the_check(run, steps, name, plan, oworld=None):
 
 
 def test_monitor_on_fresh_configurations_equals_the_check(monkeypatch):
-    # every step rebuilt as a new object: the monitor interns it by
-    # equality and skips as it does on the simulator's shared objects.
+    # every step rebuilt as a new object: the monitor skips it by equality
+    # as it does the simulator's shared objects.
     # Each simulated stream is also fed with an empty configuration in its
     # middle, which violates safety assertions.
     assertions = [
@@ -370,12 +408,13 @@ def test_monitor_on_fresh_configurations_equals_the_check(monkeypatch):
     assert read < fed / 4 and sampled >= 15
 
 
-def test_the_intern_table_is_bounded(monkeypatch):
+def test_the_skip_set_is_bounded(monkeypatch):
     # a bound of 4 against a stream of distinct configurations, each fresh
-    # and each met again soon after: the evaluator's set of ids only names
-    # configurations the table keeps alive, so that no id in it is reused,
-    # and no verdict changes across a clear
-    monkeypatch.setattr(constraints, "_INTERNED_CONFIGURATIONS", 4)
+    # and each met again soon after: the set of configurations known to
+    # leave the residual unchanged never holds more than 4, a full set is
+    # cleared, which takes it from 4 to the 1 that joins it, and no
+    # verdict changes across a clear
+    monkeypatch.setattr(constraints, "_UNCHANGED_BOUND", 4)
     rng = random.Random(220002)
     scenario = random_scenario(rng, max_problems=4, max_sources=3, horizon=60)
     run = simulate_blackboard(scenario)
@@ -390,9 +429,8 @@ def test_the_intern_table_is_bounded(monkeypatch):
         plan = AssertionPlan(gamma, rigid_comp, rigid_data)
         size = 0
         for monitor, _ in _monitor_against_the_check(run, steps, name, plan):
-            interned = len(monitor._interned)
-            assert interned <= 4, name
-            assert monitor._evaluator.unchanged <= set(map(id, monitor._interned)), name
-            clears += interned < size
-            size = interned
+            held = len(monitor._evaluator.unchanged)
+            assert held <= 4, name
+            clears += size == 4 and held == 1
+            size = held
     assert clears > 15

@@ -79,6 +79,11 @@ def test_equal_steps_that_are_distinct_objects_print_as_the_reference_does():
     assert len({id(snap) for snap in snaps}) == len(snaps)
     rebuilt = dataclasses.replace(result, trace=trace)
     assert _same_text(rebuilt) == _same_text(result)
+    # equal steps and equal snapshots share one declaration each
+    unit = trace_unit(rebuilt)
+    assert len({id(step) for step in unit.body.steps}) == len(set(steps))
+    actives = {id(decl) for step in unit.body.steps for decl in step.actives}
+    assert len(actives) == len(set(snaps))
 
 
 def _counted(monkeypatch, module, name):
