@@ -30,7 +30,6 @@ from .constraints import (
     Verdict,
     check_trace_assertion,
 )
-from .diagrams import annotation_labels, desugar_diagram, rigid_declarations
 from .errors import UsageError
 from .interfaces import check_spec_interpretation
 from .model import ValidationReport, check_trace
@@ -133,21 +132,8 @@ class CheckReport:
 
 
 def diagram_assertions(bundle: ResolvedBundle) -> tuple:
-    """Desugared diagram annotations with their rigid variable declarations,
-    as ``(name, gamma, rigid_comp)``; made once per bundle and kept on it."""
-    if bundle.diagram_assertions is None:
-        bundle.diagram_assertions = tuple(_desugar_diagrams(bundle))
-    return bundle.diagram_assertions
-
-
-def _desugar_diagrams(bundle: ResolvedBundle):
-    out = []
-    for unit_name, diagram in bundle.diagrams:
-        _, assertions = desugar_diagram(diagram)
-        rigid_comp = dict(rigid_declarations(diagram))
-        for label, gamma in zip(annotation_labels(diagram), assertions):
-            out.append((f"{unit_name}.{label}", gamma, rigid_comp))
-    return out
+    """The bundle's desugared diagram annotations as ``(name, gamma, rigid_comp)``."""
+    return tuple((a.name, a.gamma, a.rigid_comp) for a in bundle.annotations)
 
 
 def run_check(
@@ -159,9 +145,10 @@ def run_check(
 ) -> CheckReport:
     """Run all three phases.
 
-    What does not depend on the trace (the desugared diagram assertions and
-    an ``AssertionPlan`` per assertion) is made on the first check of
-    ``bundle`` and kept on it, so checks that reuse one bundle, as
+    The trace assertions are the bundle's constraints, then its diagram
+    annotations, which the resolver desugared.  What does not depend on the
+    trace, an ``AssertionPlan`` per assertion, is made on the first check
+    of ``bundle`` and kept on it, so checks that reuse one bundle, as
     ``verify_theorem(bundle=...)`` does, make it once.  The assertions are
     checked one after another by ``check_trace_assertion``; what they read
     of the trace alone, the index of each configuration and of the
@@ -178,22 +165,24 @@ def run_check(
     )
     validity = check_trace(trace.trace)
     results = []
-    for name, gamma, rigid_comp, rigid_data, text in _assertions(bundle):
-        plan = bundle.plans.get(name)
-        if plan is None or plan.gamma is not gamma:
-            plan = bundle.plans[name] = AssertionPlan(gamma, rigid_comp, rigid_data)
+    for item in (*bundle.constraints, *bundle.annotations):
+        plan = bundle.plans.get(item.name)
+        if plan is None:
+            plan = bundle.plans[item.name] = AssertionPlan(
+                item.gamma, item.rigid_comp, item.rigid_data
+            )
         verdict = check_trace_assertion(
             algebra,
             trace.interpretation,
             trace.trace,
-            gamma,
+            item.gamma,
             mode,
-            rigid_comp_decls=rigid_comp,
-            rigid_data_decls=rigid_data,
+            rigid_comp_decls=item.rigid_comp,
+            rigid_data_decls=item.rigid_data,
             max_assignments=max_assignments,
             plan=plan,
         )
-        results.append(AssertionResult(name, verdict, text))
+        results.append(AssertionResult(item.name, verdict, item.text))
     results.sort(key=lambda r: r.name)
     return CheckReport(
         datatype_failures=failures,
@@ -202,15 +191,6 @@ def run_check(
         assertions=results,
         mode=mode,
     )
-
-
-def _assertions(bundle: ResolvedBundle):
-    """Name, assertion, rigid declarations and text of every trace assertion
-    of ``bundle``: its constraints, then its diagram annotations."""
-    for item in bundle.constraints:
-        yield item.name, item.gamma, item.rigid_comp, item.rigid_data, item.text
-    for name, gamma, rigid_comp in diagram_assertions(bundle):
-        yield name, gamma, rigid_comp, {}, ""
 
 
 def _pick(table, chosen, what):

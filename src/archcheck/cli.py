@@ -27,7 +27,6 @@ from .blackboard import (
 )
 from .checker import run_check, verify_theorem
 from .constraints import DEFAULT_ASSIGNMENT_BOUND, OPEN
-from .diagrams import desugar_diagram, rigid_declarations
 from .errors import ArchError, UsageError
 from .parser import parse_unit, print_unit, resolve
 from .parser.lowering import lower_formula
@@ -121,7 +120,8 @@ def cmd_desugar(args) -> int:
         raise UsageError("no diagram unit among the inputs")
     lines = []
     for unit_name, diagram in bundle.diagrams:
-        _, assertions = desugar_diagram(diagram)
+        annotations = [a for a in bundle.annotations if a.unit == unit_name]
+        rigid_comp = annotations[0].rigid_comp if annotations else {}
         unit = SourceUnit(
             kind="constraints",
             name=f"{unit_name}Constraints",
@@ -129,12 +129,9 @@ def cmd_desugar(args) -> int:
             body=ConstraintsBody(
                 vars=(),
                 rigid_vars=(
-                    VarDecl((var,), RName(iface))
-                    for var, iface in rigid_declarations(diagram)
+                    VarDecl((var,), RName(iface)) for var, iface in rigid_comp.items()
                 ),
-                axioms=(
-                    AxiomDecl(lower_formula(gamma)) for gamma in assertions
-                ),
+                axioms=(AxiomDecl(lower_formula(a.gamma)) for a in annotations),
             ),
         )
         lines.append(print_unit(unit))

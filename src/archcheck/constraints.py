@@ -15,19 +15,21 @@ Finite traces are evaluated in one of two modes:
   combine by strong Kleene.
 
 One core evaluates trace assertions, by formula progression (Bacchus and
-Kabanza, 2000).  ``progress`` reads one step once and turns a residual, what
-is left of an assertion under its rigid assignment, into a final verdict or
-the next residual; ``close`` ends a residual at the end of the trace: X, F
-and U are Violated and G and W Satisfied in closed mode, and all are
-Inconclusive in open mode.  ``check_trace_assertion`` and ``trace_holds``
-feed the trace step by step until the verdict is decided and close it by
-mode.  ``Monitor`` keeps only the current residual, not the prefix: each step
-is one ``feed``, which reads only the new configuration and the residual.
-``feed`` does not read a configuration known to leave the residual unchanged
-(Havelund and Roşu, "Monitoring programs using rewriting", ASE 2001); the
-monitor then returns its last verdict, and otherwise closes the new residual
-in open mode.  Equal pending residuals are merged into the earliest, so
-``G(a -> F b)`` keeps one pending ``F b`` however long the stream.
+Kabanza, 2000).  A run is one object, ``_TraceEvaluator``, that holds the
+residual of an assertion under its rigid assignment: what is left of it
+after the steps read so far.  ``progress`` reads one step once and turns the
+residual into a final verdict or the next residual; ``verdict`` ends the
+run at the end of the trace: X, F and U are Violated and G and W Satisfied
+in closed mode, and all are Inconclusive in open mode.
+``check_trace_assertion`` and ``trace_holds`` feed the trace step by step
+until the verdict is decided and close it by mode.  ``Monitor`` keeps only
+its run, not the prefix: each step is one ``feed``, which reads only the
+new configuration and the residual.  ``feed`` does not read a configuration
+known to leave the residual unchanged (Havelund and Roşu, "Monitoring
+programs using rewriting", ASE 2001); the monitor then returns its last
+verdict, and otherwise closes the new residual in open mode.  Equal pending
+residuals are merged into the earliest, so ``G(a -> F b)`` keeps one
+pending ``F b`` however long the stream.
 
 An assertion with free rigid variables holds when it holds under every
 rigid assignment: it means its universal closure, and the checks and the
@@ -954,7 +956,7 @@ def _start_implies(ev, gamma, asg):
 def _rigid_data(dominant):
     def rule(ev, gamma, asg):
         guard = ev.guards[id(gamma)][1]
-        bindings = enumerate_assignments(ev.state, {gamma.var: gamma.sort}, asg, guard)
+        bindings = enumerate_assignments(ev, {gamma.var: gamma.sort}, asg, guard)
         return _items(dominant, (
             ev.start(gamma.body, ev.bind(asg, gamma, b[gamma.var], b)) for b in bindings
         ))
@@ -967,7 +969,7 @@ def _rigid_comp(dominant):
         comps = asg[_COMPS]
         return _items(dominant, (
             ev.start(gamma.body, ev.bind(asg, gamma, cid, {_COMPS: {**comps, gamma.var: cid}}))
-            for cid in ev.state.interface_ids(gamma.interface)
+            for cid in ev.interface_ids(gamma.interface)
         ))
 
     return rule
@@ -975,8 +977,8 @@ def _rigid_comp(dominant):
 
 def _bounded_rigid(dominant):
     def rule(ev, gamma, asg):
-        alg = ev.state.alg
-        source = alg.ordered(ev.state.source(asg, gamma.source))
+        alg = ev.alg
+        source = alg.ordered(ev.source(asg, gamma.source))
         if type(gamma) is _Slices:  # a value outside the carrier binds nothing
             source = [v for v in source if alg.contains(v, gamma.sort)]
         return _items(dominant, (
@@ -1037,77 +1039,81 @@ def _node_tables(gamma) -> tuple[dict, dict]:
     return guards, compiler.closures
 
 
-class _TraceEvaluator:
-    """The progression core, shared by the checks and the monitor.
+class _TraceEvaluator(_StateEvaluator):
+    """One run of the progression core, for the checks and the monitor: the
+    residual of ``gamma`` under the assignment ``asg``, which starts as
+    ``_Deferred(gamma, asg)``.  The run is its own state evaluator, in the
+    algebra ``alg`` over the interpretation set ``J``.
 
-    ``progress(residual, m, k)`` makes configuration ``k`` the current step
-    ``m`` and advances ``residual`` over it; ``close(residual, mode)`` ends a
-    residual at the last step read.  An assertion under an assignment
-    starts as ``_Deferred(gamma, asg)``.  State formulas are evaluated in
-    the algebra ``alg`` over the interpretation set ``J``.
+    ``progress(m, k)`` makes configuration ``k`` the current step ``m`` and
+    advances the residual over it, and ``verdict(mode)`` ends the run at the
+    last step read.  ``feed`` progresses unless ``k`` is in ``unchanged``,
+    the configurations known to leave the residual unchanged, at most
+    ``_UNCHANGED_BOUND`` of them.
 
-    ``tables`` are the ``_node_tables`` of the assertion: ``guards`` holds,
-    by the id of a rigid data quantifier, the quantifier and its guard; the
-    other is the state evaluator's table of closures.  Entries hold their
-    node, so its id is not reused.
-
-    ``unchanged`` holds the configurations known to leave the current
-    residual unchanged (see ``feed``), at most ``_UNCHANGED_BOUND`` of them.
+    ``tables`` are the ``_node_tables`` of ``gamma``: ``guards`` holds, by
+    the id of a rigid data quantifier, the quantifier and its guard; the
+    other is the table of closures.  Entries hold their node, so its id is
+    not reused.
     """
 
-    def __init__(self, alg: Algebra, J: SpecInterpretation, tables: tuple[dict, dict]):
+    def __init__(
+        self,
+        alg: Algebra,
+        J: SpecInterpretation,
+        tables: tuple[dict, dict],
+        gamma: TraceAssertion,
+        asg: dict,
+    ):
         self.guards, closures = tables
-        self.state = _StateEvaluator(alg, J, closures)
+        super().__init__(alg, J, closures)
+        self.residual = _Deferred(gamma, asg)
         self.m: Optional[int] = None
         self._bound: dict = {}
         self.unchanged: set = set()
 
-    def progress(self, residual, m: int, k: ArchConfiguration):
+    def progress(self, m: int, k: ArchConfiguration) -> None:
         self.m = m
-        self.state.at(k)
-        return residual.progress(self)
+        self.at(k)
+        self.residual = self.residual.progress(self)
 
-    def close(self, residual, mode: str) -> Verdict:
-        return residual.close(self, mode)
+    def feed(self, m: int, k: ArchConfiguration) -> bool:
+        """``progress`` over configuration ``k`` at step ``m``, unless ``k``
+        is known to leave the residual unchanged: the one step function of
+        the checks and the monitor.  Returns whether the residual changed.
 
-    def feed(self, residual, m: int, k: ArchConfiguration):
-        """``residual`` advanced over configuration ``k`` at step ``m``: the
-        one step function of the checks and the monitor.  Each call passes
-        the residual the previous call returned, as ``unchanged`` is kept
-        for it.
-
-        When ``k`` is in ``unchanged``, ``k`` is not read and ``residual``
-        itself is returned.  Otherwise ``residual`` is progressed; when the
-        result equals it, ``k`` joins ``unchanged`` and ``residual`` itself
-        is returned, and when it differs, ``unchanged`` starts afresh.  An
-        equal residual ends alike, so returning ``residual`` is exact.  A
-        full ``unchanged`` is cleared before ``k`` joins it."""
+        When ``k`` is in ``unchanged``, ``k`` is not read.  Otherwise the
+        residual is progressed; when the result equals it, ``k`` joins
+        ``unchanged``, and when it differs, ``unchanged`` starts afresh.  An
+        equal residual ends alike, so keeping either is exact.  A full
+        ``unchanged`` is cleared before ``k`` joins it."""
         unchanged = self.unchanged
         if k in unchanged:
-            return residual
-        after = self.progress(residual, m, k)
-        if type(after) is Verdict:
-            return after
-        if after == residual:
+            return False
+        before = self.residual
+        self.progress(m, k)
+        if self.residual == before:
             if len(unchanged) >= _UNCHANGED_BOUND:
                 unchanged.clear()
             unchanged.add(k)
-            return residual
+            return False
         unchanged.clear()
-        return after
+        return True
 
-    def run(self, gamma: TraceAssertion, asg: dict, steps, n: int, mode: str) -> Verdict:
-        """Verdict of ``gamma`` at step ``n``: ``feed`` each step until a
+    def verdict(self, mode: str) -> Verdict:
+        """The verdict of the run: the residual, closed at the last step
+        read in ``mode`` when it is not decided."""
+        return _finish(self.residual, self, mode)
+
+    def run(self, steps, n: int, mode: str) -> Verdict:
+        """The verdict from step ``n`` on: ``feed`` each step until a
         verdict, then close at the end of the trace in ``mode``."""
-        residual = _Deferred(gamma, asg)
-        self.unchanged.clear()
         feed = self.feed
         for m in range(n, len(steps)):
-            residual = feed(residual, m, steps[m])
-            if type(residual) is Verdict:
-                return residual
+            if feed(m, steps[m]) and type(self.residual) is Verdict:
+                return self.residual
         self.m = len(steps) - 1
-        return self.close(residual, mode)
+        return self.verdict(mode)
 
     def start(self, gamma, asg: dict):
         """Progress of ``gamma`` from the current step on."""
@@ -1133,12 +1139,11 @@ class _TraceEvaluator:
         return entry[2]
 
     def _state_verdict(self, asg: dict, phi: Assertion) -> Verdict:
-        state = self.state
-        state.notes = {}
-        ok = state.holds(asg, phi)
-        if not state.notes:
+        self.notes = {}
+        ok = self.holds(asg, phi)
+        if not self.notes:
             return SATISFIED if ok else VIOLATED
-        explanation = "; ".join(state.notes)
+        explanation = "; ".join(self.notes)
         return Verdict(Truth.SATISFIED if ok else Truth.VIOLATED, None, explanation)
 
 
@@ -1159,8 +1164,7 @@ def trace_holds(
     if n >= length or n < 0:
         raise UsageError(f"time index {n} outside the trace (length {length})")
     asg = {**rigid_data, _COMPS: dict(rigid_comp)}
-    evaluator = _TraceEvaluator(alg, J, _node_tables(gamma))
-    return evaluator.run(gamma, asg, trace.steps, n, mode)
+    return _TraceEvaluator(alg, J, _node_tables(gamma), gamma, asg).run(trace.steps, n, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -1301,8 +1305,8 @@ def check_trace_assertion(
     plan = AssertionPlan.of(gamma, plan, rigid_comp_decls, rigid_data_decls)
     plan.check_bound(alg, J, max_assignments)
     _check_mode(mode)
-    evaluator = _TraceEvaluator(alg, J, plan.tables)
-    return evaluator.run(plan.closed, {_COMPS: {}}, trace.steps, 0, mode)
+    evaluator = _TraceEvaluator(alg, J, plan.tables, plan.closed, {_COMPS: {}})
+    return evaluator.run(trace.steps, 0, mode)
 
 
 class Monitor:
@@ -1310,15 +1314,15 @@ class Monitor:
     universal closure, as ``check_trace_assertion`` evaluates it.
 
     Feed configurations one at a time; Satisfied and Violated verdicts are
-    final and later steps return them unchanged.  The monitor keeps only the
-    residual of the assertion, not the steps fed so far.  ``plan`` is as
-    for ``check_trace_assertion``, and the rigid assignments are bounded by
-    ``DEFAULT_ASSIGNMENT_BOUND``.
+    final and later steps return them unchanged.  The monitor keeps only
+    one run of the assertion (a ``_TraceEvaluator``), not the steps fed so
+    far.  ``plan`` is as for ``check_trace_assertion``, and the rigid
+    assignments are bounded by ``DEFAULT_ASSIGNMENT_BOUND``.
 
-    Each configuration is fed to the evaluator (``_TraceEvaluator.feed``).
-    One equal to a configuration known to leave the residual unchanged,
-    even when built afresh, is not read, and the step returns the last
-    verdict: in open mode an unchanged residual closes to the same verdict.
+    Each configuration is fed to the run (``_TraceEvaluator.feed``).  One
+    equal to a configuration known to leave the residual unchanged, even
+    when built afresh, is not read, and the step returns the last verdict:
+    in open mode an unchanged residual closes to the same verdict.
     """
 
     def __init__(
@@ -1330,11 +1334,10 @@ class Monitor:
     ):
         plan = AssertionPlan.of(gamma, plan)
         plan.check_bound(alg, J, DEFAULT_ASSIGNMENT_BOUND)
-        self._evaluator = _TraceEvaluator(alg, J, plan.tables)
-        self._residual = _Deferred(plan.closed, {_COMPS: {}})
+        self._evaluator = _TraceEvaluator(alg, J, plan.tables, plan.closed, {_COMPS: {}})
         self._steps = 0
         self._last: Optional[Verdict] = None
-        self._final: Optional[Verdict] = None
+        self._final = False
 
     @property
     def verdict(self) -> Verdict:
@@ -1343,18 +1346,10 @@ class Monitor:
         return self._last
 
     def step(self, k: ArchConfiguration) -> Verdict:
-        if self._final is not None:
-            return self._final
-        residual = self._evaluator.feed(self._residual, self._steps, k)
-        self._steps += 1
-        if residual is self._residual:
-            return self._last
-        if type(residual) is Verdict:
-            verdict = residual
-        else:
-            verdict = self._evaluator.close(residual, OPEN)
-        self._residual = residual
-        self._last = verdict
-        if verdict.final:
-            self._final = verdict
-        return verdict
+        if not self._final:
+            evaluator = self._evaluator
+            if evaluator.feed(self._steps, k):
+                self._last = evaluator.verdict(OPEN)
+                self._final = self._last.final
+            self._steps += 1
+        return self._last

@@ -394,18 +394,13 @@ def check_configuration(
     Open inputs are environment inputs and stay unconstrained.
     """
     violations = []
-    active = sorted_snapshots(k.active)
-    for snap in active:
+    by_id = k.by_id  # the first snapshot of each id; any other is ambiguous
+    for snap in sorted_snapshots(k.active):
         if snap not in universe.snapshots:
             violations.append(
                 Violation("not-in-universe", snap.id, "active snapshot not declared")
             )
-    by_id: dict[str, ComponentSnapshot] = {}
-    for snap in active:
-        seen = by_id.get(snap.id)
-        if seen is None:
-            by_id[snap.id] = snap
-        elif seen != snap:
+        if by_id[snap.id] is not snap:
             violations.append(
                 Violation(
                     "ambiguous-valuation",

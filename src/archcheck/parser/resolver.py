@@ -27,6 +27,9 @@ from ..diagrams import (
     MinMaxAnnotation,
     RequiredConnAnnotation,
     RigidAnnotation,
+    annotation_labels,
+    desugar_diagram,
+    rigid_declarations,
 )
 from ..errors import StructuralError
 from ..interfaces import (
@@ -125,15 +128,14 @@ class ResolvedBundle:
     datatype_axioms: tuple
     constraints: tuple
     diagrams: tuple
+    # the diagrams' annotations desugared to trace assertions, in diagram
+    # and annotation order, each named ``Unit.label``
+    annotations: tuple
     algebras: dict
     traces: dict
     warnings: tuple
-    # What checks of the bundle's assertions reuse, made by the checker on
-    # first use: the desugared diagram assertions, and a
-    # ``constraints.AssertionPlan`` by assertion name.
-    diagram_assertions: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # a ``constraints.AssertionPlan`` by assertion name, made by the checker
+    # on first use and reused by later checks of the bundle
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def constraint_by_name(self, name: str) -> ResolvedAssertion:
@@ -805,7 +807,7 @@ class Resolver:
         datatype_axioms = self._resolve_datatype_axioms()
         self._resolve_interface_assertions()
         constraints = self._resolve_constraint_units()
-        diagrams = self._resolve_diagrams()
+        diagrams, annotations = self._resolve_diagrams()
         algebras = self._resolve_algebras()
         traces = self._resolve_traces()
         if self._failed():
@@ -822,6 +824,7 @@ class Resolver:
             datatype_axioms=tuple(datatype_axioms),
             constraints=tuple(constraints),
             diagrams=tuple(diagrams),
+            annotations=tuple(annotations),
             algebras=algebras,
             traces=traces,
             warnings=tuple(
@@ -1160,7 +1163,8 @@ class Resolver:
     # -- diagrams ----------------------------------------------------------
 
     def _resolve_diagrams(self):
-        diagrams = []
+        """The resolved diagrams, and their annotations desugared."""
+        diagrams, annotations = [], []
         for name, unit in self._units("diagram"):
             body = unit.body
             env = self._trace_env(name, body)
@@ -1263,7 +1267,15 @@ class Resolver:
                 self.err(name, str(exc))
                 continue
             diagrams.append((name, diagram))
-        return diagrams
+            rigid_comp = dict(rigid_declarations(diagram))
+            labelled = zip(annotation_labels(diagram), desugar_diagram(diagram)[1])
+            for index, (label, gamma) in enumerate(labelled, start=1):
+                annotations.append(
+                    ResolvedAssertion(
+                        f"{name}.{label}", name, index, gamma, {}, rigid_comp, ""
+                    )
+                )
+        return diagrams, annotations
 
     # -- algebras ----------------------------------------------------------
 

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from archcheck import checker, diagrams
 from archcheck.algebra import BoolLit
+from archcheck.blackboard import random_scenario, simulate_blackboard
+from archcheck.checker import blackboard_bundle, diagram_assertions
 from archcheck.constraints import (
     CLOSED,
     Globally,
@@ -24,6 +27,7 @@ from archcheck.diagrams import (
     desugar_required_conn,
     desugar_rigid,
     rest_pairs,
+    rigid_declarations,
 )
 from archcheck.errors import InterpretationError, StructuralError
 from archcheck.interfaces import (
@@ -38,6 +42,7 @@ from archcheck.model import (
     ConfigurationTrace,
     make_snapshot,
 )
+from archcheck.parser import parse_unit, resolver
 
 from fixtures import blackboard_interfaces
 from generators import random_world
@@ -356,3 +361,84 @@ def _random_required_conn(rng, world) -> RequiredConnAnnotation:
         (i, o) for i in inputs for o in outputs if rng.random() < 0.25
     }
     return RequiredConnAnnotation(frozenset(pairs))
+
+
+# ---------------------------------------------------------------------------
+# Diagrams desugared when the bundle is resolved
+
+SECOND_DIAGRAM = """\
+diagram ADiagram
+imports Blackboard, ProbSol
+ports
+  prob : PROB
+rigid vars
+  k2 : KS
+  k1 : KS
+  bb : BB
+interface KS
+  local prob
+  inputs ksip, ksis
+  outputs ksop, ksos
+interface BB [1]
+  inputs bbip, bbis
+  outputs bbop, bbos
+rigid KS : k2, k1
+rigid BB : bb
+"""
+
+
+def _two_diagram_bundle():
+    unit, diagnostics = parse_unit(SECOND_DIAGRAM)
+    assert unit is not None, diagnostics
+    return blackboard_bundle([unit])
+
+
+def _desugared_by_unit(bundle):
+    """The reference for ``bundle.annotations``: ``(Unit.label, gamma,
+    rigid_comp)`` of each diagram desugared directly, in diagram and
+    annotation order, one rigid declaration table per diagram."""
+    out = []
+    for unit_name, diagram in bundle.diagrams:
+        _, assertions = desugar_diagram(diagram)
+        rigid_comp = dict(rigid_declarations(diagram))
+        for label, gamma in zip(annotation_labels(diagram), assertions):
+            out.append((f"{unit_name}.{label}", gamma, rigid_comp))
+    return out
+
+
+def test_the_resolver_desugars_each_diagram_once_and_the_checks_never(monkeypatch):
+    calls = []
+    real = diagrams.desugar_diagram
+
+    def counted(diagram):
+        calls.append(diagram.name)
+        return real(diagram)
+
+    monkeypatch.setattr(resolver, "desugar_diagram", counted)
+    monkeypatch.setattr(diagrams, "desugar_diagram", counted)
+    bundle = _two_diagram_bundle()
+    assert calls == ["ADiagram", "BlackboardDiagram"]
+    calls.clear()
+    result = simulate_blackboard(random_scenario(random.Random(3), horizon=20))
+    report = checker.check_simulation(bundle, result)
+    assert {a.name for a in report.assertions} >= {a.name for a in bundle.annotations}
+    assert len(checker.verify_theorem(2, seed=3, horizon=20, bundle=bundle).trials) == 2
+    assert calls == []
+
+
+def test_the_annotations_are_the_diagrams_desugared_in_diagram_and_label_order():
+    for bundle in (blackboard_bundle(), _two_diagram_bundle()):
+        expected = _desugared_by_unit(bundle)
+        got = [(a.name, a.gamma, a.rigid_comp) for a in bundle.annotations]
+        assert got == expected
+        assert [list(r.items()) for _, _, r in got] == [list(r.items()) for _, _, r in expected]
+        assert diagram_assertions(bundle) == tuple(got)
+        for a in bundle.annotations:
+            assert (a.unit, a.rigid_data, a.text) == (a.name.split(".")[0], {}, "")
+    assert [(a.name, a.index, list(a.rigid_comp.items())) for a in bundle.annotations] == [
+        ("ADiagram.minmax", 1, [("bb", "BB"), ("k2", "KS"), ("k1", "KS")]),
+        ("ADiagram.rigid", 2, [("bb", "BB"), ("k2", "KS"), ("k1", "KS")]),
+        ("BlackboardDiagram.minmax", 1, [("bb", "BB")]),
+        ("BlackboardDiagram.rigid", 2, [("bb", "BB")]),
+        ("BlackboardDiagram.connections", 3, [("bb", "BB")]),
+    ]

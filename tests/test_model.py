@@ -227,6 +227,36 @@ class TestConfigurations:
             assert done.returncode == 0, done.stderr
             assert done.stdout.split() == ["True", "True"], seed
 
+    def test_a_shared_id_that_feeds_an_input_gives_one_report_in_every_process(self):
+        # the consistency check reads the shared id through the table that
+        # flags it: the first snapshot in sorted_snapshots order, whatever
+        # the order the configuration was built in and the string hash seed
+        code = (
+            "from archcheck.model import (ArchConfiguration, ComponentUniverse,\n"
+            "    check_configuration, make_snapshot)\n"
+            "a = make_snapshot('c', outputs={'o': {'m1'}})\n"
+            "b = make_snapshot('c', outputs={'o': {'m2'}})\n"
+            "d = make_snapshot('d', inputs={'i': {'m2'}})\n"
+            "universe = ComponentUniverse(frozenset([a, b, d]))\n"
+            "for order in ([a, b, d], [d, b, a]):\n"
+            "    k = ArchConfiguration(frozenset(order), {('d', 'i'): {('c', 'o')}})\n"
+            "    for v in check_configuration(universe, k).violations:\n"
+            "        print(v.render())\n"
+        )
+        src = str(Path(archcheck.__file__).parent.parent)
+        expected = [
+            "ambiguous-valuation: c: two active snapshots with this id differ",
+            "valuation-consistency: d.i: input valued {m2} but connected outputs"
+            " provide {m1}",
+        ] * 2
+        for seed in ("0", "1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines() == expected, seed
+
     def test_connection_from_a_port_that_is_not_an_active_input(self):
         a = make_snapshot("a", inputs={"i": {"m"}}, outputs={"o": {"m"}})
         b = make_snapshot("b", inputs={"j": {"m"}})

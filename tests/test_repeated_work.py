@@ -55,7 +55,7 @@ from archcheck.model import (
     PortValuation,
     make_snapshot,
 )
-from archcheck.parser import print_unit
+from archcheck.parser import print_unit, resolver
 
 from generators import random_closed_assertion, random_world
 from test_rigid_enumeration import _bundle_assertions
@@ -220,7 +220,7 @@ def test_the_second_check_of_a_bundle_analyses_none_of_its_assertions(monkeypatc
         monkeypatch.setattr(module, name, wrapper)
 
     counted(constraints, "free_vars")
-    counted(checker, "desugar_diagram")
+    counted(resolver, "desugar_diagram")
     counted(constraints, "find_guard")
     counted(algebra, "find_guard")
     report = check_simulation(bundle, second)

@@ -3,6 +3,8 @@ steps give the verdicts of the plain progression, which reads every step."""
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from archcheck import constraints
 from archcheck.algebra import And, Equals, Member, Var, children
 from archcheck.blackboard import random_scenario, simulate_blackboard
@@ -27,7 +29,6 @@ from archcheck.constraints import (
     Truth,
     Until,
     Verdict,
-    _Deferred,
     _StateEvaluator,
     _TraceEvaluator,
     _node_tables,
@@ -35,7 +36,12 @@ from archcheck.constraints import (
     free_vars,
     trace_holds,
 )
-from archcheck.model import ArchConfiguration, ComponentUniverse, ConfigurationTrace
+from archcheck.model import (
+    ArchConfiguration,
+    ComponentUniverse,
+    ConfigurationTrace,
+    make_snapshot,
+)
 
 import oracle
 from fixtures import (
@@ -65,14 +71,12 @@ def _plain(alg, J, trace, gamma, mode, rigid_comp=None):
         for comp_combo in itertools.product(*comp_domains):
             asg = {**dict(zip(data_names, data_combo)),
                    _COMPS: dict(zip(comp_names, comp_combo))}
-            evaluator = _TraceEvaluator(alg, J, _node_tables(gamma))
-            residual = _Deferred(gamma, asg)
+            evaluator = _TraceEvaluator(alg, J, _node_tables(gamma), gamma, asg)
             for m, k in enumerate(trace.steps):
-                residual = evaluator.progress(residual, m, k)
-                if type(residual) is Verdict:
+                evaluator.progress(m, k)
+                if type(evaluator.residual) is Verdict:
                     break
-            else:
-                residual = evaluator.close(residual, mode)
+            residual = evaluator.verdict(mode)
             if not data_names and not comp_names:
                 return residual
             if residual.truth is Truth.VIOLATED:
@@ -434,3 +438,108 @@ def test_the_skip_set_is_bounded(monkeypatch):
             clears += size == 4 and held == 1
             size = held
     assert clears > 15
+
+
+def test_two_runs_of_one_plan_fed_in_turn_give_their_verdicts_alone():
+    # two Monitors of one AssertionPlan share its closure and guard tables;
+    # fed two streams in turn, step by step, each gives at every step the
+    # verdict it gives alone and that of the open check of its prefix.
+    # Each run is streamed as it is, with an empty configuration in its
+    # middle, which violates safety assertions, and backwards, which meets
+    # the configurations of the first stream under other residuals
+    runs = [
+        simulate_blackboard(random_scenario(random.Random(seed), horizon=30), mutation=mutation)
+        for seed, mutation in ((1, None), (17, None), (19, None), (1, "drop-forwarding"))
+    ]
+    streams = []
+    for run in runs:
+        gap = list(run.trace.steps)
+        gap[len(gap) // 2] = ArchConfiguration(frozenset())
+        streams += [(run, run.trace.steps), (run, tuple(gap)), (run, run.trace.steps[::-1])]
+    assertions = _bundle_assertions()
+    assert len(assertions) == 15
+    truths = set()
+    for name, gamma, rigid_comp, rigid_data in assertions:
+        plan = AssertionPlan(gamma, rigid_comp, rigid_data)
+        alone = []  # per stream, the verdicts of a Monitor fed it alone
+        for run, steps in streams:
+            alone.append([v for _, v in _monitor_against_the_check(run, steps, name, plan)])
+            truths.update(v.truth for v in alone[-1])
+        for i in range(len(streams)):
+            pair = []
+            for s in (i, (i + 1) % len(streams)):
+                run, steps = streams[s]
+                monitor = Monitor(run.algebra, run.interpretation, gamma, plan)
+                pair.append((monitor, steps, alone[s]))
+            for t in range(max(len(steps) for _, steps, _ in pair)):
+                for monitor, steps, expected in pair:
+                    if t < len(steps):
+                        assert monitor.step(_fresh(steps[t])) == expected[t], (name, i, t)
+    assert {Truth.VIOLATED, Truth.INCONCLUSIVE} <= truths
+
+
+def _rebuilt(k):
+    """An equal configuration whose snapshots are made afresh."""
+    def copy(snap):
+        def ports(names):
+            return {p: snap.valuation[p] for p in names}
+        return make_snapshot(snap.id, local=ports(snap.local_ports),
+                             inputs=ports(snap.input_ports), outputs=ports(snap.output_ports))
+    return ArchConfiguration(frozenset(map(copy, k.active)), dict(k.connection))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    runs=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    dropped=st.integers(0, 6),
+    rebuilt=st.booleans(),
+    free=st.booleans(),
+    outer=st.sampled_from((None, Eventually)),
+)
+def test_the_core_agrees_with_the_oracle_on_stutter_runs(seed, runs, dropped, rebuilt, free,
+                                                         outer):
+    # a random world's longer trace with step ``dropped`` left out (when
+    # there is one and another remains) and each other step repeated by
+    # ``runs`` in turn, its configurations made afresh when ``rebuilt``:
+    # the checks in both modes, a monitor on every prefix and the oracle
+    # agree, and the checks give the plain progression's witnesses.  An
+    # ``outer`` F keeps more runs pending to the end of the trace
+    rng = random.Random(seed)
+    world = random_world(rng, max_len=4, extra_steps=2)  # the oracle is exponential in nesting
+    oworld = oracle.World(world.alg, world.J)
+    steps = list(world.extension.steps)
+    if len(steps) > max(dropped, 1):
+        del steps[dropped]
+    steps = [k for i, k in enumerate(steps) for _ in range(runs[i % len(runs)])]
+    if rebuilt:
+        steps = [_rebuilt(k) for k in steps]
+    trace = ConfigurationTrace(world.extension.universe, steps)
+    if free:
+        iface = rng.choice(world.interfaces)
+        gen = FormulaGenerator(rng, world)
+        gamma, decls = gen.trace_formula(3, ["x"], [("b", iface)]), {"b": iface}
+    else:
+        gamma, decls = random_closed_assertion(rng, world, depth=3), {}
+    if outer is not None:
+        gamma = outer(gamma)
+    plan = AssertionPlan(gamma, decls)
+    for mode in (OPEN, CLOSED):
+        verdict = check_trace_assertion(world.alg, world.J, trace, gamma, mode, plan=plan)
+        assert verdict == _plain(world.alg, world.J, trace, gamma, mode, decls), mode
+        letter = oracle.check_assertion(oworld, trace, gamma, mode, rigid_comp=decls)
+        assert oracle.truth_letter(verdict) == letter, mode
+    monitor, final = Monitor(world.alg, world.J, gamma, plan), None
+    for t, k in enumerate(steps, start=1):
+        verdict = monitor.step(k)
+        if final is not None:
+            assert verdict == final
+            continue
+        prefix = ConfigurationTrace(trace.universe, steps[:t])
+        assert verdict == check_trace_assertion(
+            world.alg, world.J, prefix, gamma, OPEN, plan=plan
+        ), t
+        assert oracle.truth_letter(verdict) == oracle.check_assertion(
+            oworld, prefix, gamma, OPEN, rigid_comp=decls
+        ), t
+        final = verdict if verdict.final else None
