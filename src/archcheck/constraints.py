@@ -578,19 +578,22 @@ def _instance_guard(gamma) -> Optional[Guard]:
 class _StateEvaluator(Evaluator):
     """Evaluates configuration assertions over the interpretation set ``J``.
 
-    ``at`` makes a configuration ``k`` current.  It looks up the
-    interpretation of each active snapshot in ``J.by_snapshot`` once:
-    ``active`` maps each active component's id to its interpretation, or to
-    None when it has none, and ``links`` is the table of ``k``'s connection
-    map.  Port reads and ``connected`` read these, and the interpretation's
-    table of concrete ports, directly, so no read hashes a snapshot.  An
-    entry that is missing is read again through ``interpretation`` and the
-    interpretation's own methods, which raise its error: at the read that
-    meets it, never in ``at``.  ``notes`` collects the undefined reads of the
-    verdict under way, in order.
+    ``at`` makes a configuration ``k`` current.  When ``reads`` is set, it
+    looks up the interpretation of each active snapshot in
+    ``J.by_snapshot`` once: ``active`` maps each active component's id to
+    its interpretation, or to None when it has none.  Otherwise ``active``
+    is ``k.by_id``, whose keys are all that formulas without port reads,
+    ``conn`` or ``irconn`` read.  ``links`` is the table of ``k``'s
+    connection map.  Port reads and ``connected`` read these, and the
+    interpretation's table of concrete ports, directly, so no read hashes a
+    snapshot.  An entry that is missing is read again through
+    ``interpretation`` and the interpretation's own methods, which raise its
+    error: at the read that meets it, never in ``at``.  ``notes`` collects
+    the undefined reads of the verdict under way, in order.
     """
 
     FRAGMENT = "configuration assertions"
+    reads = True  # whether the formulas evaluated may read an interpretation
     TERMS = {**Evaluator.TERMS, PortRead: _port_read}
     ASSERTIONS = {
         **Evaluator.ASSERTIONS,
@@ -625,7 +628,10 @@ class _StateEvaluator(Evaluator):
         """Make ``k`` the current configuration (see the class docstring)."""
         by_id = k.by_id
         self.links = k.connection._table
-        self.active = dict(zip(by_id, map(self.J.by_snapshot.get, by_id.values())))
+        if self.reads:
+            self.active = dict(zip(by_id, map(self.J.by_snapshot.get, by_id.values())))
+        else:
+            self.active = by_id
 
     def source(self, asg, term: Term) -> frozenset:
         """Undefined reads give the empty set (matching the guarded expansion
@@ -1022,13 +1028,15 @@ def _check_mode(mode: str) -> None:
         raise UsageError(f"mode must be {OPEN!r} or {CLOSED!r}, got {mode!r}")
 
 
-def _node_tables(gamma) -> tuple[dict, dict]:
+def _node_tables(gamma) -> tuple[dict, dict, bool]:
     """What evaluating ``gamma`` looks up about its nodes, all found at once
     (see ``_TraceEvaluator``): the guard of each rigid data quantifier, by
-    the quantifier's id; and the closures of the state formulas and of the
-    bounded rigid quantifiers' sources."""
+    the quantifier's id; the closures of the state formulas and of the
+    bounded rigid quantifiers' sources; and whether any of those reads an
+    interpretation, through a port read, ``conn`` or ``irconn``."""
     guards: dict = {}
     compiler = Compiler(_StateEvaluator)
+    reads = False
     for node in nodes(gamma):
         if type(node) is State:
             compiler.assertion_fn(node.formula)
@@ -1036,7 +1044,9 @@ def _node_tables(gamma) -> tuple[dict, dict]:
             guards[id(node)] = (node, _instance_guard(node))
         elif isinstance(node, TraceAssertion) and node.SHAPE and node.SHAPE[1] == "set":
             compiler.term_fn(node.source)
-    return guards, compiler.closures
+        elif type(node) in (PortRead, Conn, IRConn):
+            reads = True
+    return guards, compiler.closures, reads
 
 
 class _TraceEvaluator(_StateEvaluator):
@@ -1052,20 +1062,21 @@ class _TraceEvaluator(_StateEvaluator):
     ``_UNCHANGED_BOUND`` of them.
 
     ``tables`` are the ``_node_tables`` of ``gamma``: ``guards`` holds, by
-    the id of a rigid data quantifier, the quantifier and its guard; the
-    other is the table of closures.  Entries hold their node, so its id is
-    not reused.
+    the id of a rigid data quantifier, the quantifier and its guard; then
+    come the table of closures, and ``reads``.  Entries hold their node, so
+    its id is not reused.  When ``reads`` is false, ``at`` keeps ``k.by_id``
+    as ``active``: only membership in it is read.
     """
 
     def __init__(
         self,
         alg: Algebra,
         J: SpecInterpretation,
-        tables: tuple[dict, dict],
+        tables: tuple[dict, dict, bool],
         gamma: TraceAssertion,
         asg: dict,
     ):
-        self.guards, closures = tables
+        self.guards, closures, self.reads = tables
         super().__init__(alg, J, closures)
         self.residual = _Deferred(gamma, asg)
         self.m: Optional[int] = None

@@ -4,15 +4,25 @@ One unit per file.  Recovery is per line: a malformed line yields one error
 diagnostic and parsing resumes on the next line; any error makes the whole
 unit a failure (no partially parsed units escape).
 
-Lines are lexed only when the parser reaches them.  In a trace unit, a
-step-section line (`step`, `active`, `connect` or a port valuation with a
-ground value) whose raw text was parsed before in the same unit is replayed
-from a table and neither lexed nor parsed again; its step, `ActiveDecl` or
-`ConnectDecl` still gets a span at its own line.  The ground valuation nodes
-are shared between equal lines, so their inner spans point at the first
-equal line.  No diagnostic reads those spans: the resolver reports only
-values that are not ground, and those are never replayed.  A line that drew
-a diagnostic is never stored either.
+Lines are lexed only when the parser reaches them.  A trace unit is read
+one step block at a time; a block runs from a `step` line up to the next
+one.  A block is clean when it drew no diagnostic and every line in it was
+stored in the line table below.  When a block's lines equal those of an
+earlier clean block, the parser does not read them: a search of the raw
+lines for the `step` lines seen so far finds where the block ends, and its
+`StepDecl` shares the earlier one's `actives` and `connects`.  The spans of
+a step's `ActiveDecl`s and `ConnectDecl`s count lines from the step's own
+line, and the resolver adds that line when it reports, so shared records
+are exact.
+
+The first block of each kind is read line by line.  A step-section line
+(`step`, `active`, `connect` or a port valuation with a ground value) whose
+raw text was parsed before in the same unit is replayed from the line table
+and neither lexed nor parsed again.  The ground valuation nodes are shared
+between equal lines, so their inner spans point at the first equal line.
+No diagnostic reads those spans: the resolver reports only values that are
+not ground, and those are never stored.  A line that drew a diagnostic is
+never stored either.
 """
 from __future__ import annotations
 
@@ -564,7 +574,7 @@ def _open(found, field, parse, names):
 class _UnitParser:
     def __init__(self, text: str):
         self.diagnostics: list[Diagnostic] = []
-        self.raw_lines = text.splitlines()
+        self.raw_lines = tuple(text.splitlines())
         self.index = 0  # next raw line to read
         self.peeked = None  # (line, index after it), set by peek_line
 
@@ -645,33 +655,17 @@ class _UnitParser:
             except LineError as err:
                 self.error(err.message, err.span)
 
-    def _each_line(self, handler, replay=None):
-        """Feed every remaining line to handler with per-line recovery.
-
-        A handler may return an entry for the line it parsed; the entry is
-        stored under the line's raw text.  A later line with the same text
-        is then neither lexed nor parsed: ``replay(entry, line_no)`` applies
-        the entry, and when it returns False the line takes the normal path
-        after all.
-        """
-        table: dict = {}
+    def _each_line(self, handler):
+        """Feed every remaining line to handler with per-line recovery."""
         while True:
-            if table and self.peeked is None and self.index < len(self.raw_lines):
-                entry = table.get(self.raw_lines[self.index])
-                if entry is not None and replay(entry, self.index + 1):
-                    self.index += 1
-                    continue
             line = self.next_line()
             if line is None:
                 return
             line_no, text, tokens = line
             try:
-                entry = handler(Cursor(tokens, line_no, text))
+                handler(Cursor(tokens, line_no, text))
             except LineError as err:
                 self.error(err.message, err.span)
-                continue
-            if entry is not None:
-                table[self.raw_lines[line_no - 1]] = entry
 
     def _parse_sections(self, kind):
         """Parse a body of sections, each opened by a header line, as
@@ -773,23 +767,45 @@ class _UnitParser:
     # -- trace ----------------------------------------------------------
 
     def _parse_trace(self):
+        raw = self.raw_lines
         components: list[ComponentDecl] = []
-        steps: list[dict] = []
-        section = [None]  # None | "components" | "step"
+        steps: list[StepDecl] = []
+        table: dict = {}  # raw text of a stored line -> its entry
+        blocks: dict = {}  # lines of a clean step -> the first step with them
+        heads: set = set()  # the text of every `step` line read so far
+        section = None  # "components" after that header, until the next step
+        step = None  # the _OpenStep whose lines are being read
+
+        def close(end):
+            """Finish the open step, whose lines end before raw line ``end``."""
+            nonlocal step
+            if step is None:
+                return
+            decl = StepDecl(
+                tuple(ActiveDecl(*active) for active in step.actives),
+                step.connects,
+                step.span,
+                raw[step.start:end],
+            )
+            steps.append(decl)
+            if step.stored and len(self.diagnostics) == step.reported:
+                blocks.setdefault(decl.lines, decl)
+            step = None
 
         # Each step-section line yields an entry (kind, payload, column,
-        # end_column) that holds no line number, so _each_line can replay it
-        # for every later line with the same text.
+        # end_column) that holds no line number, so a later line with the
+        # same text replays it.
         def handler(cur: Cursor):
+            nonlocal section
             head = cur.peek()
             if head.text == "components" and cur.peek(1) is None:
-                section[0] = "components"
+                section = "components"
                 return None
             if head.text == "step" and cur.peek(1) is None:
                 entry = ("step", None, head.span.column, head.span.end_column)
                 replay(entry, head.span.line)
                 return entry
-            if section[0] == "components":
+            if section == "components":
                 cid = cur.expect_ident("component id").text
                 cur.expect(":")
                 iface = cur.expect_ident("interface").text
@@ -802,8 +818,7 @@ class _UnitParser:
                     ComponentDecl(cid, iface, locals_, span=head.span)
                 )
                 return None
-            if section[0] == "step":
-                step = steps[-1]
+            if step is not None:
                 if head.text == "active":
                     cur.take()
                     cid = cur.expect_ident("component id").text
@@ -819,14 +834,14 @@ class _UnitParser:
                     )
                 else:
                     # port valuation line inside the latest `active` block
-                    if not step["actives"]:
+                    if not step.actives:
                         raise LineError(
                             "port valuations must follow an `active` line",
                             head.span,
                         )
                     port, value = _parse_valuation(cur)
                     cur.expect_end()
-                    step["actives"][-1]["vals"].append((port, value))
+                    step.actives[-1][1].append((port, value))
                     # A value that is not ground draws a resolver diagnostic
                     # at its own span, so only ground values are replayed.
                     if not _is_ground(value):
@@ -837,43 +852,86 @@ class _UnitParser:
             raise LineError("expected components or step section", head.span)
 
         def replay(entry, line_no):
+            nonlocal section, step
             kind, payload, column, end_column = entry
             if kind == "step":
-                section[0] = "step"
+                close(line_no - 1)
+                heads.add(raw[line_no - 1])
+                section = None
                 span = Span(line_no, column, end_column)
-                steps.append({"actives": [], "connects": [], "span": span})
+                step = _OpenStep(line_no - 1, span, len(self.diagnostics))
                 return True
-            if section[0] != "step":
+            if section is not None or step is None:
                 return False
-            step = steps[-1]
+            span = Span(line_no - step.span.line, column, end_column)
             if kind == "active":
-                span = Span(line_no, column, end_column)
-                step["actives"].append({"id": payload, "vals": [], "span": span})
+                step.actives.append((payload, [], span))
             elif kind == "connect":
-                span = Span(line_no, column, end_column)
-                step["connects"].append(ConnectDecl(*payload, span=span))
-            elif step["actives"]:
-                step["actives"][-1]["vals"].append(payload)
+                step.connects.append(ConnectDecl(*payload, span=span))
+            elif step.actives:
+                step.actives[-1][1].append(payload)
             else:
                 return False
             return True
 
-        self._each_line(handler, replay)
-        # a step's lines run from its `step` line to the next one's
-        starts = [step["span"].line - 1 for step in steps] + [len(self.raw_lines)]
-        built_steps = tuple(
-            StepDecl(
-                actives=(
-                    ActiveDecl(a["id"], a["vals"], span=a["span"])
-                    for a in step["actives"]
-                ),
-                connects=step["connects"],
-                span=step["span"],
-                lines=tuple(self.raw_lines[start:end]),
-            )
-            for step, start, end in zip(steps, starts, starts[1:])
-        )
-        return TraceBody(components, built_steps)
+        n = len(raw)
+        while True:
+            i = self.index
+            if self.peeked is None and i < n:
+                text = raw[i]
+                if text in heads:
+                    # a `step` line: the open step ends here, and this one
+                    # runs up to the next `step` line
+                    close(i)
+                    end = n
+                    for head in heads:
+                        try:
+                            end = raw.index(head, i + 1, end)
+                        except ValueError:
+                            pass
+                    first = blocks.get(raw[i:end])
+                    if first is not None:
+                        section = None
+                        span = Span(i + 1, first.span.column, first.span.end_column)
+                        steps.append(
+                            StepDecl(first.actives, first.connects, span, first.lines)
+                        )
+                        self.index = end
+                        continue
+                entry = table.get(text)
+                if entry is not None and replay(entry, i + 1):
+                    self.index = i + 1
+                    continue
+            line = self.next_line()
+            if line is None:
+                break
+            line_no, text, tokens = line
+            try:
+                entry = handler(Cursor(tokens, line_no, text))
+            except LineError as err:
+                self.error(err.message, err.span)
+                continue
+            if entry is not None:
+                table[raw[line_no - 1]] = entry
+            elif step is not None:
+                step.stored = False
+        close(n)
+        return TraceBody(components, steps)
+
+
+class _OpenStep:
+    """A step whose lines are being read: the raw index of its `step` line,
+    its span, its actives as (id, valuations, span) and its connects; the
+    number of diagnostics before it, and whether every line read so far
+    was stored in the line table."""
+
+    __slots__ = ("start", "span", "actives", "connects", "reported", "stored")
+
+    def __init__(self, start: int, span: Span, reported: int):
+        self.start, self.span, self.reported = start, span, reported
+        self.actives: list[tuple] = []
+        self.connects: list[ConnectDecl] = []
+        self.stored = True
 
 
 def _is_ground(expr) -> bool:

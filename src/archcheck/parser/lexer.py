@@ -34,16 +34,18 @@ UNICODE_ALIASES = {
     "℘": " set ",     # script P, power set; `℘(S)` reads as `set (S)`
 }
 
+# Each match is the whitespace before a token, then the token: ``bad`` is
+# any other character that is not whitespace.
 TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
+    \s*(?:
+    (?P<comment>\#.*)
   | (?P<wf>well-founded)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<number>[0-9]+)
   | (?P<op><->|->|<-|==|\.\.|[(){}\[\],:.*=])
-  | (?P<bad>.)
-    """,
+  | (?P<bad>\S)
+    )""",
     re.VERBOSE,
 )
 
@@ -54,14 +56,20 @@ class Token(NamedTuple):
     span: Span
 
 
+_new = tuple.__new__
+
+
 def lex_line(line: str, line_no: int):
     """Tokenize one line; returns (tokens, diagnostic-or-None).
 
-    One ``finditer`` pass: ``bad`` matches any character that no token
-    starts with, so the matches tile the line and the first ``bad`` one is
-    the lex error.  Spans are columns of the source line: on a line that is
-    not ASCII, the aliases are replaced first and the spans mapped back, so
-    a token read from an alias spans the alias.
+    One ``finditer`` pass: ``bad`` matches any character that is neither
+    whitespace nor the start of a token, so the matches tile the line up to
+    trailing whitespace, and the first ``bad`` one is the lex error.  A
+    comment runs to the end of the line.  Spans are columns of the source
+    line: on a line that is not ASCII, the aliases are replaced first and
+    the spans mapped back, so a token read from an alias spans the alias.
+    Tokens and spans are made by ``tuple.__new__``, which costs less than a
+    call of the named tuples' own ``__new__``.
     """
     columns = None
     if not line.isascii():
@@ -73,16 +81,17 @@ def lex_line(line: str, line_no: int):
     diag = None
     for match in TOKEN_RE.finditer(line):
         kind = match.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        start, end = match.span()
+        if kind == "comment":
+            break
+        start, end = match.span(kind)
         if kind == "bad":
             diag = Diagnostic(
-                "error", "lex", f"unexpected character {match.group()!r}",
+                "error", "lex", f"unexpected character {match[kind]!r}",
                 Span(line_no, start + 1, start + 2),
             )
             break
-        tokens.append(Token(kind, match.group(), Span(line_no, start + 1, end + 1)))
+        span = _new(Span, (line_no, start + 1, end + 1))
+        tokens.append(_new(Token, (kind, match[kind], span)))
     if columns is not None:
         return _in_source(tokens, diag, columns)
     return tokens, diag

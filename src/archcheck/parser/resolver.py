@@ -75,6 +75,7 @@ from .syntax import (
     SortRef,
     SourceUnit,
     Span,
+    StepDecl,
     TraceBody,
 )
 
@@ -1405,7 +1406,9 @@ class Resolver:
             for active in step.actives:
                 snapshot = built.get(active)
                 if snapshot is None:
-                    snapshot = self._resolve_active(name, components, active)
+                    snapshot = self._resolve_active(
+                        name, components, active, _in_unit(step, active.span)
+                    )
                     if snapshot is None:
                         continue
                     built[active] = snapshot
@@ -1413,7 +1416,7 @@ class Resolver:
                     self.err(
                         name,
                         f"component {active.id!r} activated twice in one step",
-                        active.span,
+                        _in_unit(step, active.span),
                     )
                     continue
                 snapshots[active.id] = snapshot
@@ -1426,14 +1429,14 @@ class Resolver:
                     self.err(
                         name,
                         "connection references an undeclared component",
-                        conn.span,
+                        _in_unit(step, conn.span),
                     )
                     continue
                 try:
                     _check_roles(
                         (conn.in_owner, src[1], conn.in_port),
                         (conn.out_owner, tgt[1], conn.out_port),
-                        conn.span,
+                        _in_unit(step, conn.span),
                     )
                 except ResolveError as errr:
                     self.err(name, errr.message, errr.span)
@@ -1467,11 +1470,12 @@ class Resolver:
         trace = ConfigurationTrace(universe, steps)
         return TraceData(name=name, trace=trace, interpretation=J)
 
-    def _resolve_active(self, name, components, active: ActiveDecl):
-        """The snapshot of one `active` block, or None after a diagnostic."""
+    def _resolve_active(self, name, components, active: ActiveDecl, span):
+        """The snapshot of one `active` block, or None after a diagnostic
+        at ``span``, the block's span in the unit."""
         comp = components.get(active.id)
         if comp is None:
-            self.err(name, f"undeclared component {active.id!r}", active.span)
+            self.err(name, f"undeclared component {active.id!r}", span)
             return None
         iface_name, interface, locals_ = comp
         io_values = {p: frozenset() for p in interface.inputs}
@@ -1483,7 +1487,7 @@ class Resolver:
                     name,
                     f"local port {port!r} is fixed by the component"
                     " declaration",
-                    active.span,
+                    span,
                 )
                 ok = False
                 continue
@@ -1491,14 +1495,14 @@ class Resolver:
                 self.err(
                     name,
                     f"{port!r} is not a port of interface {iface_name!r}",
-                    active.span,
+                    span,
                 )
                 ok = False
                 continue
             try:
                 io_values[port] = _message_set(value_expr)
             except ResolveError as errr:
-                self.err(name, errr.message, errr.span or active.span)
+                self.err(name, errr.message, errr.span or span)
                 ok = False
         if not ok:
             return None
@@ -1508,6 +1512,14 @@ class Resolver:
             inputs={p: io_values[p] for p in interface.inputs},
             outputs={p: io_values[p] for p in interface.outputs},
         )
+
+
+def _in_unit(step: StepDecl, span: Optional[Span]) -> Optional[Span]:
+    """``span`` of a line inside a parsed ``step``, which counts lines from
+    the step's own line, as a span of the unit."""
+    if span is None or step.span is None:
+        return span
+    return Span(step.span.line + span.line, span.column, span.end_column)
 
 
 def resolve(units):

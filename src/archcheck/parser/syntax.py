@@ -351,7 +351,9 @@ class StepDecl:
     """One step of a trace.  ``lines`` are the source lines of a parsed
     step, from its `step` line to the next: steps with equal lines are
     equal, so the resolver keys its table of resolved steps by them rather
-    than by the step's hash, which walks every node."""
+    than by the step's hash, which walks every node.  In a parsed step, the
+    spans of ``actives`` and ``connects`` count lines from the step's own
+    line, which is line 0: equal steps share their records."""
 
     actives: tuple[ActiveDecl, ...] = ()
     connects: tuple[ConnectDecl, ...] = ()

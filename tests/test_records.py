@@ -275,6 +275,8 @@ def test_a_configuration_keeps_the_hash_of_its_field_tuple():
             assert other is not k and other == k
             assert hash(other) == hash(k) == hash(_compared_fields(other))
             assert hash(k) == hash((k.active, k.connection))
+    # a step with connections, so that dropping them makes another configuration
+    k = next(k for k in steps if len(k.connection))
     changed = dataclasses.replace(k, connection={})
     assert hash(changed) == hash(_compared_fields(changed)) != hash(k)
 

@@ -5,7 +5,8 @@ no configuration and no interpretation set (both index themselves when
 they are made, and configurations rebuilt down to their snapshots get the
 same verdicts), a conjunction whose items stand still is not made again,
 one evaluation of a state formula looks each active snapshot's
-interpretation up once, a monitor hashes none of the configurations it is
+interpretation up once (and none, when the assertion has no port read,
+`conn` or `irconn`), a monitor hashes none of the configurations it is
 fed (each computed its hash when it was made), an interface check analyses and compiles each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
 explanation included; a connection map and a port valuation find a port
@@ -437,6 +438,26 @@ def test_one_evaluation_of_connections_looks_each_active_snapshot_up_once():
         )
         assert verdict.truth is (Truth.SATISFIED if mode == CLOSED else Truth.INCONCLUSIVE)
         assert 0 < counted.lookups <= 4, mode
+
+
+def test_assertions_without_port_reads_look_no_interpretation_up():
+    # only an assertion with a port read, conn or irconn reads an
+    # interpretation; the others read which components are active
+    result = simulate_blackboard(random_scenario(random.Random(3), horizon=30))
+    J = SpecInterpretation(result.interpretation.by_interface)
+    counted = _CountedLookups(J.by_snapshot)
+    object.__setattr__(J, "by_snapshot", counted)
+    looked_up = {}
+    for name, gamma, rigid_comp, rigid_data in _bundle_assertions():
+        counted.lookups = 0
+        for mode in (OPEN, CLOSED):
+            check_trace_assertion(
+                result.algebra, J, result.trace, gamma, mode, rigid_comp, rigid_data
+            )
+        looked_up[name] = counted.lookups > 0
+    assert sorted(name for name, looked in looked_up.items() if not looked) == [
+        "BlackboardActivation.ax1", "BlackboardDiagram.minmax", "BlackboardDiagram.rigid",
+    ]
 
 
 def test_a_monitor_hashes_no_configuration_it_is_fed(monkeypatch):

@@ -1,11 +1,19 @@
-"""The trace front end: per-unit line and step tables, and their contract.
+"""The trace front end: per-unit block, line and step tables, and their
+contract.
 
-A trace file's cost follows its distinct lines and distinct steps: a line
-whose text was parsed before is replayed from the unit's table, and an equal
-step reuses its resolved configuration.  Diagnostics do not change: a line
-or step that drew one is never stored, so every occurrence reports at its
-own line.
+A trace file's cost follows its distinct lines and distinct steps.  A step
+block, from a `step` line to the next, whose lines equal those of an earlier
+clean block shares that block's parsed records and is not read line by
+line; the first block of its kind reads its lines through the unit's line
+table, which replays a line whose text was parsed before; and an equal step
+reuses its resolved configuration.  Spans inside a step count from the
+step's own line, so shared records are exact.  Diagnostics do not change: a
+block, line or step that drew one is never stored, so every occurrence
+reports at its own line.  Traces built from a small pool of blocks, clean
+and faulty, must parse and resolve as the same text with a distinct comment
+on every line does.
 """
+import random
 import os
 import subprocess
 import sys
@@ -196,6 +204,121 @@ class TestDistinctLineCost:
         assert trace == result.trace
         distinct = {snap for step in trace.steps for snap in step.active}
         assert len(calls) <= len(distinct)
+
+
+    def test_records_follow_the_distinct_steps(self, stuttering, monkeypatch):
+        """As many `active` and `connect` records at 2,000 steps as at 200:
+        only the first block of each kind is parsed."""
+        _, long_text, _ = stuttering
+        short = simulate_blackboard(paper_scenario(horizon=200))
+        made = {}
+        for horizon, text in (
+            (200, print_unit(trace_unit(short, name="Run"))),
+            (2000, long_text),
+        ):
+            calls = []
+            for name in ("ActiveDecl", "ConnectDecl"):
+                real = getattr(grammar, name)
+
+                def counting(*args, real=real, **kwargs):
+                    calls.append(real)
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(grammar, name, counting)
+            unit, diagnostics = parse_unit(text)
+            monkeypatch.undo()
+            assert unit is not None and diagnostics == []
+            assert len(unit.body.steps) == horizon
+            made[horizon] = len(calls)
+        assert 0 < made[2000] == made[200]
+
+
+HEADER = """\
+trace Run
+imports BB, KS, ProbSolModel
+components
+  bb : BB
+  ks1 : KS with prob = { pA }
+"""
+
+# Step blocks: clean ones, with blank and comment-only lines and a header
+# with a comment; faults the resolver reports, in blocks the parser finds
+# clean (`ghost`, `roles`) or not (`unground`); a parse error and a lex
+# error.
+BLOCKS = {
+    "plain": (
+        "step\n  active bb\n    bbop = { pA }\n  active ks1\n    ksip = { pA }\n"
+        "  connect ks1.ksip <- bb.bbop\n"
+    ),
+    "spaced": "step\n\n  # the board alone\n  active bb\n   \n    bbop = { pA, pC }\n",
+    "noted": "step  # note\n  active bb\n    bbop = { pA }\n",
+    "idle": "step\n",
+    "ghost": "step\n  active ghost\n  active bb\n",
+    "roles": "step\n  active bb\n  active ks1\n  connect ks1.nope <- bb.bbop\n",
+    "unground": "step\n  active bb\n    bbop = { f(x) }\n",
+    "broken": "step\n  active bb\n  connect bb.p bb.q\n",
+    "lexed": "step\n  active bb\n  @\n",
+}
+UNPARSED = ("broken", "lexed")
+
+
+def pooled_trace(seed: int, parses: bool) -> str:
+    """A trace of every pool block twice and six more drawn blocks, in a
+    shuffled order; without the blocks that do not parse when ``parses``,
+    and without a final newline for odd seeds."""
+    rng = random.Random(seed)
+    pool = [name for name in BLOCKS if not (parses and name in UNPARSED)]
+    names = pool * 2 + rng.choices(pool, k=6)
+    rng.shuffle(names)
+    text = HEADER + "".join(BLOCKS[name] for name in names)
+    return text.rstrip("\n") if seed % 2 else text
+
+
+class TestStepBlocks:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pooled_blocks_parse_like_unique_lines(self, seed):
+        text = pooled_trace(seed, parses=False)
+        unit, diagnostics = parse_unit(text)
+        reference, expected = parse_unit(unique_lines(text))
+        assert unit is None and reference is None
+        assert diagnostics and diagnostics == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pooled_blocks_check_like_unique_lines(self, seed):
+        scenario = simulate_blackboard(paper_scenario(horizon=5)).scenario
+        units = [*bundle_units().values(), algebra_unit(scenario)]
+        text = pooled_trace(seed, parses=True)
+        unit, diagnostics = parse_unit(text)
+        reference, expected = parse_unit(unique_lines(text))
+        assert diagnostics == expected == []
+        assert unit == reference
+        assert step_spans(unit) == step_spans(reference)
+        bundle, got = resolve([*units, unit])
+        assert bundle is None
+        assert [d.render() for d in got] == [
+            d.render() for d in resolve([*units, reference])[1]
+        ]
+        # each faulty line is reported at every line it stands on
+        rendered = "\n".join(d.render() for d in got)
+        for faulty in ("  active ghost", "  connect ks1.nope", "    bbop = { f(x) }"):
+            rows = [n for n, line in enumerate(text.splitlines(), 1)
+                    if line.startswith(faulty)]
+            assert len(rows) >= 2
+            assert all(f"Run:{row}:" in rendered for row in rows)
+
+    def test_equal_clean_blocks_share_their_records(self):
+        kinds = ("plain", "noted", "spaced", "idle", "ghost", "unground")
+        text = HEADER + "".join(BLOCKS[name] for name in kinds) * 3
+        unit, diagnostics = parse_unit(text)
+        assert unit is not None and diagnostics == []
+        steps = unit.body.steps
+        assert len(steps) == 3 * len(kinds)
+        for at, name in enumerate(kinds):
+            first, *later = steps[at::len(kinds)]
+            assert all(step == first for step in later)
+            shared = [step.actives is first.actives for step in later]
+            # a value that is not ground keeps its block from the table
+            assert shared == ([False, False] if name == "unground" else [True, True])
 
 
 _CHECK = """
