@@ -24,6 +24,12 @@ what the evaluation raises.  The carriers are still enumerated first, so a
 carrier over the set cap raises as before and an empty one evaluates
 nothing; a guard whose reads fail, or a membership against a non-set, falls
 back to the full enumeration, which meets the same failure.
+
+Every quantifier is evaluated by one rule over the range its ``SHAPE`` names,
+compiled once per node by the evaluator's ``RANGES``: a carrier (or what a
+guard can meet), a set's elements in value order, or an interface's
+components.  Data and component variables are keys of one assignment, so
+``free_vars`` refuses a name used as both.
 """
 from __future__ import annotations
 
@@ -584,47 +590,64 @@ def quantifier_guard(phi) -> Optional[Guard]:
     return find_guard(body, {phi.var: phi.sort})
 
 
+def bound_names(phi) -> tuple[str, ...]:
+    """The names a quantifier binds: its pattern over a set, else its
+    variable."""
+    return phi.vars if phi.SHAPE[1] == "set" else (phi.var,)
+
+
+def sort_range(guard_of):
+    """The range rule over a sort: the carrier, or, when ``guard_of`` finds
+    the quantifier a guard, only the values that can meet it (the one-point
+    rule, see the module docstring)."""
+
+    def rule(ev, phi):
+        var, sort, guard = phi.var, phi.sort, guard_of(phi)
+        if guard is None:
+            return lambda ev, asg: ev.alg.carrier(sort)
+        variables = {var: sort}
+        return lambda ev, asg: (b[var] for b in enumerate_assignments(ev, variables, asg, guard))
+
+    return rule
+
+
+def _set_range(ev, phi):
+    """The range rule over a set: the elements of the source's value, in
+    value order."""
+    source = ev.term_fn(phi.source)
+
+    def values(ev, asg):
+        value = source(ev, asg)
+        if not isinstance(value, frozenset):
+            raise SortError("bounded quantifier over a non-set value")
+        return ev.alg.ordered(value)
+
+    return values
+
+
 def _decide(forall: bool, body, ev, asg, names: tuple[str, ...], values) -> bool:
     """Whether the closure ``body`` holds under ``asg`` with the pattern
     ``names`` bound to every one (``forall``) or to some one of ``values``,
     tried in turn until one decides.  One extended copy of ``asg`` serves
     every binding, as a closure keeps no assignment after it returns."""
     inner = dict(asg)
+    name = names[0] if len(names) == 1 else None
     for value in values:
-        inner.update(bind_pattern(names, value))
+        if name is None:
+            inner.update(bind_pattern(names, value))
+        else:
+            inner[name] = value
         if (not body(ev, inner)) is forall:  # as in _items
             return not forall
     return forall
 
 
-def _quantifier(forall: bool):
-    def rule(ev, phi):
-        var, sort, body = phi.var, phi.sort, ev.assertion_fn(phi.body)
-        guard = quantifier_guard(phi)
-        if guard is None:
-            return lambda ev, asg: _decide(
-                forall, body, ev, asg, (var,), ev.alg.carrier(sort)
-            )
-        variables = {var: sort}
-        return lambda ev, asg: _decide(forall, body, ev, asg, (var,), (
-            b[var] for b in enumerate_assignments(ev, variables, asg, guard)
-        ))
-
-    return rule
-
-
-def _bounded(forall: bool):
-    def rule(ev, phi):
-        names, source, body = phi.vars, phi.source, ev.assertion_fn(phi.body)
-        ev.term_fn(source)
-
-        def bounded(ev, asg):
-            values = ev.alg.ordered(ev.source(asg, source))
-            return _decide(forall, body, ev, asg, names, values)
-
-        return bounded
-
-    return rule
+def _quantifier(ev, phi):
+    """The compile rule of every quantifier of a formula: ``_decide`` over
+    the range that the evaluator's ``RANGES`` gives its ``SHAPE``."""
+    forall, names, body = phi.SHAPE[0] == "forall", bound_names(phi), ev.assertion_fn(phi.body)
+    values = ev.rules.RANGES[phi.SHAPE[1]](ev, phi)
+    return lambda ev, asg: _decide(forall, body, ev, asg, names, values(ev, asg))
 
 
 class Compiler:
@@ -677,12 +700,12 @@ class Evaluator(Compiler):
         Or: _items(False),
         Implies: _implies,
         Iff: _iff,
-        ForallData: _quantifier(True),
-        ExistsData: _quantifier(False),
-        BoundedForall: _bounded(True),
-        BoundedExists: _bounded(False),
+        **dict.fromkeys((ForallData, ExistsData, BoundedForall, BoundedExists), _quantifier),
         WellFounded: lambda _, phi: lambda ev, asg: check_well_founded(ev.alg, phi.symbol),
     }
+    # range rules by the range of a quantifier's SHAPE: each is called as
+    # ``rule(compiler, quantifier)`` and returns ``values(ev, asg)``
+    RANGES = {"sort": sort_range(quantifier_guard), "set": _set_range}
 
     def __init__(self, alg: Algebra, closures: Optional[dict] = None):
         super().__init__(type(self), closures)
@@ -697,13 +720,6 @@ class Evaluator(Compiler):
         if entry is None:
             return self.assertion_fn(phi)(self, asg)
         return entry[1](self, asg)
-
-    def source(self, asg: Mapping[str, Value], term: Term) -> frozenset:
-        """The set a bounded quantifier ranges over."""
-        value = self.term(asg, term)
-        if not isinstance(value, frozenset):
-            raise SortError("bounded quantifier over a non-set value")
-        return value
 
 
 def eval_term(alg: Algebra, asg: Mapping[str, Value], term: Term) -> Value:
@@ -741,14 +757,23 @@ def free_vars(node: Node) -> tuple[dict[str, Sort], dict[str, Optional[str]]]:
     assertion.  Data variables map to their sort; component variables map
     to their interface when an occurrence reveals it (port reads, conn),
     otherwise to None.  Raises SortError when a name is used at two sorts
-    or two interfaces.
+    or two interfaces, or as a data and as a component variable (see the
+    module docstring): free as both, or as one inside a quantifier that
+    binds it as the other.
     """
     data: dict[str, Sort] = {}
     comps: dict[str, Optional[str]] = {}
 
-    def walk(node, bound_data: frozenset, bound_comp: frozenset):
+    def both(name):
+        raise SortError(f"{name!r} is used as a data and as a component variable")
+
+    def walk(node, bound: dict):
+        # bound: each name bound around node, to whether it is a component's
         if isinstance(node, Var):
-            if node.name not in bound_data:
+            comp = bound.get(node.name)
+            if comp:
+                both(node.name)
+            if comp is None:
                 previous = data.get(node.name)
                 if previous is not None and previous != node.sort:
                     raise SortError(
@@ -757,19 +782,22 @@ def free_vars(node: Node) -> tuple[dict[str, Sort], dict[str, Optional[str]]]:
                 data[node.name] = node.sort
             return
         if node.SHAPE is not None:
-            over = node.SHAPE[1]
-            if over == "set":
-                walk(node.source, bound_data, bound_comp)
-                walk(node.body, bound_data | set(node.vars), bound_comp)
-            elif over == "sort":
-                walk(node.body, bound_data | {node.var}, bound_comp)
-            else:
-                walk(node.body, bound_data, bound_comp | {node.var})
+            comp = node.SHAPE[1] == "interface"
+            if node.SHAPE[1] == "set":
+                walk(node.source, bound)
+            inner = dict(bound)
+            for name in bound_names(node):
+                if bound.get(name, comp) is not comp:
+                    both(name)
+                inner[name] = comp
+            walk(node.body, inner)
             return
         if node.COMP_FIELDS:
             for var_field, interface_field in node.COMP_FIELDS:
                 name = getattr(node, var_field)
-                if name in bound_comp:
+                if bound.get(name) is False:
+                    both(name)
+                if name in bound:
                     continue
                 known = comps.get(name)
                 interface = interface_field and getattr(node, interface_field)
@@ -781,9 +809,11 @@ def free_vars(node: Node) -> tuple[dict[str, Sort], dict[str, Optional[str]]]:
                 comps[name] = known or interface
             return
         for child in children(node):
-            walk(child, bound_data, bound_comp)
+            walk(child, bound)
 
-    walk(node, frozenset(), frozenset())
+    walk(node, {})
+    for name in sorted(data.keys() & comps.keys())[:1]:
+        both(name)
     return data, comps
 
 

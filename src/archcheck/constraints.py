@@ -70,12 +70,14 @@ A port read on an inactive component is an undefined read: the smallest
 enclosing atomic assertion evaluates to false and the fact is recorded in the
 verdict explanation.
 
-Guarded quantification follows the one-point rule of ``algebra`` (see its
-module docstring), whose ``find_guard`` recognises guards here too.  A rigid
-data quantifier starts only the instances its guard can make matter at the
-current step: ``exists x . State(guard ...)`` and ``forall x .
-(State(guard ...) -> ...)``.  ``max_assignments`` bounds the product of the
-free rigid variables' carriers and component sets, whichever instances run.
+Every quantifier, flexible or rigid, ranges over what its ``SHAPE`` names
+and binds in the one assignment of every variable, as in ``algebra`` (see
+its module docstring); a rigid one starts an instance per value of its
+range.  So a rigid data quantifier starts only the instances its guard can
+make matter at the current step: ``exists x . State(guard ...)`` and
+``forall x . (State(guard ...) -> ...)``.  ``max_assignments`` bounds the
+product of the free rigid variables' carriers and component sets,
+whichever instances run.
 
 The checks skip the steps that cannot change a residual.  When a residual
 is a fixed point of a configuration, ``progress(r, k) == r``, the run skips
@@ -97,16 +99,15 @@ reads.
 
 What does not depend on the trace is found once per assertion: an
 ``AssertionPlan`` holds the free rigid variables with their sorts and
-interfaces, the closure, the guard of each rigid data quantifier, and the
-state formulas compiled to closures (see ``algebra``), each quantifier's
-guard found as it is compiled.  ``check_trace_assertion`` and ``Monitor``
-make one unless they are given one; ``checker.run_check`` keeps one per
-assertion on the bundle it checks.  What depends on the trace but not on
-the assertion is indexed by the objects of the model when they are made:
-each ``ArchConfiguration`` keeps its active snapshots by id, and the
-interpretation set ``J`` the sorted component ids of each interface and
-the interpretation of each snapshot.  An evaluation builds no index of
-its own.
+interfaces, the closure, and the ranges of the rigid quantifiers and the
+state formulas, compiled to closures (see ``algebra``).  The checks and
+``Monitor`` make one unless they are given one; ``checker.run_check``
+keeps one per assertion on the bundle it checks.  What depends on the
+trace but not on the assertion is indexed by the objects of the model
+when they are made: each ``ArchConfiguration`` keeps its active snapshots
+by id, and the interpretation set ``J`` the sorted component ids of each
+interface and the interpretation of each snapshot.  An evaluation builds
+no index of its own.
 """
 from __future__ import annotations
 
@@ -135,12 +136,12 @@ from .algebra import (  # And, Implies, Not, Or and free_vars are re-exported
     PredAtom,
     Sort,
     Term,
-    antecedent,
     bind_pattern,
-    enumerate_assignments,
+    bound_names,
     find_guard,
     free_vars,
     nodes,
+    sort_range,
 )
 from .errors import (
     AssignmentError,
@@ -456,14 +457,10 @@ class _UndefinedRead(Exception):
 # ---------------------------------------------------------------------------
 # State-formula evaluation
 
-# Key of the component assignment inside the assignment the closures read;
-# not a string, so it never clashes with a data variable.
-_COMPS = object()
-
 
 def _comp(asg, var: str) -> str:
     try:
-        return asg[_COMPS][var]
+        return asg[var]
     except KeyError:
         raise AssignmentError(f"unbound component variable {var!r}") from None
 
@@ -484,23 +481,24 @@ def _port_read(ev, term: PortRead):
     return read
 
 
-def _defined(rule):
-    """An atom's compile rule under which an undefined read makes the atom
-    false."""
+def _defined(rule, undefined=False):
+    """A compile rule under which an undefined read gives ``undefined``: it
+    makes an atom false, and a set range empty (as the guarded expansion of
+    the sugar would)."""
 
-    def compile_atom(ev, phi):
+    def compile_defined(ev, phi):
         evaluate = rule(ev, phi)
 
-        def atom(ev, asg):
+        def defined(ev, asg):
             try:
                 return evaluate(ev, asg)
             except _UndefinedRead as undef:
                 ev.notes[undef.description] = None
-                return False
+                return undefined
 
-        return atom
+        return defined
 
-    return compile_atom
+    return compile_defined
 
 
 def _active(ev, phi: Active):
@@ -508,7 +506,7 @@ def _active(ev, phi: Active):
 
     def active(ev, asg):
         try:
-            return asg[_COMPS][var] in ev.active
+            return asg[var] in ev.active
         except KeyError:
             return _comp(asg, var)  # raises AssignmentError
 
@@ -520,8 +518,7 @@ def _conn(ev, phi: Conn):
 
     def conn(ev, asg):
         try:
-            comps = asg[_COMPS]
-            in_id, out_id = comps[in_var], comps[out_var]
+            in_id, out_id = asg[in_var], asg[out_var]
         except KeyError:
             in_id, out_id = _comp(asg, in_var), _comp(asg, out_var)  # one raises
         return ev.connected(in_id, in_port, out_id, out_port)
@@ -539,40 +536,19 @@ def _irconn(ev, asg, phi: IRConn) -> bool:
     return True
 
 
-def _comp_quantifier(forall: bool):
-    """The compile rule of ``ForallComp`` or ``ExistsComp``, as ``algebra``
-    compiles data quantifiers, over the component ids of the interface."""
-
-    def rule(ev, phi):
-        var, interface, body = phi.var, phi.interface, ev.assertion_fn(phi.body)
-
-        def quantifier(ev, asg):
-            inner = dict(asg)
-            bound = inner[_COMPS] = dict(asg[_COMPS])
-            for cid in ev.interface_ids(interface):
-                bound[var] = cid
-                if (not body(ev, inner)) is forall:  # as in algebra._decide
-                    return not forall
-            return forall
-
-        return quantifier
-
-    return rule
+def _formula(node):
+    return node.formula if type(node) is State else node
 
 
 def _instance_guard(gamma) -> Optional[Guard]:
-    """The guard of a rigid data quantifier: of the state formula that must
-    hold at the current step for an instance to matter.  That is, for
-    ``forall``, the antecedent of ``State(...) -> ...`` or of ``State(...
-    -> ...)``; for ``exists``, the formula of a ``State`` body."""
-    body = gamma.body
-    if type(gamma) is RigidExistsData:
-        formula = body.formula if type(body) is State else None
-    elif type(body) is TraceImplies and type(body.left) is State:
-        formula = body.left.formula
-    else:
-        formula = antecedent(body.formula) if type(body) is State else None
-    return find_guard(formula, {gamma.var: gamma.sort})
+    """The guard of a quantifier over a sort, flexible or rigid: of what must
+    hold for a value to matter, the antecedent of its body for ``forall``
+    and its body for ``exists``, where ``State(A)`` stands for ``A``.  So a
+    rigid ``forall`` finds it in ``State(A) -> ...`` and ``State(A -> ...)``."""
+    body = _formula(gamma.body)
+    if gamma.SHAPE[0] == "forall":
+        body = _formula(body.left) if type(body) in (Implies, TraceImplies) else None
+    return find_guard(body, {gamma.var: gamma.sort})
 
 
 class _StateEvaluator(Evaluator):
@@ -609,8 +585,12 @@ class _StateEvaluator(Evaluator):
         Min: lambda _, phi: lambda ev, asg: ev.count(phi.interface) >= phi.count,
         Max: lambda _, phi: lambda ev, asg: ev.count(phi.interface) <= phi.count,
         MinMax: lambda _, phi: lambda ev, asg: phi.low <= ev.count(phi.interface) <= phi.high,
-        ForallComp: _comp_quantifier(True),
-        ExistsComp: _comp_quantifier(False),
+        **dict.fromkeys((ForallComp, ExistsComp), Evaluator.ASSERTIONS[ForallData]),
+    }
+    RANGES = {
+        "sort": sort_range(_instance_guard),
+        "set": _defined(Evaluator.RANGES["set"], ()),
+        "interface": lambda _, phi: lambda ev, asg: ev.interface_ids(phi.interface),
     }
 
     def __init__(self, alg: Algebra, J: SpecInterpretation, closures: Optional[dict] = None):
@@ -632,15 +612,6 @@ class _StateEvaluator(Evaluator):
             self.active = dict(zip(by_id, map(self.J.by_snapshot.get, by_id.values())))
         else:
             self.active = by_id
-
-    def source(self, asg, term: Term) -> frozenset:
-        """Undefined reads give the empty set (matching the guarded expansion
-        of the sugar)."""
-        try:
-            return super().source(asg, term)
-        except _UndefinedRead as undef:
-            self.notes[undef.description] = None
-            return frozenset()
 
     def interpretation(self, cid: str):
         """The interpretation of an active component."""
@@ -959,40 +930,22 @@ def _start_implies(ev, gamma, asg):
     return _implies(left, ev.start(gamma.right, asg))
 
 
-def _rigid_data(dominant):
-    def rule(ev, gamma, asg):
-        guard = ev.guards[id(gamma)][1]
-        bindings = enumerate_assignments(ev, {gamma.var: gamma.sort}, asg, guard)
-        return _items(dominant, (
-            ev.start(gamma.body, ev.bind(asg, gamma, b[gamma.var], b)) for b in bindings
-        ))
-
-    return rule
-
-
-def _rigid_comp(dominant):
-    def rule(ev, gamma, asg):
-        comps = asg[_COMPS]
-        return _items(dominant, (
-            ev.start(gamma.body, ev.bind(asg, gamma, cid, {_COMPS: {**comps, gamma.var: cid}}))
-            for cid in ev.interface_ids(gamma.interface)
-        ))
-
-    return rule
+def _rigid(ev, gamma, asg):
+    """The start rule of every rigid quantifier: an instance of the body per
+    value of its range (see ``_node_tables``), bound in turn, the instances
+    combined as the items of ``TraceAnd`` (``forall``) or ``TraceOr``."""
+    _, dominant, names, values = ev.ranges[id(gamma)]
+    return _items(dominant, (
+        ev.start(gamma.body, ev.bind(asg, gamma, v, bind_pattern(names, v)))
+        for v in values(ev, asg)
+    ))
 
 
-def _bounded_rigid(dominant):
-    def rule(ev, gamma, asg):
-        alg = ev.alg
-        source = alg.ordered(ev.source(asg, gamma.source))
-        if type(gamma) is _Slices:  # a value outside the carrier binds nothing
-            source = [v for v in source if alg.contains(v, gamma.sort)]
-        return _items(dominant, (
-            ev.start(gamma.body, ev.bind(asg, gamma, v, bind_pattern(gamma.vars, v)))
-            for v in source
-        ))
-
-    return rule
+def _slices_range(ev, gamma):
+    """The range of a ``_Slices``: the set range without the values outside
+    the pattern's carrier, which bind nothing."""
+    values, sort = _StateEvaluator.RANGES["set"](ev, gamma), gamma.sort
+    return lambda ev, asg: [v for v in values(ev, asg) if ev.alg.contains(v, sort)]
 
 
 _START = {
@@ -1013,13 +966,8 @@ _START = {
     Eventually: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.body, None),
     Until: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.right, gamma.left),
     WeakUntil: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.right, gamma.left),
-    RigidForallData: _rigid_data(Truth.VIOLATED),
-    RigidExistsData: _rigid_data(Truth.SATISFIED),
-    RigidForallComp: _rigid_comp(Truth.VIOLATED),
-    RigidExistsComp: _rigid_comp(Truth.SATISFIED),
-    BoundedRigidForall: _bounded_rigid(Truth.VIOLATED),
-    BoundedRigidExists: _bounded_rigid(Truth.SATISFIED),
-    _Slices: _bounded_rigid(Truth.VIOLATED),
+    **dict.fromkeys((RigidForallData, RigidExistsData, RigidForallComp, RigidExistsComp,
+                     BoundedRigidForall, BoundedRigidExists, _Slices), _rigid),
 }
 
 
@@ -1030,23 +978,26 @@ def _check_mode(mode: str) -> None:
 
 def _node_tables(gamma) -> tuple[dict, dict, bool]:
     """What evaluating ``gamma`` looks up about its nodes, all found at once
-    (see ``_TraceEvaluator``): the guard of each rigid data quantifier, by
-    the quantifier's id; the closures of the state formulas and of the
-    bounded rigid quantifiers' sources; and whether any of those reads an
-    interpretation, through a port read, ``conn`` or ``irconn``."""
-    guards: dict = {}
+    (see ``_TraceEvaluator``): by the id of each rigid quantifier, the
+    quantifier, its dominant truth, the names it binds and its range,
+    compiled by the rule that ``RANGES`` gives its ``SHAPE`` (``_Slices``
+    has its own); the closures of the state formulas and of the ranges'
+    sources; and whether any of those reads an interpretation, through a
+    port read, ``conn`` or ``irconn``."""
+    ranges: dict = {}
     compiler = Compiler(_StateEvaluator)
     reads = False
     for node in nodes(gamma):
         if type(node) is State:
             compiler.assertion_fn(node.formula)
-        elif type(node) in (RigidForallData, RigidExistsData):
-            guards[id(node)] = (node, _instance_guard(node))
-        elif isinstance(node, TraceAssertion) and node.SHAPE and node.SHAPE[1] == "set":
-            compiler.term_fn(node.source)
+        elif isinstance(node, TraceAssertion) and node.SHAPE:
+            kind, over = node.SHAPE
+            dominant = Truth.VIOLATED if kind == "forall" else Truth.SATISFIED
+            rule = _slices_range if type(node) is _Slices else _StateEvaluator.RANGES[over]
+            ranges[id(node)] = (node, dominant, bound_names(node), rule(compiler, node))
         elif type(node) in (PortRead, Conn, IRConn):
             reads = True
-    return guards, compiler.closures, reads
+    return ranges, compiler.closures, reads
 
 
 class _TraceEvaluator(_StateEvaluator):
@@ -1061,11 +1012,13 @@ class _TraceEvaluator(_StateEvaluator):
     the configurations known to leave the residual unchanged, at most
     ``_UNCHANGED_BOUND`` of them.
 
-    ``tables`` are the ``_node_tables`` of ``gamma``: ``guards`` holds, by
-    the id of a rigid data quantifier, the quantifier and its guard; then
-    come the table of closures, and ``reads``.  Entries hold their node, so
-    its id is not reused.  When ``reads`` is false, ``at`` keeps ``k.by_id``
-    as ``active``: only membership in it is read.
+    ``tables`` are the ``_node_tables`` of ``gamma``: ``ranges`` holds, by
+    the id of a rigid quantifier, the quantifier, its dominant truth, the
+    names it binds and its range; then come the table of closures, and
+    ``reads``.  Entries hold their node, so its id is not reused.  Every
+    rigid instance starts in ``_rigid``, its variables bound by ``bind`` in
+    the one assignment of every variable.  When ``reads`` is false, ``at``
+    keeps ``k.by_id`` as ``active``: only membership in it is read.
     """
 
     def __init__(
@@ -1076,7 +1029,7 @@ class _TraceEvaluator(_StateEvaluator):
         gamma: TraceAssertion,
         asg: dict,
     ):
-        self.guards, closures, self.reads = tables
+        self.ranges, closures, self.reads = tables
         super().__init__(alg, J, closures)
         self.residual = _Deferred(gamma, asg)
         self.m: Optional[int] = None
@@ -1169,12 +1122,18 @@ def trace_holds(
     mode: str = OPEN,
 ) -> Verdict:
     """Verdict of a trace assertion at index ``n`` under fixed rigid
-    assignments."""
+    assignments, each name bound at the kind ``gamma`` reads it free.
+    Raises UsageError when the two bind one name, SortError as ``free_vars``."""
     _check_mode(mode)
     length = len(trace.steps)
     if n >= length or n < 0:
         raise UsageError(f"time index {n} outside the trace (length {length})")
-    asg = {**rigid_data, _COMPS: dict(rigid_comp)}
+    shared = rigid_data.keys() & rigid_comp.keys()
+    if shared:
+        raise UsageError(f"rigid_data and rigid_comp both bind {sorted(shared)}")
+    free_data, free_comps = free_vars(gamma)
+    asg = {name: value for name, value in rigid_data.items() if name not in free_comps}
+    asg.update((name, cid) for name, cid in rigid_comp.items() if name not in free_data)
     return _TraceEvaluator(alg, J, _node_tables(gamma), gamma, asg).run(trace.steps, n, mode)
 
 
@@ -1209,8 +1168,8 @@ class AssertionPlan:
     """What checking a trace assertion needs before it reads a trace: its
     free rigid variables with their sorts and interfaces, in product order;
     ``closed``, its universal closure over them (see the module docstring);
-    and the ``_node_tables`` of ``closed``: the guards of its rigid data
-    quantifiers, and its state formulas compiled.
+    and the ``_node_tables`` of ``closed``: the ranges of its rigid
+    quantifiers and its state formulas, compiled.
 
     Make one per assertion and its declarations and pass it to every
     ``check_trace_assertion`` or ``Monitor`` of that assertion, as
@@ -1316,7 +1275,7 @@ def check_trace_assertion(
     plan = AssertionPlan.of(gamma, plan, rigid_comp_decls, rigid_data_decls)
     plan.check_bound(alg, J, max_assignments)
     _check_mode(mode)
-    evaluator = _TraceEvaluator(alg, J, plan.tables, plan.closed, {_COMPS: {}})
+    evaluator = _TraceEvaluator(alg, J, plan.tables, plan.closed, {})
     return evaluator.run(trace.steps, 0, mode)
 
 
@@ -1345,7 +1304,7 @@ class Monitor:
     ):
         plan = AssertionPlan.of(gamma, plan)
         plan.check_bound(alg, J, DEFAULT_ASSIGNMENT_BOUND)
-        self._evaluator = _TraceEvaluator(alg, J, plan.tables, plan.closed, {_COMPS: {}})
+        self._evaluator = _TraceEvaluator(alg, J, plan.tables, plan.closed, {})
         self._steps = 0
         self._last: Optional[Verdict] = None
         self._final = False

@@ -29,7 +29,6 @@ from archcheck.algebra import (
     quantifier_guard,
 )
 from archcheck.constraints import (
-    _COMPS,
     Active,
     CompEquals,
     Conn,
@@ -211,9 +210,8 @@ def _irconn(ev, asg, phi):
 
 def _comp_quantifier(combine):
     def rule(ev, asg, phi):
-        comps = asg[_COMPS]
         return combine(
-            ev.holds({**asg, _COMPS: {**comps, phi.var: cid}}, phi.body)
+            ev.holds({**asg, phi.var: cid}, phi.body)
             for cid in ev.interface_ids(phi.interface)
         )
 

@@ -3,8 +3,10 @@ for trace assertions, shared by the semantics and acceptance suites."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
+from archcheck import constraints
 from archcheck.algebra import (
     Algebra,
     Apply,
@@ -56,6 +58,8 @@ from archcheck.constraints import (
     TraceOr,
     Until,
     WeakUntil,
+    _Slices,
+    _StateEvaluator,
 )
 from archcheck.interfaces import (
     Interface,
@@ -224,12 +228,15 @@ def random_world(rng: random.Random, max_components=4, max_len=5,
 
 
 class FormulaGenerator:
-    """Random closed trace assertions over a generated world."""
+    """Random closed trace assertions over a generated world.  A rigid
+    component quantifier is drawn only where no component variable is in
+    scope, unless ``comps_in_scope``."""
 
-    def __init__(self, rng: random.Random, world: RandomWorld):
+    def __init__(self, rng: random.Random, world: RandomWorld, comps_in_scope=False):
         self.rng = rng
         self.world = world
         self.counter = 0
+        self.comps_in_scope = comps_in_scope
 
     def fresh(self, prefix):
         self.counter += 1
@@ -394,7 +401,7 @@ class FormulaGenerator:
             return (RigidForallData if rng.random() < 0.5 else RigidExistsData)(
                 var, D, body
             )
-        if kind == 11 and cscope:
+        if kind == 11 and cscope and not (self.comps_in_scope and rng.random() < 0.5):
             source = self.set_term(dscope, cscope)
             if isinstance(source, PortRead) and source.sort == PAIR_DD:
                 names = (self.fresh("p"), self.fresh("p"))
@@ -411,6 +418,43 @@ class FormulaGenerator:
         return (RigidForallComp if rng.random() < 0.5 else RigidExistsComp)(
             var, iface, body
         )
+
+
+STATE_QUANTIFIERS = (ForallData, ExistsData, BoundedForall, BoundedExists, ForallComp, ExistsComp)
+RIGID_QUANTIFIERS = (RigidForallData, RigidExistsData, RigidForallComp, RigidExistsComp,
+                     BoundedRigidForall, BoundedRigidExists, _Slices)
+
+
+class QuantifierCounts:
+    """How often each quantifier class is evaluated, by ``mode``: a call of
+    a state quantifier's closure, or a start of a rigid quantifier.  Set
+    ``mode`` around the runs to count; nothing is counted while it is None.
+    The rules are wrapped through ``monkeypatch``, so only closures compiled
+    after it is made are counted."""
+
+    def __init__(self, monkeypatch):
+        self.mode, self.counts = None, Counter()
+        for cls in STATE_QUANTIFIERS:
+            rule = _StateEvaluator.ASSERTIONS[cls]
+            monkeypatch.setitem(_StateEvaluator.ASSERTIONS, cls, self._compiled(cls, rule))
+        for cls in RIGID_QUANTIFIERS:
+            monkeypatch.setitem(constraints._START, cls, self._counted(cls, constraints._START[cls]))
+
+    def _counted(self, cls, run):
+        def counted(*args):
+            if self.mode is not None:
+                self.counts[self.mode, cls] += 1
+            return run(*args)
+
+        return counted
+
+    def _compiled(self, cls, rule):
+        return lambda ev, phi: self._counted(cls, rule(ev, phi))
+
+    def fewest(self, mode, classes):
+        """How often the class of ``classes`` evaluated least often in
+        ``mode`` was evaluated, and its name."""
+        return min((self.counts[mode, cls], cls.__name__) for cls in classes)
 
 
 def random_closed_assertion(rng, world, depth=4):

@@ -14,7 +14,9 @@ from archcheck.algebra import (
     And,
     BoolLit,
     BoundedForall,
+    Equals,
     Evaluator,
+    ForallData,
     Implies,
     Member,
     Node,
@@ -28,9 +30,11 @@ from archcheck.algebra import (
 from archcheck.blackboard import random_scenario, simulate_blackboard
 from archcheck.checker import blackboard_bundle
 from archcheck.constraints import (
-    _COMPS,
     CLOSED,
+    OPEN,
+    SATISFIED,
     Active,
+    BoundedRigidForall,
     CompEquals,
     Conn,
     ExistsComp,
@@ -40,14 +44,24 @@ from archcheck.constraints import (
     Max,
     Min,
     MinMax,
+    Monitor,
     PortRead,
+    RigidForallComp,
+    RigidForallData,
     State,
+    TraceAnd,
     Truth,
     _StateEvaluator,
     check_trace_assertion,
     trace_holds,
 )
-from archcheck.errors import InterpretationError, SignatureError, SortError
+from archcheck.errors import (
+    AssignmentError,
+    InterpretationError,
+    SignatureError,
+    SortError,
+    UsageError,
+)
 from archcheck.interfaces import _InterfaceEvaluator
 from archcheck.model import ArchConfiguration, ComponentUniverse, ConfigurationTrace
 
@@ -59,7 +73,13 @@ from fixtures import (
     ks_snapshot,
     probsol_algebra,
 )
-from generators import PAIR_DD, FormulaGenerator, random_world
+from generators import (
+    PAIR_DD,
+    STATE_QUANTIFIERS,
+    FormulaGenerator,
+    QuantifierCounts,
+    random_world,
+)
 
 CONFIGURATION_ATOMS = (Active, CompEquals, Conn, IRConn, Min, Max, MinMax)
 
@@ -129,14 +149,14 @@ def _assignments(world, dscope, cscope):
     and one that binds no component variable."""
     values = world.alg.carriers["D"]
     comp_ranges = [world.ids_by_interface[iface] for _, iface in cscope]
-    yield {**dict(zip(dscope, values)), _COMPS: {}}
+    yield dict(zip(dscope, values))
     for data in itertools.product(values, repeat=len(dscope)):
         for comps in itertools.product(*comp_ranges):
-            yield {**dict(zip(dscope, data)),
-                   _COMPS: dict(zip((v for v, _ in cscope), comps))}
+            yield {**dict(zip(dscope, data)), **dict(zip((v for v, _ in cscope), comps))}
 
 
-def test_configuration_context_agrees_with_the_reference():
+def test_configuration_context_agrees_with_the_reference(monkeypatch):
+    counts = QuantifierCounts(monkeypatch)
     rng = random.Random(260001)
     compared = noted = raised = inactive = 0
     for _ in range(60):
@@ -155,12 +175,17 @@ def test_configuration_context_agrees_with_the_reference():
             inactive += len(k.active) < len(world.J.universe().snapshots)
             for asg in _assignments(world, dscope, cscope):
                 for phi in formulas:
+                    counts.mode = "compiled"
                     got = _outcome(compiled, asg, phi)
+                    counts.mode = None
                     assert got == _outcome(interpreted, asg, phi), (phi, asg)
                     compared += 1
                     noted += bool(got[1])
                     raised += type(got[0]) is tuple
     assert compared > 5000 and noted > 300 and raised > 100 and inactive > 50
+    # every state quantifier class is evaluated, each at least 200 times
+    count, name = counts.fewest("compiled", STATE_QUANTIFIERS)
+    assert count >= 200, name
 
 
 def test_datatype_and_interface_contexts_agree_with_the_reference():
@@ -263,9 +288,9 @@ def _passed_by(node):
 @pytest.mark.parametrize("node, error, message", UNEVALUABLE)
 def test_an_unevaluable_node_raises_only_when_reached(node, error, message):
     for phi in _passed_by(node):
-        got = _outcome(_at(_StateEvaluator(ALG, J)), {_COMPS: {}}, phi)
+        got = _outcome(_at(_StateEvaluator(ALG, J)), {}, phi)
         assert type(got[0]) is bool
-        assert got == _outcome(_at(reference.StateEvaluator(ALG, J)), {_COMPS: {}}, phi)
+        assert got == _outcome(_at(reference.StateEvaluator(ALG, J)), {}, phi)
         assert trace_holds(ALG, J, {}, {}, TRACE, 0, State(phi)).truth is not None
     for phi in (node, And((BoolLit(True), node)), Or((BoolLit(False), node))):
         with pytest.raises(error) as raised:
@@ -289,7 +314,7 @@ def test_an_unbound_component_variable_is_named_as_before():
     atoms = (Conn("v", "BB", "bbip", "w", "BB", "bbop"), CompEquals("v", "w"), Active("w"))
     for comps in ({}, {"v": "bb"}, {"w": "bb"}, {"v": "bb", "w": "bb"}):
         for phi in atoms:
-            asg = {_COMPS: comps}
+            asg = comps
             got = _outcome(_at(_StateEvaluator(ALG, J)), asg, phi)
             assert got == _outcome(_at(reference.StateEvaluator(ALG, J)), asg, phi)
 
@@ -315,6 +340,62 @@ def test_a_port_read_before_active_still_notes_its_undefined_read():
         ):
             verdict = trace_holds(ALG, J2, {"p": "pA"}, {}, trace, 0, State(phi))
             assert (verdict.truth, verdict.explanation) == (truth, noted), phi
-            asg = {"p": "pA", _COMPS: {}}
+            asg = {"p": "pA"}
             got = _outcome(_at(_StateEvaluator(ALG, J2), step), asg, phi)
             assert got == _outcome(_at(reference.StateEvaluator(ALG, J2), step), asg, phi)
+
+
+# ---------------------------------------------------------------------------
+# One assignment for every variable
+
+
+X = Var("x", PROB)
+POSTED = PortRead("bb", "BB", "bbop", PROB)
+# "x" used as a data and as a component variable: free as both, or as one
+# kind inside a quantifier that binds it as the other
+MIXED = [
+    State(And((Active("x"), Equals(X, X)))),
+    RigidForallComp("x", "BB", State(Equals(X, X))),
+    RigidForallData("x", PROB, State(Active("x"))),
+    RigidForallData("x", PROB, State(ForallComp("x", "BB", BoolLit(True)))),
+    BoundedRigidForall(("x",), POSTED, State(Active("x"))),
+    State(ForallData("x", PROB, Active("x"))),
+    State(ExistsComp("x", "BB", Member(X, POSTED))),
+    State(BoundedForall(("x",), POSTED, ForallComp("x", "BB", BoolLit(True)))),
+]
+
+
+@pytest.mark.parametrize("gamma", MIXED)
+def test_a_name_used_as_both_kinds_is_refused(gamma):
+    message = "'x' is used as a data and as a component variable"
+    with pytest.raises(SortError, match=message):
+        free_vars(gamma)
+    with pytest.raises(SortError, match=message):
+        check_trace_assertion(ALG, J, TRACE, gamma, CLOSED, rigid_comp_decls={"x": "BB"})
+    with pytest.raises(SortError, match=message):
+        Monitor(ALG, J, gamma)
+    with pytest.raises(SortError, match=message):
+        trace_holds(ALG, J, {}, {}, TRACE, 0, gamma)
+
+
+def test_a_name_may_be_of_either_kind_in_scopes_apart():
+    gamma = TraceAnd((
+        RigidForallComp("x", "BB", State(Active("x"))),
+        RigidForallData("x", PROB, State(Equals(X, X))),
+    ))
+    assert free_vars(gamma) == ({}, {})
+    for mode in (OPEN, CLOSED):
+        assert check_trace_assertion(ALG, J, TRACE, gamma, mode) == SATISFIED
+
+
+def test_trace_holds_refuses_a_name_bound_as_both_kinds():
+    with pytest.raises(UsageError, match=r"rigid_data and rigid_comp both bind \['x'\]"):
+        trace_holds(ALG, J, {"x": "pA"}, {"x": "bb"}, TRACE, 0, State(Active("x")))
+
+
+def test_a_binding_of_the_other_kind_leaves_a_name_unbound():
+    # as when each kind had an assignment of its own
+    with pytest.raises(AssignmentError, match="unbound component variable 'x'"):
+        trace_holds(ALG, J, {"x": "pA"}, {}, TRACE, 0, State(Active("x")))
+    with pytest.raises(AssignmentError, match="unbound variable 'x'"):
+        trace_holds(ALG, J, {}, {"x": "bb"}, TRACE, 0, State(Equals(X, X)))

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from archcheck import algebra, constraints, interfaces, model
+from archcheck import algebra, interfaces, model
 from archcheck.algebra import (
     Algebra,
     And,
@@ -86,7 +86,7 @@ def _full_product(ev, variables, asg=None, guard=None):
 @contextlib.contextmanager
 def full_enumeration():
     with pytest.MonkeyPatch.context() as patch:
-        for module in (algebra, interfaces, constraints):
+        for module in (algebra, interfaces):
             patch.setattr(module, "enumerate_assignments", _full_product)
         yield
 

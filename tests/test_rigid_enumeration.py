@@ -72,7 +72,15 @@ from fixtures import (
     ks_snapshot,
     probsol_algebra,
 )
-from generators import D, PAIR_DD, FormulaGenerator, random_world
+from generators import (
+    D,
+    PAIR_DD,
+    RIGID_QUANTIFIERS,
+    STATE_QUANTIFIERS,
+    FormulaGenerator,
+    QuantifierCounts,
+    random_world,
+)
 
 TRIGGER_SHAPED = {
     "BlackboardBehavior.ax1",
@@ -242,7 +250,7 @@ def _trigger_case(rng, world):
     else:
         dscope = ["x"]
         pattern = Var("x", D)
-    gen = FormulaGenerator(rng, world)
+    gen = FormulaGenerator(rng, world, comps_in_scope=True)
     member = Member(pattern, PortRead("b", iface, port, sort))
     if shape == "equation":
         guard = Equals(member.collection, SetTerm((pattern,)))
@@ -271,6 +279,7 @@ def test_trigger_shapes_agree_with_the_oracle(monkeypatch):
     # the documented order, and fewer fresh state evaluations than the fold
     # makes for the trigger-shaped ones
     calls = _count_fresh_state_evaluations(monkeypatch)
+    counts = QuantifierCounts(monkeypatch)
     rng = random.Random(515002)
     letters = []
     shapes = {}
@@ -289,9 +298,11 @@ def test_trigger_shapes_agree_with_the_oracle(monkeypatch):
         for trace in (world.trace, world.extension):
             for mode in (OPEN, CLOSED):
                 calls.clear()
+                counts.mode = mode
                 verdict = check_trace_assertion(
                     world.alg, world.J, trace, gamma, mode, rigid_comp_decls=decls
                 )
+                counts.mode = None
                 sliced += len(calls) if triggered else 0
                 calls.clear()
                 expected = fold(world.alg, world.J, trace, gamma, mode, decls)
@@ -310,6 +321,11 @@ def test_trigger_shapes_agree_with_the_oracle(monkeypatch):
     assert all(False in shapes[s] for s in set(shapes) - trigger_shapes)
     assert {oracle.T, oracle.F, oracle.U} <= set(letters)
     assert sliced < folded
+    # in each mode, every state and rigid quantifier class is evaluated,
+    # _Slices included, each at least 5 times
+    for mode in (OPEN, CLOSED):
+        count, name = counts.fewest(mode, STATE_QUANTIFIERS + RIGID_QUANTIFIERS)
+        assert count >= 5, (mode, name)
 
 
 def _bind_starts(monkeypatch):

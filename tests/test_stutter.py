@@ -9,7 +9,6 @@ from archcheck import constraints
 from archcheck.algebra import And, Equals, Member, Var, children
 from archcheck.blackboard import random_scenario, simulate_blackboard
 from archcheck.constraints import (
-    _COMPS,
     CLOSED,
     INCONCLUSIVE,
     OPEN,
@@ -69,8 +68,7 @@ def _plain(alg, J, trace, gamma, mode, rigid_comp=None):
     saw_inconclusive = False
     for data_combo in itertools.product(*data_domains):
         for comp_combo in itertools.product(*comp_domains):
-            asg = {**dict(zip(data_names, data_combo)),
-                   _COMPS: dict(zip(comp_names, comp_combo))}
+            asg = {**dict(zip(data_names, data_combo)), **dict(zip(comp_names, comp_combo))}
             evaluator = _TraceEvaluator(alg, J, _node_tables(gamma), gamma, asg)
             for m, k in enumerate(trace.steps):
                 evaluator.progress(m, k)
@@ -496,15 +494,19 @@ def _rebuilt(k):
     rebuilt=st.booleans(),
     free=st.booleans(),
     outer=st.sampled_from((None, Eventually)),
+    back=st.integers(0, 2),
 )
 def test_the_core_agrees_with_the_oracle_on_stutter_runs(seed, runs, dropped, rebuilt, free,
-                                                         outer):
+                                                         outer, back):
     # a random world's longer trace with step ``dropped`` left out (when
     # there is one and another remains) and each other step repeated by
-    # ``runs`` in turn, its configurations made afresh when ``rebuilt``:
-    # the checks in both modes, a monitor on every prefix and the oracle
-    # agree, and the checks give the plain progression's witnesses.  An
-    # ``outer`` F keeps more runs pending to the end of the trace
+    # ``runs`` in turn, ``back`` steps from its middle on replaced by its
+    # first ones, its configurations made afresh when ``rebuilt``: the
+    # checks in both modes, a monitor on every prefix and the oracle agree,
+    # and the checks give the plain progression's witnesses.  An ``outer``
+    # F keeps more runs pending to the end of the trace.  With ``back``, the
+    # trace returns to configurations met before the residual changed, which
+    # a skip set kept across that change would skip
     rng = random.Random(seed)
     world = random_world(rng, max_len=4, extra_steps=2)  # the oracle is exponential in nesting
     oworld = oracle.World(world.alg, world.J)
@@ -512,6 +514,9 @@ def test_the_core_agrees_with_the_oracle_on_stutter_runs(seed, runs, dropped, re
     if len(steps) > max(dropped, 1):
         del steps[dropped]
     steps = [k for i, k in enumerate(steps) for _ in range(runs[i % len(runs)])]
+    if back and len(steps) > 2 * back:
+        middle = len(steps) // 2
+        steps[middle:middle + back] = steps[:back]
     if rebuilt:
         steps = [_rebuilt(k) for k in steps]
     trace = ConfigurationTrace(world.extension.universe, steps)
