@@ -666,7 +666,7 @@ class Compiler:
         node and table of closures."""
         return table[type(node)](self, node)
 
-    def _closure(self, node: Node, table: dict, missing: str):
+    def closure(self, node: Node, table: dict, missing: str):
         """The closure of ``node`` from ``closures``, compiled on a miss; for
         a node ``table`` does not cover, a closure, not kept, that raises."""
         if type(node) not in table:
@@ -678,10 +678,10 @@ class Compiler:
         return entry[1]
 
     def term_fn(self, term: Term):
-        return self._closure(term, self.rules.TERMS, "cannot evaluate {} in {}")
+        return self.closure(term, self.rules.TERMS, "cannot evaluate {} in {}")
 
     def assertion_fn(self, phi: Assertion):
-        return self._closure(phi, self.rules.ASSERTIONS, "{} is not part of {}")
+        return self.closure(phi, self.rules.ASSERTIONS, "{} is not part of {}")
 
 
 class Evaluator(Compiler):

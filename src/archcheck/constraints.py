@@ -29,7 +29,9 @@ known to leave the residual unchanged (Havelund and Roşu, "Monitoring
 programs using rewriting", ASE 2001); the monitor then returns its last
 verdict, and otherwise closes the new residual in open mode.  Equal pending
 residuals are merged into the earliest, so ``G(a -> F b)`` keeps one
-pending ``F b`` however long the stream.
+pending ``F b`` however long the stream.  A G, F, U or W reads the
+position it opens at once, and keeps a chain of positions only while one
+is pending.
 
 An assertion with free rigid variables holds when it holds under every
 rigid assignment: it means its universal closure, and the checks and the
@@ -99,19 +101,23 @@ reads.
 
 What does not depend on the trace is found once per assertion: an
 ``AssertionPlan`` holds the free rigid variables with their sorts and
-interfaces, the closure, and the ranges of the rigid quantifiers and the
-state formulas, compiled to closures (see ``algebra``).  The checks and
-``Monitor`` make one unless they are given one; ``checker.run_check``
-keeps one per assertion on the bundle it checks.  What depends on the
-trace but not on the assertion is indexed by the objects of the model
-when they are made: each ``ArchConfiguration`` keeps its active snapshots
-by id, and the interpretation set ``J`` the sorted component ids of each
-interface and the interpretation of each snapshot.  An evaluation builds
-no index of its own.
+interfaces, the closure, and the closure compiled as ``algebra`` compiles
+a state formula: each trace node to a starter, which progresses the node
+from the current step under an assignment.  A starter holds the starters
+of the node's children, a rigid quantifier's its range, and ``State``'s
+the closure of its formula.  The checks and ``Monitor`` make one unless
+they are given one; ``checker.run_check`` keeps one per assertion on the
+bundle it checks.  What depends on the trace but not on the assertion is
+indexed by the objects of the model when they are made: each
+``ArchConfiguration`` keeps its active snapshots by id, and the
+interpretation set ``J`` the sorted component ids of each interface and
+the interpretation of each snapshot.  An evaluation builds no index of
+its own.
 """
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Callable, Iterable, Mapping, Optional
 
 from ._record import record
@@ -681,18 +687,18 @@ def _finish(result, ev, mode: str) -> Verdict:
 
 
 class _Deferred(_Residual):
-    """``formula`` under the assignment ``asg``, started at the next step:
-    the residual of ``X formula``, and of an assertion before its first
-    step."""
+    """A trace node, compiled to its starter ``start``, under the
+    assignment ``asg``, started at the next step: the residual of ``X
+    formula``, and of an assertion before its first step."""
 
-    __slots__ = ("formula", "asg")
+    __slots__ = ("start", "asg")
 
-    def __init__(self, formula: TraceAssertion, asg: dict):
-        self.formula, self.asg = formula, asg
-        self._keyed(id(formula), id(asg))
+    def __init__(self, start: Callable, asg: dict):
+        self.start, self.asg = start, asg
+        self._keyed(id(start), id(asg))
 
     def progress(self, ev):
-        return ev.start(self.formula, self.asg)
+        return self.start(ev, self.asg)
 
     def close(self, ev, mode):
         if mode == CLOSED:
@@ -832,7 +838,9 @@ class _Chain(_Residual):
     the same side of an earlier position is dropped: every later position
     lies inside the earlier one's ``left and ...`` and beside its
     ``right or ...``, so in strong Kleene logic the copy changes neither
-    the truth nor which position decides it.
+    the truth nor which position decides it.  A chain with no pending
+    position has found nothing: it equals the fresh chain of its node and
+    assignment, which a run makes once (see ``_TraceEvaluator.opening``).
     """
 
     __slots__ = ("op", "opening", "entries", "found")
@@ -841,7 +849,35 @@ class _Chain(_Residual):
         self.op, self.opening, self.entries, self.found = op, opening, entries, found
         self._keyed(id(op), opening, entries, found)
 
+    def first(self, ev):
+        """Progress of the fresh chain ``self`` over the current step: the
+        position it opens, read at once.  The verdict that position
+        decides; ``self`` when it drops out; otherwise a chain pending on
+        it.  A G, F, U or W starts here too."""
+        m = ev.m
+        right, left = self.opening
+        if right is not None:
+            right = right.progress(ev)
+            if type(right) is Verdict:
+                if right.truth is Truth.SATISFIED:
+                    return Verdict(Truth.SATISFIED, m, right.explanation)
+                right = None
+        if left is not None:
+            left = left.progress(ev)
+            if type(left) is Verdict:
+                if left.truth is Truth.VIOLATED:
+                    found = self._broken(m, left)
+                    if right is None:
+                        return found
+                    return _Chain(self.op, self.opening, ((m, right, None),), found)
+                left = None
+        if right is None and left is None:
+            return self
+        return _Chain(self.op, self.opening, ((m, right, left),))
+
     def progress(self, ev):
+        if not self.entries:
+            return self.first(ev)
         positions = self.entries
         if self.found is None:
             positions += ((ev.m,) + self.opening,)
@@ -915,32 +951,6 @@ class _Chain(_Residual):
         return Verdict(Truth.VIOLATED, last, _UNTIL_NEVER)
 
 
-def _start_chain(ev, gamma, asg, right, left):
-    opening = (
-        None if right is None else _Deferred(right, asg),
-        None if left is None else _Deferred(left, asg),
-    )
-    return _Chain(gamma, opening).progress(ev)
-
-
-def _start_implies(ev, gamma, asg):
-    left = ev.start(gamma.left, asg)
-    if type(left) is Verdict and left.truth is Truth.VIOLATED:
-        return SATISFIED
-    return _implies(left, ev.start(gamma.right, asg))
-
-
-def _rigid(ev, gamma, asg):
-    """The start rule of every rigid quantifier: an instance of the body per
-    value of its range (see ``_node_tables``), bound in turn, the instances
-    combined as the items of ``TraceAnd`` (``forall``) or ``TraceOr``."""
-    _, dominant, names, values = ev.ranges[id(gamma)]
-    return _items(dominant, (
-        ev.start(gamma.body, ev.bind(asg, gamma, v, bind_pattern(names, v)))
-        for v in values(ev, asg)
-    ))
-
-
 def _slices_range(ev, gamma):
     """The range of a ``_Slices``: the set range without the values outside
     the pattern's carrier, which bind nothing."""
@@ -948,27 +958,121 @@ def _slices_range(ev, gamma):
     return lambda ev, asg: [v for v in values(ev, asg) if ev.alg.contains(v, sort)]
 
 
-_START = {
-    State: lambda ev, gamma, asg: ev._state_verdict(asg, gamma.formula),
-    TraceNot: lambda ev, gamma, asg: _negate(ev.start(gamma.operand, asg)),
-    TraceAnd: lambda ev, gamma, asg: _items(
-        Truth.VIOLATED, (ev.start(item, asg) for item in gamma.items)
-    ),
-    TraceOr: lambda ev, gamma, asg: _items(
-        Truth.SATISFIED, (ev.start(item, asg) for item in gamma.items)
-    ),
-    TraceImplies: _start_implies,
-    TraceIff: lambda ev, gamma, asg: _iff(
-        ev.start(gamma.left, asg), ev.start(gamma.right, asg)
-    ),
-    Next: lambda ev, gamma, asg: _Deferred(gamma.body, asg),
-    Globally: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, None, gamma.body),
-    Eventually: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.body, None),
-    Until: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.right, gamma.left),
-    WeakUntil: lambda ev, gamma, asg: _start_chain(ev, gamma, asg, gamma.right, gamma.left),
-    **dict.fromkeys((RigidForallData, RigidExistsData, RigidForallComp, RigidExistsComp,
-                     BoundedRigidForall, BoundedRigidExists, _Slices), _rigid),
-}
+# ---------------------------------------------------------------------------
+# Start rules.  Each compiles a trace node, once per table of closures, to
+# its starter ``start(ev, asg)``: the progress of the node from the current
+# step on under ``asg``, a Verdict or a residual.  A starter holds the
+# starters of the node's children.
+
+
+def _starter(compiler: Compiler, gamma):
+    """The starter of ``gamma`` by its rule in ``_TraceEvaluator.STARTS``;
+    for a node that is not a trace assertion, one that raises SortError."""
+    if isinstance(gamma, Assertion):
+        missing = ("{} is a configuration assertion;"
+                   " wrap it in State(...) to use it as a trace assertion")
+    else:
+        missing = "{} is not a trace assertion"
+    return compiler.closure(gamma, _TraceEvaluator.STARTS, missing)
+
+
+def _start_state(compiler, gamma: State):
+    """The one rule that evaluates a state formula: its verdict at the
+    current step, explained by the undefined reads it met."""
+    holds = compiler.assertion_fn(gamma.formula)
+
+    def start(ev, asg):
+        ev.notes = {}
+        ok = holds(ev, asg)
+        if not ev.notes:
+            return SATISFIED if ok else VIOLATED
+        return Verdict(Truth.SATISFIED if ok else Truth.VIOLATED, None, "; ".join(ev.notes))
+
+    return start
+
+
+def _start_not(compiler, gamma: TraceNot):
+    operand = _starter(compiler, gamma.operand)
+    return lambda ev, asg: _negate(operand(ev, asg))
+
+
+def _start_items(dominant: Truth):
+    """The start rule of ``TraceAnd`` (``dominant`` Violated) and
+    ``TraceOr``: the items started in turn, up to the first dominant one."""
+
+    def rule(compiler, gamma):
+        items = [_starter(compiler, item) for item in gamma.items]
+        return lambda ev, asg: _items(dominant, (item(ev, asg) for item in items))
+
+    return rule
+
+
+def _start_implies(compiler, gamma: TraceImplies):
+    left, right = _starter(compiler, gamma.left), _starter(compiler, gamma.right)
+
+    def start(ev, asg):
+        result = left(ev, asg)
+        if type(result) is Verdict and result.truth is Truth.VIOLATED:
+            return SATISFIED
+        return _implies(result, right(ev, asg))
+
+    return start
+
+
+def _start_iff(compiler, gamma: TraceIff):
+    left, right = _starter(compiler, gamma.left), _starter(compiler, gamma.right)
+    return lambda ev, asg: _iff(left(ev, asg), right(ev, asg))
+
+
+def _start_next(compiler, gamma: Next):
+    deferred = partial(_Deferred, _starter(compiler, gamma.body))
+
+    def start(ev, asg):
+        return ev.opening(start, asg, deferred)
+
+    return start
+
+
+def _start_chain(sides: Callable):
+    """The start rule of a G, F, U or W, whose positions have the two sides
+    ``sides`` gives it, right then left, None for no side: the first
+    position of its fresh chain, read at once (``_Chain.first``)."""
+
+    def rule(compiler, gamma):
+        right, left = (None if side is None else _starter(compiler, side)
+                       for side in sides(gamma))
+
+        def fresh(asg):
+            return _Chain(gamma, (
+                None if right is None else _Deferred(right, asg),
+                None if left is None else _Deferred(left, asg),
+            ))
+
+        def start(ev, asg):
+            return ev.opening(start, asg, fresh).first(ev)
+
+        return start
+
+    return rule
+
+
+def _start_rigid(compiler, gamma):
+    """The start rule of every rigid quantifier: an instance of the body per
+    value of the range that ``RANGES`` gives its ``SHAPE`` (``_Slices`` has
+    its own), bound in turn by ``bind``, the instances combined as the
+    items of ``TraceAnd`` (``forall``) or ``TraceOr``."""
+    kind, over = gamma.SHAPE
+    dominant = Truth.VIOLATED if kind == "forall" else Truth.SATISFIED
+    names = bound_names(gamma)
+    rule = _slices_range if type(gamma) is _Slices else compiler.rules.RANGES[over]
+    values = rule(compiler, gamma)
+    body = _starter(compiler, gamma.body)
+
+    def start(ev, asg):
+        bind = ev.bind
+        return _items(dominant, (body(ev, bind(asg, start, v, names)) for v in values(ev, asg)))
+
+    return start
 
 
 def _check_mode(mode: str) -> None:
@@ -976,35 +1080,25 @@ def _check_mode(mode: str) -> None:
         raise UsageError(f"mode must be {OPEN!r} or {CLOSED!r}, got {mode!r}")
 
 
-def _node_tables(gamma) -> tuple[dict, dict, bool]:
-    """What evaluating ``gamma`` looks up about its nodes, all found at once
-    (see ``_TraceEvaluator``): by the id of each rigid quantifier, the
-    quantifier, its dominant truth, the names it binds and its range,
-    compiled by the rule that ``RANGES`` gives its ``SHAPE`` (``_Slices``
-    has its own); the closures of the state formulas and of the ranges'
-    sources; and whether any of those reads an interpretation, through a
-    port read, ``conn`` or ``irconn``."""
-    ranges: dict = {}
-    compiler = Compiler(_StateEvaluator)
-    reads = False
-    for node in nodes(gamma):
-        if type(node) is State:
-            compiler.assertion_fn(node.formula)
-        elif isinstance(node, TraceAssertion) and node.SHAPE:
-            kind, over = node.SHAPE
-            dominant = Truth.VIOLATED if kind == "forall" else Truth.SATISFIED
-            rule = _slices_range if type(node) is _Slices else _StateEvaluator.RANGES[over]
-            ranges[id(node)] = (node, dominant, bound_names(node), rule(compiler, node))
-        elif type(node) in (PortRead, Conn, IRConn):
-            reads = True
-    return ranges, compiler.closures, reads
+def _node_tables(gamma) -> tuple[Callable, dict, bool]:
+    """What evaluating ``gamma`` needs of its nodes, all found at once (see
+    ``_TraceEvaluator``): its starter, compiled by ``STARTS``; the table of
+    closures, which keeps, by the id of each node, the starters of the
+    trace nodes and the closures of the state formulas and of the ranges'
+    sources; and whether any node reads an interpretation, through a port
+    read, ``conn`` or ``irconn``."""
+    compiler = Compiler(_TraceEvaluator)
+    start = _starter(compiler, gamma)
+    reads = any(type(node) in (PortRead, Conn, IRConn) for node in nodes(gamma))
+    return start, compiler.closures, reads
 
 
 class _TraceEvaluator(_StateEvaluator):
     """One run of the progression core, for the checks and the monitor: the
-    residual of ``gamma`` under the assignment ``asg``, which starts as
-    ``_Deferred(gamma, asg)``.  The run is its own state evaluator, in the
-    algebra ``alg`` over the interpretation set ``J``.
+    residual of a trace assertion under the assignment ``asg``, which
+    starts as the ``_Deferred`` of the assertion's starter.  The run is its
+    own state evaluator, in the algebra ``alg`` over the interpretation set
+    ``J``.
 
     ``progress(m, k)`` makes configuration ``k`` the current step ``m`` and
     advances the residual over it, and ``verdict(mode)`` ends the run at the
@@ -1012,28 +1106,46 @@ class _TraceEvaluator(_StateEvaluator):
     the configurations known to leave the residual unchanged, at most
     ``_UNCHANGED_BOUND`` of them.
 
-    ``tables`` are the ``_node_tables`` of ``gamma``: ``ranges`` holds, by
-    the id of a rigid quantifier, the quantifier, its dominant truth, the
-    names it binds and its range; then come the table of closures, and
-    ``reads``.  Entries hold their node, so its id is not reused.  Every
-    rigid instance starts in ``_rigid``, its variables bound by ``bind`` in
-    the one assignment of every variable.  When ``reads`` is false, ``at``
-    keeps ``k.by_id`` as ``active``: only membership in it is read.
+    ``tables`` are the ``_node_tables`` of the assertion: its starter, the
+    table of closures, and ``reads``.  The table holds each node and its
+    starter, so neither id is reused.  A rigid instance's variables are
+    bound by ``bind`` in the one assignment of every variable, and the
+    residual that a node opens under an assignment, the ``_Deferred`` of
+    X's body or a chain's fresh ``_Chain``, is made by ``opening``: each
+    once per run.  When ``reads`` is false, ``at`` keeps ``k.by_id`` as
+    ``active``: only membership in it is read.
     """
+
+    # the start rules by trace node type: each is called as
+    # ``rule(compiler, node)`` and returns the node's starter
+    STARTS = {
+        State: _start_state,
+        TraceNot: _start_not,
+        TraceAnd: _start_items(Truth.VIOLATED),
+        TraceOr: _start_items(Truth.SATISFIED),
+        TraceImplies: _start_implies,
+        TraceIff: _start_iff,
+        Next: _start_next,
+        Globally: _start_chain(lambda gamma: (None, gamma.body)),
+        Eventually: _start_chain(lambda gamma: (gamma.body, None)),
+        **dict.fromkeys((Until, WeakUntil), _start_chain(lambda gamma: (gamma.right, gamma.left))),
+        **dict.fromkeys((RigidForallData, RigidExistsData, RigidForallComp, RigidExistsComp,
+                         BoundedRigidForall, BoundedRigidExists, _Slices), _start_rigid),
+    }
 
     def __init__(
         self,
         alg: Algebra,
         J: SpecInterpretation,
-        tables: tuple[dict, dict, bool],
-        gamma: TraceAssertion,
+        tables: tuple[Callable, dict, bool],
         asg: dict,
     ):
-        self.ranges, closures, self.reads = tables
+        start, closures, self.reads = tables
         super().__init__(alg, J, closures)
-        self.residual = _Deferred(gamma, asg)
+        self.residual = _Deferred(start, asg)
         self.m: Optional[int] = None
         self._bound: dict = {}
+        self._openings: dict = {}
         self.unchanged: set = set()
 
     def progress(self, m: int, k: ArchConfiguration) -> None:
@@ -1079,36 +1191,27 @@ class _TraceEvaluator(_StateEvaluator):
         self.m = len(steps) - 1
         return self.verdict(mode)
 
-    def start(self, gamma, asg: dict):
-        """Progress of ``gamma`` from the current step on."""
-        rule = _START.get(type(gamma))
-        if rule is None:
-            if isinstance(gamma, Assertion):
-                raise SortError(
-                    f"{type(gamma).__name__} is a configuration assertion;"
-                    " wrap it in State(...) to use it as a trace assertion"
-                )
-            raise SortError(f"{type(gamma).__name__} is not a trace assertion")
-        return rule(self, gamma, asg)
-
-    def bind(self, asg: dict, binder: TraceAssertion, value, bindings: dict) -> dict:
-        """``asg`` extended by ``bindings``, the rigid quantifier ``binder``
-        bound to ``value``.  The same three give the same dict object, so
-        that residuals under equal bindings compare equal."""
+    def bind(self, asg: dict, binder: Callable, value, names: tuple) -> dict:
+        """``asg`` extended by the pattern ``names`` bound to ``value``, by the
+        rigid quantifier compiled to ``binder``.  The same three give the
+        same dict object, so that residuals under equal bindings compare
+        equal; the pattern is bound only for a new one."""
         key = (id(asg), id(binder), value)
         entry = self._bound.get(key)
         if entry is None:
-            # the entry holds asg and binder, so their ids are not reused
-            entry = self._bound[key] = (asg, binder, {**asg, **bindings})
-        return entry[2]
+            # the entry holds asg, so its id is not reused
+            entry = self._bound[key] = (asg, {**asg, **bind_pattern(names, value)})
+        return entry[1]
 
-    def _state_verdict(self, asg: dict, phi: Assertion) -> Verdict:
-        self.notes = {}
-        ok = self.holds(asg, phi)
-        if not self.notes:
-            return SATISFIED if ok else VIOLATED
-        explanation = "; ".join(self.notes)
-        return Verdict(Truth.SATISFIED if ok else Truth.VIOLATED, None, explanation)
+    def opening(self, start: Callable, asg: dict, make: Callable):
+        """``make(asg)``, the residual that the node compiled to ``start``
+        opens under ``asg``, made once per run.  It holds ``asg``, so the
+        id of ``asg`` is not reused."""
+        key = (id(start), id(asg))
+        residual = self._openings.get(key)
+        if residual is None:
+            residual = self._openings[key] = make(asg)
+        return residual
 
 
 def trace_holds(
@@ -1134,7 +1237,7 @@ def trace_holds(
     free_data, free_comps = free_vars(gamma)
     asg = {name: value for name, value in rigid_data.items() if name not in free_comps}
     asg.update((name, cid) for name, cid in rigid_comp.items() if name not in free_data)
-    return _TraceEvaluator(alg, J, _node_tables(gamma), gamma, asg).run(trace.steps, n, mode)
+    return _TraceEvaluator(alg, J, _node_tables(gamma), asg).run(trace.steps, n, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -1168,8 +1271,8 @@ class AssertionPlan:
     """What checking a trace assertion needs before it reads a trace: its
     free rigid variables with their sorts and interfaces, in product order;
     ``closed``, its universal closure over them (see the module docstring);
-    and the ``_node_tables`` of ``closed``: the ranges of its rigid
-    quantifiers and its state formulas, compiled.
+    and the ``_node_tables`` of ``closed``: its starter and the table of
+    closures that keeps the starters of its nodes, all compiled.
 
     Make one per assertion and its declarations and pass it to every
     ``check_trace_assertion`` or ``Monitor`` of that assertion, as
@@ -1275,7 +1378,7 @@ def check_trace_assertion(
     plan = AssertionPlan.of(gamma, plan, rigid_comp_decls, rigid_data_decls)
     plan.check_bound(alg, J, max_assignments)
     _check_mode(mode)
-    evaluator = _TraceEvaluator(alg, J, plan.tables, plan.closed, {})
+    evaluator = _TraceEvaluator(alg, J, plan.tables, {})
     return evaluator.run(trace.steps, 0, mode)
 
 
@@ -1304,7 +1407,7 @@ class Monitor:
     ):
         plan = AssertionPlan.of(gamma, plan)
         plan.check_bound(alg, J, DEFAULT_ASSIGNMENT_BOUND)
-        self._evaluator = _TraceEvaluator(alg, J, plan.tables, plan.closed, {})
+        self._evaluator = _TraceEvaluator(alg, J, plan.tables, {})
         self._steps = 0
         self._last: Optional[Verdict] = None
         self._final = False

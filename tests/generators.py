@@ -6,7 +6,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from archcheck import constraints
 from archcheck.algebra import (
     Algebra,
     Apply,
@@ -60,6 +59,7 @@ from archcheck.constraints import (
     WeakUntil,
     _Slices,
     _StateEvaluator,
+    _TraceEvaluator,
 )
 from archcheck.interfaces import (
     Interface,
@@ -429,16 +429,15 @@ class QuantifierCounts:
     """How often each quantifier class is evaluated, by ``mode``: a call of
     a state quantifier's closure, or a start of a rigid quantifier.  Set
     ``mode`` around the runs to count; nothing is counted while it is None.
-    The rules are wrapped through ``monkeypatch``, so only closures compiled
-    after it is made are counted."""
+    The compile rules are wrapped through ``monkeypatch``, so only closures
+    and starters compiled after it is made are counted."""
 
     def __init__(self, monkeypatch):
         self.mode, self.counts = None, Counter()
-        for cls in STATE_QUANTIFIERS:
-            rule = _StateEvaluator.ASSERTIONS[cls]
-            monkeypatch.setitem(_StateEvaluator.ASSERTIONS, cls, self._compiled(cls, rule))
-        for cls in RIGID_QUANTIFIERS:
-            monkeypatch.setitem(constraints._START, cls, self._counted(cls, constraints._START[cls]))
+        for table, classes in ((_StateEvaluator.ASSERTIONS, STATE_QUANTIFIERS),
+                               (_TraceEvaluator.STARTS, RIGID_QUANTIFIERS)):
+            for cls in classes:
+                monkeypatch.setitem(table, cls, self._compiled(cls, table[cls]))
 
     def _counted(self, cls, run):
         def counted(*args):
@@ -455,6 +454,29 @@ class QuantifierCounts:
         """How often the class of ``classes`` evaluated least often in
         ``mode`` was evaluated, and its name."""
         return min((self.counts[mode, cls], cls.__name__) for cls in classes)
+
+
+def count_starts(monkeypatch, classes=(State,)) -> list:
+    """The node of every start of a trace node of ``classes`` from now on,
+    through the start rules, so only starters compiled after this call
+    count.  By default, one entry per state verdict asked for."""
+    starts = []
+
+    def counting(rule):
+        def compiled(compiler, gamma):
+            start = rule(compiler, gamma)
+
+            def counted(ev, asg):
+                starts.append(gamma)
+                return start(ev, asg)
+
+            return counted
+
+        return compiled
+
+    for cls in classes:
+        monkeypatch.setitem(_TraceEvaluator.STARTS, cls, counting(_TraceEvaluator.STARTS[cls]))
+    return starts
 
 
 def random_closed_assertion(rng, world, depth=4):

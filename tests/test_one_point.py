@@ -44,7 +44,6 @@ from archcheck.constraints import (
     State,
     TraceImplies,
     Truth,
-    _TraceEvaluator,
     check_trace_assertion,
     trace_holds,
 )
@@ -68,7 +67,7 @@ from fixtures import (
     probsol_algebra,
     probsol_signature,
 )
-from generators import D, PAIR_DD, FormulaGenerator, random_world
+from generators import D, PAIR_DD, FormulaGenerator, count_starts, random_world
 from test_algebra import _bruteforce_models
 from test_blackboard import paper_scenario
 
@@ -580,14 +579,7 @@ def test_one_exists_start_makes_at_most_ksop_instance_starts(monkeypatch):
     while type(stack[-1]) is not RigidExistsData:
         stack.extend(algebra.children(stack.pop()))
     exists = stack[-1]
-    starts = []
-    start = _TraceEvaluator.start
-
-    def counted(ev, g, asg):
-        starts.append(g)
-        return start(ev, g, asg)
-
-    monkeypatch.setattr(_TraceEvaluator, "start", counted)
+    starts = count_starts(monkeypatch, {type(exists), type(exists.body)})
     alg = probsol_algebra()
     for ksop in (set(), {("pA", frozenset({"pB"}))},
                  {("pA", frozenset()), ("pB", frozenset({"pC"})), ("pC", frozenset())}):

@@ -23,7 +23,6 @@ from archcheck.constraints import (
     Truth,
     Until,
     Verdict,
-    _StateEvaluator,
     check_trace_assertion,
     trace_holds,
 )
@@ -32,7 +31,7 @@ from archcheck.parser.grammar import MAX_NESTING
 
 import oracle
 from fixtures import bb_snapshot, blackboard_interpretation, probsol_algebra
-from generators import random_closed_assertion, random_world
+from generators import count_starts, random_closed_assertion, random_world
 
 MONITORED = (
     "BlackboardConnection.ax1",
@@ -155,21 +154,10 @@ class TestWorkPerStep:
         self.J = blackboard_interpretation({"BB": [self.bb], "KS": []})
         self.step = ArchConfiguration(frozenset({self.bb}))
 
-    def _count_state_evaluations(self, monkeypatch):
-        calls = []
-        holds = _StateEvaluator.holds
-
-        def counted(evaluator, asg, phi):
-            calls.append(phi)
-            return holds(evaluator, asg, phi)
-
-        monkeypatch.setattr(_StateEvaluator, "holds", counted)
-        return calls
-
     def test_a_repeated_configuration_is_read_until_it_changes_nothing(self, monkeypatch):
         # the first step starts G, the second opens a position that leaves
         # the residual as it was; every later step is skipped unread
-        calls = self._count_state_evaluations(monkeypatch)
+        calls = count_starts(monkeypatch)
         monitor = Monitor(self.alg, self.J, Globally(State(Min("BB", 1))))
         for _ in range(2000):
             assert monitor.step(self.step).truth is Truth.INCONCLUSIVE
@@ -180,7 +168,7 @@ class TestWorkPerStep:
         # the pending one, so each step evaluates a, the pending b and the
         # new b, however long the stream.  The configurations are pairwise
         # unequal (each connects bb to a source of its own), so none is skipped.
-        calls = self._count_state_evaluations(monkeypatch)
+        calls = count_starts(monkeypatch)
         gamma = Globally(TraceImplies(
             State(Min("BB", 1)), Eventually(State(Min("BB", 2)))
         ))

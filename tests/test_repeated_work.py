@@ -58,7 +58,7 @@ from archcheck.model import (
 )
 from archcheck.parser import print_unit, resolver
 
-from generators import random_closed_assertion, random_world
+from generators import count_starts, random_closed_assertion, random_world
 from test_rigid_enumeration import _bundle_assertions
 
 SEEDS = range(20)
@@ -297,17 +297,10 @@ def test_state_evaluations_per_20_criterion_6_trials(monkeypatch):
     # 7,708 is the number of state verdicts these trials ask for: each is
     # evaluated once, on the steps that the skip does not pass over and for
     # the instances that the guards start
-    calls = [0]
-    fresh = constraints._TraceEvaluator._state_verdict
-
-    def counted(evaluator, asg, phi):
-        calls[0] += 1
-        return fresh(evaluator, asg, phi)
-
-    monkeypatch.setattr(constraints._TraceEvaluator, "_state_verdict", counted)
+    calls = count_starts(monkeypatch)
     report = verify_theorem(20, seed=930106, horizon=50, bundle=blackboard_bundle())
     assert report.ok
-    assert 0 < calls[0] <= 7708
+    assert 0 < len(calls) <= 7708
 
 
 def test_a_check_builds_no_configuration_and_no_interpretation_set(monkeypatch):

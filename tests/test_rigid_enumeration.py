@@ -79,6 +79,7 @@ from generators import (
     STATE_QUANTIFIERS,
     FormulaGenerator,
     QuantifierCounts,
+    count_starts,
     random_world,
 )
 
@@ -171,18 +172,6 @@ def _slice_fold(alg, J, trace, gamma, mode, rigid_comp):
 
 def _prefix(trace, t):
     return ConfigurationTrace(trace.universe, trace.steps[:t])
-
-
-def _count_fresh_state_evaluations(monkeypatch):
-    calls = []
-    fresh = _TraceEvaluator._state_verdict
-
-    def counted(evaluator, asg, phi):
-        calls.append(phi)
-        return fresh(evaluator, asg, phi)
-
-    monkeypatch.setattr(_TraceEvaluator, "_state_verdict", counted)
-    return calls
 
 
 def test_bundle_verdicts_equal_the_full_product_fold():
@@ -278,7 +267,7 @@ def test_trigger_shapes_agree_with_the_oracle(monkeypatch):
     # the truth against the oracle; the full verdict against the fold in
     # the documented order, and fewer fresh state evaluations than the fold
     # makes for the trigger-shaped ones
-    calls = _count_fresh_state_evaluations(monkeypatch)
+    calls = count_starts(monkeypatch)
     counts = QuantifierCounts(monkeypatch)
     rng = random.Random(515002)
     letters = []
@@ -333,9 +322,10 @@ def _bind_starts(monkeypatch):
     starts = []
     bind = _TraceEvaluator.bind
 
-    def counted(evaluator, asg, binder, value, bindings):
-        starts.append((evaluator.m, bindings))
-        return bind(evaluator, asg, binder, value, bindings)
+    def counted(evaluator, asg, binder, value, names):
+        bound = bind(evaluator, asg, binder, value, names)
+        starts.append((evaluator.m, {name: bound[name] for name in names}))
+        return bound
 
     monkeypatch.setattr(_TraceEvaluator, "bind", counted)
     return starts

@@ -69,7 +69,7 @@ def _plain(alg, J, trace, gamma, mode, rigid_comp=None):
     for data_combo in itertools.product(*data_domains):
         for comp_combo in itertools.product(*comp_domains):
             asg = {**dict(zip(data_names, data_combo)), **dict(zip(comp_names, comp_combo))}
-            evaluator = _TraceEvaluator(alg, J, _node_tables(gamma), gamma, asg)
+            evaluator = _TraceEvaluator(alg, J, _node_tables(gamma), asg)
             for m, k in enumerate(trace.steps):
                 evaluator.progress(m, k)
                 if type(evaluator.residual) is Verdict:
