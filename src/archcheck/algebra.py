@@ -13,17 +13,23 @@ Müller and Zălinescu, JACM 2015).  A guard is ``pattern in t``, ``t ==
 {pattern}`` or ``{pattern} == t``, alone or as the first item of an ``And``,
 where ``t`` reads none of the quantified variables and ``pattern`` is a
 quantified variable or a pair whose quantified parts are distinct variables.
-It can hold only under the assignments that match an element of ``t``'s value
-(its one element, for the equations), so ``enumerate_assignments`` reads
-``t`` once and yields only those, in the product order of the full
-enumeration.  Every other assignment makes the guard false without reading
-anything that could fail: the antecedent of ``forall ... (guard -> body)``
-is then false and the first item of ``exists ... (guard and ...)`` too, so
-skipping it changes neither the truth, nor which assignment decides, nor
-what the evaluation raises.  The carriers are still enumerated first, so a
-carrier over the set cap raises as before and an empty one evaluates
-nothing; a guard whose reads fail, or a membership against a non-set, falls
-back to the full enumeration, which meets the same failure.
+A quantifier's quantified variables are its own and those of the
+quantifiers of its class directly inside it, up to one that binds a name
+again, so ``forall x . forall y . ((x, y) in t -> ...)`` finds the guard at
+both.  The guard can hold only under the values that match an element of
+``t``'s value (its one element, for the equations), so the quantifier's
+range reads ``t`` once and keeps only the values of its variable that some
+element offers, in carrier order.  Under every other value the guard is
+false, whatever the inner variables are bound to, without reading anything
+that could fail: the antecedent of ``forall ... (guard -> body)`` is then
+false and the first item of ``exists ... (guard and ...)`` too, so skipping
+the value changes neither the truth, nor which assignment decides, nor what
+the evaluation raises.  The carriers of all the quantified variables are
+still built first, so a carrier over the set cap raises as before; a guard
+whose reads fail, or a membership against a non-set, falls back to the
+carrier, which meets the same failure.  An axiom holds when its universal
+closure does (``universal_closure``), so the same rule ranges over the
+assignments of its free variables.
 
 Every quantifier is evaluated by one rule over the range its ``SHAPE`` names,
 compiled once per node by the evaluator's ``RANGES``: a carrier (or what a
@@ -577,17 +583,26 @@ def _iff(ev, phi):
     return lambda ev, asg: left(ev, asg) == right(ev, asg)
 
 
-def antecedent(phi: Assertion) -> Optional[Assertion]:
-    """What guards ``phi`` under a universal quantifier: its left side, when
-    ``phi`` is an implication."""
-    return phi.left if type(phi) is Implies else None
-
-
-def quantifier_guard(phi) -> Optional[Guard]:
-    """The guard of a ``ForallData`` or ``ExistsData``: of its body's
-    antecedent for ``forall``, of its body for ``exists``."""
-    body = antecedent(phi.body) if type(phi) is ForallData else phi.body
-    return find_guard(body, {phi.var: phi.sort})
+def quantifier_guard(
+    phi, formula=lambda node: node, implications=(Implies,)
+) -> Optional[Guard]:
+    """The guard of a quantifier over a sort whose pattern holds its
+    variable (see the module docstring), found in what must hold for a value
+    to matter: the antecedent of its body, an instance of ``implications``,
+    for ``forall``, and its body for ``exists``, each read through
+    ``formula`` (``constraints`` unwraps ``State`` with it).  Its body is
+    read below the quantifiers of its class directly inside it, up to one
+    that binds a name again; their variables are quantified too."""
+    quantified = {phi.var: phi.sort}
+    body = phi.body
+    while type(body) is type(phi) and body.var not in quantified:
+        quantified[body.var] = body.sort
+        body = body.body
+    body = formula(body)
+    if phi.SHAPE[0] == "forall":
+        body = formula(body.left) if type(body) in implications else None
+    guard = find_guard(body, quantified)
+    return guard if guard is not None and phi.var in guard.names else None
 
 
 def bound_names(phi) -> tuple[str, ...]:
@@ -605,8 +620,14 @@ def sort_range(guard_of):
         var, sort, guard = phi.var, phi.sort, guard_of(phi)
         if guard is None:
             return lambda ev, asg: ev.alg.carrier(sort)
-        variables = {var: sort}
-        return lambda ev, asg: (b[var] for b in enumerate_assignments(ev, variables, asg, guard))
+
+        def values(ev, asg):
+            for each in guard.sorts:  # an over-cap carrier raises before matching
+                ev.alg.carrier(each)
+            matches = _guard_matches(ev, asg, guard, var, sort)
+            return ev.alg.carrier(sort) if matches is None else matches
+
+        return values
 
     return rule
 
@@ -829,6 +850,7 @@ class Guard:
     source: Term
     single: bool
     names: tuple[Optional[str], ...]
+    sorts: tuple[Sort, ...]  # of the quantified variables, in their order
 
 
 def _parts(pattern: Term) -> tuple[Term, ...]:
@@ -867,25 +889,26 @@ def find_guard(
             if name is None:
                 reads |= _var_names(part)
         if bound and len(set(bound)) == len(bound) and not reads & quantified.keys():
-            return Guard(pattern, source, single, names)
+            return Guard(pattern, source, single, names, tuple(quantified.values()))
     return None
 
 
-def _guard_matches(ev, asg, guard: Guard, variables, names, domains):
-    """The value tuples, in ``names`` order and product order, of the
-    assignments under which ``guard`` can hold; None when reading its source
-    or its fixed parts fails or the source is not a set."""
+def _guard_matches(ev, asg, guard: Guard, var: str, sort: Sort):
+    """The values of ``var`` in the carrier of ``sort``, in carrier order,
+    that some element of ``guard``'s source offers its part of the pattern,
+    the fixed parts equal; None when reading the source or the fixed parts
+    fails or the source is not a set."""
     parts = _parts(guard.pattern)
     try:
         source = ev.term(asg, guard.source)
         fixed = [ev.term(asg, p) if n is None else None for p, n in zip(parts, guard.names)]
-    except Exception:  # noqa: BLE001 - the full enumeration meets it again
+    except Exception:  # noqa: BLE001 - the evaluation over the carrier meets it again
         return None
     if not isinstance(source, frozenset):
         return None
     if guard.single and len(source) != 1:
         source = ()
-    positions = {n: ev.alg.positions(variables[n]) for n in guard.names if n is not None}
+    at, positions = guard.names.index(var), ev.alg.positions(sort)
     hits = set()
     for element in source:
         if len(parts) == 1:
@@ -894,61 +917,30 @@ def _guard_matches(ev, asg, guard: Guard, variables, names, domains):
             values = element
         else:
             continue
-        hit = []
-        for name, want, value in zip(guard.names, fixed, values):
-            if name is None:
-                if value != want:
-                    break
-            else:
-                index = positions[name].get(value)
-                if index is None:  # outside the carrier: binds nothing
-                    break
-                hit.append((name, index))
-        else:
-            hits.add(tuple(hit))
-    keys = []
-    for hit in hits:
-        at = dict(hit)
-        keys.extend(itertools.product(*(
-            (at[n],) if n in at else range(len(d)) for n, d in zip(names, domains)
-        )))
-    keys.sort()
-    return [tuple(d[i] for d, i in zip(domains, key)) for key in keys]
+        if all(n is not None or v == want for n, want, v in zip(guard.names, fixed, values)):
+            index = positions.get(values[at])
+            if index is not None:  # outside the carrier: binds nothing
+                hits.add(index)
+    carrier = ev.alg.carrier(sort)
+    return [carrier[i] for i in sorted(hits)]
 
 
-def enumerate_assignments(
-    ev: Evaluator,
-    variables: Mapping[str, Sort],
-    asg: Optional[Mapping[str, Value]] = None,
-    guard: Optional[Guard] = None,
-):
-    """The bindings of ``variables`` over their carriers, in product order:
-    names sorted, each carrier in its order.  ``guard``, found by
-    ``find_guard`` over ``variables``, must hold for a binding to matter,
-    read under ``asg`` extended by it; with it, only the bindings under
-    which it can hold are yielded (the one-point rule, see the module
-    docstring)."""
-    names = sorted(variables)
-    domains = [ev.alg.carrier(variables[n]) for n in names]
-    combos = None
-    if guard is not None and all(domains):
-        combos = _guard_matches(ev, asg or {}, guard, variables, names, domains)
-    if combos is None:
-        combos = itertools.product(*domains)
-    for combo in combos:
-        yield dict(zip(names, combo))
+def universal_closure(phi: Node, variables: Mapping, quantifier=ForallData) -> Node:
+    """``phi`` under one ``quantifier`` per variable of ``variables``, each
+    with its range (a sort, or an interface), the names sorted and the first
+    outermost: its instances come in the product order of the variables."""
+    for name in reversed(sorted(variables)):
+        phi = quantifier(name, variables[name], phi)
+    return phi
 
 
 def models_spec(alg: Algebra, assertions: Iterable[Assertion]) -> bool:
-    """True iff every assertion holds under every assignment of its free vars."""
+    """True iff every assertion holds under every assignment of its free
+    variables: iff its universal closure holds."""
     evaluator = Evaluator(alg)
-    for assertion in assertions:
-        variables = free_vars(assertion)[0]
-        guard = find_guard(antecedent(assertion), variables)
-        bindings = enumerate_assignments(evaluator, variables, guard=guard)
-        if not all(evaluator.holds(asg, assertion) for asg in bindings):
-            return False
-    return True
+    return all(
+        evaluator.holds({}, universal_closure(a, free_vars(a)[0])) for a in assertions
+    )
 
 
 def check_well_founded(alg: Algebra, symbol: str) -> bool:

@@ -77,9 +77,10 @@ and binds in the one assignment of every variable, as in ``algebra`` (see
 its module docstring); a rigid one starts an instance per value of its
 range.  So a rigid data quantifier starts only the instances its guard can
 make matter at the current step: ``exists x . State(guard ...)`` and
-``forall x . (State(guard ...) -> ...)``.  ``max_assignments`` bounds the
-product of the free rigid variables' carriers and component sets,
-whichever instances run.
+``forall x . (State(guard ...) -> ...)``, also across the quantifiers of
+its class directly inside it, as in ``forall x . forall y . (State((x, y)
+in s) -> ...)``.  ``max_assignments`` bounds the product of the free rigid
+variables' carriers and component sets, whichever instances run.
 
 The checks skip the steps that cannot change a residual.  When a residual
 is a fixed point of a configuration, ``progress(r, k) == r``, the run skips
@@ -132,7 +133,6 @@ from .algebra import (  # And, Implies, Not, Or and free_vars are re-exported
     Evaluator,
     ExistsData,
     ForallData,
-    Guard,
     Implies,
     Member,
     Node,
@@ -147,7 +147,9 @@ from .algebra import (  # And, Implies, Not, Or and free_vars are re-exported
     find_guard,
     free_vars,
     nodes,
+    quantifier_guard,
     sort_range,
+    universal_closure,
 )
 from .errors import (
     AssignmentError,
@@ -542,21 +544,6 @@ def _irconn(ev, asg, phi: IRConn) -> bool:
     return True
 
 
-def _formula(node):
-    return node.formula if type(node) is State else node
-
-
-def _instance_guard(gamma) -> Optional[Guard]:
-    """The guard of a quantifier over a sort, flexible or rigid: of what must
-    hold for a value to matter, the antecedent of its body for ``forall``
-    and its body for ``exists``, where ``State(A)`` stands for ``A``.  So a
-    rigid ``forall`` finds it in ``State(A) -> ...`` and ``State(A -> ...)``."""
-    body = _formula(gamma.body)
-    if gamma.SHAPE[0] == "forall":
-        body = _formula(body.left) if type(body) in (Implies, TraceImplies) else None
-    return find_guard(body, {gamma.var: gamma.sort})
-
-
 class _StateEvaluator(Evaluator):
     """Evaluates configuration assertions over the interpretation set ``J``.
 
@@ -594,7 +581,12 @@ class _StateEvaluator(Evaluator):
         **dict.fromkeys((ForallComp, ExistsComp), Evaluator.ASSERTIONS[ForallData]),
     }
     RANGES = {
-        "sort": sort_range(_instance_guard),
+        # a sort quantifier's guard, flexible or rigid, where State(A) stands
+        # for A: a rigid forall finds it in State(A) -> ... and State(A -> ...)
+        "sort": sort_range(partial(
+            quantifier_guard, implications=(Implies, TraceImplies),
+            formula=lambda node: node.formula if type(node) is State else node,
+        )),
         "set": _defined(Evaluator.RANGES["set"], ()),
         "interface": lambda _, phi: lambda ev, asg: ev.interface_ids(phi.interface),
     }
@@ -839,14 +831,16 @@ class _Chain(_Residual):
     lies inside the earlier one's ``left and ...`` and beside its
     ``right or ...``, so in strong Kleene logic the copy changes neither
     the truth nor which position decides it.  A chain with no pending
-    position has found nothing: it equals the fresh chain of its node and
-    assignment, which a run makes once (see ``_TraceEvaluator.opening``).
+    position is the fresh chain of its node and assignment, which a run
+    makes once (see ``_TraceEvaluator.opening``); every other chain keeps it
+    as ``fresh``.
     """
 
-    __slots__ = ("op", "opening", "entries", "found")
+    __slots__ = ("op", "opening", "entries", "found", "fresh")
 
-    def __init__(self, op, opening: tuple, entries: tuple = (), found=None):
+    def __init__(self, op, opening: tuple, entries: tuple = (), found=None, fresh=None):
         self.op, self.opening, self.entries, self.found = op, opening, entries, found
+        self.fresh = fresh
         self._keyed(id(op), opening, entries, found)
 
     def first(self, ev):
@@ -869,11 +863,11 @@ class _Chain(_Residual):
                     found = self._broken(m, left)
                     if right is None:
                         return found
-                    return _Chain(self.op, self.opening, ((m, right, None),), found)
+                    return _Chain(self.op, self.opening, ((m, right, None),), found, self)
                 left = None
         if right is None and left is None:
             return self
-        return _Chain(self.op, self.opening, ((m, right, left),))
+        return _Chain(self.op, self.opening, ((m, right, left),), None, self)
 
     def progress(self, ev):
         if not self.entries:
@@ -910,12 +904,12 @@ class _Chain(_Residual):
             rights.add(right)
             lefts.add(left)
             entries.append((origin, right, left))
-        if not entries and found is not None:
-            return found
+        if not entries:
+            return self.fresh if found is None else found
         entries = tuple(entries)
         if found is self.found and entries == self.entries:
             return self
-        return _Chain(self.op, self.opening, entries, found)
+        return _Chain(self.op, self.opening, entries, found, self.fresh)
 
     def close(self, ev, mode):
         verdict = self.found if self.found is not None else self._end(ev.m, mode)
@@ -1312,11 +1306,11 @@ class AssertionPlan:
         self.data = tuple((name, free_data[name]) for name in sorted(free_data))
         self.comps = tuple((name, comp_decls[name]) for name in sorted(free_comps))
         sliced = _sliced(gamma, free_data)
-        closed = gamma if sliced is None else sliced
-        for name, interface in reversed(self.comps):
-            closed = RigidForallComp(name, interface, closed)
-        for name, sort in reversed(self.data if sliced is None else ()):
-            closed = RigidForallData(name, sort, closed)
+        closed = universal_closure(
+            gamma if sliced is None else sliced, dict(self.comps), RigidForallComp
+        )
+        if sliced is None:
+            closed = universal_closure(closed, free_data, RigidForallData)
         self.closed = closed
         self.tables = _node_tables(closed)
 

@@ -22,11 +22,9 @@ from .algebra import (
     Evaluator,
     Sort,
     Term,
-    antecedent,
-    enumerate_assignments,
-    find_guard,
     free_vars,
     nodes,
+    universal_closure,
 )
 from .errors import (
     InterpretationError,
@@ -322,11 +320,12 @@ def check_spec_interpretation(
     """Id-disjointness, union healthiness, typing, and the assertion sets.
 
     Each interpretation must model its interface's assertions under every
-    data assignment (enumerated over the finite carriers, or over the
-    candidates of an antecedent's guard).  Interpretations are checked in
-    id order; only when that finds a violation are their results put in the
-    order of ``sort_key`` (and only on an error are they checked again in
-    it), so the full keys are built only for a report they order.
+    data assignment: the universal closure of each must hold, its
+    quantifiers ranging over the finite carriers or over what a guard can
+    meet (see the ``algebra`` module docstring).  Interpretations are
+    checked in id order; only when that finds a violation are their results
+    put in the order of ``sort_key`` (and only on an error are they checked
+    again in it), so the full keys are built only for a report they order.
     """
     violations = []
     notes = []
@@ -383,7 +382,7 @@ def _check_interpretations(name, interface, assertions, interps, pspec, alg, clo
     not depend on the order."""
     checked = []
     notes = []
-    guarded = None  # each assertion with its free variables and their guard
+    closed = None  # the universal closure of each assertion
     for interp in interps:
         violations = []
         checked.append((interp, violations))
@@ -399,16 +398,14 @@ def _check_interpretations(name, interface, assertions, interps, pspec, alg, clo
         typing = check_port_typing(interp, pspec, alg)
         violations.extend(typing.violations)
         evaluator = _InterfaceEvaluator(alg, interp, closures)
-        if guarded is None:  # found once, and only if an interpretation reads them
-            guarded = [(a, free_vars(a)[0]) for a in assertions]
-            guarded = [(a, v, find_guard(antecedent(a), v)) for a, v in guarded]
-        for idx, (assertion, variables, guard) in enumerate(guarded):
+        if closed is None:  # built once, and only if an interpretation reads them
+            closed = [universal_closure(a, free_vars(a)[0]) for a in assertions]
+        for idx, (assertion, closure) in enumerate(zip(assertions, closed)):
             if not notes and uses_local_port(assertion, interface):
                 notes.append(
                     f"extension: local-port term (interface {name}, assertion {idx + 1})"
                 )
-            bindings = enumerate_assignments(evaluator, variables, guard=guard)
-            if not all(evaluator.holds(asg, assertion) for asg in bindings):
+            if not evaluator.holds({}, closure):
                 violations.append(
                     Violation(
                         "interface-assertion",

@@ -1,7 +1,8 @@
 """The first-order evaluator as it was before it compiled formulas: a rule
 table per context, keyed by node type, that walks the AST at every
-evaluation, copies the assignment at every binding, and ranges a component
-quantifier over every component of its interface.  ``test_evaluator.py``
+evaluation, copies the assignment at every binding, and ranges a data
+quantifier over its whole carrier, without the one-point rule, and a
+component quantifier over every component of its interface.  ``test_evaluator.py``
 checks the compiled evaluator against it in the datatype, interface and
 configuration contexts: truth, undefined reads and errors."""
 from archcheck.algebra import (
@@ -25,8 +26,6 @@ from archcheck.algebra import (
     WellFounded,
     bind_pattern,
     check_well_founded,
-    enumerate_assignments,
-    quantifier_guard,
 )
 from archcheck.constraints import (
     Active,
@@ -86,8 +85,8 @@ def _member(ev, asg, phi):
 
 def _quantifier(combine):
     def rule(ev, asg, phi):
-        bindings = enumerate_assignments(ev, {phi.var: phi.sort}, asg, ev.guard(phi))
-        return combine(ev.holds({**asg, **b}, phi.body) for b in bindings)
+        carrier = ev.alg.carrier(phi.sort)
+        return combine(ev.holds({**asg, phi.var: v}, phi.body) for v in carrier)
 
     return rule
 
@@ -133,13 +132,6 @@ class Evaluator:
 
     def __init__(self, alg):
         self.alg = alg
-        self.guards = {}
-
-    def guard(self, phi):
-        entry = self.guards.get(id(phi))
-        if entry is None:
-            entry = self.guards[id(phi)] = (phi, quantifier_guard(phi))
-        return entry[1]
 
     def term(self, asg, term):
         try:

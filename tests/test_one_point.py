@@ -75,18 +75,12 @@ SET_P = SetSort(PROB)
 PAIR_PP = PairSort(PROB, PROB)
 
 
-def _full_product(ev, variables, asg=None, guard=None):
-    """The enumeration without the rule: every binding of the carriers."""
-    names = sorted(variables)
-    for combo in itertools.product(*(ev.alg.carrier(variables[n]) for n in names)):
-        yield dict(zip(names, combo))
-
-
 @contextlib.contextmanager
 def full_enumeration():
+    """The evaluation without the rule: no guard matches, so every sort
+    quantifier ranges over its whole carrier."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (algebra, interfaces):
-            patch.setattr(module, "enumerate_assignments", _full_product)
+        patch.setattr(algebra, "_guard_matches", lambda *args: None)
         yield
 
 
@@ -314,6 +308,98 @@ def test_membership_against_a_non_set_still_raises():
     assert got == expected == ("SortError", "membership against a non-set value")
 
 
+def _guard_ranges(run):
+    """What ``run()`` returns, and the carrier size and range size of each
+    quantifier whose guard was found through a quantifier inside it."""
+    ranges = []
+    match = algebra._guard_matches
+
+    def recorded(ev, asg, guard, var, sort):
+        values = match(ev, asg, guard, var, sort)
+        if values is not None and len(guard.sorts) > 1:
+            ranges.append((len(ev.alg.carrier(sort)), len(values)))
+        return values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_guard_matches", recorded)
+        return _outcome(run), ranges
+
+
+def test_three_variables_guarded_by_two_agree_with_the_full_enumeration():
+    # the closure of an axiom over u, v and w whose guard binds two of
+    # them, and three written nested quantifiers of one class: the outer of
+    # the guard's variables ranges over what the source offers it, through
+    # the quantifiers between
+    rng = random.Random(909006)
+    results, narrowed = set(), 0
+    for _ in range(40):
+        alg = _guarded_algebra(rng)
+        gen = _GuardedFormulas(rng)
+        for _ in range(20):
+            scope = ["u", "v", "w"]
+            guard = gen.guard(rng.sample(scope, 2), PROB, [] if rng.random() < 0.8 else scope)
+            body = gen.formula(2, scope)
+            axiom = Implies(guard, body)
+            exists = And((guard, body)) if rng.random() < 0.7 else guard
+            for name in ("w", "v", "u"):
+                exists = ExistsData(name, PROB, exists)
+            for phi in (axiom, Not(exists)):
+                got, ranges = _guard_ranges(lambda: models_spec(alg, [phi]))
+                with full_enumeration():
+                    expected = _outcome(lambda: models_spec(alg, [phi]))
+                assert got == expected, phi
+                assert got == _bruteforce_models(alg, phi), phi
+                results.add(got)
+                narrowed += any(size < carrier for carrier, size in ranges)
+    assert results == {True, False}
+    assert narrowed > 100
+
+
+def test_a_quantifier_that_binds_a_name_again_ends_the_look_through():
+    # forall x . forall y . forall x . (h(c) == {(x, y)} -> ...): the guard
+    # reads the inner x, so the outer x, at another sort, takes no guard
+    # and ranges over its whole carrier
+    rng = random.Random(909007)
+    x_set, x, y = Var("x", SET_P), Var("x", PROB), Var("y", PROB)
+    truths = set()
+    for _ in range(60):
+        alg = _guarded_algebra(rng)
+        gen = _GuardedFormulas(rng)
+        pattern = PairTerm(x, y) if rng.random() < 0.5 else PairTerm(y, x)
+        source = Apply("h", (gen.term([]),))
+        guard = rng.choice([Member(pattern, source), Equals(source, SetTerm((pattern,)))])
+        body = Or((Member(Apply("c"), x_set), gen.formula(1, ["y"])))
+        inner = ForallData("x", PROB, Implies(guard, gen.formula(1, ["x", "y"])))
+        for phi in (
+            ForallData("x", SET_P, ForallData("y", PROB, Or((inner, body)))),
+            ForallData("x", SET_P, ForallData("y", PROB, inner)),
+            ForallData("x", PROB, ForallData("y", PROB, inner)),
+        ):
+            assert algebra.quantifier_guard(phi) is None
+            if phi.body.body is inner:  # y looks through the inner x
+                assert set(algebra.quantifier_guard(phi.body).names) == {"x", "y"}
+            got, expected = _with_and_without(lambda: models_spec(alg, [phi]))
+            assert got == expected, phi
+            truths.add(got)
+    assert truths == {True, False}
+
+
+def test_a_guard_variable_over_the_set_cap_still_raises():
+    # the carriers of every quantified variable are built before the guard
+    # is matched, so an empty source does not hide an over-cap carrier,
+    # whether the set variable is the outer or the inner of the two
+    problems = tuple(f"p{i}" for i in range(9))
+    set_p, pair = SetSort(PROB), PairSort(PROB, SetSort(PROB))
+    sig = Signature(sorts={"PROB"}, functions={"h": ((), SetSort(pair))})
+    alg = Algebra(sig, carriers={"PROB": problems}, functions={"h": {(): frozenset()}})
+    # P sorts before p, and b after a
+    for one, many in ((Var("p", PROB), Var("P", set_p)), (Var("a", PROB), Var("b", set_p))):
+        axiom = Implies(Member(PairTerm(one, many), Apply("h")), BoolLit(False))
+        got, expected = _with_and_without(lambda: models_spec(alg, [axiom]))
+        assert got == expected
+        assert got[0] == "CapacityError"
+
+
 # ---------------------------------------------------------------------------
 # check_spec_interpretation
 
@@ -447,6 +533,32 @@ def test_generated_worlds_agree_with_the_full_enumeration():
     assert {True, False, "InterpretationError"} <= outcomes
 
 
+def test_interface_axioms_over_three_variables_agree_with_the_full_enumeration():
+    # the generated axioms over x and y, with a third free variable w in
+    # their consequent
+    rng = random.Random(909008)
+    w, y = Var("w", D), Var("y", D)
+    outcomes = set()
+    for _ in range(120):
+        world = random_world(rng)
+        spec = InterfaceSpec(world.spec.interfaces, {
+            name: tuple(
+                Implies(a.left, Or((a.right, PredAtom("r", (w, y)))))
+                for a in (_interface_assertion(rng, world, iface) for _ in range(2))
+            )
+            for name, iface in world.spec.interfaces.items()
+        })
+        got, expected = _with_and_without(
+            lambda: check_spec_interpretation(world.J, spec, world.pspec, world.alg)
+        )
+        assert got == expected
+        if isinstance(got, tuple):
+            outcomes.add(got[0])
+        else:
+            outcomes.add(any(v.code == "interface-assertion" for v in got.violations))
+    assert {True, False} <= outcomes
+
+
 # ---------------------------------------------------------------------------
 # Rigid quantifiers over guarded State bodies
 
@@ -525,6 +637,51 @@ def test_rigid_quantifiers_agree_with_the_oracle_and_the_full_enumeration():
                 assert oracle.truth_letter(verdict) == letter, (mode, gamma)
                 letters.append(letter)
     assert {oracle.T, oracle.F, oracle.U} <= set(letters)
+
+
+def test_a_written_pair_guard_starts_fewer_instances_than_the_product(monkeypatch):
+    # forall x . forall y . (State((x, y) in b.q) -> F ...): x ranges over
+    # the first parts of the pairs that b.q holds at the step, y over the
+    # second parts that go with x
+    starts = count_starts(monkeypatch, (TraceImplies,))
+    rng = random.Random(909009)
+    x, y = Var("x", D), Var("y", D)
+    letters, counts = [], [0, 0]
+    while len(letters) < 400:
+        world = random_world(rng, max_carrier=4)
+        ifaces = [i for i in world.interfaces if "q2" in world.spec.interfaces[i].ports]
+        if not ifaces:
+            continue
+        iface = rng.choice(ifaces)
+        gen = FormulaGenerator(rng, world)
+        guard = Member(PairTerm(x, y), PortRead("b", iface, "q2", PAIR_DD))
+        if rng.random() < 0.3:
+            guard = And((guard, gen.state_atom(["x", "y"], [("b", iface)])))
+        rest = gen.trace_formula(1, ["x", "y"], [("b", iface)])
+        gamma = RigidForallData("x", D, RigidForallData("y", D, TraceImplies(
+            State(guard), rng.choice([Eventually, Globally, lambda g: g])(rest)
+        )))
+        gamma = rng.choice([Globally, lambda g: g])(gamma)
+        oworld = oracle.World(world.alg, world.J)
+        for trace in (world.trace, world.extension):
+            for mode in (OPEN, CLOSED):
+                def run():
+                    return check_trace_assertion(world.alg, world.J, trace, gamma, mode,
+                                                 rigid_comp_decls={"b": iface})
+                starts.clear()
+                verdict = _outcome(run)
+                counts[0] += len(starts)
+                starts.clear()
+                with full_enumeration():
+                    expected = _outcome(run)
+                counts[1] += len(starts)
+                assert verdict == expected, (mode, gamma)
+                letter = oracle.check_assertion(oworld, trace, gamma, mode,
+                                                rigid_comp={"b": iface})
+                assert oracle.truth_letter(verdict) == letter, (mode, gamma)
+                letters.append(letter)
+    assert {oracle.T, oracle.F, oracle.U} <= set(letters)
+    assert 0 < counts[0] < counts[1] / 2, counts
 
 
 def test_bundle_verdicts_are_those_of_the_full_enumeration():

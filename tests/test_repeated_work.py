@@ -9,7 +9,8 @@ interpretation up once (and none, when the assertion has no port read,
 `conn` or `irconn`), a monitor hashes none of the configurations it is
 fed (each computed its hash when it was made), an interface check analyses and compiles each axiom once, and a
 rigid-closed assertion reports the verdict of its one run, witness and
-explanation included; a connection map and a port valuation find a port
+explanation included; a chain whose pending positions all drop out is the
+fresh chain its run keeps; a connection map and a port valuation find a port
 without reading their other entries, and a missed lookup raises nothing; a
 port valuation keeps messages that are already frozen; an algebra orders
 each distinct message set once, in a table of bounded size; and 20
@@ -235,17 +236,17 @@ def test_the_second_check_of_a_bundle_analyses_none_of_its_assertions(monkeypatc
 
 
 def test_interface_axioms_are_analysed_once_per_check(monkeypatch):
-    # find_guard runs once per interface axiom of each check, however many
-    # interpretations the axioms are checked against
+    # the universal closure of each interface axiom is built once per check,
+    # however many interpretations the axioms are checked against
     from archcheck import interfaces
 
     bundle = blackboard_bundle()
     axioms = sum(len(items) for items in bundle.interface_spec.assertions.values())
     assert axioms > 0
     calls = []
-    real = interfaces.find_guard
+    real = interfaces.universal_closure
     monkeypatch.setattr(
-        interfaces, "find_guard", lambda *args: calls.append(args) or real(*args)
+        interfaces, "universal_closure", lambda *args: calls.append(args) or real(*args)
     )
     rng = random.Random(13)
     sizes = set()
@@ -301,6 +302,26 @@ def test_state_evaluations_per_20_criterion_6_trials(monkeypatch):
     report = verify_theorem(20, seed=930106, horizon=50, bundle=blackboard_bundle())
     assert report.ok
     assert 0 < len(calls) <= 7708
+
+
+def test_a_chain_whose_positions_all_drop_out_is_its_fresh_chain(monkeypatch):
+    # a run makes the fresh chain of each G, F, U or W once per assignment;
+    # a chain whose pending positions all drop out is that chain again (124
+    # more chains with no position were made in these trials when progress
+    # made a new one)
+    makers = collections.Counter()
+    init = constraints._Chain.__init__
+
+    def counted(chain, op, opening, entries=(), *rest):
+        if not entries:
+            makers[sys._getframe(1).f_code.co_name] += 1
+        init(chain, op, opening, entries, *rest)
+
+    monkeypatch.setattr(constraints._Chain, "__init__", counted)
+    report = verify_theorem(20, seed=930106, horizon=50, bundle=blackboard_bundle())
+    assert report.ok
+    assert makers["progress"] == 0
+    assert 0 < sum(makers.values()) <= 1176
 
 
 def test_a_check_builds_no_configuration_and_no_interpretation_set(monkeypatch):
